@@ -13,14 +13,13 @@ from fasdnet import (
     SOFTMAX,
     NetworkConfig,
     SeededRng,
-    activation_grad,
     leaky_relu,
     loss_forward,
     loss_grad,
+    network_backward,
     network_forward,
     network_init,
 )
-from fasdnet.layers import dense_backward_from_delta
 
 # a 6-feature input, two small leaky-relu hidden layers, softmax pair out
 config = NetworkConfig(
@@ -49,15 +48,10 @@ print(f"loss on the random batch: {loss:.6f}")
 print(f"output rows sum to 1: {np.allclose(probs.sum(axis=1), 1.0)}")
 
 # backward: the softmax/cross-entropy pair collapses to (p - y)/n at the
-# final pre-activations, then each layer peels off its own gradients
+# final pre-activations, then each layer peels off its own gradients;
+# grads lists [dW0, db0, dW1, db1, dW2, db2]
 delta = loss_grad(config.loss, caches[-1][1], y)
-grads = {}
-for i in range(len(layers) - 1, -1, -1):
-    layer_x, z = caches[i]
-    if i < len(layers) - 1:
-        delta = delta * activation_grad(layers[i].activation, z)
-    grad_w, grad_b, delta = dense_backward_from_delta(layers[i], layer_x, delta)
-    grads[i] = (grad_w, grad_b)
+grads = network_backward(layers, caches, delta)
 
 # numeric check on one arbitrary weight of the middle layer
 h = 1e-6
@@ -76,7 +70,7 @@ def loss_at(w_value):
 
 w = layer.weights[i, j]
 numeric = (loss_at(w + h) - loss_at(w - h)) / (2 * h)
-analytic = grads[1][0][i, j]
+analytic = grads[2][i, j]
 print(f"analytic gradient dL/dW[1][{i},{j}] = {analytic:+.10f}")
 print(f"numeric  (central difference)      = {numeric:+.10f}")
 print(f"absolute difference                = {abs(analytic - numeric):.2e}")

@@ -14,6 +14,7 @@ FASDNET_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -39,7 +40,12 @@ from .errors import (
 from .experiment import (
     REGISTRY,
     BaselineTable,
+    ComparisonReport,
+    ComparisonRow,
+    ConfusionMatrix,
     ExperimentSpec,
+    RunResult,
+    battery_medians,
     comparison_report,
     resolve_specs,
     run_experiment_with_model,
@@ -232,8 +238,17 @@ def cmd_report(args, argv) -> int:
                 )
     baselines = BaselineTable(user=user)
 
-    rows = _median_rows_from_summary(summary)
-    report = _comparison_from_rows(rows, baselines)
+    runs = _runs_from_csv(runs_path, summary)
+    try:
+        report = comparison_report(runs, baselines)
+    except ReportError:
+        # no battery has a baseline value: report our medians alone
+        report = ComparisonReport(
+            [ComparisonRow(battery, ours, None, None, None)
+             for battery, ours in battery_medians(runs).items()],
+            None,
+            None,
+        )
     out_dir = _out_dir(args)
     (out_dir / "comparison.csv").write_text(
         report.to_csv_text(), encoding="utf-8"
@@ -245,43 +260,28 @@ def cmd_report(args, argv) -> int:
     return EXIT_OK
 
 
-def _median_rows_from_summary(summary) -> list[tuple[str, float]]:
-    rows = []
-    for name, entry in summary.get("specs", {}).items():
-        rows.append((entry["battery"], entry["median_test_accuracy"]))
-    if not rows:
-        raise ReportError("summary.json contains no per-spec statistics")
-    return rows
-
-
-def _comparison_from_rows(rows, baselines: BaselineTable):
-    """Build the comparison via the experiment module, degrading to an
-    ours-only table when no battery overlaps the baseline table."""
-    import numpy as np
-
-    from .experiment import ComparisonReport, ComparisonRow
-
-    by_battery: dict[str, list[float]] = {}
-    for battery, acc in rows:
-        by_battery.setdefault(battery, []).append(acc)
-
-    class _Shim:
-        def __init__(self, battery, acc):
-            self.battery = battery
-            self.test_accuracy = acc
-
-    shims = [
-        _Shim(battery, float(np.median(accs)))
-        for battery, accs in by_battery.items()
-    ]
-    try:
-        return comparison_report(shims, baselines)
-    except ReportError:
-        out_rows = [
-            ComparisonRow(s.battery, 100.0 * s.test_accuracy, None, None, None)
-            for s in shims
-        ]
-        return ComparisonReport(out_rows, None, None)
+def _runs_from_csv(runs_path: Path, summary) -> list[RunResult]:
+    """Rebuild a sweep's runs from runs.csv, joining each spec to its
+    battery in summary.json."""
+    battery = {name: s["battery"] for name, s in summary.get("specs", {}).items()}
+    runs = []
+    with open(runs_path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                cm = ConfusionMatrix(*(int(row[k]) for k in ("tp", "fp", "tn", "fn")))
+                runs.append(RunResult(
+                    row["spec"], battery[row["spec"]], int(row["seed"]),
+                    float(row["train_acc"]), float(row["test_acc"]), cm, None,
+                ))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ReportError(
+                    f"{runs_path}:{reader.line_num}: malformed run row or "
+                    f"spec missing from summary.json: {exc!r}"
+                ) from exc
+    if not runs:
+        raise ReportError(f"{runs_path} lists no runs")
+    return runs
 
 
 def build_parser() -> argparse.ArgumentParser:

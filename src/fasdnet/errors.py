@@ -47,7 +47,8 @@ class UnknownFeatureError(DataError):
 
 
 class DivergenceError(FasdnetError):
-    """Training produced a non-finite loss; records the failing epoch."""
+    """Training produced a non-finite pre-activation; records the
+    failing epoch (the message also names the layer)."""
 
     def __init__(self, message: str, epoch: int):
         super().__init__(message)

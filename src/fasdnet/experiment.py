@@ -536,6 +536,21 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
+def battery_medians(results) -> dict[str, float]:
+    """Median test accuracy per battery, in percent, over every run of
+    that battery (not over per-spec medians), in first-seen order."""
+    results = list(results)
+    if not results:
+        raise ReportError("no results to report on")
+    by_battery: dict[str, list[float]] = {}
+    for r in results:
+        by_battery.setdefault(r.battery, []).append(r.test_accuracy)
+    return {
+        battery: 100.0 * float(np.median(accs))
+        for battery, accs in by_battery.items()
+    }
+
+
 def comparison_report(results, baselines: BaselineTable) -> ComparisonReport:
     """Median our-accuracy per battery against the baseline table.
 
@@ -543,16 +558,10 @@ def comparison_report(results, baselines: BaselineTable) -> ComparisonReport:
     with the population standard deviation. At least one battery in the
     results must appear in the baseline table.
     """
-    results = list(results)
-    if not results:
-        raise ReportError("no results to report on")
-    by_battery: dict[str, list[float]] = {}
-    for r in results:
-        by_battery.setdefault(r.battery, []).append(r.test_accuracy)
+    medians = battery_medians(results)
     rows = []
     diffs = []
-    for battery in by_battery:
-        ours = 100.0 * float(np.median(by_battery[battery]))
+    for battery, ours in medians.items():
         ref = baselines.reference.get(battery)
         usr = baselines.user.get(battery)
         diff = None if ref is None else ours - ref
@@ -563,7 +572,7 @@ def comparison_report(results, baselines: BaselineTable) -> ComparisonReport:
         row.reference is not None or row.user is not None for row in rows
     ):
         raise ReportError(
-            f"no overlap between result batteries {sorted(by_battery)} and "
+            f"no overlap between result batteries {sorted(medians)} and "
             f"the baseline table"
         )
     mean_diff = float(np.mean(diffs)) if diffs else None

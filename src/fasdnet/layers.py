@@ -6,7 +6,7 @@ through an elementwise activation:
     z = x @ W + b          (x: batch x in_dim, W: in_dim x out_dim)
     out = activation(z)
 
-Backward rules are the textbook ones; see dense_backward. The softmax
+Backward rules are the textbook ones; see network_backward. The softmax
 activation is special-cased: its gradient is only ever needed fused
 with the cross-entropy loss (see training.loss_grad), so asking for a
 standalone softmax derivative is a contract error.
@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DataError,
+    NonFiniteError,
     NotFittedError,
     ShapeError,
 )
@@ -148,35 +149,18 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
     return z, activation_apply(layer.activation, z)
 
 
-def dense_backward(layer: DenseLayer, x: np.ndarray, pre_activation: np.ndarray,
-                   upstream: np.ndarray):
-    """Backward pass through activation and affine map.
+def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
+                              delta: np.ndarray):
+    """Backward pass through the affine map, given delta = dLoss/dz.
 
-    delta  = upstream * activation'(pre_activation)
     grad_w = x^T @ delta
     grad_b = column sums of delta
     grad_x = delta @ W^T
     """
-    if upstream.shape != pre_activation.shape:
-        raise ShapeError(
-            f"dense_backward: upstream {upstream.shape} does not match "
-            f"pre_activation {pre_activation.shape}"
-        )
-    delta = upstream * activation_grad(layer.activation, pre_activation)
-    return dense_backward_from_delta(layer, x, delta)
-
-
-def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
-                              delta: np.ndarray):
-    """Backward pass when delta (dLoss/dz) is already known.
-
-    Used for the final layer, where softmax/sigmoid and cross-entropy
-    collapse to delta = (p - y) / n.
-    """
     if x.shape[0] != delta.shape[0] or delta.shape[1] != layer.out_dim:
         raise ShapeError(
-            f"dense_backward: delta {delta.shape} inconsistent with input "
-            f"{x.shape} and weights {layer.weights.shape}"
+            f"dense_backward_from_delta: delta {delta.shape} inconsistent "
+            f"with input {x.shape} and weights {layer.weights.shape}"
         )
     grad_w = matmul(x.T, delta)
     grad_b = delta.sum(axis=0, keepdims=True)
@@ -363,13 +347,35 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     """Run the full stack; returns (caches, output).
 
     caches holds one (layer_input, pre_activation) pair per dense layer,
-    exactly what the backward pass needs. The normalization stage, when
-    present, is applied first and has no trainable parameters.
+    exactly what network_backward needs. The normalization stage, when
+    present, is applied first and has no trainable parameters. A NaN or
+    infinity in any layer's pre-activation raises NonFiniteError naming
+    the layer; this is the only finiteness check of a training step.
     """
     h = norm.apply(x) if norm is not None else x
     caches = []
-    for layer in layers:
+    for i, layer in enumerate(layers):
         z, out = dense_forward(layer, h)
+        if not np.isfinite(z).all():
+            raise NonFiniteError(f"layer {i} pre-activation is non-finite")
         caches.append((h, z))
         h = out
     return caches, h
+
+
+def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray):
+    """Backpropagate delta = dLoss/dz of the final layer through the stack.
+
+    caches is network_forward's. Each earlier layer's delta is the next
+    layer's grad_x times its own activation derivative. Returns the
+    gradients in parameter order, [dW0, db0, dW1, db1, ...].
+    """
+    grads = [None] * (2 * len(layers))
+    for i in range(len(layers) - 1, -1, -1):
+        layer_x, z = caches[i]
+        if i < len(layers) - 1:
+            delta = delta * activation_grad(layers[i].activation, z)
+        grads[2 * i], grads[2 * i + 1], delta = dense_backward_from_delta(
+            layers[i], layer_x, delta
+        )
+    return grads

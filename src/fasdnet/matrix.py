@@ -1,11 +1,13 @@
 """Dense 2-D float64 arrays and the handful of operations layers need.
 
 A "matrix" throughout the toolkit is a C-contiguous 2-D float64 numpy
-array, rows = samples and columns = features. These wrappers exist to
-attach the shape and finiteness contracts every caller relies on: a
-failed shape check names both operand shapes, and no operation lets a
-NaN or infinity escape. Treat matrices as immutable; all operations
-return new arrays.
+array, rows = samples and columns = features. These wrappers attach
+the shape contract every caller relies on: a failed shape check names
+both operand shapes. Only as_matrix checks finiteness, on input. The
+operations themselves may overflow to infinity; the forward pass
+(layers.network_forward) checks each layer's pre-activation once and
+raises NonFiniteError there. Treat matrices as immutable; all
+operations return new arrays.
 """
 
 from __future__ import annotations
@@ -27,19 +29,11 @@ def as_matrix(data) -> np.ndarray:
     return a
 
 
-def _check_finite(a: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{op} produced non-finite values")
-    return a
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product a @ b with a shape check naming both operands."""
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    # overflow surfaces as NonFiniteError; numpy's warning is redundant
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _check_finite(a @ b, "matmul")
+    return a @ b
 
 
 def add_row_broadcast(a: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -49,8 +43,7 @@ def add_row_broadcast(a: np.ndarray, bias: np.ndarray) -> np.ndarray:
             f"add_row_broadcast: bias must be 1x{a.shape[1]} for operand "
             f"{a.shape}, got {bias.shape}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _check_finite(a + bias, "add_row_broadcast")
+    return a + bias
 
 
 def transpose(a: np.ndarray) -> np.ndarray:

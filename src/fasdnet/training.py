@@ -37,12 +37,11 @@ from .layers import (
     FeatureNormLayer,
     NetworkConfig,
     activation_apply,
-    activation_grad,
-    dense_backward_from_delta,
+    network_backward,
     network_forward,
     network_init,
 )
-from .matrix import argmax_rows, matmul
+from .matrix import argmax_rows
 from .rng import SeededRng
 
 SPARSE_CATEGORICAL = "sparse_categorical"
@@ -260,8 +259,7 @@ class TrainedModel:
         return cls(config, norm, stack)
 
 
-def _evaluate(kind, layers, norm, x, y):
-    probs = predict_proba(layers, norm, x)
+def _scores(kind, probs, y):
     loss = loss_forward(kind, probs, y)
     acc = float(np.mean(predict_labels(kind, probs) == y))
     return loss, acc
@@ -275,7 +273,8 @@ def train(config: NetworkConfig, x_train: np.ndarray, y_train,
     training rows only and frozen; validation data always goes through
     the training statistics. Each epoch performs one gradient step and
     then records train and validation loss/accuracy at the updated
-    parameters. A non-finite training loss aborts with the epoch number.
+    parameters. A non-finite pre-activation in any forward pass raises
+    DivergenceError naming the epoch and the layer.
     """
     if x_train.shape[1] != config.input_dim:
         raise ShapeError(
@@ -307,44 +306,32 @@ def train(config: NetworkConfig, x_train: np.ndarray, y_train,
     state = AdamState(params, config.learning_rate)
     history = History()
 
-    for epoch in range(1, config.epochs + 1):
-        # divergence is reported through the finiteness checks below, so
-        # numpy's own overflow warnings add nothing
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                caches, probs = network_forward(layers, None, x_tr)
-                loss = loss_forward(config.loss, probs, y_tr)
-                if not np.isfinite(loss):
-                    raise NonFiniteError("training loss became non-finite")
-
+    # divergence is reported by network_forward's finiteness guard, so
+    # numpy's own overflow warnings add nothing
+    epoch = 1
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            caches, _ = network_forward(layers, None, x_tr)
+            for epoch in range(1, config.epochs + 1):
                 delta = loss_grad(config.loss, caches[-1][1], y_tr)
-                grads = [None] * len(params)
-                for i in range(len(layers) - 1, -1, -1):
-                    layer_x, z = caches[i]
-                    if i < len(layers) - 1:
-                        delta = delta * activation_grad(layers[i].activation, z)
-                    grad_w, grad_b, delta = dense_backward_from_delta(
-                        layers[i], layer_x, delta
-                    )
-                    grads[2 * i], grads[2 * i + 1] = grad_w, grad_b
-
+                grads = network_backward(layers, caches, delta)
                 params = adam_step(state, params, grads)
                 for i, layer in enumerate(layers):
                     layer.weights = params[2 * i]
                     layer.bias = params[2 * i + 1]
 
-                tr_loss, tr_acc = _evaluate(config.loss, layers, None, x_tr, y_tr)
-                va_loss, va_acc = _evaluate(config.loss, layers, None, x_va, y_va)
-                if not np.isfinite(tr_loss):
-                    raise NonFiniteError("training loss became non-finite")
-        except NonFiniteError as exc:
-            # exploding weights surface as non-finite activations or loss
-            raise DivergenceError(
-                f"training diverged at epoch {epoch}: {exc}", epoch
-            ) from exc
-        history.train_loss.append(tr_loss)
-        history.train_acc.append(tr_acc)
-        history.val_loss.append(va_loss)
-        history.val_acc.append(va_acc)
+                caches, probs = network_forward(layers, None, x_tr)
+                tr_loss, tr_acc = _scores(config.loss, probs, y_tr)
+                va_loss, va_acc = _scores(
+                    config.loss, predict_proba(layers, None, x_va), y_va
+                )
+                history.train_loss.append(tr_loss)
+                history.train_acc.append(tr_acc)
+                history.val_loss.append(va_loss)
+                history.val_acc.append(va_acc)
+    except NonFiniteError as exc:
+        raise DivergenceError(
+            f"training diverged at epoch {epoch}: {exc}", epoch
+        ) from exc
 
     return TrainedModel(config, norm, layers), history

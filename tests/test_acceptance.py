@@ -38,9 +38,8 @@ from fasdnet.experiment import (
 )
 from fasdnet.layers import (
     activation_apply,
-    activation_grad,
-    dense_backward_from_delta,
     leaky_relu,
+    network_backward,
     network_forward,
     network_init,
 )
@@ -68,16 +67,7 @@ def _network_loss(layers, kind, x, y):
 def _analytic_grads(layers, kind, x, y):
     """The same backward pass the trainer runs, one gradient per array."""
     caches, _ = network_forward(layers, None, x)
-    delta = loss_grad(kind, caches[-1][1], y)
-    grads = [None] * (2 * len(layers))
-    for i in range(len(layers) - 1, -1, -1):
-        layer_x, z = caches[i]
-        if i < len(layers) - 1:
-            delta = delta * activation_grad(layers[i].activation, z)
-        grad_w, grad_b, delta = dense_backward_from_delta(
-            layers[i], layer_x, delta)
-        grads[2 * i], grads[2 * i + 1] = grad_w, grad_b
-    return grads
+    return network_backward(layers, caches, loss_grad(kind, caches[-1][1], y))
 
 
 def _random_batch(rng, n_rows, n_features):

@@ -325,6 +325,45 @@ def test_report_statistics_match_library(data_csv, tmp_path):
     assert ours == pytest.approx(expected.rows[0].ours, abs=1e-12)
 
 
+def test_report_median_pools_runs_of_every_spec_on_a_battery(
+        data_csv, tmp_path):
+    # two config-file specs on one battery: the report's median runs
+    # over all their runs, as comparison_report's does, not over the
+    # per-spec medians in summary.json
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    for name, epochs in (("short", 2), ("long", 30)):
+        config = {
+            "input_dim": 20,
+            "layers": [
+                {"width": 4, "activation": "relu"},
+                {"width": 1, "activation": "sigmoid"},
+            ],
+            "loss": "binary",
+            "use_feature_layer": True,
+            "epochs": epochs,
+            "learning_rate": 0.001,
+            "seed": 0,
+        }
+        (config_dir / f"{name}.json").write_text(json.dumps(config))
+    results = tmp_path / "sweep"
+    assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", config_dir, "--seeds", "0,1",
+               "--out-dir", results) == EXIT_OK
+    out_dir = tmp_path / "rep"
+    assert run("report", "--results", results, "--out-dir", out_dir) == EXIT_OK
+
+    test_acc = [float(line.split(",")[3]) for line in
+                (results / "runs.csv").read_text().splitlines()[1:]]
+    summary = json.loads((results / "summary.json").read_text())
+    per_spec = [s["median_test_accuracy"] for s in summary["specs"].values()]
+    pooled = float(np.median(test_acc))
+    assert len(test_acc) == 4 and len(per_spec) == 2
+    assert pooled != float(np.median(per_spec)), "fixture no longer separates"
+    got = (out_dir / "comparison.csv").read_text().splitlines()[1]
+    assert float(got.split(",")[1]) == pytest.approx(100.0 * pooled, abs=1e-12)
+
+
 def test_report_with_user_baselines(data_csv, tmp_path):
     results = _sweep_results(data_csv, tmp_path)
     baselines = tmp_path / "baselines.json"

@@ -11,6 +11,7 @@ from fasdnet.errors import (
     ConfigError,
     ContractError,
     DataError,
+    NonFiniteError,
     NotFittedError,
     ShapeError,
 )
@@ -25,9 +26,10 @@ from fasdnet.layers import (
     NetworkConfig,
     activation_apply,
     activation_grad,
-    dense_backward,
+    dense_backward_from_delta,
     dense_forward,
     leaky_relu,
+    network_backward,
     network_forward,
     network_init,
 )
@@ -163,30 +165,32 @@ def test_dense_forward_shape_error():
         dense_forward(layer, np.zeros((4, 5)))
 
 
-def test_dense_backward_zero_upstream():
+def test_dense_backward_from_delta_zero_upstream():
     rng = np.random.default_rng(4)
     layer = DenseLayer(rng.standard_normal((3, 2)),
                        rng.standard_normal((1, 2)), SIGMOID)
     x = rng.standard_normal((5, 3))
     z, _ = dense_forward(layer, x)
-    gw, gb, gx = dense_backward(layer, x, z, np.zeros((5, 2)))
+    delta = np.zeros((5, 2)) * activation_grad(SIGMOID, z)
+    gw, gb, gx = dense_backward_from_delta(layer, x, delta)
     assert not gw.any() and not gb.any() and not gx.any()
 
 
-def test_dense_backward_linear_case():
+def test_dense_backward_from_delta_linear_case():
     rng = np.random.default_rng(5)
     layer = DenseLayer(rng.standard_normal((3, 1)), np.zeros((1, 1)), IDENTITY)
     x = rng.standard_normal((4, 3))
     upstream = rng.standard_normal((4, 1))
     z, _ = dense_forward(layer, x)
-    gw, gb, gx = dense_backward(layer, x, z, upstream)
+    delta = upstream * activation_grad(IDENTITY, z)
+    gw, gb, gx = dense_backward_from_delta(layer, x, delta)
     np.testing.assert_allclose(gw, x.T @ upstream, atol=1e-12)
     np.testing.assert_allclose(gb, upstream.sum(axis=0, keepdims=True),
                                atol=1e-12)
     np.testing.assert_allclose(gx, upstream @ layer.weights.T, atol=1e-12)
 
 
-def test_dense_backward_matches_finite_differences():
+def test_dense_backward_from_delta_matches_finite_differences():
     # scalar objective: sum of outputs; perturb each weight/bias entry
     rng = np.random.default_rng(6)
     h = 1e-5
@@ -196,8 +200,8 @@ def test_dense_backward_matches_finite_differences():
         x = rng.standard_normal((7, 4))
         layer = DenseLayer(w, b, act)
         z, _ = dense_forward(layer, x)
-        ones = np.ones((7, 3))
-        gw, gb, _ = dense_backward(layer, x, z, ones)
+        delta = np.ones((7, 3)) * activation_grad(act, z)
+        gw, gb, _ = dense_backward_from_delta(layer, x, delta)
 
         def objective(wm, bm):
             _, o = dense_forward(DenseLayer(wm, bm, act), x)
@@ -340,6 +344,40 @@ def test_network_forward_equals_manual_composition():
         z, cur = dense_forward(layer, cur)
         np.testing.assert_allclose(cached_z, z, atol=1e-15)
     np.testing.assert_allclose(out, cur, atol=1e-15)
+
+
+def test_network_backward_equals_per_layer_loop():
+    rng = np.random.default_rng(11)
+    cfg = _config(((8, SIGMOID), (6, leaky_relu()), (2, SOFTMAX)),
+                  input_dim=5)
+    layers = network_init(cfg, SeededRng(4))
+    caches, _ = network_forward(layers, None, rng.standard_normal((7, 5)))
+    top = rng.standard_normal((7, 2))
+    grads = network_backward(layers, caches, top)
+
+    expected, delta = [], top
+    for i in (2, 1, 0):
+        layer_x, z = caches[i]
+        if i < 2:
+            delta = delta * activation_grad(layers[i].activation, z)
+        gw, gb, delta = dense_backward_from_delta(layers[i], layer_x, delta)
+        expected[:0] = [gw, gb]
+    assert len(grads) == 6
+    for got, want in zip(grads, expected):
+        assert np.array_equal(got, want)
+
+
+def test_network_forward_guard_names_first_non_finite_layer():
+    cfg = _config(((3, RELU), (3, RELU), (2, SOFTMAX)), input_dim=2)
+    layers = network_init(cfg, SeededRng(5))
+    layers[0].weights = np.ones((2, 3))
+    layers[1].weights = np.full((3, 3), 1e307)
+    x = np.full((2, 2), 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        caches, _ = network_forward(layers[:1], None, x)
+        assert np.isfinite(caches[0][1]).all()
+        with pytest.raises(NonFiniteError, match="layer 1 pre-activation"):
+            network_forward(layers, None, x)
 
 
 # --------------------------------------------------------------- config type

@@ -10,6 +10,7 @@ from fasdnet.errors import (
     ConfigError,
     DataError,
     DivergenceError,
+    NonFiniteError,
     ShapeError,
 )
 from fasdnet.layers import (
@@ -257,6 +258,18 @@ def test_train_divergence_names_epoch():
         train(cfg, ds.x, ds.y, ds.x, ds.y)
     assert err.value.epoch >= 1
     assert f"epoch {err.value.epoch}" in str(err.value)
+    assert "layer" in str(err.value)
+
+
+def test_predict_on_overflowing_input_raises_non_finite():
+    ds = _separable_set(4, 6)
+    cfg = NetworkConfig(6, ((1, SIGMOID),), "binary", False, 3, 0.001, 0)
+    model, _ = train(cfg, ds.x, ds.y, ds.x, ds.y)
+    # every term of x @ W is +1e308 * |w|, so the sum overflows
+    x = 1e308 * np.sign(model.layers[0].weights[:, 0]).reshape(1, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="layer 0 pre-activation"):
+            model.predict(x)
 
 
 def test_train_loss_never_explodes_tenfold():
@@ -348,20 +361,16 @@ def test_update_then_measure_epoch_semantics():
     # step by hand and require an exact match with the recorded loss
     ds = _separable_set(8, 6)
     cfg = NetworkConfig(6, ((1, SIGMOID),), "binary", False, 1, 0.5, 3)
-    from fasdnet.layers import (
-        dense_backward_from_delta,
-        network_forward,
-        network_init,
-    )
+    from fasdnet.layers import network_backward, network_forward, network_init
 
     layers = network_init(cfg, SeededRng(cfg.seed))
     caches, probs0 = network_forward(layers, None, ds.x)
     loss0 = loss_forward(BINARY, probs0, ds.y)
-    delta = loss_grad(BINARY, caches[0][1], ds.y)
-    gw, gb, _ = dense_backward_from_delta(layers[0], caches[0][0], delta)
+    grads = network_backward(layers, caches,
+                             loss_grad(BINARY, caches[0][1], ds.y))
     state = AdamState([layers[0].weights, layers[0].bias], cfg.learning_rate)
     new_w, new_b = adam_step(state, [layers[0].weights, layers[0].bias],
-                             [gw, gb])
+                             grads)
     layers[0].weights, layers[0].bias = new_w, new_b
     _, probs1 = network_forward(layers, None, ds.x)
     loss1 = loss_forward(BINARY, probs1, ds.y)
