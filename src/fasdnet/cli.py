@@ -7,8 +7,9 @@ version, and timestamp, so a run can be re-executed exactly.
 
 Exit codes: 0 success, 2 usage, 3 data error (including missing or
 malformed input files), 4 configuration error, 5 training divergence,
-6 filesystem error. The default output directory can be set with the
-FASDNET_OUT_DIR environment variable.
+6 filesystem error, 7 a sweep in which every run failed. The default
+output directory can be set with the FASDNET_OUT_DIR environment
+variable.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ EXIT_DATA = 3
 EXIT_CONFIG = 4
 EXIT_DIVERGENCE = 5
 EXIT_IO = 6
+EXIT_ALL_FAILED = 7
 
 
 def _sha256_file(path: Path) -> str:
@@ -190,6 +192,9 @@ def cmd_sweep(args, argv) -> int:
     sys.stdout.write(sweep.summary_text())
     print(f"{len(sweep.results)} runs ({len(sweep.failures)} failed); "
           f"artifacts in {out_dir}")
+    if not sweep.results:
+        print(f"error: all {len(sweep.failures)} runs failed", file=sys.stderr)
+        return EXIT_ALL_FAILED
     return EXIT_OK
 
 
@@ -289,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fasdnet",
         description="Dense-network FASD-vs-control classification toolkit",
         epilog="exit codes: 0 ok, 2 usage, 3 data, 4 config, 5 divergence, "
-               "6 filesystem",
+               "6 filesystem, 7 every sweep run failed",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

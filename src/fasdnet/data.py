@@ -119,8 +119,9 @@ def load_csv(path, battery: str) -> Dataset:
     """Parse a battery CSV, validating the column layout.
 
     The final header column must be "label". Feature column counts must
-    match the battery schema exactly (synthetic accepts any width). Any
-    missing or non-numeric cell is an error naming its row and column;
+    match the battery schema exactly (synthetic accepts any width), and
+    header names must be distinct. Any missing, non-numeric or
+    non-finite (nan, inf) cell is an error naming its line and column;
     imputation is deliberately not performed here.
     """
     if battery not in BATTERIES:
@@ -136,6 +137,13 @@ def load_csv(path, battery: str) -> Dataset:
             f"{header[-1] if header else 'nothing'!r}"
         )
     feature_names = tuple(name.strip() for name in header[:-1])
+    seen = set()
+    for name in feature_names + ("label",):
+        if name in seen:
+            raise SchemaError(
+                f"{path}: line 1, column {name!r}: duplicate header name"
+            )
+        seen.add(name)
     schema = SCHEMAS.get(battery)
     if schema is not None and len(feature_names) != schema.expected_feature_count:
         raise SchemaError(
@@ -184,13 +192,25 @@ def load_csv(path, battery: str) -> Dataset:
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
+    x = np.array(rows)
+    if not np.isfinite(x).all():
+        # located only on failure, so valid files pay for one scan
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        lineno = [
+            n for n, line in enumerate(lines[1:], start=2) if line.strip()
+        ][row]
+        cell = lines[lineno - 1].split(",")[col].strip()
+        raise ParseError(
+            f"{path}: line {lineno}, column {feature_names[col]!r}: "
+            f"non-finite cell {cell!r}"
+        )
     if schema is not None and len(rows) != schema.expected_rows:
         warnings.warn(
             f"{path}: battery {battery!r} usually has {schema.expected_rows} "
             f"rows, found {len(rows)} (accepted as a subset)",
             stacklevel=2,
         )
-    return Dataset(battery, feature_names, np.array(rows), np.array(labels))
+    return Dataset(battery, feature_names, x, np.array(labels))
 
 
 def write_csv(ds: Dataset, path) -> None:

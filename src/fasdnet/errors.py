@@ -15,7 +15,16 @@ class ShapeError(FasdnetError):
 
 
 class NonFiniteError(FasdnetError):
-    """A public operation produced or received NaN or infinity."""
+    """A public operation produced or received NaN or infinity.
+
+    Raised by the forward pass, it also records the failing layer and,
+    for a stacked network, the positions of the failing stack slots
+    (slot 0 for a plain 2-D pass)."""
+
+    def __init__(self, message: str, layer: int | None = None, slots=()):
+        super().__init__(message)
+        self.layer = layer
+        self.slots = tuple(slots)
 
 
 class ConfigError(FasdnetError):

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .layers import RELU, SIGMOID, SOFTMAX, NetworkConfig, leaky_relu
 from .rng import SeededRng, derive_seed
-from .training import train
+from .training import train_many
 
 POSITIVE_CLASS = 1  # FASD
 
@@ -280,8 +280,11 @@ def resolve_specs(token: str) -> list[ExperimentSpec]:
 def _annotate(spec_name: str, exc: FasdnetError):
     message = f"{spec_name}: {exc}"
     if isinstance(exc, DivergenceError):
-        return DivergenceError(message, exc.epoch)
-    return type(exc)(message)
+        annotated = DivergenceError(message, exc.epoch)
+    else:
+        annotated = type(exc)(message)
+    annotated.__cause__ = exc
+    return annotated
 
 
 def run_experiment(spec: ExperimentSpec, ds: Dataset, seed: int) -> RunResult:
@@ -301,40 +304,83 @@ def run_experiment(spec: ExperimentSpec, ds: Dataset, seed: int) -> RunResult:
 def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
     """Like run_experiment but also returns the fitted model, for
     callers that persist parameters."""
+    (outcome,) = _run_seeds(spec, ds, [seed])
+    if isinstance(outcome, FasdnetError):
+        raise outcome
+    return outcome
+
+
+def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
+    """run_experiment_with_model for every seed, trained as one stacked
+    network; returns (RunResult, TrainedModel) or the FasdnetError per
+    seed, in order.
+
+    Each seed's ablate, balance and split run on their own. Train and
+    test sizes depend only on class counts, never on the seed, so the
+    seeds that get that far stack into one train_many call.
+    """
     if ds.battery != spec.battery and ds.battery != SYNTHETIC:
-        raise DataError(
+        error = DataError(
             f"{spec.name}: dataset battery {ds.battery!r} does not match "
             f"spec battery {spec.battery!r}"
         )
+        return [error] * len(seeds)
+    outcomes, prepared = [], []
+    for seed in seeds:
+        try:
+            working = drop_features(ds, spec.ablate) if spec.ablate else ds
+            if spec.balance:
+                working = balance_downsample(
+                    working, SeededRng(derive_seed(seed, 1))
+                )
+            split = SplitSpec(
+                spec.split.train_fraction,
+                stratified=spec.split.stratified,
+                seed=derive_seed(seed, 2),
+            )
+            train_set, test_set = stratified_split(working, split)
+            config = spec.config.with_overrides(
+                input_dim=working.n_features, seed=derive_seed(seed, 3)
+            )
+        except FasdnetError as exc:
+            outcomes.append(_annotate(spec.name, exc))
+            continue
+        outcomes.append(None)
+        prepared.append((len(outcomes) - 1, seed, config, train_set, test_set))
+    if not prepared:
+        return outcomes
+
+    _, _, configs, train_sets, test_sets = zip(*prepared)
     try:
-        working = drop_features(ds, spec.ablate) if spec.ablate else ds
-        if spec.balance:
-            working = balance_downsample(working, SeededRng(derive_seed(seed, 1)))
-        split = SplitSpec(
-            spec.split.train_fraction,
-            stratified=spec.split.stratified,
-            seed=derive_seed(seed, 2),
+        trained = train_many(
+            configs,
+            np.stack([t.x for t in train_sets]),
+            np.stack([t.y for t in train_sets]),
+            np.stack([t.x for t in test_sets]),
+            np.stack([t.y for t in test_sets]),
         )
-        train_set, test_set = stratified_split(working, split)
-        config = spec.config.with_overrides(
-            input_dim=working.n_features, seed=derive_seed(seed, 3)
-        )
-        model, history = train(
-            config, train_set.x, train_set.y, test_set.x, test_set.y
-        )
-        cm = confusion_matrix(model.predict(test_set.x), test_set.y)
-        result = RunResult(
-            spec_name=spec.name,
-            battery=spec.battery,
-            seed=seed,
-            train_accuracy=history.train_acc[-1],
-            test_accuracy=accuracy(cm),
-            confusion=cm,
-            history=history,
-        )
-        return result, model
     except FasdnetError as exc:
-        raise _annotate(spec.name, exc) from exc
+        trained = [exc] * len(prepared)
+    for (index, seed, _, _, test_set), outcome in zip(prepared, trained):
+        if isinstance(outcome, FasdnetError):
+            outcomes[index] = _annotate(spec.name, outcome)
+            continue
+        model, history = outcome
+        try:
+            cm = confusion_matrix(model.predict(test_set.x), test_set.y)
+            result = RunResult(
+                spec_name=spec.name,
+                battery=spec.battery,
+                seed=seed,
+                train_accuracy=history.train_acc[-1],
+                test_accuracy=accuracy(cm),
+                confusion=cm,
+                history=history,
+            )
+            outcomes[index] = (result, model)
+        except FasdnetError as exc:
+            outcomes[index] = _annotate(spec.name, exc)
+    return outcomes
 
 
 @dataclass
@@ -443,7 +489,11 @@ class SweepResult:
 
 def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
     """Run every spec x seed combination; failures are recorded per run
-    without aborting the sweep. Ordering is spec-major, deterministic."""
+    without aborting the sweep. Ordering is spec-major, deterministic.
+
+    The seeds of one spec train as one stacked network (see
+    training.train_many); every result is bit-identical to running
+    that seed alone, and memory grows linearly with the seed count."""
     specs = list(specs)
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -453,11 +503,11 @@ def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
         raise ConfigError(f"duplicate spec names in sweep: {names}")
     results, failures = [], []
     for spec in specs:
-        for seed in seeds:
-            try:
-                results.append(run_experiment(spec, ds, seed))
-            except FasdnetError as exc:
-                failures.append((spec.name, seed, str(exc)))
+        for seed, outcome in zip(seeds, _run_seeds(spec, ds, seeds)):
+            if isinstance(outcome, FasdnetError):
+                failures.append((spec.name, seed, str(outcome)))
+            else:
+                results.append(outcome[0])
     return SweepResult(results, failures, names, seeds)
 
 

@@ -6,6 +6,15 @@ through an elementwise activation:
     z = x @ W + b          (x: batch x in_dim, W: in_dim x out_dim)
     out = activation(z)
 
+Every forward and backward function also takes stacked operands with a
+leading seed axis: x of shape (S, batch, in_dim), W of shape
+(S, in_dim, out_dim) and b of shape (S, 1, out_dim) describe S
+independent networks of one architecture, and slot s of every result
+is exactly what the 2-D call on slot s would return. The code is the
+same for both: products use matmul, transposes swap the last two axes
+and sums run over the batch axis, -2. This is how training runs all
+seeds of a spec as one network (see training.train_many).
+
 Backward rules are the textbook ones; see network_backward. The softmax
 activation is special-cased: its gradient is only ever needed fused
 with the cross-entropy loss (see training.loss_grad), so asking for a
@@ -91,13 +100,13 @@ def activation_apply(a: Activation, z: np.ndarray) -> np.ndarray:
     if a.kind == "sigmoid":
         return _stable_sigmoid(z)
     # softmax with max subtraction so huge logits cannot overflow
-    if z.shape[1] < 2:
+    if z.shape[-1] < 2:
         raise ConfigError(
             f"softmax needs at least 2 columns, got shape {z.shape}"
         )
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
@@ -123,7 +132,8 @@ def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DenseLayer:
-    """Fully connected layer: weights in_dim x out_dim, bias 1 x out_dim."""
+    """Fully connected layer: weights in_dim x out_dim, bias 1 x out_dim
+    (stacked: (S, in_dim, out_dim) and (S, 1, out_dim))."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -131,16 +141,38 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
+
+
+def stack_layers(networks) -> list[DenseLayer]:
+    """One stacked network from S networks of the same architecture;
+    slot s holds networks[s]."""
+    return [
+        DenseLayer(
+            np.stack([layer.weights for layer in column]),
+            np.stack([layer.bias for layer in column]),
+            column[0].activation,
+        )
+        for column in zip(*networks)
+    ]
+
+
+def unstack_layers(layers: list[DenseLayer], slot: int) -> list[DenseLayer]:
+    """Copy of slot `slot` of a stacked network as a 2-D network."""
+    return [
+        DenseLayer(layer.weights[slot].copy(), layer.bias[slot].copy(),
+                   layer.activation)
+        for layer in layers
+    ]
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
     """Forward pass; returns (pre_activation, output) for backprop caching."""
-    if x.shape[1] != layer.in_dim:
+    if x.shape[-1] != layer.in_dim:
         raise ShapeError(
             f"dense_forward: input {x.shape} does not match weights "
             f"{layer.weights.shape}"
@@ -157,15 +189,20 @@ def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
     grad_b = column sums of delta
     grad_x = delta @ W^T
     """
-    if x.shape[0] != delta.shape[0] or delta.shape[1] != layer.out_dim:
+    if x.shape[-2] != delta.shape[-2] or delta.shape[-1] != layer.out_dim:
         raise ShapeError(
             f"dense_backward_from_delta: delta {delta.shape} inconsistent "
             f"with input {x.shape} and weights {layer.weights.shape}"
         )
-    grad_w = matmul(x.T, delta)
-    grad_b = delta.sum(axis=0, keepdims=True)
-    grad_x = matmul(delta, layer.weights.T)
-    return grad_w, grad_b, grad_x
+    grad_w, grad_b = _param_grads(x, delta)
+    return grad_w, grad_b, matmul(delta, np.swapaxes(layer.weights, -1, -2))
+
+
+def _param_grads(x: np.ndarray, delta: np.ndarray):
+    return (
+        matmul(np.swapaxes(x, -1, -2), delta),
+        delta.sum(axis=-2, keepdims=True),
+    )
 
 
 class FeatureNormLayer:
@@ -348,16 +385,25 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
 
     caches holds one (layer_input, pre_activation) pair per dense layer,
     exactly what network_backward needs. The normalization stage, when
-    present, is applied first and has no trainable parameters. A NaN or
-    infinity in any layer's pre-activation raises NonFiniteError naming
-    the layer; this is the only finiteness check of a training step.
+    present, is applied first and has no trainable parameters (pass
+    None for a stacked network; its input is normalized per slot).
+
+    A NaN or infinity in any layer's pre-activation raises
+    NonFiniteError naming the layer; on a stack it also names the
+    failing slots (exc.slots), so the other slots can carry on. This is
+    the only finiteness check of a training step.
     """
     h = norm.apply(x) if norm is not None else x
     caches = []
     for i, layer in enumerate(layers):
         z, out = dense_forward(layer, h)
-        if not np.isfinite(z).all():
-            raise NonFiniteError(f"layer {i} pre-activation is non-finite")
+        finite = np.isfinite(z).all(axis=(-2, -1))
+        if not finite.all():
+            message = f"layer {i} pre-activation is non-finite"
+            slots = np.flatnonzero(~finite).tolist()
+            if z.ndim > 2:
+                message += f" in stack slots {slots}"
+            raise NonFiniteError(message, layer=i, slots=slots)
         caches.append((h, z))
         h = out
     return caches, h
@@ -367,7 +413,8 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray):
     """Backpropagate delta = dLoss/dz of the final layer through the stack.
 
     caches is network_forward's. Each earlier layer's delta is the next
-    layer's grad_x times its own activation derivative. Returns the
+    layer's grad_x times its own activation derivative; the first
+    layer's grad_x has no consumer and is not computed. Returns the
     gradients in parameter order, [dW0, db0, dW1, db1, ...].
     """
     grads = [None] * (2 * len(layers))
@@ -375,7 +422,10 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray):
         layer_x, z = caches[i]
         if i < len(layers) - 1:
             delta = delta * activation_grad(layers[i].activation, z)
-        grads[2 * i], grads[2 * i + 1], delta = dense_backward_from_delta(
-            layers[i], layer_x, delta
-        )
+        if i == 0:
+            grads[0], grads[1] = _param_grads(layer_x, delta)
+        else:
+            grads[2 * i], grads[2 * i + 1], delta = dense_backward_from_delta(
+                layers[i], layer_x, delta
+            )
     return grads

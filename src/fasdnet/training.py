@@ -13,12 +13,19 @@ therefore never needs a softmax Jacobian.
 Training is deliberately full batch: the batteries top out at 186 rows,
 so one gradient step per epoch is exact and keeps runs reproducible.
 Adam uses the canonical constants (beta1=0.9, beta2=0.999, eps=1e-8).
+
+There is one training loop, train_many. It trains S configs that
+differ only in seed as one stacked network: parameters, Adam moments,
+data and labels all carry a leading seed axis of length S, and each
+slot's numbers are bit-identical to training that seed alone. A slot
+that diverges is dropped from the stack and the others carry on.
+train is the S = 1 call.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +47,8 @@ from .layers import (
     network_backward,
     network_forward,
     network_init,
+    stack_layers,
+    unstack_layers,
 )
 from .matrix import argmax_rows
 from .rng import SeededRng
@@ -54,16 +63,46 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
-def _check_labels(labels: np.ndarray, n_rows: int) -> np.ndarray:
+def _check_labels(labels, shape: tuple) -> np.ndarray:
     y = np.asarray(labels)
-    if y.shape != (n_rows,):
+    if y.shape != shape:
         raise ShapeError(
-            f"labels must be a flat vector of length {n_rows}, got {y.shape}"
+            f"labels must have shape {shape}, one per row, got {y.shape}"
         )
     if not np.all(np.isin(y, (0, 1))):
         bad = y[~np.isin(y, (0, 1))][0]
         raise DataError(f"labels must be 0 or 1, found {bad!r}")
     return y.astype(np.int64)
+
+
+def _check_output(kind: str, shape: tuple) -> None:
+    width = {SPARSE_CATEGORICAL: 2, BINARY: 1}.get(kind)
+    if width is None:
+        raise ConfigError(f"unknown loss kind {kind!r}")
+    if shape[-1] != width:
+        raise ShapeError(f"{kind} loss expects {width} column(s), got {shape}")
+
+
+def _loss(kind: str, predictions: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean loss per stack slot (0-d for 2-D predictions) on labels that
+    _check_labels has already validated."""
+    p1 = predictions[..., -1]
+    p0 = predictions[..., 0] if kind == SPARSE_CATEGORICAL else 1.0 - p1
+    p_true = np.clip(np.where(y == 1, p1, p0), _CLAMP, 1.0 - _CLAMP)
+    return -np.log(p_true).mean(axis=-1)
+
+
+def _loss_delta(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(p - y) / n per stack slot on validated labels; see loss_grad."""
+    if kind == SPARSE_CATEGORICAL:
+        p, target = activation_apply(SOFTMAX, z), y[..., None] == (0, 1)
+    else:
+        p, target = activation_apply(SIGMOID, z), y[..., None]
+    return (p - target) / z.shape[-2]
+
+
+def _accuracy(kind: str, probabilities: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.mean(predict_labels(kind, probabilities) == y, axis=-1)
 
 
 def loss_forward(kind: str, predictions: np.ndarray, labels) -> float:
@@ -73,24 +112,9 @@ def loss_forward(kind: str, predictions: np.ndarray, labels) -> float:
     sparse_categorical, a single sigmoid column for binary), clamped to
     [1e-12, 1 - 1e-12] before the log.
     """
-    y = _check_labels(labels, predictions.shape[0])
-    if kind == SPARSE_CATEGORICAL:
-        if predictions.shape[1] != 2:
-            raise ShapeError(
-                f"sparse_categorical expects 2 columns, got {predictions.shape}"
-            )
-        p_true = predictions[np.arange(len(y)), y]
-    elif kind == BINARY:
-        if predictions.shape[1] != 1:
-            raise ShapeError(
-                f"binary loss expects 1 column, got {predictions.shape}"
-            )
-        p1 = predictions[:, 0]
-        p_true = np.where(y == 1, p1, 1.0 - p1)
-    else:
-        raise ConfigError(f"unknown loss kind {kind!r}")
-    p_true = np.clip(p_true, _CLAMP, 1.0 - _CLAMP)
-    return float(-np.log(p_true).mean())
+    y = _check_labels(labels, (predictions.shape[0],))
+    _check_output(kind, predictions.shape)
+    return float(_loss(kind, predictions, y))
 
 
 def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray:
@@ -100,23 +124,9 @@ def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray
     is the same expression: (p - y) / n.
     """
     z = pre_activation_final
-    y = _check_labels(labels, z.shape[0])
-    n = z.shape[0]
-    if kind == SPARSE_CATEGORICAL:
-        if z.shape[1] != 2:
-            raise ShapeError(
-                f"sparse_categorical expects 2 columns, got {z.shape}"
-            )
-        p = activation_apply(SOFTMAX, z)
-        onehot = np.zeros_like(p)
-        onehot[np.arange(n), y] = 1.0
-        return (p - onehot) / n
-    if kind == BINARY:
-        if z.shape[1] != 1:
-            raise ShapeError(f"binary loss expects 1 column, got {z.shape}")
-        p = activation_apply(SIGMOID, z)
-        return (p - y.reshape(-1, 1)) / n
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    y = _check_labels(labels, (z.shape[0],))
+    _check_output(kind, z.shape)
+    return _loss_delta(kind, z, y)
 
 
 class AdamState:
@@ -132,6 +142,7 @@ class AdamState:
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> list[np.ndarray]:
     """One bias-corrected Adam update; returns the new parameter list.
+    The moments in state are updated in place.
 
     m_hat = m / (1 - beta1^t),  v_hat = v / (1 - beta2^t)
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
@@ -149,11 +160,20 @@ def adam_step(state: AdamState, params: list[np.ndarray],
             raise ShapeError(
                 f"adam_step: param {i} shape {p.shape} vs grad {g.shape}"
             )
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
-        m_hat = state.m[i] / (1.0 - BETA1**t)
-        v_hat = state.v[i] / (1.0 - BETA2**t)
-        out.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON))
+        m, v = state.m[i], state.v[i]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        # the formula above, one operation at a time and in its order,
+        # reusing two temporaries
+        denom = v / (1.0 - BETA2**t)
+        np.sqrt(denom, out=denom)
+        denom += EPSILON
+        step = m / (1.0 - BETA1**t)
+        step *= state.learning_rate
+        step /= denom
+        out.append(p - step)
     return out
 
 
@@ -195,7 +215,7 @@ def predict_labels(kind: str, probabilities: np.ndarray) -> np.ndarray:
     argmax tie rule on [1-p, p]."""
     if kind == SPARSE_CATEGORICAL:
         return argmax_rows(probabilities)
-    return (probabilities[:, 0] > 0.5).astype(np.int64)
+    return (probabilities[..., 0] > 0.5).astype(np.int64)
 
 
 @dataclass
@@ -259,79 +279,158 @@ class TrainedModel:
         return cls(config, norm, stack)
 
 
-def _scores(kind, probs, y):
-    loss = loss_forward(kind, probs, y)
-    acc = float(np.mean(predict_labels(kind, probs) == y))
-    return loss, acc
-
-
 def train(config: NetworkConfig, x_train: np.ndarray, y_train,
           x_valid: np.ndarray, y_valid):
     """Full-batch Adam training; returns (TrainedModel, History).
 
-    The feature-normalization stage, when configured, is fitted on the
-    training rows only and frozen; validation data always goes through
-    the training statistics. Each epoch performs one gradient step and
-    then records train and validation loss/accuracy at the updated
-    parameters. A non-finite pre-activation in any forward pass raises
+    This is train_many with a stack of one; a divergence is raised as
     DivergenceError naming the epoch and the layer.
     """
-    if x_train.shape[1] != config.input_dim:
-        raise ShapeError(
-            f"training data has {x_train.shape[1]} features but the config "
-            f"expects {config.input_dim}"
-        )
-    if x_valid.shape[1] != config.input_dim:
-        raise ShapeError(
-            f"validation data has {x_valid.shape[1]} features but the config "
-            f"expects {config.input_dim}"
-        )
-    if x_train.shape[0] == 0 or x_valid.shape[0] == 0:
-        raise DataError("training and validation sets must be non-empty")
-    y_tr = _check_labels(y_train, x_train.shape[0])
-    y_va = _check_labels(y_valid, x_valid.shape[0])
+    (outcome,) = train_many(
+        [config],
+        np.asarray(x_train)[None],
+        np.asarray(y_train)[None],
+        np.asarray(x_valid)[None],
+        np.asarray(y_valid)[None],
+    )
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
 
-    norm = None
+
+def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
+    """Train S configs that differ only in seed as one stacked network.
+
+    x_train (S, rows, features) and y_train (S, rows) hold one training
+    set per config, x_valid and y_valid one validation set; the shapes
+    are shared, the contents need not be. Returns, per config and in
+    order, (TrainedModel, History) or the DivergenceError that stopped
+    it. Every slot computes exactly what a run of its own would, bit
+    for bit: each product, sum and elementwise operation acts on one
+    slot at a time.
+
+    The feature-normalization stage, when configured, is fitted on each
+    slot's training rows only and frozen; validation data always goes
+    through the training statistics. Each epoch performs one gradient
+    step and then records train and validation loss/accuracy at the
+    updated parameters. A non-finite pre-activation in any forward pass
+    stops that slot with DivergenceError("training diverged at epoch
+    {e}: layer {i} pre-activation is non-finite"); the slot is dropped
+    from the stack (parameters, Adam moments, data and labels) and the
+    forward passes of that epoch are repeated for the others.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ConfigError("train_many needs at least one config")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ConfigError("stacked training configs may differ only in seed")
+    x_train, x_valid = np.asarray(x_train), np.asarray(x_valid)
+    for name, x in (("training", x_train), ("validation", x_valid)):
+        if x.ndim != 3 or x.shape[0] != len(configs):
+            raise ShapeError(
+                f"{name} data must be stacked as ({len(configs)}, rows, "
+                f"features), got shape {x.shape}"
+            )
+        if x.shape[2] != config.input_dim:
+            raise ShapeError(
+                f"{name} data has {x.shape[2]} features but the config "
+                f"expects {config.input_dim}"
+            )
+    if x_train.shape[1] == 0 or x_valid.shape[1] == 0:
+        raise DataError("training and validation sets must be non-empty")
+    y_tr = _check_labels(y_train, x_train.shape[:2])
+    y_va = _check_labels(y_valid, x_valid.shape[:2])
+
+    norms = [None] * len(configs)
     if config.use_feature_layer:
-        norm = FeatureNormLayer().fit(x_train)
-        x_tr = norm.apply(x_train)
-        x_va = norm.apply(x_valid)
+        norms = [FeatureNormLayer().fit(x) for x in x_train]
+        x_tr = np.stack([n.apply(x) for n, x in zip(norms, x_train)])
+        x_va = np.stack([n.apply(x) for n, x in zip(norms, x_valid)])
     else:
         x_tr, x_va = x_train, x_valid
 
-    layers = network_init(config, SeededRng(config.seed))
-    params = []
-    for layer in layers:
-        params.extend([layer.weights, layer.bias])
-    state = AdamState(params, config.learning_rate)
-    history = History()
+    layers = stack_layers(
+        [network_init(c, SeededRng(c.seed)) for c in configs]
+    )
+    state = AdamState(_parameters(layers), config.learning_rate)
+    histories = [History() for _ in configs]
+    outcomes = [None] * len(configs)
+    live = list(range(len(configs)))  # config index of each stack slot
+    data = [x_tr, y_tr, x_va, y_va]
 
+    def guarded(forward, epoch):
+        """forward() for the live slots. A slot it finds non-finite is
+        dropped with its DivergenceError and forward() is repeated for
+        the rest; returns None once no slot is left."""
+        while live:
+            try:
+                return forward()
+            except NonFiniteError as exc:
+                for pos in exc.slots:
+                    error = DivergenceError(
+                        f"training diverged at epoch {epoch}: layer "
+                        f"{exc.layer} pre-activation is non-finite",
+                        epoch,
+                    )
+                    error.__cause__ = exc
+                    outcomes[live[pos]] = error
+                keep = [p for p in range(len(live)) if p not in exc.slots]
+                live[:] = [live[p] for p in keep]
+                data[:] = [a[keep] for a in data]
+                for layer in layers:
+                    layer.weights, layer.bias = layer.weights[keep], layer.bias[keep]
+                state.m = [m[keep] for m in state.m]
+                state.v = [v[keep] for v in state.v]
+        return None
+
+    kind = config.loss
     # divergence is reported by network_forward's finiteness guard, so
     # numpy's own overflow warnings add nothing
-    epoch = 1
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            caches, _ = network_forward(layers, None, x_tr)
-            for epoch in range(1, config.epochs + 1):
-                delta = loss_grad(config.loss, caches[-1][1], y_tr)
-                grads = network_backward(layers, caches, delta)
-                params = adam_step(state, params, grads)
-                for i, layer in enumerate(layers):
-                    layer.weights = params[2 * i]
-                    layer.bias = params[2 * i + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_pass = guarded(lambda: network_forward(layers, None, data[0]), 1)
+        for epoch in range(1, config.epochs + 1):
+            if train_pass is None:
+                break
+            caches, _ = train_pass
+            delta = _loss_delta(kind, caches[-1][1], data[1])
+            grads = network_backward(layers, caches, delta)
+            params = adam_step(state, _parameters(layers), grads)
+            for i, layer in enumerate(layers):
+                layer.weights, layer.bias = params[2 * i], params[2 * i + 1]
 
-                caches, probs = network_forward(layers, None, x_tr)
-                tr_loss, tr_acc = _scores(config.loss, probs, y_tr)
-                va_loss, va_acc = _scores(
-                    config.loss, predict_proba(layers, None, x_va), y_va
-                )
+            passes = guarded(
+                lambda: (
+                    network_forward(layers, None, data[0]),
+                    network_forward(layers, None, data[2])[1],
+                ),
+                epoch,
+            )
+            if passes is None:
+                break
+            train_pass, va_probs = passes
+            _, y_tr, _, y_va = data
+            tr_probs = train_pass[1]
+            rows = zip(
+                live,
+                _loss(kind, tr_probs, y_tr).tolist(),
+                _accuracy(kind, tr_probs, y_tr).tolist(),
+                _loss(kind, va_probs, y_va).tolist(),
+                _accuracy(kind, va_probs, y_va).tolist(),
+            )
+            for slot, tr_loss, tr_acc, va_loss, va_acc in rows:
+                history = histories[slot]
                 history.train_loss.append(tr_loss)
                 history.train_acc.append(tr_acc)
                 history.val_loss.append(va_loss)
                 history.val_acc.append(va_acc)
-    except NonFiniteError as exc:
-        raise DivergenceError(
-            f"training diverged at epoch {epoch}: {exc}", epoch
-        ) from exc
 
-    return TrainedModel(config, norm, layers), history
+    for pos, slot in enumerate(live):
+        model = TrainedModel(configs[slot], norms[slot],
+                             unstack_layers(layers, pos))
+        outcomes[slot] = (model, histories[slot])
+    return outcomes
+
+
+def _parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
+    return [a for layer in layers for a in (layer.weights, layer.bias)]

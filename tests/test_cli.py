@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fasdnet.cli import (
+    EXIT_ALL_FAILED,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGENCE,
@@ -269,6 +270,39 @@ def test_sweep_empty_config_directory_exits_4(data_csv, tmp_path):
     code = run("sweep", "--data", data_csv, "--battery", "psychometric",
                "--specs", empty, "--seeds", "0", "--out-dir", tmp_path / "o")
     assert code == EXIT_CONFIG
+
+
+def test_sweep_exit_code_reflects_whether_any_run_succeeded(data_csv, tmp_path):
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    doc = {
+        "input_dim": 20,
+        "layers": [
+            {"width": 8, "activation": "relu"},
+            {"width": 8, "activation": "relu"},
+            {"width": 1, "activation": "sigmoid"},
+        ],
+        "loss": "binary",
+        "use_feature_layer": True,
+        "epochs": 10,
+        "learning_rate": 1e200,
+        "seed": 0,
+    }
+    (cfg_dir / "boom.json").write_text(json.dumps(doc))
+    out_dir = tmp_path / "all-failed"
+    code = run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", cfg_dir, "--seeds", "0,1", "--out-dir", out_dir)
+    assert code == EXIT_ALL_FAILED == 7
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["specs"] == {} and len(summary["failures"]) == 2
+
+    # one finished run is enough for success
+    doc["learning_rate"] = 0.001
+    (cfg_dir / "fine.json").write_text(json.dumps(doc))
+    code = run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", cfg_dir, "--seeds", "0,1", "--out-dir",
+               tmp_path / "some-failed")
+    assert code == EXIT_OK
 
 
 def test_sweep_byte_identical_reruns(data_csv, tmp_path):

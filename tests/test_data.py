@@ -101,6 +101,27 @@ def test_load_csv_parse_errors_name_position(tmp_path):
         load_csv(path3, "synthetic")
 
 
+def test_load_csv_rejects_non_finite_cells(tmp_path):
+    # the blank line is skipped, so the bad cell sits on line 4
+    for cell in ("nan", "inf", "-inf", "NaN"):
+        path = _write(tmp_path / "x.csv",
+                      f"a,b,label\n1.0,2.0,0\n\n3.0,{cell},1\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "synthetic")
+        message = str(err.value)
+        assert str(path) in message
+        assert "line 4, column 'b'" in message and repr(cell) in message
+
+
+def test_load_csv_rejects_duplicate_header_names(tmp_path):
+    for header, dup in (("a,a,label", "a"), ("a,label,label", "label")):
+        path = _write(tmp_path / "x.csv", f"{header}\n1.0,2.0,0\n")
+        with pytest.raises(SchemaError) as err:
+            load_csv(path, "synthetic")
+        assert str(path) in str(err.value)
+        assert f"line 1, column {dup!r}: duplicate" in str(err.value)
+
+
 def test_load_csv_rejects_bad_labels(tmp_path):
     path = _write(tmp_path / "x.csv", "a,label\n1.0,3\n")
     with pytest.raises(DataError, match="label must be 0 or 1"):

@@ -1,5 +1,7 @@
 """Registry, runner, sweep, confusion-matrix, and comparison tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,37 @@ def test_sweep_records_failures_without_aborting():
     assert len(sweep.failures) == 2
     assert all(name == "diverges" for name, _, _ in sweep.failures)
     assert "diverges" in sweep.summary_text()  # failures are listed
+
+
+# runs.csv and the summary.json digest of the sweep below, recorded with
+# every seed trained on its own (numpy 2.4.6, OpenBLAS 0.3.31)
+_MIXED_RUNS_CSV = """spec,seed,train_acc,test_acc,tp,fp,tn,fn
+table2-row1,0,0.5,0.5,10,10,0,0
+table2-row1,1,0.5,0.5,10,10,0,0
+table2-row1,3,0.5,0.5,10,10,0,0
+table2-row1,4,0.5,0.5,10,10,0,0
+table2-row1,7,0.5,0.5,0,0,10,10
+"""
+_MIXED_SUMMARY_SHA256 = (
+    "66059948b425fb69b53ece146583f2fb966b95ffc4a39b03774c46a5baf6da2b"
+)
+
+
+# predict on the near-overflow survivors warns from softmax's subtraction
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_with_diverging_seeds_matches_one_seed_at_a_time():
+    ds = synthesize_dataset(40, 20, 0.7, SeededRng(3))
+    spec = _short(REGISTRY["table2-row1"], learning_rate=3e101, epochs=60)
+    sweep = run_sweep([spec], ds, range(8))
+    assert [seed for _, seed, _ in sweep.failures] == [2, 5, 6]
+    assert all(
+        msg == "table2-row1: training diverged at epoch 1: layer 2 "
+               "pre-activation is non-finite"
+        for _, _, msg in sweep.failures
+    )
+    assert sweep.runs_csv_text() == _MIXED_RUNS_CSV
+    digest = hashlib.sha256(sweep.summary_json_text().encode()).hexdigest()
+    assert digest == _MIXED_SUMMARY_SHA256
 
 
 def test_sweep_requires_seeds_and_unique_names():

@@ -32,6 +32,8 @@ from fasdnet.layers import (
     network_backward,
     network_forward,
     network_init,
+    stack_layers,
+    unstack_layers,
 )
 from fasdnet.rng import SeededRng
 
@@ -378,6 +380,42 @@ def test_network_forward_guard_names_first_non_finite_layer():
         assert np.isfinite(caches[0][1]).all()
         with pytest.raises(NonFiniteError, match="layer 1 pre-activation"):
             network_forward(layers, None, x)
+
+
+def test_stacked_network_equals_each_slot_bit_for_bit():
+    rng = np.random.default_rng(12)
+    cfg = _config(((8, SIGMOID), (6, leaky_relu()), (2, SOFTMAX)),
+                  input_dim=5)
+    nets = [network_init(cfg, SeededRng(s)) for s in (1, 2, 3)]
+    x = rng.standard_normal((3, 7, 5))
+    top = rng.standard_normal((3, 7, 2))
+    stacked = stack_layers(nets)
+    assert [(l.in_dim, l.out_dim) for l in stacked] == [(5, 8), (8, 6), (6, 2)]
+    caches, out = network_forward(stacked, None, x)
+    grads = network_backward(stacked, caches, top)
+    for s, net in enumerate(nets):
+        for got, want in zip(unstack_layers(stacked, s), net):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+        slot_caches, slot_out = network_forward(net, None, x[s])
+        assert np.array_equal(out[s], slot_out)
+        for (h, z), (slot_h, slot_z) in zip(caches, slot_caches):
+            assert np.array_equal(h[s], slot_h) and np.array_equal(z[s], slot_z)
+        slot_grads = network_backward(net, slot_caches, top[s])
+        for got, want in zip(grads, slot_grads):
+            assert np.array_equal(got[s], want)
+
+
+def test_network_forward_guard_names_failing_stack_slots():
+    cfg = _config(((3, RELU), (2, SOFTMAX)), input_dim=2)
+    nets = [network_init(cfg, SeededRng(s)) for s in range(3)]
+    nets[1][0].weights = np.full((2, 3), 1e307)
+    x = np.full((3, 2, 2), 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=r"layer 0 pre-activation "
+                           r"is non-finite in stack slots \[1\]") as err:
+            network_forward(stack_layers(nets), None, x)
+    assert (err.value.layer, err.value.slots) == (0, (1,))
 
 
 # --------------------------------------------------------------- config type

@@ -1,6 +1,7 @@
 """Loss, Adam, and training-loop tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fasdnet.training import (
     loss_grad,
     predict_labels,
     train,
+    train_many,
 )
 
 # ---------------------------------------------------------------------- loss
@@ -292,6 +294,89 @@ def test_feature_layer_fitted_on_train_only():
     np.testing.assert_allclose(model.norm.means, tr.x.mean(axis=0), atol=1e-12)
     # population std, not sample std
     np.testing.assert_allclose(model.norm.stds, tr.x.std(axis=0), atol=1e-12)
+
+
+# ------------------------------------------------------------ stacked train
+
+
+def _train_stacked(configs, splits):
+    """train_many on one (train, test) split per config."""
+    return train_many(
+        configs,
+        np.stack([tr.x for tr, _ in splits]),
+        np.stack([tr.y for tr, _ in splits]),
+        np.stack([te.x for _, te in splits]),
+        np.stack([te.y for _, te in splits]),
+    )
+
+
+def _assert_same_run(got, want):
+    (model, history), (ref_model, ref_history) = got, want
+    for name in ("train_loss", "train_acc", "val_loss", "val_acc"):
+        assert getattr(history, name) == getattr(ref_history, name)
+    assert model.config == ref_model.config
+    assert len(model.layers) == len(ref_model.layers)
+    for layer, ref in zip(model.layers, ref_model.layers):
+        assert np.array_equal(layer.weights, ref.weights)
+        assert np.array_equal(layer.bias, ref.bias)
+    if ref_model.norm is None:
+        assert model.norm is None
+    else:
+        assert np.array_equal(model.norm.means, ref_model.norm.means)
+        assert np.array_equal(model.norm.stds, ref_model.norm.stds)
+
+
+@pytest.mark.parametrize("spec_name, epochs", [
+    ("table2-row5", 300),                # sparse categorical, raw features
+    ("psychometric-feature-layer", 50),  # binary, feature layer
+])
+def test_train_many_equals_per_seed_train(spec_name, epochs):
+    from fasdnet.experiment import REGISTRY
+
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(17))
+    seeds = [3, 4, 5, 6]
+    configs = [replace(REGISTRY[spec_name].config, epochs=epochs, seed=s)
+               for s in seeds]
+    # equal shapes, different rows per slot
+    splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in seeds]
+    stacked = _train_stacked(configs, splits)
+    for config, (tr, te), got in zip(configs, splits, stacked):
+        _assert_same_run(got, train(config, tr.x, tr.y, te.x, te.y))
+
+
+def test_train_many_drops_diverging_slots_and_carries_on():
+    # at this learning rate four seeds overflow at epochs 12-18 and two
+    # finish; each slot must match training it alone
+    from fasdnet.experiment import REGISTRY
+
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(3))
+    seeds = list(range(6))
+    configs = [replace(REGISTRY["dti-leaky-100ep"].config, input_dim=20,
+                       epochs=30, learning_rate=1e152, seed=s)
+               for s in seeds]
+    splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in seeds]
+    stacked = _train_stacked(configs, splits)
+    epochs = []
+    for config, (tr, te), got in zip(configs, splits, stacked):
+        try:
+            want = train(config, tr.x, tr.y, te.x, te.y)
+        except DivergenceError as err:
+            assert isinstance(got, DivergenceError)
+            assert (str(got), got.epoch) == (str(err), err.epoch)
+            epochs.append(err.epoch)
+        else:
+            _assert_same_run(got, want)
+    assert len(epochs) not in (0, len(seeds)) and max(epochs) > 1
+
+
+def test_train_many_rejects_configs_that_differ_beyond_seed():
+    ds = _separable_set(4, 6)
+    cfg = NetworkConfig(6, ((1, SIGMOID),), "binary", False, 1, 0.001, 0)
+    x, y = np.stack([ds.x, ds.x]), np.stack([ds.y, ds.y])
+    with pytest.raises(ConfigError, match="only in seed"):
+        train_many([cfg, cfg.with_overrides(epochs=2)], x, y, x, y)
+    with pytest.raises(ShapeError, match="stacked"):
+        train_many([cfg], x, y, x, y)
 
 
 # ----------------------------------------------------------- history + model
