@@ -3,7 +3,8 @@
 Every command is deterministic given its flags, input file bytes, and
 seed. Commands that create an output directory also write a single
 manifest.json recording the command line, input hashes, seed, tool
-version, and timestamp, so a run can be re-executed exactly.
+version, timestamp, and the Python, numpy and BLAS that ran it (trained
+weights depend on the BLAS), so a run can be re-executed exactly.
 
 Exit codes: 0 success, 2 usage, 3 data error (including missing or
 malformed input files), 4 configuration error, 5 training divergence,
@@ -16,12 +17,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .data import (
@@ -83,6 +89,42 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _blas_threads() -> int | None:
+    """Thread count reported by the loaded OpenBLAS, or None if none is
+    found (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+        for lib in sorted(libs):
+            handle = ctypes.CDLL(lib)
+            for symbol in ("scipy_openblas_get_num_threads64_",
+                           "openblas_get_num_threads64_",
+                           "openblas_get_num_threads"):
+                if hasattr(handle, symbol):
+                    get_threads = getattr(handle, symbol)
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    return get_threads()
+    except OSError:
+        pass
+    return None
+
+
+@functools.cache
+def _environment() -> dict:
+    """The Python, numpy and BLAS of this process, found once."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
+    }
+
+
 def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash) -> None:
     doc = {
         "command_line": ["fasdnet"] + list(argv),
@@ -91,6 +133,7 @@ def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash) -> None:
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "environment": _environment(),
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(doc, indent=2) + "\n", encoding="utf-8"

@@ -321,13 +321,11 @@ def synthesize_dataset(n_per_class: int, n_features: int,
         )
     scales = np.array([1.0 if j % 2 == 0 else 10.0 for j in range(n_features)])
     offsets = np.array([0.0 if j % 2 == 0 else 70.0 for j in range(n_features)])
-    x = np.empty((2 * n_per_class, n_features))
-    y = np.empty(2 * n_per_class, dtype=np.int64)
-    for i in range(2 * n_per_class):
-        cls = 0 if i < n_per_class else 1
-        shift = class_separation * cls
-        for j in range(n_features):
-            x[i, j] = offsets[j] + scales[j] * (shift + rng.next_normal())
-        y[i] = cls
+    y = np.repeat(np.array([0, 1], dtype=np.int64), n_per_class)
+    # row-major draws; x = offsets + scales * (shift + z), built in place
+    x = rng.normals(y.size * n_features).reshape(y.size, n_features)
+    x += (class_separation * y)[:, None]
+    x *= scales
+    x += offsets
     names = tuple(f"f{j:02d}" for j in range(n_features))
     return Dataset(SYNTHETIC, names, x, y)

@@ -25,7 +25,7 @@ because the runs behind them fixed neither seeds nor splits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -339,8 +339,8 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
                 seed=derive_seed(seed, 2),
             )
             train_set, test_set = stratified_split(working, split)
-            config = spec.config.with_overrides(
-                input_dim=working.n_features, seed=derive_seed(seed, 3)
+            config = replace(
+                spec.config, input_dim=working.n_features, seed=derive_seed(seed, 3)
             )
         except FasdnetError as exc:
             outcomes.append(_annotate(spec.name, exc))

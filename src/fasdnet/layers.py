@@ -104,7 +104,10 @@ def activation_apply(a: Activation, z: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"softmax needs at least 2 columns, got shape {z.shape}"
         )
-    shifted = z - z.max(axis=-1, keepdims=True)
+    # a logit more than ~1.8e308 below the row max shifts to -inf, whose
+    # exp is the exact 0 it stands for; only that overflow is expected
+    with np.errstate(over="ignore"):
+        shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -304,19 +307,6 @@ class NetworkConfig:
                     f"({final_width}, {final_act.kind})"
                 )
 
-    def with_overrides(self, **changes) -> "NetworkConfig":
-        fields = {
-            "input_dim": self.input_dim,
-            "layers": self.layers,
-            "loss": self.loss,
-            "use_feature_layer": self.use_feature_layer,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-        }
-        fields.update(changes)
-        return NetworkConfig(**fields)
-
     def to_json(self) -> str:
         """Canonical JSON text; parsing and re-serializing is byte-stable."""
         layers = []
@@ -373,8 +363,8 @@ def network_init(config: NetworkConfig, rng: SeededRng) -> list[DenseLayer]:
     for i, (width, act) in enumerate(config.layers):
         fan_in, fan_out = sizes[i], width
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        draws = [rng.next_uniform() for _ in range(fan_in * fan_out)]
-        w = (2.0 * np.array(draws).reshape(fan_in, fan_out) - 1.0) * bound
+        draws = rng.uniforms(fan_in * fan_out).reshape(fan_in, fan_out)
+        w = (2.0 * draws - 1.0) * bound
         stack.append(DenseLayer(w, np.zeros((1, fan_out)), act))
     return stack
 

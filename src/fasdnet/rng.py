@@ -20,14 +20,31 @@ Uniform doubles take the top 53 bits of the output, giving values in
 [0, 1). Gaussians use the Box-Muller transform. Shuffles are
 Fisher-Yates with rejection sampling for the index draw, so every
 permutation is exactly equally likely.
+
+The state is a counter, so draw k after state s is mix(s + k * gamma),
+a function of k alone. uint64s, uniforms and normals use that to
+compute the next n draws with numpy array operations (normals in
+fixed-size blocks, to bound the temporaries); they return exactly the
+values, in order, that n calls of next_uint64, next_uniform or
+next_normal would, and leave the generator in the same state. The
+scalar methods stay the reference definition. The block normals
+still take the logarithm and cosine from Python's math module (the C
+library's), one value at a time: numpy ships its own np.log and np.cos,
+which need not round the same way (np.log differs from math.log in the
+last bit for about 1 in 300 of these inputs on x86-64 with numpy 2.4),
+and a one-bit change would change the data. Only the square root,
+which IEEE 754 rounds correctly everywhere, is taken with numpy.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, the SplitMix64 increment
+_BLOCK = 8192  # normals per block; bounds the temporaries of a large draw
 
 
 def _mix64(z: int) -> int:
@@ -67,6 +84,38 @@ class SeededRng:
         u1 = ((self.next_uint64() >> 11) + 1) * 2.0**-53
         u2 = self.next_uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def uint64s(self, n: int) -> np.ndarray:
+        """The next n next_uint64 draws as one uint64 array."""
+        z = np.arange(1, n + 1, dtype=np.uint64)  # uint64 arrays wrap
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n next_uniform draws as one float64 array."""
+        return (self.uint64s(n) >> np.uint64(11)) * 2.0**-53
+
+    def normals(self, n: int) -> np.ndarray:
+        """The next n next_normal draws as one float64 array."""
+        out = np.empty(n)
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            bits = self.uint64s(2 * m) >> np.uint64(11)
+            u1 = (bits[0::2] + np.uint64(1)) * 2.0**-53
+            u2 = bits[1::2] * 2.0**-53
+            logs = np.fromiter(map(math.log, u1.tolist()), float, m)
+            angles = (2.0 * math.pi * u2).tolist()
+            r = out[start:start + m]
+            np.sqrt(-2.0 * logs, out=r)
+            r *= np.fromiter(map(math.cos, angles), float, m)
+        return out
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) with rejection (no modulo bias)."""

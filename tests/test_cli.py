@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fasdnet.cli import (
     EXIT_DATA,
     EXIT_DIVERGENCE,
     EXIT_OK,
+    _environment,
     main,
 )
 from fasdnet.data import load_csv
@@ -472,5 +474,23 @@ def test_every_output_directory_has_one_manifest(data_csv, tmp_path):
         doc = json.loads(manifests[0].read_text())
         assert set(doc) == {
             "command_line", "config_hash", "data_file_hash", "seed",
-            "tool_version", "timestamp",
+            "tool_version", "timestamp", "environment",
         }
+
+
+def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
+    out_dir = tmp_path / "t"
+    run("train", "--data", data_csv, "--battery", "psychometric",
+        "--spec", "psychometric-feature-layer", "--out-dir", out_dir)
+    env = json.loads((out_dir / "manifest.json").read_text())["environment"]
+    assert set(env) == {
+        "python", "numpy", "blas", "blas_version", "blas_threads",
+    }
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (env["blas"], env["blas_version"]) == (
+        blas.get("name"), blas.get("version"))
+    assert env["blas_threads"] is None or env["blas_threads"] >= 1
+    # found once per process, not once per manifest
+    assert _environment() is _environment()

@@ -1,6 +1,7 @@
 """Registry, runner, sweep, confusion-matrix, and comparison tests."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def _short(spec, **overrides) -> ExperimentSpec:
     return ExperimentSpec(
         spec.name,
         spec.battery,
-        spec.config.with_overrides(**overrides),
+        replace(spec.config, **overrides),
         spec.split,
         spec.balance,
         spec.ablate,
@@ -267,7 +268,7 @@ def test_run_experiment_ablation_narrows_input():
     ds = synthesize_dataset(15, 6, 2.0, SeededRng(10))
     base = REGISTRY["psychometric-feature-layer"]
     spec = ExperimentSpec(
-        "ablated", base.battery, base.config.with_overrides(epochs=5),
+        "ablated", base.battery, replace(base.config, epochs=5),
         base.split, base.balance, ("f00", "f03"),
     )
     result = run_experiment(spec, ds, seed=1)
@@ -312,8 +313,8 @@ def test_sweep_records_failures_without_aborting():
     good = _short(REGISTRY["table2-row1"], epochs=3)
     diverging = ExperimentSpec(
         "diverges", "psychometric",
-        REGISTRY["table2-row1"].config.with_overrides(
-            epochs=5, learning_rate=1e200),
+        replace(REGISTRY["table2-row1"].config, epochs=5,
+                learning_rate=1e200),
         SplitSpec(0.75, seed=0), False, (),
     )
     sweep = run_sweep([good, diverging], ds, [0, 1])
@@ -337,8 +338,6 @@ _MIXED_SUMMARY_SHA256 = (
 )
 
 
-# predict on the near-overflow survivors warns from softmax's subtraction
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sweep_with_diverging_seeds_matches_one_seed_at_a_time():
     ds = synthesize_dataset(40, 20, 0.7, SeededRng(3))
     spec = _short(REGISTRY["table2-row1"], learning_rate=3e101, epochs=60)

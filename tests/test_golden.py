@@ -2,9 +2,10 @@
 
 The rerun tests elsewhere compare a run with itself, so they cannot see
 a change that reorders the floating-point arithmetic. This test can: it
-runs a fixed `train` and a fixed `sweep` on the committed CSV
-`golden/synth.csv` and compares the SHA-256 of each artifact with
-`golden/digests.json`.
+runs a fixed `synth`, and a fixed `train` and `sweep` on the committed
+CSV `golden/synth.csv`, and compares the SHA-256 of each artifact with
+`golden/digests.json`. The `synth` file depends on the random stream
+and the C library's log and cos, not on the BLAS.
 
 Trained weights depend on the BLAS summation order, so the digests hold
 only for the numpy/BLAS build recorded next to them. A change that
@@ -27,6 +28,12 @@ from fasdnet.cli import EXIT_OK, main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RUNS = {
+    # 200 x 2 rows x 48 features: 19,200 normals, three draw blocks
+    "synth": (
+        ["synth", "--samples-per-class", "200", "--features", "48",
+         "--separation", "0.7", "--seed", "3"],
+        ("synth.csv",),
+    ),
     "train": (
         ["train", "--battery", "synthetic", "--spec",
          "psychometric-feature-layer", "--seed", "0"],
@@ -51,8 +58,11 @@ def current_digests(work_dir: Path) -> dict:
     digests = {}
     for run, (argv, artifacts) in RUNS.items():
         out_dir = work_dir / run
-        code = main(argv + ["--data", str(GOLDEN / "synth.csv"),
-                            "--out-dir", str(out_dir)])
+        if run == "synth":
+            io = ["--out", str(out_dir / "synth.csv")]
+        else:
+            io = ["--data", str(GOLDEN / "synth.csv"), "--out-dir", str(out_dir)]
+        code = main(argv + io)
         assert code == EXIT_OK, f"{run} exited {code}"
         for name in artifacts:
             data = (out_dir / name).read_bytes()

@@ -4,6 +4,8 @@ Gradient-bearing ops are validated against central finite differences;
 forward ops against per-neuron loop oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -447,9 +449,12 @@ def test_config_json_round_trip_is_byte_stable():
     assert back.to_json() == text
 
 
-def test_config_with_overrides():
+def test_config_replace_revalidates():
     cfg = _config(((2, SOFTMAX),))
-    changed = cfg.with_overrides(seed=5, input_dim=7)
+    changed = replace(cfg, seed=5, input_dim=7)
     assert changed.seed == 5 and changed.input_dim == 7
     assert changed.layers == cfg.layers
     assert cfg.seed == 0  # original untouched
+    # replace runs __post_init__, so a bad override is still rejected
+    with pytest.raises(ConfigError):
+        replace(cfg, epochs=0)

@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from fasdnet.rng import SeededRng, derive_seed
+from fasdnet.rng import _BLOCK, SeededRng, derive_seed
+
+BLOCK_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
 
 
 def test_same_seed_same_stream():
@@ -98,3 +101,35 @@ def test_derive_method_matches_function():
 def test_seed_wraps_to_64_bits():
     big = (1 << 64) + 5
     assert SeededRng(big).next_uint64() == SeededRng(5).next_uint64()
+
+
+# ------------------------------------------------------------- block draws
+
+
+@pytest.mark.parametrize("seed", [0, 12345, (1 << 64) - 1])
+@pytest.mark.parametrize("block, scalar", [
+    ("uint64s", "next_uint64"),
+    ("uniforms", "next_uniform"),
+    ("normals", "next_normal"),
+])
+def test_block_draws_equal_the_scalar_stream(seed, block, scalar):
+    # seed 2^64 - 1 makes the counter wrap on the first draw
+    for n in BLOCK_SIZES:
+        a, b = SeededRng(seed), SeededRng(seed)
+        got = getattr(a, block)(n)
+        want = np.array([getattr(b, scalar)() for _ in range(n)],
+                        dtype=got.dtype)
+        assert got.shape == (n,)
+        # compare bit patterns, so -0.0 and 0.0 would differ
+        assert got.tobytes() == want.tobytes(), (block, n)
+        # the block leaves the generator where n scalar draws do
+        assert a.next_uint64() == b.next_uint64()
+
+
+def test_block_draws_interleave_with_scalar_draws():
+    a, b = SeededRng(99), SeededRng(99)
+    got = [a.next_uniform(), *a.normals(3).tolist(), a.next_normal(),
+           *a.uniforms(2).tolist(), int(a.uint64s(1)[0])]
+    want = [b.next_uniform(), *(b.next_normal() for _ in range(4)),
+            *(b.next_uniform() for _ in range(2)), b.next_uint64()]
+    assert got == want

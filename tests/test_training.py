@@ -1,6 +1,7 @@
 """Loss, Adam, and training-loop tests."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from fasdnet.errors import (
 from fasdnet.layers import (
     SIGMOID,
     SOFTMAX,
+    DenseLayer,
     NetworkConfig,
     leaky_relu,
 )
@@ -245,7 +247,7 @@ def test_train_shape_and_empty_checks():
     cfg = NetworkConfig(7, ((1, SIGMOID),), "binary", False, 1, 0.001, 0)
     with pytest.raises(ShapeError):
         train(cfg, ds.x, ds.y, ds.x, ds.y)
-    cfg6 = cfg.with_overrides(input_dim=6)
+    cfg6 = replace(cfg, input_dim=6)
     with pytest.raises(ShapeError):
         train(cfg6, ds.x, ds.y[:3], ds.x, ds.y)
     with pytest.raises(DataError):
@@ -272,6 +274,18 @@ def test_predict_on_overflowing_input_raises_non_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="layer 0 pre-activation"):
             model.predict(x)
+
+
+def test_predict_on_near_overflow_softmax_model_does_not_warn():
+    # finite logits 2e308 apart: softmax's max shift overflows to -inf,
+    # whose exp is exactly 0, so the prediction is valid and stays quiet
+    cfg = NetworkConfig(1, ((2, SOFTMAX),), SPARSE_CATEGORICAL, False, 1,
+                        0.001, 0)
+    layer = DenseLayer(np.array([[1e308, -1e308]]), np.zeros((1, 2)), SOFTMAX)
+    model = TrainedModel(cfg, None, [layer])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.predict(np.array([[1.0], [-1.0]])).tolist() == [0, 1]
 
 
 def test_train_loss_never_explodes_tenfold():
@@ -374,7 +388,7 @@ def test_train_many_rejects_configs_that_differ_beyond_seed():
     cfg = NetworkConfig(6, ((1, SIGMOID),), "binary", False, 1, 0.001, 0)
     x, y = np.stack([ds.x, ds.x]), np.stack([ds.y, ds.y])
     with pytest.raises(ConfigError, match="only in seed"):
-        train_many([cfg, cfg.with_overrides(epochs=2)], x, y, x, y)
+        train_many([cfg, replace(cfg, epochs=2)], x, y, x, y)
     with pytest.raises(ShapeError, match="stacked"):
         train_many([cfg], x, y, x, y)
 
