@@ -5,152 +5,32 @@ with explicit backpropagation, Adam, deterministic data handling for
 five clinical screening batteries (plus synthetic stand-ins), a
 registry of experiment configurations, and a command line front end.
 Every run is reproducible from a single integer seed.
+
+The names below are the documented API (README's quick start and the
+demos). Everything else is imported from its module, for example
+fasdnet.experiment.REGISTRY or fasdnet.errors.DataError.
 """
 
-from .data import (
-    BATTERIES,
-    Dataset,
-    SplitSpec,
-    balance_downsample,
-    drop_features,
-    load_csv,
-    stratified_split,
-    synthesize_dataset,
-    write_csv,
-)
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DivergenceError,
-    FasdnetError,
-    NonFiniteError,
-    NotFittedError,
-    ParseError,
-    ReportError,
-    SchemaError,
-    ShapeError,
-    UnknownFeatureError,
-)
+from .data import SplitSpec, load_csv, stratified_split, synthesize_dataset
+from .errors import FasdnetError
 from .experiment import (
-    REFERENCE_ACCURACIES,
     BaselineTable,
-    ComparisonReport,
-    ConfusionMatrix,
-    ExperimentSpec,
-    RunResult,
-    SweepResult,
-    accuracy,
-    builtin_registry,
     comparison_report,
     confusion_matrix,
     resolve_specs,
-    run_experiment,
-    run_experiment_with_model,
     run_sweep,
 )
 from .layers import (
-    IDENTITY,
     RELU,
     SIGMOID,
     SOFTMAX,
-    Activation,
-    DenseLayer,
-    FeatureNormLayer,
     NetworkConfig,
-    activation_apply,
-    activation_grad,
-    dense_forward,
     leaky_relu,
     network_backward,
     network_forward,
     network_init,
 )
-from .matrix import add_row_broadcast, argmax_rows, as_matrix, matmul, transpose
-from .rng import SeededRng, derive_seed
-from .training import (
-    AdamState,
-    History,
-    TrainedModel,
-    adam_step,
-    loss_forward,
-    loss_grad,
-    predict_labels,
-    predict_proba,
-    train,
-    train_many,
-)
+from .rng import SeededRng
+from .training import loss_forward, loss_grad, train
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BATTERIES",
-    "Dataset",
-    "SplitSpec",
-    "balance_downsample",
-    "drop_features",
-    "load_csv",
-    "stratified_split",
-    "synthesize_dataset",
-    "write_csv",
-    "ConfigError",
-    "ContractError",
-    "DataError",
-    "DivergenceError",
-    "FasdnetError",
-    "NonFiniteError",
-    "NotFittedError",
-    "ParseError",
-    "ReportError",
-    "SchemaError",
-    "ShapeError",
-    "UnknownFeatureError",
-    "REFERENCE_ACCURACIES",
-    "BaselineTable",
-    "ComparisonReport",
-    "ConfusionMatrix",
-    "ExperimentSpec",
-    "RunResult",
-    "SweepResult",
-    "accuracy",
-    "builtin_registry",
-    "comparison_report",
-    "confusion_matrix",
-    "resolve_specs",
-    "run_experiment",
-    "run_experiment_with_model",
-    "run_sweep",
-    "IDENTITY",
-    "RELU",
-    "SIGMOID",
-    "SOFTMAX",
-    "Activation",
-    "DenseLayer",
-    "FeatureNormLayer",
-    "NetworkConfig",
-    "activation_apply",
-    "activation_grad",
-    "dense_forward",
-    "leaky_relu",
-    "network_backward",
-    "network_forward",
-    "network_init",
-    "add_row_broadcast",
-    "argmax_rows",
-    "as_matrix",
-    "matmul",
-    "transpose",
-    "SeededRng",
-    "derive_seed",
-    "AdamState",
-    "History",
-    "TrainedModel",
-    "adam_step",
-    "loss_forward",
-    "loss_grad",
-    "predict_labels",
-    "predict_proba",
-    "train",
-    "train_many",
-    "__version__",
-]

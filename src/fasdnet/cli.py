@@ -7,10 +7,11 @@ version, timestamp, and the Python, numpy and BLAS that ran it (trained
 weights depend on the BLAS), so a run can be re-executed exactly.
 
 Exit codes: 0 success, 2 usage, 3 data error (including missing or
-malformed input files), 4 configuration error, 5 training divergence,
-6 filesystem error, 7 a sweep in which every run failed. The default
-output directory can be set with the FASDNET_OUT_DIR environment
-variable.
+malformed input files) and every other toolkit error without a code of
+its own (ReportError included), 4 configuration error, 5 training
+divergence, 6 filesystem error, 7 a sweep in which every run failed.
+The default output directory can be set with the FASDNET_OUT_DIR
+environment variable.
 """
 
 from __future__ import annotations
@@ -24,19 +25,14 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import (
-    BATTERIES,
-    SYNTHETIC,
-    load_csv,
-    synthesize_dataset,
-    write_csv,
-)
+from .data import BATTERIES, SplitSpec, load_csv, synthesize_dataset, write_csv
 from .errors import (
     ConfigError,
     DataError,
@@ -147,35 +143,45 @@ def _load_dataset(args):
     return load_csv(path, args.battery), _sha256_file(path)
 
 
-def _resolve_train_spec(args) -> ExperimentSpec:
-    """A builtin name, or a network-config JSON file wrapped in an
-    experiment spec using the command's split/balance/ablate flags."""
-    token = args.spec
-    if token in REGISTRY:
-        spec = REGISTRY[token]
-        if args.ablate:
-            spec = ExperimentSpec(
-                spec.name, spec.battery, spec.config, spec.split,
-                spec.balance, tuple(args.ablate.split(",")),
-            )
-        return spec
-    path = Path(token)
-    if not path.is_file():
-        raise ConfigError(
-            f"{token!r} is neither a builtin experiment name nor a config "
-            f"file; builtin names: {sorted(REGISTRY)}"
-        )
-    config = NetworkConfig.from_json(path.read_text(encoding="utf-8"))
-    from .data import SplitSpec
-
+def _config_spec(path: Path, args) -> ExperimentSpec:
+    """A network-config JSON file wrapped in an experiment spec named
+    after the file, using the command's battery, split and balance
+    flags; train --spec and sweep --specs share it."""
     return ExperimentSpec(
         name=path.stem,
         battery=args.battery,
-        config=config,
+        config=NetworkConfig.from_json(path.read_text(encoding="utf-8")),
         split=SplitSpec(args.train_fraction, stratified=True, seed=0),
         balance=args.balance,
-        ablate=tuple(args.ablate.split(",")) if args.ablate else (),
     )
+
+
+def _train_spec(args) -> ExperimentSpec:
+    """--spec as a builtin name or a config file, with --ablate applied."""
+    path = Path(args.spec)
+    if args.spec in REGISTRY:
+        spec = REGISTRY[args.spec]
+    elif path.is_file():
+        spec = _config_spec(path, args)
+    else:
+        raise ConfigError(
+            f"{args.spec!r} is neither a builtin experiment name nor a config "
+            f"file; builtin names: {sorted(REGISTRY)}"
+        )
+    if args.ablate:
+        spec = replace(spec, ablate=tuple(args.ablate.split(",")))
+    return spec
+
+
+def _sweep_specs(args) -> list[ExperimentSpec]:
+    """--specs as a directory of config files, or builtin names and sets."""
+    path = Path(args.specs)
+    if not path.is_dir():
+        return resolve_specs(args.specs)
+    specs = [_config_spec(file, args) for file in sorted(path.glob("*.json"))]
+    if not specs:
+        raise ConfigError(f"no *.json config files in directory {path}")
+    return specs
 
 
 def cmd_synth(args, argv) -> int:
@@ -197,7 +203,7 @@ def cmd_synth(args, argv) -> int:
 
 def cmd_train(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
-    spec = _resolve_train_spec(args)
+    spec = _train_spec(args)
     out_dir = _out_dir(args)
     result, model = run_experiment_with_model(spec, ds, args.seed)
     (out_dir / "confusion.txt").write_text(
@@ -218,7 +224,7 @@ def cmd_train(args, argv) -> int:
 
 def cmd_sweep(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
-    specs = _resolve_sweep_specs(args)
+    specs = _sweep_specs(args)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     out_dir = _out_dir(args)
     sweep = run_sweep(specs, ds, seeds)
@@ -227,11 +233,8 @@ def cmd_sweep(args, argv) -> int:
     (out_dir / "summary.json").write_text(
         sweep.summary_json_text(), encoding="utf-8"
     )
-    config_digest = _sha256_text(
-        "".join(spec.config.to_json() for spec in specs)
-    )
-    _write_manifest(out_dir, argv, seeds[0] if seeds else 0, config_digest,
-                    data_hash)
+    config_digest = _sha256_text("".join(s.config.to_json() for s in specs))
+    _write_manifest(out_dir, argv, seeds[0], config_digest, data_hash)
     sys.stdout.write(sweep.summary_text())
     print(f"{len(sweep.results)} runs ({len(sweep.failures)} failed); "
           f"artifacts in {out_dir}")
@@ -239,30 +242,6 @@ def cmd_sweep(args, argv) -> int:
         print(f"error: all {len(sweep.failures)} runs failed", file=sys.stderr)
         return EXIT_ALL_FAILED
     return EXIT_OK
-
-
-def _resolve_sweep_specs(args) -> list[ExperimentSpec]:
-    token = args.specs
-    path = Path(token)
-    if path.is_dir():
-        from .data import SplitSpec
-
-        specs = []
-        for file in sorted(path.glob("*.json")):
-            config = NetworkConfig.from_json(file.read_text(encoding="utf-8"))
-            specs.append(
-                ExperimentSpec(
-                    name=file.stem,
-                    battery=args.battery,
-                    config=config,
-                    split=SplitSpec(args.train_fraction, stratified=True, seed=0),
-                    balance=args.balance,
-                )
-            )
-        if not specs:
-            raise ConfigError(f"no *.json config files in directory {path}")
-        return specs
-    return resolve_specs(token)
 
 
 def cmd_report(args, argv) -> int:
@@ -336,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fasdnet",
         description="Dense-network FASD-vs-control classification toolkit",
-        epilog="exit codes: 0 ok, 2 usage, 3 data, 4 config, 5 divergence, "
+        epilog="exit codes: 0 ok, 2 usage, 3 data or any other toolkit "
+               "error (report included), 4 config, 5 divergence, "
                "6 filesystem, 7 every sweep run failed",
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -400,9 +380,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, ReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FasdnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

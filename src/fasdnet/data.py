@@ -312,7 +312,8 @@ def synthesize_dataset(n_per_class: int, n_features: int,
     small-range and large-range columns side by side. Class 1's mean is
     shifted by class_separation standard deviations on every feature,
     so separation 0 makes the classes indistinguishable and separation
-    6 makes a single-feature threshold nearly perfect.
+    6 makes a single-feature threshold nearly perfect. A separation that
+    is not finite, or so large that a feature overflows, is a DataError.
     """
     if n_per_class < 1 or n_features < 1:
         raise DataError(
@@ -324,8 +325,14 @@ def synthesize_dataset(n_per_class: int, n_features: int,
     y = np.repeat(np.array([0, 1], dtype=np.int64), n_per_class)
     # row-major draws; x = offsets + scales * (shift + z), built in place
     x = rng.normals(y.size * n_features).reshape(y.size, n_features)
-    x += (class_separation * y)[:, None]
-    x *= scales
-    x += offsets
+    with np.errstate(over="ignore", invalid="ignore"):
+        x += (class_separation * y)[:, None]
+        x *= scales
+        x += offsets
+    if not np.isfinite(x).all():
+        raise DataError(
+            f"class_separation {class_separation!r} makes the features "
+            "non-finite; it must be finite and small enough not to overflow"
+        )
     names = tuple(f"f{j:02d}" for j in range(n_features))
     return Dataset(SYNTHETIC, names, x, y)

@@ -51,11 +51,17 @@ from .errors import (
     ReportError,
     ShapeError,
 )
-from .layers import RELU, SIGMOID, SOFTMAX, NetworkConfig, leaky_relu
+from .layers import (
+    BINARY,
+    RELU,
+    SIGMOID,
+    SOFTMAX,
+    SPARSE_CATEGORICAL,
+    NetworkConfig,
+    leaky_relu,
+)
 from .rng import SeededRng, derive_seed
 from .training import train_many
-
-POSITIVE_CLASS = 1  # FASD
 
 
 @dataclass(frozen=True)
@@ -169,11 +175,9 @@ _TABLE2_ROWS = (
 )
 
 _INTERLEAVED = ((64, SIGMOID), (128, RELU), (64, SIGMOID), (128, RELU))
-_INTERLEAVED_LEAKY = (
-    (64, SIGMOID),
-    (128, leaky_relu()),
-    (64, SIGMOID),
-    (128, leaky_relu()),
+# DTI's layout swaps the ReLU slots for Leaky ReLU
+_INTERLEAVED_LEAKY = tuple(
+    (w, leaky_relu() if a == RELU else a) for w, a in _INTERLEAVED
 )
 
 
@@ -182,7 +186,7 @@ def _first_model_spec(row_number: int, widths) -> ExperimentSpec:
     config = NetworkConfig(
         input_dim=20,
         layers=hidden + ((2, SOFTMAX),),
-        loss="sparse_categorical",
+        loss=SPARSE_CATEGORICAL,
         use_feature_layer=False,
         epochs=1000,
         learning_rate=0.001,
@@ -201,7 +205,7 @@ def _second_model_spec(name, battery, input_dim, hidden, epochs) -> ExperimentSp
     config = NetworkConfig(
         input_dim=input_dim,
         layers=tuple(hidden) + ((1, SIGMOID),),
-        loss="binary",
+        loss=BINARY,
         use_feature_layer=True,
         epochs=epochs,
         learning_rate=0.001,
@@ -287,8 +291,9 @@ def _annotate(spec_name: str, exc: FasdnetError):
     return annotated
 
 
-def run_experiment(spec: ExperimentSpec, ds: Dataset, seed: int) -> RunResult:
+def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
     """Ablate, balance, split, train, evaluate; deterministic per seed.
+    Returns (RunResult, TrainedModel).
 
     Synthetic datasets stand in for any battery; a real battery must
     match the spec's battery. The run seed feeds three independent derived
@@ -297,13 +302,6 @@ def run_experiment(spec: ExperimentSpec, ds: Dataset, seed: int) -> RunResult:
     after ablation, which lets battery-shaped specs run on synthetic
     data of any width.
     """
-    result, _ = run_experiment_with_model(spec, ds, seed)
-    return result
-
-
-def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
-    """Like run_experiment but also returns the fitted model, for
-    callers that persist parameters."""
     (outcome,) = _run_seeds(spec, ds, [seed])
     if isinstance(outcome, FasdnetError):
         raise outcome
@@ -333,11 +331,7 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
                 working = balance_downsample(
                     working, SeededRng(derive_seed(seed, 1))
                 )
-            split = SplitSpec(
-                spec.split.train_fraction,
-                stratified=spec.split.stratified,
-                seed=derive_seed(seed, 2),
-            )
+            split = replace(spec.split, seed=derive_seed(seed, 2))
             train_set, test_set = stratified_split(working, split)
             config = replace(
                 spec.config, input_dim=working.n_features, seed=derive_seed(seed, 3)
@@ -404,10 +398,8 @@ class SweepResult:
     def per_spec_stats(self) -> list[SpecStats]:
         stats = []
         by_spec: dict[str, list[RunResult]] = {}
-        battery: dict[str, str] = {}
         for r in self.results:
             by_spec.setdefault(r.spec_name, []).append(r)
-            battery[r.spec_name] = r.battery
         for name in self.spec_order:
             runs = by_spec.get(name, [])
             if not runs:
@@ -418,7 +410,7 @@ class SweepResult:
             stats.append(
                 SpecStats(
                     name=name,
-                    battery=battery[name],
+                    battery=runs[-1].battery,
                     n_runs=len(runs),
                     median_test_accuracy=float(np.median(test)),
                     mean_test_accuracy=float(np.mean(test)),

@@ -31,7 +31,7 @@ features on wildly different scales (single digits next to values near
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,18 @@ class Activation:
             object.__setattr__(self, "slope", s)
         elif self.slope is not None:
             raise ConfigError(f"{self.kind} takes no slope parameter")
+
+    def to_dict(self) -> dict:
+        """The JSON form, {"activation": kind} plus "slope" for leaky_relu;
+        the one definition shared by config and model files."""
+        doc = {"activation": self.kind}
+        if self.slope is not None:
+            doc["slope"] = self.slope
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc) -> "Activation":
+        return cls(doc["activation"], doc.get("slope"))
 
 
 IDENTITY = Activation("identity")
@@ -246,7 +258,11 @@ class FeatureNormLayer:
         return (x - self.means) / self.stds
 
 
-LOSS_KINDS = ("sparse_categorical", "binary")
+SPARSE_CATEGORICAL = "sparse_categorical"
+BINARY = "binary"
+
+# the output layer each loss kind scores: (width, activation kind)
+LOSS_OUTPUT = {SPARSE_CATEGORICAL: (2, "softmax"), BINARY: (1, "sigmoid")}
 
 
 @dataclass(frozen=True)
@@ -254,14 +270,14 @@ class NetworkConfig:
     """Ordered layer plan plus the training knobs for one model.
 
     layers lists (width, activation) pairs applied after the optional
-    feature-normalization stage. The final pair is the output layer:
-    sparse_categorical loss requires (2, softmax), binary requires
-    (1, sigmoid). softmax may appear nowhere else.
+    feature-normalization stage. The final pair is the output layer
+    LOSS_OUTPUT names for the loss: (2, softmax) for sparse_categorical,
+    (1, sigmoid) for binary. softmax may appear nowhere else.
     """
 
     input_dim: int
     layers: tuple[tuple[int, Activation], ...]
-    loss: str = "sparse_categorical"
+    loss: str = SPARSE_CATEGORICAL
     use_feature_layer: bool = False
     epochs: int = 50
     learning_rate: float = 0.001
@@ -277,7 +293,8 @@ class NetworkConfig:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if not self.layers:
             raise ConfigError("network needs at least one layer")
-        if self.loss not in LOSS_KINDS:
+        # a tuple compares by equality, so an unhashable loss is rejected too
+        if self.loss not in tuple(LOSS_OUTPUT):
             raise ConfigError(f"unknown loss kind {self.loss!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
@@ -293,38 +310,28 @@ class NetworkConfig:
         for width, act in self.layers[:-1]:
             if act.kind == "softmax":
                 raise ConfigError("softmax is only permitted on the final layer")
+        width, kind = LOSS_OUTPUT[self.loss]
         final_width, final_act = self.layers[-1]
-        if self.loss == "sparse_categorical":
-            if final_width != 2 or final_act.kind != "softmax":
-                raise ConfigError(
-                    "sparse_categorical loss requires a final (2, softmax) "
-                    f"layer, got ({final_width}, {final_act.kind})"
-                )
-        else:
-            if final_width != 1 or final_act.kind != "sigmoid":
-                raise ConfigError(
-                    "binary loss requires a final (1, sigmoid) layer, got "
-                    f"({final_width}, {final_act.kind})"
-                )
+        if (final_width, final_act.kind) != (width, kind):
+            raise ConfigError(
+                f"{self.loss} loss requires a final ({width}, {kind}) layer, "
+                f"got ({final_width}, {final_act.kind})"
+            )
 
-    def to_json(self) -> str:
-        """Canonical JSON text; parsing and re-serializing is byte-stable."""
-        layers = []
-        for width, act in self.layers:
-            entry = {"width": width, "activation": act.kind}
-            if act.kind == "leaky_relu":
-                entry["slope"] = act.slope
-            layers.append(entry)
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "input_dim": self.input_dim,
-            "layers": layers,
+            "layers": [{"width": w, **a.to_dict()} for w, a in self.layers],
             "loss": self.loss,
             "use_feature_layer": self.use_feature_layer,
             "epochs": self.epochs,
             "learning_rate": self.learning_rate,
             "seed": self.seed,
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        """Canonical JSON text; parsing and re-serializing is byte-stable."""
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkConfig":
@@ -332,15 +339,16 @@ class NetworkConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        return cls.from_dict(doc)
+
+    @classmethod
+    def from_dict(cls, doc) -> "NetworkConfig":
         try:
-            layers = []
-            for entry in doc["layers"]:
-                kind = entry["activation"]
-                slope = entry.get("slope")
-                layers.append((entry["width"], Activation(kind, slope)))
             return cls(
                 input_dim=doc["input_dim"],
-                layers=tuple(layers),
+                layers=tuple(
+                    (e["width"], Activation.from_dict(e)) for e in doc["layers"]
+                ),
                 loss=doc["loss"],
                 use_feature_layer=doc["use_feature_layer"],
                 epochs=doc["epochs"],

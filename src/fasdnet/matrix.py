@@ -52,10 +52,6 @@ def add_row_broadcast(a: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return a + bias
 
 
-def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.T)
-
-
 def argmax_rows(a: np.ndarray) -> np.ndarray:
     """Index of the max entry in each row; ties go to the lower index."""
     if a.shape[-2] == 0:

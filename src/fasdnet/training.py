@@ -37,8 +37,10 @@ from .errors import (
     ShapeError,
 )
 from .layers import (
+    LOSS_OUTPUT,
     SIGMOID,
     SOFTMAX,
+    SPARSE_CATEGORICAL,
     Activation,
     DenseLayer,
     FeatureNormLayer,
@@ -52,9 +54,6 @@ from .layers import (
 )
 from .matrix import argmax_rows
 from .rng import SeededRng
-
-SPARSE_CATEGORICAL = "sparse_categorical"
-BINARY = "binary"
 
 _CLAMP = 1e-12  # probability floor/ceiling before any log
 
@@ -76,9 +75,9 @@ def _check_labels(labels, shape: tuple) -> np.ndarray:
 
 
 def _check_output(kind: str, shape: tuple) -> None:
-    width = {SPARSE_CATEGORICAL: 2, BINARY: 1}.get(kind)
-    if width is None:
+    if kind not in LOSS_OUTPUT:
         raise ConfigError(f"unknown loss kind {kind!r}")
+    width = LOSS_OUTPUT[kind][0]
     if shape[-1] != width:
         raise ShapeError(f"{kind} loss expects {width} column(s), got {shape}")
 
@@ -203,12 +202,6 @@ class History:
             fh.write(self.to_csv_text())
 
 
-def predict_proba(layers: list[DenseLayer], norm: FeatureNormLayer | None,
-                  x: np.ndarray) -> np.ndarray:
-    _, out = network_forward(layers, norm, x)
-    return out
-
-
 def predict_labels(kind: str, probabilities: np.ndarray) -> np.ndarray:
     """Hard 0/1 decisions. Softmax rows use argmax (ties to class 0);
     a sigmoid column goes to class 1 strictly above 0.5, matching the
@@ -227,14 +220,14 @@ class TrainedModel:
     layers: list[DenseLayer]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return predict_proba(self.layers, self.norm, x)
+        return network_forward(self.layers, self.norm, x)[1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return predict_labels(self.config.loss, self.predict_proba(x))
 
     def to_json(self) -> str:
         doc = {
-            "config": json.loads(self.config.to_json()),
+            "config": self.config.to_dict(),
             "norm": None
             if self.norm is None
             else {
@@ -245,12 +238,7 @@ class TrainedModel:
                 {
                     "weights": layer.weights.tolist(),
                     "bias": layer.bias[0].tolist(),
-                    "activation": layer.activation.kind,
-                    **(
-                        {"slope": layer.activation.slope}
-                        if layer.activation.kind == "leaky_relu"
-                        else {}
-                    ),
+                    **layer.activation.to_dict(),
                 }
                 for layer in self.layers
             ],
@@ -260,7 +248,7 @@ class TrainedModel:
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
         doc = json.loads(text)
-        config = NetworkConfig.from_json(json.dumps(doc["config"]))
+        config = NetworkConfig.from_dict(doc["config"])
         norm = None
         if doc["norm"] is not None:
             norm = FeatureNormLayer()
@@ -268,7 +256,7 @@ class TrainedModel:
             norm.stds = np.asarray(doc["norm"]["stds"], dtype=np.float64)
         stack = []
         for entry in doc["layers"]:
-            act = Activation(entry["activation"], entry.get("slope"))
+            act = Activation.from_dict(entry)
             stack.append(
                 DenseLayer(
                     np.asarray(entry["weights"], dtype=np.float64),

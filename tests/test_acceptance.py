@@ -33,7 +33,7 @@ from fasdnet.experiment import (
     BaselineTable,
     comparison_report,
     resolve_specs,
-    run_experiment,
+    run_experiment_with_model,
     run_sweep,
 )
 from fasdnet.layers import (
@@ -349,7 +349,8 @@ def test_criterion_10_conforming_battery_csv_runs_end_to_end(tmp_path):
     write_csv(ds, path)
 
     loaded = load_csv(path, PSYCHOMETRIC)  # exact schema: no warning
-    result = run_experiment(REGISTRY["psychometric-feature-layer"], loaded, 3)
+    result, _ = run_experiment_with_model(
+        REGISTRY["psychometric-feature-layer"], loaded, 3)
 
     # balance to 58 per class, then an 80/20 stratified split keeps
     # ceil(0.8 * 58) = 47 per class for training

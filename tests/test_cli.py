@@ -3,6 +3,8 @@
 import hashlib
 import json
 import platform
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +76,21 @@ def test_synth_output_loads_back(tmp_path):
     assert ds.n_rows == 16 and ds.n_features == 6
 
 
+@pytest.mark.parametrize("separation", ["nan", "1e308"])
+def test_synth_rejects_a_separation_that_is_or_makes_non_finite(
+        tmp_path, capsys, separation):
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("synth", "--samples-per-class", 3, "--features", 2,
+                   "--separation", separation, "--out", out)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "class_separation" in err
+    assert repr(float(separation)) in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- train
 
 
@@ -127,6 +144,54 @@ def test_train_from_config_file(data_csv, tmp_path):
     assert code == EXIT_OK
     history = (out_dir / "history.csv").read_text().splitlines()
     assert len(history) == 13
+
+
+def test_train_and_sweep_build_the_same_spec_from_a_config_file(
+        data_csv, tmp_path):
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    doc = {
+        "input_dim": 20,
+        "layers": [
+            {"width": 6, "activation": "relu"},
+            {"width": 1, "activation": "sigmoid"},
+        ],
+        "loss": "binary",
+        "use_feature_layer": True,
+        "epochs": 15,
+        "learning_rate": 0.001,
+        "seed": 0,
+    }
+    (cfg_dir / "tiny.json").write_text(json.dumps(doc))
+    flags = ("--data", data_csv, "--battery", "psychometric",
+             "--train-fraction", 0.7, "--balance")
+    train_dir, sweep_dir = tmp_path / "train", tmp_path / "sweep"
+    assert run("train", *flags, "--spec", cfg_dir / "tiny.json",
+               "--seed", 3, "--out-dir", train_dir) == EXIT_OK
+    assert run("sweep", *flags, "--specs", cfg_dir, "--seeds", 3,
+               "--out-dir", sweep_dir) == EXIT_OK
+
+    (run_row,) = (sweep_dir / "runs.csv").read_text().splitlines()[1:]
+    spec, seed, train_acc, test_acc, tp, fp, tn, fn = run_row.split(",")
+    assert (spec, seed) == ("tiny", "3")
+    last_epoch = (train_dir / "history.csv").read_text().splitlines()[-1]
+    assert last_epoch.split(",")[2] == train_acc
+    # confusion.txt rows: actual FASD (tp, fn), actual control (fp, tn)
+    cells = re.findall(r"(\d+) \(", (train_dir / "confusion.txt").read_text())
+    assert cells == [tp, fn, fp, tn]
+    assert float(test_acc) == (int(tp) + int(tn)) / sum(map(int, cells))
+
+
+def test_train_ablate_narrows_the_builtin_input(data_csv, tmp_path):
+    input_dims = []
+    for ablate in ((), ("--ablate", "f00")):
+        out_dir = tmp_path / f"run{len(ablate)}"
+        assert run("train", "--data", data_csv, "--battery", "psychometric",
+                   "--spec", "table2-row1", *ablate,
+                   "--out-dir", out_dir) == EXIT_OK
+        model = json.loads((out_dir / "model.json").read_text())
+        input_dims.append(model["config"]["input_dim"])
+    assert input_dims == [20, 19]
 
 
 def test_train_missing_data_exits_3(tmp_path):

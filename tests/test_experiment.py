@@ -25,7 +25,7 @@ from fasdnet.experiment import (
     comparison_report,
     confusion_matrix,
     resolve_specs,
-    run_experiment,
+    run_experiment_with_model,
     run_sweep,
 )
 from fasdnet.layers import NetworkConfig
@@ -216,22 +216,22 @@ def _short(spec, **overrides) -> ExperimentSpec:
 def test_run_experiment_deterministic():
     ds = synthesize_dataset(20, 10, 2.0, SeededRng(5))
     spec = _short(REGISTRY["psychometric-feature-layer"], epochs=20)
-    r1 = run_experiment(spec, ds, seed=4)
-    r2 = run_experiment(spec, ds, seed=4)
+    r1 = run_experiment_with_model(spec, ds, seed=4)[0]
+    r2 = run_experiment_with_model(spec, ds, seed=4)[0]
     assert r1.test_accuracy == r2.test_accuracy
     assert r1.train_accuracy == r2.train_accuracy
     assert (r1.confusion.tp, r1.confusion.fp, r1.confusion.tn,
             r1.confusion.fn) == (
         r2.confusion.tp, r2.confusion.fp, r2.confusion.tn, r2.confusion.fn)
     assert r1.history.train_loss == r2.history.train_loss
-    r3 = run_experiment(spec, ds, seed=5)
+    r3 = run_experiment_with_model(spec, ds, seed=5)[0]
     assert r3.history.train_loss != r1.history.train_loss
 
 
 def test_run_experiment_confusion_sums_to_test_partition():
     ds = synthesize_dataset(25, 8, 2.0, SeededRng(6))
     spec = _short(REGISTRY["antisaccade-128x2"], epochs=10)
-    result = run_experiment(spec, ds, seed=0)
+    result = run_experiment_with_model(spec, ds, seed=0)[0]
     # balanced 25/25 stays 50 rows; 80/20 stratified leaves 2x5 for test
     assert result.confusion.total == 10
     assert abs(accuracy(result.confusion) - result.test_accuracy) < 1e-12
@@ -240,7 +240,8 @@ def test_run_experiment_confusion_sums_to_test_partition():
 def test_run_experiment_no_signal_band():
     ds = synthesize_dataset(30, 12, 0.0, SeededRng(7))
     spec = _short(REGISTRY["prosaccade-128x2"], epochs=15)
-    accs = [run_experiment(spec, ds, seed=s).test_accuracy for s in range(10)]
+    accs = [run_experiment_with_model(spec, ds, seed=s)[0].test_accuracy
+            for s in range(10)]
     assert 0.3 <= float(np.median(accs)) <= 0.7
     assert 0.3 <= float(np.mean(accs)) <= 0.7
 
@@ -248,14 +249,14 @@ def test_run_experiment_no_signal_band():
 def test_run_experiment_strong_signal():
     ds = synthesize_dataset(30, 12, 6.0, SeededRng(8))
     spec = REGISTRY["memory-guided-feature-layer"]
-    assert run_experiment(spec, ds, seed=3).test_accuracy >= 0.9
+    assert run_experiment_with_model(spec, ds, seed=3)[0].test_accuracy >= 0.9
 
 
 def test_run_experiment_battery_mismatch():
     ds = synthesize_dataset(10, 5, 1.0, SeededRng(9))
     mismatched = Dataset_with_battery(ds, "dti")
     with pytest.raises(DataError, match="does not match"):
-        run_experiment(REGISTRY["antisaccade-128x2"], mismatched, seed=0)
+        run_experiment_with_model(REGISTRY["antisaccade-128x2"], mismatched, seed=0)
 
 
 def Dataset_with_battery(ds, battery):
@@ -271,7 +272,7 @@ def test_run_experiment_ablation_narrows_input():
         "ablated", base.battery, replace(base.config, epochs=5),
         base.split, base.balance, ("f00", "f03"),
     )
-    result = run_experiment(spec, ds, seed=1)
+    result = run_experiment_with_model(spec, ds, seed=1)[0]
     assert result.spec_name == "ablated"
     # error path: unknown ablation name is annotated with the spec name
     bad = ExperimentSpec(
@@ -279,7 +280,7 @@ def test_run_experiment_ablation_narrows_input():
         ("not-a-feature",),
     )
     with pytest.raises(DataError, match="bad-ablate"):
-        run_experiment(bad, ds, seed=1)
+        run_experiment_with_model(bad, ds, seed=1)
 
 
 # -------------------------------------------------------------------- sweeps

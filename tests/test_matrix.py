@@ -9,7 +9,6 @@ from fasdnet.matrix import (
     argmax_rows,
     as_matrix,
     matmul,
-    transpose,
 )
 
 
@@ -79,17 +78,6 @@ def test_matmul_associativity():
         np.testing.assert_allclose(left, right, rtol=1e-9)
 
 
-def test_transpose_product_identity():
-    # (A B)^T == B^T A^T, entrywise
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((4, 6))
-        lhs = transpose(matmul(a, b))
-        rhs = matmul(transpose(b), transpose(a))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
 def test_add_row_broadcast_zero_bias_is_identity():
     a = as_matrix([[1.0, 1.0], [2.0, 2.0]])
     assert np.array_equal(add_row_broadcast(a, np.zeros((1, 2))), a)
@@ -115,21 +103,6 @@ def test_add_row_broadcast_rejects_width_mismatch():
     with pytest.raises(ShapeError):
         # a flat vector is not an accepted bias shape
         add_row_broadcast(np.zeros((2, 3)), np.zeros(3))
-
-
-def test_transpose_involution_and_layout():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((5, 7))
-    assert np.array_equal(transpose(transpose(a)), a)
-    assert np.array_equal(transpose(as_matrix([[1.0, 2.0, 3.0]])),
-                          [[1.0], [2.0], [3.0]])
-    assert transpose(a).flags["C_CONTIGUOUS"]
-
-
-def test_transpose_preserves_frobenius_norm():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 4))
-    assert np.linalg.norm(transpose(a)) == pytest.approx(np.linalg.norm(a))
 
 
 def test_argmax_rows_basic_and_tie_rule():

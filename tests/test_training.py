@@ -16,16 +16,17 @@ from fasdnet.errors import (
     ShapeError,
 )
 from fasdnet.layers import (
+    BINARY,
+    RELU,
     SIGMOID,
     SOFTMAX,
+    SPARSE_CATEGORICAL,
     DenseLayer,
     NetworkConfig,
     leaky_relu,
 )
 from fasdnet.rng import SeededRng
 from fasdnet.training import (
-    BINARY,
-    SPARSE_CATEGORICAL,
     AdamState,
     History,
     TrainedModel,
@@ -440,19 +441,27 @@ def test_predict_labels_threshold_matches_argmax():
 
 def test_trained_model_json_round_trip():
     ds = _separable_set(5, 6)
-    cfg = NetworkConfig(6, ((4, leaky_relu(0.05)), (2, SOFTMAX)),
-                        "sparse_categorical", True, 10, 0.001, 8)
-    model, _ = train(cfg, ds.x, ds.y, ds.x, ds.y)
-    back = TrainedModel.from_json(model.to_json())
-    assert back.config == model.config
-    for la, lb in zip(model.layers, back.layers):
-        assert np.array_equal(la.weights, lb.weights)
-        assert np.array_equal(la.bias, lb.bias)
-        assert la.activation == lb.activation
-    np.testing.assert_allclose(back.predict_proba(ds.x),
-                               model.predict_proba(ds.x), atol=0)
-    # a second serialization is byte-identical
-    assert back.to_json() == model.to_json()
+    configs = [
+        NetworkConfig(6, ((4, leaky_relu(0.05)), (2, SOFTMAX)),
+                      "sparse_categorical", True, 10, 0.001, 8),
+        # activations without a slope, and a normalization block
+        NetworkConfig(6, ((5, RELU), (3, SIGMOID), (1, SIGMOID)),
+                      "binary", True, 10, 0.001, 9),
+    ]
+    for cfg in configs:
+        model, _ = train(cfg, ds.x, ds.y, ds.x, ds.y)
+        back = TrainedModel.from_json(model.to_json())
+        assert back.config == model.config
+        assert np.array_equal(back.norm.means, model.norm.means)
+        assert np.array_equal(back.norm.stds, model.norm.stds)
+        for la, lb in zip(model.layers, back.layers):
+            assert np.array_equal(la.weights, lb.weights)
+            assert np.array_equal(la.bias, lb.bias)
+            assert la.activation == lb.activation
+        np.testing.assert_allclose(back.predict_proba(ds.x),
+                                   model.predict_proba(ds.x), atol=0)
+        # a second serialization is byte-identical
+        assert back.to_json() == model.to_json()
 
 
 def test_update_then_measure_epoch_semantics():
