@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -368,10 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what argparse would misread: it takes only -1 and -1.5 shaped tokens
+# for negative numbers, so it reads -1e3 or -inf as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"-([\d.]+[eE][-+]?\d+|inf)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join "--opt -1e3" into "--opt=-1e3", which argparse reads."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_NUMBER.fullmatch(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args, argv)
     except DivergenceError as exc:

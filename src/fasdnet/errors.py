@@ -63,6 +63,10 @@ class DivergenceError(FasdnetError):
         super().__init__(message)
         self.epoch = epoch
 
+    def __reduce__(self):
+        # args holds only the message; unpickling must pass the epoch too
+        return type(self), (self.args[0], self.epoch)
+
 
 class ReportError(FasdnetError):
     """A report was requested over inputs that cannot produce one."""

@@ -6,6 +6,17 @@ through an elementwise activation:
     z = x @ W + b          (x: batch x in_dim, W: in_dim x out_dim)
     out = activation(z)
 
+The bias is added in place into the product, which is a fresh array.
+Each activation is computed in as few elementwise passes as give the
+textbook formula's exact bits: leaky ReLU as max(z, slope * z), which
+is z above 0 and slope * z below for any 0 < slope < 1, and the sigmoid
+as exp(min(z, 0)) / (1 + exp(-|z|)), which is 1 / (1 + exp(-z)) for
+z >= 0 and exp(z) / (1 + exp(z)) below, so exp never overflows. No
+kernel selects per element with np.where or a boolean mask: on data
+with mixed signs that branches unpredictably and costs several times
+the arithmetic. tests/test_kernels.py holds the textbook formulas and
+checks every kernel against them bit for bit.
+
 Every forward and backward function also takes stacked operands with a
 leading seed axis: x of shape (S, batch, in_dim), W of shape
 (S, in_dim, out_dim) and b of shape (S, 1, out_dim) describe S
@@ -15,10 +26,12 @@ same for both: products use matmul, transposes swap the last two axes
 and sums run over the batch axis, -2. This is how training runs all
 seeds of a spec as one network (see training.train_many).
 
-Backward rules are the textbook ones; see network_backward. The softmax
-activation is special-cased: its gradient is only ever needed fused
-with the cross-entropy loss (see training.loss_grad), so asking for a
-standalone softmax derivative is a contract error.
+Backward rules are the textbook ones; see network_backward. It takes
+the sigmoid and ReLU derivatives from each layer's output, which the
+forward caches already hold, instead of recomputing exp from z. The
+softmax activation is special-cased: its gradient is only ever needed
+fused with the cross-entropy loss (see training.loss_grad), so asking
+for a standalone softmax derivative is a contract error.
 
 The "feature layer" used by the second family of models is a
 per-feature standardization stage: it learns column means and standard
@@ -43,7 +56,7 @@ from .errors import (
     NotFittedError,
     ShapeError,
 )
-from .matrix import add_row_broadcast, matmul
+from .matrix import matmul
 from .rng import SeededRng
 
 _KINDS = ("identity", "relu", "leaky_relu", "sigmoid", "softmax")
@@ -92,13 +105,15 @@ def leaky_relu(slope: float = 0.01) -> Activation:
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    # two-branch form avoids exp overflow for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(min(z, 0)) / (1 + exp(-|z|)); see the module docstring
+    num = np.minimum(z, 0.0)
+    np.exp(num, out=num)
+    den = np.abs(z)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num /= den
+    return num
 
 
 def activation_apply(a: Activation, z: np.ndarray) -> np.ndarray:
@@ -108,7 +123,9 @@ def activation_apply(a: Activation, z: np.ndarray) -> np.ndarray:
     if a.kind == "relu":
         return np.maximum(z, 0.0)
     if a.kind == "leaky_relu":
-        return np.where(z > 0.0, z, a.slope * z)
+        # max(z, slope * z); see the module docstring
+        out = a.slope * z
+        return np.maximum(z, out, out=out)
     if a.kind == "sigmoid":
         return _stable_sigmoid(z)
     # softmax with max subtraction so huge logits cannot overflow
@@ -119,9 +136,10 @@ def activation_apply(a: Activation, z: np.ndarray) -> np.ndarray:
     # a logit more than ~1.8e308 below the row max shifts to -inf, whose
     # exp is the exact 0 it stands for; only that overflow is expected
     with np.errstate(over="ignore"):
-        shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+        shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
+    return shifted
 
 
 def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
@@ -140,9 +158,27 @@ def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
     if a.kind == "relu":
         return (z > 0.0).astype(np.float64)
     if a.kind == "leaky_relu":
-        return np.where(z > 0.0, 1.0, a.slope)
+        # 1.0 above 0, else the slope: max(mask, slope) on the 0/1 mask
+        # is exactly that, without np.where's per-element branch
+        return np.maximum(z > 0.0, a.slope)
     s = _stable_sigmoid(z)
     return s * (1.0 - s)
+
+
+def _delta_through(a: Activation, z: np.ndarray, out: np.ndarray,
+                   delta: np.ndarray) -> np.ndarray:
+    """delta * activation_grad(a, z) in place in delta; sigmoid and relu
+    read their derivative off out = activation(z), the cached output:
+    out * (1 - out), and out > 0 exactly where z > 0."""
+    if a.kind == "relu":
+        delta *= out > 0.0
+    elif a.kind == "leaky_relu":
+        delta *= activation_grad(a, z)
+    elif a.kind == "sigmoid":
+        g = np.subtract(1.0, out)
+        g *= out
+        delta *= g
+    return delta
 
 
 @dataclass
@@ -192,7 +228,13 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
             f"dense_forward: input {x.shape} does not match weights "
             f"{layer.weights.shape}"
         )
-    z = add_row_broadcast(matmul(x, layer.weights), layer.bias)
+    z = matmul(x, layer.weights)
+    if layer.bias.shape != z.shape[:-2] + (1, z.shape[-1]):
+        raise ShapeError(
+            f"dense_forward: bias {layer.bias.shape} does not match weights "
+            f"{layer.weights.shape}"
+        )
+    z += layer.bias  # z is matmul's fresh array
     return z, activation_apply(layer.activation, z)
 
 
@@ -209,14 +251,10 @@ def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
             f"dense_backward_from_delta: delta {delta.shape} inconsistent "
             f"with input {x.shape} and weights {layer.weights.shape}"
         )
-    grad_w, grad_b = _param_grads(x, delta)
-    return grad_w, grad_b, matmul(delta, np.swapaxes(layer.weights, -1, -2))
-
-
-def _param_grads(x: np.ndarray, delta: np.ndarray):
     return (
-        matmul(np.swapaxes(x, -1, -2), delta),
+        matmul(x.swapaxes(-1, -2), delta),
         delta.sum(axis=-2, keepdims=True),
+        matmul(delta, layer.weights.swapaxes(-1, -2)),
     )
 
 
@@ -395,10 +433,10 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     caches = []
     for i, layer in enumerate(layers):
         z, out = dense_forward(layer, h)
-        finite = np.isfinite(z).all(axis=(-2, -1))
+        finite = np.isfinite(z)
         if not finite.all():
             message = f"layer {i} pre-activation is non-finite"
-            slots = np.flatnonzero(~finite).tolist()
+            slots = np.flatnonzero(~finite.all(axis=(-2, -1))).tolist()
             if z.ndim > 2:
                 message += f" in stack slots {slots}"
             raise NonFiniteError(message, layer=i, slots=slots)
@@ -407,23 +445,33 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     return caches, h
 
 
-def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray):
+def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
+                     out: list[np.ndarray] | None = None):
     """Backpropagate delta = dLoss/dz of the final layer through the stack.
 
     caches is network_forward's. Each earlier layer's delta is the next
-    layer's grad_x times its own activation derivative; the first
-    layer's grad_x has no consumer and is not computed. Returns the
-    gradients in parameter order, [dW0, db0, dW1, db1, ...].
+    layer's grad_x times its own activation derivative, taken from the
+    layer's cached output where that is cheaper than from z (see
+    _delta_through); the first layer's grad_x has no consumer and is
+    not computed. Returns the gradients in parameter order, [dW0, db0,
+    dW1, db1, ...], written into out when given (arrays shaped like the
+    parameters, e.g. views of one flat buffer), else into new arrays.
     """
-    grads = [None] * (2 * len(layers))
+    if delta.shape != caches[-1][1].shape:
+        raise ShapeError(
+            f"network_backward: delta {delta.shape} does not match the final "
+            f"pre-activation {caches[-1][1].shape}"
+        )
+    if out is None:
+        out = [np.empty_like(a) for layer in layers
+               for a in (layer.weights, layer.bias)]
     for i in range(len(layers) - 1, -1, -1):
         layer_x, z = caches[i]
         if i < len(layers) - 1:
-            delta = delta * activation_grad(layers[i].activation, z)
-        if i == 0:
-            grads[0], grads[1] = _param_grads(layer_x, delta)
-        else:
-            grads[2 * i], grads[2 * i + 1], delta = dense_backward_from_delta(
-                layers[i], layer_x, delta
-            )
-    return grads
+            delta = _delta_through(layers[i].activation, z, caches[i + 1][0],
+                                   delta)
+        np.matmul(layer_x.swapaxes(-1, -2), delta, out=out[2 * i])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=out[2 * i + 1])
+        if i > 0:
+            delta = matmul(delta, layers[i].weights.swapaxes(-1, -2))
+    return out

@@ -9,8 +9,10 @@ attach the shape contract every caller relies on: a failed shape check
 names both operand shapes. Only as_matrix checks finiteness, on input.
 The operations themselves may overflow to infinity; the forward pass
 (layers.network_forward) checks each layer's pre-activation once and
-raises NonFiniteError there. Treat matrices as immutable; all
-operations return new arrays.
+raises NonFiniteError there. Treat matrices as immutable; every
+function here returns a new array. A caller that owns such a fresh
+result may update it in place, as layers.dense_forward does when it
+adds the bias into matmul's product.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ therefore never needs a softmax Jacobian.
 Training is deliberately full batch: the batteries top out at 186 rows,
 so one gradient step per epoch is exact and keeps runs reproducible.
 Adam uses the canonical constants (beta1=0.9, beta2=0.999, eps=1e-8).
+Its update is elementwise, so one adam_step over all parameters laid
+end to end gives exactly the per-tensor results.
 
 There is one training loop, train_many. It trains S configs that
 differ only in seed as one stacked network: parameters, Adam moments,
@@ -20,6 +22,14 @@ data and labels all carry a leading seed axis of length S, and each
 slot's numbers are bit-identical to training that seed alone. A slot
 that diverges is dropped from the stack and the others carry on.
 train is the S = 1 call.
+
+The loop keeps four (S, P) buffers, P being the parameter count of one
+network: the parameters theta (each layer's weights and bias are views
+of their span of it), the gradients (network_backward writes into views
+of it) and Adam's two moments. A training step is then one backward
+pass and one adam_step call on whole buffers, and dropping a diverged
+slot is one fancy index per buffer, after which the views are bound
+again.
 """
 
 from __future__ import annotations
@@ -38,8 +48,6 @@ from .errors import (
 )
 from .layers import (
     LOSS_OUTPUT,
-    SIGMOID,
-    SOFTMAX,
     SPARSE_CATEGORICAL,
     Activation,
     DenseLayer,
@@ -88,20 +96,26 @@ def _loss(kind: str, predictions: np.ndarray, y: np.ndarray) -> np.ndarray:
     p1 = predictions[..., -1]
     p0 = predictions[..., 0] if kind == SPARSE_CATEGORICAL else 1.0 - p1
     p_true = np.clip(np.where(y == 1, p1, p0), _CLAMP, 1.0 - _CLAMP)
-    return -np.log(p_true).mean(axis=-1)
+    return -_mean(np.log(p_true))
 
 
-def _loss_delta(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(p - y) / n per stack slot on validated labels; see loss_grad."""
-    if kind == SPARSE_CATEGORICAL:
-        p, target = activation_apply(SOFTMAX, z), y[..., None] == (0, 1)
-    else:
-        p, target = activation_apply(SIGMOID, z), y[..., None]
-    return (p - target) / z.shape[-2]
+def _loss_delta(kind: str, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(p - y) / n per stack slot from the output layer's probabilities
+    p on validated labels; see loss_grad."""
+    target = y[..., None] == (0, 1) if kind == SPARSE_CATEGORICAL else y[..., None]
+    delta = p - target
+    delta /= p.shape[-2]
+    return delta
 
 
 def _accuracy(kind: str, probabilities: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.mean(predict_labels(kind, probabilities) == y, axis=-1)
+    return _mean(predict_labels(kind, probabilities) == y)
+
+
+def _mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1) without its Python-level wrapper: the same
+    float64 sum divided by the count."""
+    return np.add.reduce(a, axis=-1, dtype=np.float64) / a.shape[-1]
 
 
 def loss_forward(kind: str, predictions: np.ndarray, labels) -> float:
@@ -125,7 +139,8 @@ def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray
     z = pre_activation_final
     y = _check_labels(labels, (z.shape[0],))
     _check_output(kind, z.shape)
-    return _loss_delta(kind, z, y)
+    output = Activation(LOSS_OUTPUT[kind][1])
+    return _loss_delta(kind, activation_apply(output, z), y)
 
 
 class AdamState:
@@ -160,19 +175,22 @@ def adam_step(state: AdamState, params: list[np.ndarray],
                 f"adam_step: param {i} shape {p.shape} vs grad {g.shape}"
             )
         m, v = state.m[i], state.v[i]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
         # the formula above, one operation at a time and in its order,
-        # reusing two temporaries
-        denom = v / (1.0 - BETA2**t)
-        np.sqrt(denom, out=denom)
-        denom += EPSILON
+        # in two temporaries; the second becomes the new parameter
+        tmp = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
+        m += tmp
+        np.multiply(g, 1.0 - BETA2, out=tmp)
+        tmp *= g
+        v *= BETA2
+        v += tmp
+        np.divide(v, 1.0 - BETA2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += EPSILON
         step = m / (1.0 - BETA1**t)
         step *= state.learning_rate
-        step /= denom
-        out.append(p - step)
+        step /= tmp
+        out.append(np.subtract(p, step, out=step))
     return out
 
 
@@ -341,7 +359,15 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     layers = stack_layers(
         [network_init(c, SeededRng(c.seed)) for c in configs]
     )
-    state = AdamState(_parameters(layers), config.learning_rate)
+    # one (S, P) buffer each for parameters, gradients and Adam's
+    # moments; see the module docstring
+    theta = np.concatenate(
+        [a.reshape(len(configs), -1) for a in _parameters(layers)], axis=1
+    )
+    _set_parameters(layers, theta)
+    grad = np.empty_like(theta)
+    grads = _views(grad, layers)
+    state = AdamState([theta], config.learning_rate)
     histories = [History() for _ in configs]
     outcomes = [None] * len(configs)
     live = list(range(len(configs)))  # config index of each stack slot
@@ -351,6 +377,7 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
         """forward() for the live slots. A slot it finds non-finite is
         dropped with its DivergenceError and forward() is repeated for
         the rest; returns None once no slot is left."""
+        nonlocal theta, grad, grads
         while live:
             try:
                 return forward()
@@ -366,10 +393,11 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
                 keep = [p for p in range(len(live)) if p not in exc.slots]
                 live[:] = [live[p] for p in keep]
                 data[:] = [a[keep] for a in data]
-                for layer in layers:
-                    layer.weights, layer.bias = layer.weights[keep], layer.bias[keep]
-                state.m = [m[keep] for m in state.m]
-                state.v = [v[keep] for v in state.v]
+                theta, grad = theta[keep], grad[keep]
+                _set_parameters(layers, theta)
+                grads = _views(grad, layers)
+                state.m = [state.m[0][keep]]
+                state.v = [state.v[0][keep]]
         return None
 
     kind = config.loss
@@ -380,12 +408,11 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
         for epoch in range(1, config.epochs + 1):
             if train_pass is None:
                 break
-            caches, _ = train_pass
-            delta = _loss_delta(kind, caches[-1][1], data[1])
-            grads = network_backward(layers, caches, delta)
-            params = adam_step(state, _parameters(layers), grads)
-            for i, layer in enumerate(layers):
-                layer.weights, layer.bias = params[2 * i], params[2 * i + 1]
+            caches, probs = train_pass
+            delta = _loss_delta(kind, probs, data[1])
+            network_backward(layers, caches, delta, out=grads)
+            (theta,) = adam_step(state, [theta], [grad])
+            _set_parameters(layers, theta)
 
             passes = guarded(
                 lambda: (
@@ -422,3 +449,21 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
 
 def _parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
     return [a for layer in layers for a in (layer.weights, layer.bias)]
+
+
+def _views(flat: np.ndarray, layers: list[DenseLayer]) -> list[np.ndarray]:
+    """Views of an (S, P) buffer shaped like the layers' parameters, in
+    parameter order: the spans the parameters occupy in theta."""
+    views, start = [], 0
+    for a in _parameters(layers):
+        stop = start + a.shape[-2] * a.shape[-1]
+        views.append(flat[:, start:stop].reshape((len(flat),) + a.shape[-2:]))
+        start = stop
+    return views
+
+
+def _set_parameters(layers: list[DenseLayer], theta: np.ndarray) -> None:
+    """Point each layer's weights and bias at its span of theta."""
+    params = _views(theta, layers)
+    for i, layer in enumerate(layers):
+        layer.weights, layer.bias = params[2 * i], params[2 * i + 1]

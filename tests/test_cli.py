@@ -91,6 +91,16 @@ def test_synth_rejects_a_separation_that_is_or_makes_non_finite(
     assert not out.exists()
 
 
+def test_synth_reads_a_negative_exponent_value_after_a_space(tmp_path):
+    # argparse alone reads "-1e3" as an unknown option
+    spaced, joined = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("synth", "--samples-per-class", 3, "--features", 2,
+               "--separation", "-1e3", "--out", spaced) == EXIT_OK
+    assert run("synth", "--samples-per-class", 3, "--features", 2,
+               "--separation=-1e3", "--out", joined) == EXIT_OK
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
 # --------------------------------------------------------------------- train
 
 

@@ -1,0 +1,196 @@
+"""Bit-identity properties of the fused elementwise kernels.
+
+Each kernel of the training step is compared, element by element and
+bit for bit, with the textbook formula it replaces. The formulas live
+here as oracles. Inputs are 2-D or stacked (S, rows, cols) arrays that
+mix ordinary doubles with -0.0, subnormals, +-1e308, +-inf, NaN and
+exact zeros.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from fasdnet.layers import (
+    IDENTITY,
+    RELU,
+    SIGMOID,
+    DenseLayer,
+    _delta_through,
+    activation_apply,
+    activation_grad,
+    dense_forward,
+    leaky_relu,
+)
+from fasdnet.matrix import add_row_broadcast, matmul
+from fasdnet.training import BETA1, BETA2, EPSILON, AdamState, adam_step
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+           1e308, -1e308, 1.7976931348623157e308, float("inf"),
+           float("-inf"), float("nan"), 1.0, -1.0, 0.5, -30.0, 40.0]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+SHAPES = hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=9)
+SLOPES = st.one_of(st.sampled_from([0.01, 0.2, 0.5, 5e-324]),
+                   st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+# no deadline: these examples check bits, not time, and shared machines
+# stall now and then
+KERNEL_SETTINGS = settings(deadline=None, max_examples=100)
+
+
+def arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=VALUES)
+
+
+@st.composite
+def pairs(draw):
+    """Two arrays of one shape: a pre-activation z and an upstream delta."""
+    shape = draw(SHAPES)
+    return draw(arrays(shape)), draw(arrays(shape))
+
+
+def assert_same_bits(got, want):
+    """Same shape and, element by element, the same IEEE bits. A NaN
+    need only be NaN in the same place: the formulas do not fix its
+    sign or payload."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def sigmoid_oracle(z):
+    # the two-branch form, one branch per boolean mask
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@KERNEL_SETTINGS
+@given(arrays(SHAPES), SLOPES)
+def test_leaky_relu_forward_is_the_piecewise_formula(z, slope):
+    with np.errstate(all="ignore"):
+        want = np.where(z > 0.0, z, slope * z)
+        assert_same_bits(activation_apply(leaky_relu(slope), z), want)
+
+
+@KERNEL_SETTINGS
+@given(arrays(SHAPES))
+def test_sigmoid_forward_is_the_two_branch_formula(z):
+    with np.errstate(all="ignore"):
+        assert_same_bits(activation_apply(SIGMOID, z), sigmoid_oracle(z))
+
+
+@KERNEL_SETTINGS
+@given(pairs(), SLOPES)
+def test_leaky_relu_backward_is_delta_times_the_derivative(zd, slope):
+    z, delta = zd
+    act = leaky_relu(slope)
+    with np.errstate(all="ignore"):
+        derivative = np.where(z > 0.0, 1.0, slope)
+        assert_same_bits(activation_grad(act, z), derivative)
+        got = _delta_through(act, z, activation_apply(act, z), delta.copy())
+        assert_same_bits(got, delta * derivative)
+
+
+@KERNEL_SETTINGS
+@given(pairs())
+def test_sigmoid_backward_from_the_cached_output(zd):
+    z, delta = zd
+    with np.errstate(all="ignore"):
+        s = sigmoid_oracle(z)
+        want = delta * (s * (1.0 - s))
+        out = activation_apply(SIGMOID, z)
+        assert_same_bits(_delta_through(SIGMOID, z, out, delta.copy()), want)
+
+
+@KERNEL_SETTINGS
+@given(pairs())
+def test_relu_backward_from_the_cached_output(zd):
+    z, delta = zd
+    with np.errstate(all="ignore"):
+        want = delta * (z > 0.0).astype(np.float64)
+        out = activation_apply(RELU, z)
+        assert_same_bits(_delta_through(RELU, z, out, delta.copy()), want)
+
+
+@KERNEL_SETTINGS
+@given(pairs())
+def test_identity_backward_passes_delta_through(zd):
+    z, delta = zd
+    with np.errstate(all="ignore"):
+        want = delta * np.ones_like(z)
+        got = _delta_through(IDENTITY, z, activation_apply(IDENTITY, z),
+                             delta.copy())
+        assert_same_bits(got, want)
+
+
+@st.composite
+def dense_operands(draw):
+    lead = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    rows, fan_in, fan_out = (draw(st.integers(1, 7)) for _ in range(3))
+    return (draw(arrays(lead + (rows, fan_in))),
+            draw(arrays(lead + (fan_in, fan_out))),
+            draw(arrays(lead + (1, fan_out))))
+
+
+@KERNEL_SETTINGS
+@given(dense_operands())
+def test_dense_forward_adds_the_bias_like_add_row_broadcast(operands):
+    x, weights, bias = operands
+    with np.errstate(all="ignore"):
+        want = add_row_broadcast(matmul(x, weights), bias)
+        z, _ = dense_forward(DenseLayer(weights, bias, IDENTITY), x)
+    assert_same_bits(z, want)
+
+
+@st.composite
+def adam_runs(draw):
+    """Parameter tensors sharing a leading stack axis, several steps of
+    gradients for each, and a learning rate."""
+    slots = draw(st.integers(1, 3))
+    shapes = draw(st.lists(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1,
+        max_size=4))
+    shapes = [(slots,) + shape for shape in shapes]
+    params = [draw(arrays(shape)) for shape in shapes]
+    steps = draw(st.integers(1, 5))
+    grads = [[draw(arrays(shape)) for shape in shapes] for _ in range(steps)]
+    return params, grads, draw(st.sampled_from([1e-3, 0.1, 1e152]))
+
+
+def _flat(tensors):
+    return np.concatenate([t.reshape(len(t), -1) for t in tensors], axis=1)
+
+
+@KERNEL_SETTINGS
+@given(adam_runs())
+def test_one_flat_adam_step_equals_the_textbook_step_per_tensor(run):
+    # the training loop keeps every parameter in one (S, P) buffer
+    params, grads, lr = run
+    per_tensor = AdamState(params, lr)
+    flat = AdamState([_flat(params)], lr)
+    cur, cur_flat = params, [_flat(params)]
+    want = params
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    with np.errstate(all="ignore"):
+        for t, step in enumerate(grads, start=1):
+            cur = adam_step(per_tensor, cur, step)
+            cur_flat = adam_step(flat, cur_flat, [_flat(step)])
+            m = [BETA1 * a + (1.0 - BETA1) * g for a, g in zip(m, step)]
+            v = [BETA2 * a + (1.0 - BETA2) * g * g for a, g in zip(v, step)]
+            want = [
+                p - lr * (a / (1.0 - BETA1**t))
+                / (np.sqrt(b / (1.0 - BETA2**t)) + EPSILON)
+                for p, a, b in zip(want, m, v)
+            ]
+    for got, oracle in zip(cur, want):
+        assert_same_bits(got, oracle)
+    assert_same_bits(cur_flat[0], _flat(want))
+    assert_same_bits(flat.m[0], _flat(m))
+    assert_same_bits(flat.v[0], _flat(v))

@@ -1,6 +1,7 @@
 """Loss, Adam, and training-loop tests."""
 
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -266,6 +267,14 @@ def test_train_divergence_names_epoch():
     assert "layer" in str(err.value)
 
 
+def test_divergence_error_survives_pickle():
+    # a run that diverges in a worker process reaches its parent pickled
+    err = pickle.loads(pickle.dumps(
+        DivergenceError("training diverged at epoch 3: layer 1 ...", 3)))
+    assert type(err) is DivergenceError
+    assert (str(err), err.epoch) == ("training diverged at epoch 3: layer 1 ...", 3)
+
+
 def test_predict_on_overflowing_input_raises_non_finite():
     ds = _separable_set(4, 6)
     cfg = NetworkConfig(6, ((1, SIGMOID),), "binary", False, 3, 0.001, 0)
@@ -382,6 +391,30 @@ def test_train_many_drops_diverging_slots_and_carries_on():
         else:
             _assert_same_run(got, want)
     assert len(epochs) not in (0, len(seeds)) and max(epochs) > 1
+
+
+def test_train_many_survivors_of_mid_run_drops_write_their_solo_files():
+    # slots 0, 1, 3 and 4 diverge at epochs 17-29, one or two at a time,
+    # so the flat parameter buffer is cut down and its views re-bound
+    # while slots 2 and 5 train on; their model.json and history.csv
+    # must be byte for byte what a run of their own writes
+    from fasdnet.experiment import REGISTRY
+
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(3))
+    seeds = list(range(6))
+    configs = [replace(REGISTRY["psychometric-feature-layer"].config,
+                       input_dim=20, epochs=30, learning_rate=7e151, seed=s)
+               for s in seeds]
+    splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in seeds]
+    stacked = _train_stacked(configs, splits)
+    dropped = [got.epoch for got in stacked if isinstance(got, DivergenceError)]
+    assert len(dropped) == 4 and 1 < min(dropped) < max(dropped) < 30
+    for config, (tr, te), got in zip(configs, splits, stacked):
+        if isinstance(got, DivergenceError):
+            continue
+        model, history = train(config, tr.x, tr.y, te.x, te.y)
+        assert got[0].to_json() == model.to_json()
+        assert got[1].to_csv_text() == history.to_csv_text()
 
 
 def test_train_many_rejects_configs_that_differ_beyond_seed():
