@@ -3,8 +3,10 @@
 Every command is deterministic given its flags, input file bytes, and
 seed. Commands that create an output directory also write a single
 manifest.json recording the command line, input hashes, seed, tool
-version, timestamp, and the Python, numpy and BLAS that ran it (trained
-weights depend on the BLAS), so a run can be re-executed exactly.
+version, timestamp, and the Python, numpy, BLAS and worker count that
+ran it (trained weights depend on the BLAS), so a run can be
+re-executed exactly. A sweep's manifest also records each spec's
+seconds, which sweep prints to stderr as well.
 
 Exit codes: 0 success, 2 usage, 3 data error (including missing or
 malformed input files) and every other toolkit error without a code of
@@ -49,6 +51,7 @@ from .experiment import (
     ConfusionMatrix,
     ExperimentSpec,
     RunResult,
+    _openblas,
     battery_medians,
     comparison_report,
     resolve_specs,
@@ -89,21 +92,11 @@ def _out_dir(args) -> Path:
 def _blas_threads() -> int | None:
     """Thread count reported by the loaded OpenBLAS, or None if none is
     found (another BLAS, or no /proc/self/maps)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-        for lib in sorted(libs):
-            handle = ctypes.CDLL(lib)
-            for symbol in ("scipy_openblas_get_num_threads64_",
-                           "openblas_get_num_threads64_",
-                           "openblas_get_num_threads"):
-                if hasattr(handle, symbol):
-                    get_threads = getattr(handle, symbol)
-                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                    return get_threads()
-    except OSError:
-        pass
-    return None
+    get_threads = _openblas("get_num_threads")
+    if get_threads is None:
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
 
 
 @functools.cache
@@ -122,7 +115,8 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash) -> None:
+def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash,
+                    workers: int = 1, **extra) -> None:
     doc = {
         "command_line": ["fasdnet"] + list(argv),
         "config_hash": config_hash,
@@ -130,7 +124,8 @@ def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash) -> None:
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "environment": _environment(),
+        "environment": {**_environment(), "workers": workers},
+        **extra,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(doc, indent=2) + "\n", encoding="utf-8"
@@ -235,7 +230,12 @@ def cmd_sweep(args, argv) -> int:
         sweep.summary_json_text(), encoding="utf-8"
     )
     config_digest = _sha256_text("".join(s.config.to_json() for s in specs))
-    _write_manifest(out_dir, argv, seeds[0], config_digest, data_hash)
+    timings = sweep.timings()
+    _write_manifest(out_dir, argv, seeds[0], config_digest, data_hash,
+                    sweep.workers, timings=timings)
+    for name, t in timings.items():
+        print(f"{name}: {t['seeds']} seeds, {t['failures']} failed, "
+              f"{t['seconds']:.2f} s", file=sys.stderr)
     sys.stdout.write(sweep.summary_text())
     print(f"{len(sweep.results)} runs ({len(sweep.failures)} failed); "
           f"artifacts in {out_dir}")

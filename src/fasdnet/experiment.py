@@ -24,7 +24,11 @@ because the runs behind them fixed neither seeds nor splits.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -394,6 +398,19 @@ class SweepResult:
     failures: list[tuple[str, int, str]]
     spec_order: list[str]
     seeds: list[int]
+    seconds: list[float] = field(default_factory=list)  # per spec, in spec_order
+    workers: int = 1
+
+    def timings(self) -> dict[str, dict]:
+        """Seeds, failed runs and seconds per spec, in spec order. They
+        vary from run to run, so they go to stderr and manifest.json,
+        never into the byte-identical files."""
+        failed = Counter(name for name, _, _ in self.failures)
+        return {
+            name: {"seeds": len(self.seeds), "failures": failed[name],
+                   "seconds": seconds}
+            for name, seconds in zip(self.spec_order, self.seconds)
+        }
 
     def per_spec_stats(self) -> list[SpecStats]:
         stats = []
@@ -479,13 +496,91 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _openblas(stem: str):
+    """The loaded OpenBLAS's `openblas_<stem>` function through ctypes,
+    or None if none is found (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+        for lib in sorted(libs):
+            handle = ctypes.CDLL(lib)
+            for symbol in (f"scipy_openblas_{stem}64_", f"openblas_{stem}64_",
+                           f"openblas_{stem}"):
+                if hasattr(handle, symbol):
+                    return getattr(handle, symbol)
+    except OSError:
+        pass
+    return None
+
+
+def _pin_blas() -> None:
+    """Pool initializer: one BLAS thread per worker, so that the workers
+    do not contend for the cores they already fill."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def _run_spec(task):
+    """One sweep spec, run in a worker: (RunResult or FasdnetError per
+    seed, in seed order; the worker's seconds). The trained models stay
+    behind, because the sweep reports only results."""
+    spec, ds, seeds = task
+    start = time.perf_counter()
+    outcomes = [
+        outcome if isinstance(outcome, FasdnetError) else outcome[0]
+        for outcome in _run_seeds(spec, ds, seeds)
+    ]
+    return outcomes, time.perf_counter() - start
+
+
+def _map_specs(tasks, workers: int):
+    """(_run_spec over tasks in order, worker count used).
+
+    The tasks run on a pool of forked workers, each taking the next
+    task in the given order as soon as it is free; a worker that dies
+    fails the sweep with BrokenProcessPool instead of losing its task.
+    They run in this process instead when there is one worker, no fork,
+    or another thread, which a fork could catch holding a lock."""
+    # only sweeps pay for these imports
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1):
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, context, _pin_blas) as pool:
+            return list(pool.map(_run_spec, tasks)), workers
+    return list(map(_run_spec, tasks)), 1
+
+
+def _cost(spec: ExperimentSpec, ds: Dataset) -> int:
+    """epochs x rows x the weight count: proportional to a spec's
+    training time on ds."""
+    rows = 2 * min(ds.class_counts()) if spec.balance else ds.n_rows
+    widths = [ds.n_features - len(spec.ablate)]
+    widths += [width for width, _ in spec.config.layers]
+    weights = sum(a * b for a, b in zip(widths, widths[1:]))
+    return spec.config.epochs * rows * weights
+
+
 def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
     """Run every spec x seed combination; failures are recorded per run
     without aborting the sweep. Ordering is spec-major, deterministic.
 
     The seeds of one spec train as one stacked network (see
     training.train_many); every result is bit-identical to running
-    that seed alone, and memory grows linearly with the seed count."""
+    that seed alone, and memory grows linearly with the seed count.
+
+    The specs run on one forked worker process per available CPU (at
+    most one per spec), the most expensive first; each worker's BLAS
+    runs one thread. A spec's results do not depend on which worker
+    ran it, so the results, and every file written from them, are the
+    same bytes for any worker count. With one worker, where fork is
+    unavailable, or while another thread runs, the specs run in this
+    process."""
     specs = list(specs)
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -493,14 +588,22 @@ def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate spec names in sweep: {names}")
-    results, failures = [], []
-    for spec in specs:
-        for seed, outcome in zip(seeds, _run_seeds(spec, ds, seeds)):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    order = sorted(range(len(specs)), key=lambda i: -_cost(specs[i], ds))
+    outputs, workers = _map_specs(
+        [(specs[i], ds, seeds) for i in order], min(len(specs), cpus)
+    )
+    by_spec = dict(zip(order, outputs))
+    results, failures, seconds = [], [], []
+    for i, spec in enumerate(specs):
+        outcomes, spec_seconds = by_spec[i]
+        seconds.append(spec_seconds)
+        for seed, outcome in zip(seeds, outcomes):
             if isinstance(outcome, FasdnetError):
                 failures.append((spec.name, seed, str(outcome)))
             else:
-                results.append(outcome[0])
-    return SweepResult(results, failures, names, seeds)
+                results.append(outcome)
+    return SweepResult(results, failures, names, seeds, seconds, workers)
 
 
 # Published test accuracies for the feature-layer models, in percent.

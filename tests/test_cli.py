@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import platform
 import re
 import warnings
@@ -547,10 +548,11 @@ def test_every_output_directory_has_one_manifest(data_csv, tmp_path):
         manifests = list(d.glob("*manifest*"))
         assert len(manifests) == 1
         doc = json.loads(manifests[0].read_text())
+        # only a sweep times its specs
         assert set(doc) == {
             "command_line", "config_hash", "data_file_hash", "seed",
             "tool_version", "timestamp", "environment",
-        }
+        } | ({"timings"} if d.name == "s" else set())
 
 
 def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
@@ -559,8 +561,9 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
         "--spec", "psychometric-feature-layer", "--out-dir", out_dir)
     env = json.loads((out_dir / "manifest.json").read_text())["environment"]
     assert set(env) == {
-        "python", "numpy", "blas", "blas_version", "blas_threads",
+        "python", "numpy", "blas", "blas_version", "blas_threads", "workers",
     }
+    assert env["workers"] == 1  # train runs in one process
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -569,3 +572,27 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     # found once per process, not once per manifest
     assert _environment() is _environment()
+
+
+def test_sweep_times_each_spec_on_stderr_and_in_the_manifest(
+        data_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    out_dir = tmp_path / "s"
+    specs = ["table2-row1", "psychometric-feature-layer", "table2-row2"]
+    assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", ",".join(specs), "--seeds", "0,1",
+               "--out-dir", out_dir) == EXIT_OK
+    doc = json.loads((out_dir / "manifest.json").read_text())
+    assert doc["environment"]["workers"] == 2
+    timings = doc["timings"]
+    assert list(timings) == specs  # spec order, not run order
+    err = capsys.readouterr().err.splitlines()
+    for name, line in zip(specs, err):
+        t = timings[name]
+        assert (t["seeds"], t["failures"]) == (2, 0) and t["seconds"] > 0
+        assert line == f"{name}: 2 seeds, 0 failed, {t['seconds']:.2f} s"
+    assert len(err) == len(specs)
+    # timings vary from run to run and stay out of the other files
+    for name in ("runs.csv", "summary.json", "summary.txt"):
+        assert "seconds" not in (out_dir / name).read_text()

@@ -1,7 +1,13 @@
 """Dataset ingestion, schema, balancing, splitting, and synthesis tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fasdnet.data import (
     BATTERIES,
@@ -346,3 +352,82 @@ def test_synthesize_bounds():
         synthesize_dataset(0, 5, 1.0, SeededRng(0))
     with pytest.raises(DataError):
         synthesize_dataset(5, 0, 1.0, SeededRng(0))
+
+
+# ---------------------------------------------------------------- properties
+
+# no deadline: these examples check values, not time, and shared
+# machines stall now and then
+PROPERTY_SETTINGS = settings(deadline=None, max_examples=100)
+FINITE_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e308, -1e308, 1.7976931348623157e308, 0.1, -1.0 / 3.0]
+FINITE = st.one_of(st.sampled_from(FINITE_SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def labelled_rows(draw, min_per_class=1):
+    """Labels with at least min_per_class of each class, in any order,
+    and a first feature that numbers the rows (so output rows can be
+    traced back to input rows)."""
+    n0 = draw(st.integers(min_per_class, 25))
+    n1 = draw(st.integers(min_per_class, 25))
+    y = np.array(draw(st.permutations([0] * n0 + [1] * n1)), dtype=np.int64)
+    extra = draw(st.integers(0, 3))
+    x = np.column_stack([np.arange(len(y), dtype=np.float64),
+                         np.zeros((len(y), extra))])
+    return Dataset("synthetic", tuple(f"f{j}" for j in range(1 + extra)), x, y)
+
+
+def row_ids(ds):
+    return ds.x[:, 0].astype(np.int64)
+
+
+@PROPERTY_SETTINGS
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                max_side=8),
+                  elements=FINITE),
+       st.data())
+def test_write_then_load_is_bit_exact_for_any_finite_doubles(x, data):
+    y = np.array(data.draw(st.lists(st.sampled_from([0, 1]),
+                                    min_size=len(x), max_size=len(x))))
+    ds = Dataset("synthetic", tuple(f"f{j}" for j in range(x.shape[1])), x, y)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "round.csv"
+        write_csv(ds, path)
+        back = load_csv(path, "synthetic")
+    assert back.x.tobytes() == x.tobytes()  # -0.0 keeps its sign bit
+    assert np.array_equal(back.y, y)
+    assert back.feature_names == ds.feature_names
+
+
+@PROPERTY_SETTINGS
+@given(labelled_rows(min_per_class=2),
+       st.floats(0.01, 0.99), st.integers(0, 2**64 - 1), st.booleans())
+def test_split_is_a_disjoint_exhaustive_partition(ds, fraction, seed,
+                                                  stratified):
+    train_set, test_set = stratified_split(
+        ds, SplitSpec(fraction, stratified=stratified, seed=seed))
+    train_ids, test_ids = row_ids(train_set), row_ids(test_set)
+    assert set(train_ids).isdisjoint(test_ids)
+    assert sorted(np.concatenate([train_ids, test_ids])) == list(range(ds.n_rows))
+    # each row keeps its label
+    assert np.array_equal(train_set.y, ds.y[train_ids])
+    assert np.array_equal(test_set.y, ds.y[test_ids])
+    if stratified:
+        for cls in (0, 1):
+            n_class = int(np.sum(ds.y == cls))
+            n_train = int(np.sum(train_set.y == cls))
+            assert 0 <= n_train - fraction * n_class < 1
+
+
+@PROPERTY_SETTINGS
+@given(labelled_rows(), st.integers(0, 2**64 - 1))
+def test_balance_gives_equal_classes_and_keeps_row_order(ds, seed):
+    balanced = balance_downsample(ds, SeededRng(seed))
+    controls, fasd = balanced.class_counts()
+    assert controls == fasd == min(ds.class_counts())
+    ids = row_ids(balanced)
+    assert np.all(np.diff(ids) > 0)  # original order, no repeats
+    assert np.array_equal(balanced.y, ds.y[ids])
+    assert np.array_equal(balanced.x, ds.x[ids])

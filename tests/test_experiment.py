@@ -1,22 +1,32 @@
 """Registry, runner, sweep, confusion-matrix, and comparison tests."""
 
+import faulthandler
 import hashlib
+import os
+import pickle
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fasdnet import experiment
 from fasdnet.data import SplitSpec, synthesize_dataset
 from fasdnet.errors import (
     ConfigError,
     ContractError,
     DataError,
+    DivergenceError,
+    FasdnetError,
+    NonFiniteError,
     ReportError,
     ShapeError,
 )
 from fasdnet.experiment import (
     REFERENCE_ACCURACIES,
     REGISTRY,
+    SPEC_SETS,
     BaselineTable,
     ConfusionMatrix,
     ExperimentSpec,
@@ -352,6 +362,108 @@ def test_sweep_with_diverging_seeds_matches_one_seed_at_a_time():
     assert sweep.runs_csv_text() == _MIXED_RUNS_CSV
     digest = hashlib.sha256(sweep.summary_json_text().encode()).hexdigest()
     assert digest == _MIXED_SUMMARY_SHA256
+
+
+def _see_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def _sweep_files(monkeypatch, cpus, specs, ds, seeds):
+    """runs.csv, summary.json and summary.txt text of a sweep that sees
+    `cpus` CPUs; checks that it used one worker per CPU, up to one per
+    spec."""
+    _see_cpus(monkeypatch, cpus)
+    sweep = run_sweep(specs, ds, seeds)
+    assert sweep.workers == min(cpus, len(specs))
+    assert len(sweep.seconds) == len(specs)
+    return sweep.runs_csv_text(), sweep.summary_json_text(), sweep.summary_text()
+
+
+def test_sweep_files_do_not_depend_on_the_worker_count(monkeypatch):
+    ds = synthesize_dataset(12, 20, 1.0, SeededRng(18))
+    specs = [_short(REGISTRY[name], epochs=20)
+             for name in SPEC_SETS["table2"]]
+    seeds = [0, 1]
+    one = _sweep_files(monkeypatch, 1, specs, ds, seeds)
+    two = _sweep_files(monkeypatch, 2, specs, ds, seeds)
+    assert one == two
+    assert one[0].count("\n") == 1 + len(specs) * len(seeds)
+
+
+def test_failures_cross_the_worker_pool_unchanged(monkeypatch):
+    # the mixed-outcome sweep above, next to a second spec so that the
+    # pool has two workers; the wider spec runs first
+    ds = synthesize_dataset(40, 20, 0.7, SeededRng(3))
+    specs = [_short(REGISTRY[name], learning_rate=3e101, epochs=60)
+             for name in ("table2-row1", "table2-row2")]
+    one = _sweep_files(monkeypatch, 1, specs, ds, range(8))
+    two = _sweep_files(monkeypatch, 2, specs, ds, range(8))
+    assert one == two
+    runs = one[0].splitlines(keepends=True)
+    assert [r for r in runs if r.startswith("table2-row1,")] == (
+        _MIXED_RUNS_CSV.splitlines(keepends=True)[1:])
+    assert "table2-row1 seed=2: table2-row1: training diverged" in one[2]
+
+
+def _pool_sweep(monkeypatch):
+    """A two-spec sweep that sees two CPUs."""
+    _see_cpus(monkeypatch, 2)
+    ds = synthesize_dataset(10, 6, 1.0, SeededRng(19))
+    specs = [_short(REGISTRY[name], epochs=2)
+             for name in ("table2-row1", "table2-row2")]
+    return run_sweep(specs, ds, [0])
+
+
+def test_sweep_runs_in_process_while_another_thread_runs(monkeypatch):
+    # a fork could copy the other thread's locks in a held state
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _pool_sweep(monkeypatch).workers == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _die(task):
+    os._exit(3)
+
+
+def test_a_worker_that_dies_fails_the_sweep(monkeypatch):
+    monkeypatch.setattr(experiment, "_run_spec", _die)
+    # a lost task must fail the sweep, not hang it
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            _pool_sweep(monkeypatch)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_toolkit_error_survives_pickle():
+    # a sweep worker sends its failures back to the parent through pickle
+    special = {
+        DivergenceError: DivergenceError("training diverged at epoch 7", 7),
+        NonFiniteError: NonFiniteError(
+            "layer 2 pre-activation is non-finite", layer=2, slots=(0, 3)),
+    }
+    classes = [FasdnetError, *_subclasses(FasdnetError)]
+    assert set(special) <= set(classes)
+    for cls in classes:
+        error = special.get(cls) or cls(f"a {cls.__name__} message")
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is cls
+        assert (back.args, str(back)) == (error.args, str(error))
+        assert vars(back) == vars(error)  # epoch; layer and slots
 
 
 def test_sweep_requires_seeds_and_unique_names():
