@@ -3,10 +3,11 @@
 Every command is deterministic given its flags, input file bytes, and
 seed. Commands that create an output directory also write a single
 manifest.json recording the command line, input hashes, seed, tool
-version, timestamp, and the Python, numpy, BLAS and worker count that
-ran it (trained weights depend on the BLAS), so a run can be
-re-executed exactly. A sweep's manifest also records each spec's
-seconds, which sweep prints to stderr as well.
+version, timestamp, and the Python, numpy, BLAS, BLAS thread count
+and worker count of the processes that trained (trained weights depend
+on the BLAS), so a run can be re-executed exactly. A sweep's manifest
+also records each spec's seconds, which sweep prints to stderr as
+well.
 
 Exit codes: 0 success, 2 usage, 3 data error (including missing or
 malformed input files) and every other toolkit error without a code of
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import functools
 import hashlib
 import json
@@ -46,13 +46,10 @@ from .errors import (
 from .experiment import (
     REGISTRY,
     BaselineTable,
-    ComparisonReport,
-    ComparisonRow,
     ConfusionMatrix,
     ExperimentSpec,
     RunResult,
-    _openblas,
-    battery_medians,
+    _blas_threads,
     comparison_report,
     resolve_specs,
     run_experiment_with_model,
@@ -89,16 +86,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _blas_threads() -> int | None:
-    """Thread count reported by the loaded OpenBLAS, or None if none is
-    found (another BLAS, or no /proc/self/maps)."""
-    get_threads = _openblas("get_num_threads")
-    if get_threads is None:
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return get_threads()
-
-
 @functools.cache
 def _environment() -> dict:
     """The Python, numpy and BLAS of this process, found once."""
@@ -116,7 +103,9 @@ def _environment() -> dict:
 
 
 def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash,
-                    workers: int = 1, **extra) -> None:
+                    trainers: dict | None = None, **extra) -> None:
+    """manifest.json; trainers overrides the environment's worker count
+    and BLAS threads when processes other than this one trained."""
     doc = {
         "command_line": ["fasdnet"] + list(argv),
         "config_hash": config_hash,
@@ -124,7 +113,7 @@ def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash,
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "environment": {**_environment(), "workers": workers},
+        "environment": {**_environment(), "workers": 1, **(trainers or {})},
         **extra,
     }
     (out_dir / "manifest.json").write_text(
@@ -231,8 +220,9 @@ def cmd_sweep(args, argv) -> int:
     )
     config_digest = _sha256_text("".join(s.config.to_json() for s in specs))
     timings = sweep.timings()
+    trainers = {"workers": sweep.workers, "blas_threads": sweep.blas_threads}
     _write_manifest(out_dir, argv, seeds[0], config_digest, data_hash,
-                    sweep.workers, timings=timings)
+                    trainers, timings=timings)
     for name, t in timings.items():
         print(f"{name}: {t['seeds']} seeds, {t['failures']} failed, "
               f"{t['seconds']:.2f} s", file=sys.stderr)
@@ -266,17 +256,7 @@ def cmd_report(args, argv) -> int:
                 )
     baselines = BaselineTable(user=user)
 
-    runs = _runs_from_csv(runs_path, summary)
-    try:
-        report = comparison_report(runs, baselines)
-    except ReportError:
-        # no battery has a baseline value: report our medians alone
-        report = ComparisonReport(
-            [ComparisonRow(battery, ours, None, None, None)
-             for battery, ours in battery_medians(runs).items()],
-            None,
-            None,
-        )
+    report = comparison_report(_runs_from_csv(runs_path, summary), baselines)
     out_dir = _out_dir(args)
     (out_dir / "comparison.csv").write_text(
         report.to_csv_text(), encoding="utf-8"

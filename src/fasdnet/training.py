@@ -30,6 +30,11 @@ of it) and Adam's two moments. A training step is then one backward
 pass and one adam_step call on whole buffers, and dropping a diverged
 slot is one fancy index per buffer, after which the views are bound
 again.
+
+TrainedModel.to_json writes the text of json.dumps(indent=2) but
+formats the weight arrays itself, in _json_indented, because json's
+indenting encoder is pure Python and cost as much as a short training
+run.
 """
 
 from __future__ import annotations
@@ -244,24 +249,24 @@ class TrainedModel:
         return predict_labels(self.config.loss, self.predict_proba(x))
 
     def to_json(self) -> str:
+        """Exactly json.dumps(doc, indent=2) + "\\n" of the config, the
+        norm statistics and the layers. _json_indented writes it,
+        because with indent=2 json runs its pure-Python encoder."""
         doc = {
             "config": self.config.to_dict(),
             "norm": None
             if self.norm is None
-            else {
-                "means": self.norm.means.tolist(),
-                "stds": self.norm.stds.tolist(),
-            },
+            else {"means": self.norm.means, "stds": self.norm.stds},
             "layers": [
                 {
-                    "weights": layer.weights.tolist(),
-                    "bias": layer.bias[0].tolist(),
+                    "weights": layer.weights,
+                    "bias": layer.bias[0],
                     **layer.activation.to_dict(),
                 }
                 for layer in self.layers
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _json_indented(doc) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
@@ -283,6 +288,39 @@ class TrainedModel:
                 )
             )
         return cls(config, norm, stack)
+
+
+def _json_indented(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), each line after the first indented
+    by pad, for a JSON value with string keys that may hold numpy
+    arrays (written as their .tolist()).
+
+    A finite 1-D float64 array is written by float.__repr__, the
+    formatter json uses for finite floats, in one join; dicts, lists
+    and the rows of an array recurse. json.dumps writes the rest
+    (scalars, strings, None, empty containers, arrays with NaN or
+    inf), re-indented: a JSON string holds no raw newline, so every
+    newline in json's output starts a line."""
+    inner = pad + "  "
+    if isinstance(value, np.ndarray) and value.ndim > 1:
+        value = list(value)
+    if isinstance(value, dict) and value:
+        brackets = "{}"
+        items = (f"{json.dumps(key)}: {_json_indented(item, inner)}"
+                 for key, item in value.items())
+    elif isinstance(value, list) and value:
+        brackets = "[]"
+        items = (_json_indented(item, inner) for item in value)
+    elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
+          and value.dtype == np.float64 and np.isfinite(value).all()):
+        brackets = "[]"
+        items = map(float.__repr__, value.tolist())
+    else:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{pad}{brackets[1]}")
 
 
 def train(config: NetworkConfig, x_train: np.ndarray, y_train,

@@ -1,5 +1,6 @@
 """End-to-end command tests: artifacts, determinism, exit codes."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -20,7 +21,13 @@ from fasdnet.cli import (
     main,
 )
 from fasdnet.data import load_csv
-from fasdnet.experiment import comparison_report, BaselineTable
+from fasdnet.experiment import (
+    BaselineTable,
+    _blas_threads,
+    _openblas,
+    comparison_report,
+)
+from fasdnet.layers import SIGMOID, NetworkConfig
 
 
 # small synthetic files under real battery names trip the row-count notice;
@@ -572,6 +579,36 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     # found once per process, not once per manifest
     assert _environment() is _environment()
+
+
+@pytest.mark.parametrize("cpus, workers, threads",
+                         [({0}, 1, 2), ({0, 1}, 2, 1)])
+def test_sweep_manifest_records_the_blas_threads_that_trained(
+        data_csv, tmp_path, monkeypatch, cpus, workers, threads):
+    # this process runs two BLAS threads; a pooled sweep's workers run
+    # one each, and the manifest must say what the trainers ran
+    set_threads = _openblas("set_num_threads")
+    if set_threads is None:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    config = NetworkConfig(20, ((1, SIGMOID),), "binary", epochs=1)
+    for name in ("a", "b"):  # two specs, so that two workers run
+        (cfg_dir / f"{name}.json").write_text(config.to_json())
+    before = _blas_threads()
+    set_threads(2)
+    try:
+        assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+                   "--specs", cfg_dir, "--seeds", "0",
+                   "--out-dir", tmp_path / "s") == EXIT_OK
+    finally:
+        set_threads(before)
+    env = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    env = env["environment"]
+    assert (env["workers"], env["blas_threads"]) == (workers, threads)
 
 
 def test_sweep_times_each_spec_on_stderr_and_in_the_manifest(

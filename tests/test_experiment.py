@@ -566,9 +566,14 @@ def test_comparison_median_aggregation_per_battery():
 def test_comparison_errors():
     with pytest.raises(ReportError):
         comparison_report([], BaselineTable())
-    # antisaccade has no published reference value
-    with pytest.raises(ReportError, match="no overlap"):
-        comparison_report([_FakeResult("antisaccade", 0.8)], BaselineTable())
+    # antisaccade has no published reference value: our medians alone
+    report = comparison_report(
+        [_FakeResult("antisaccade", 0.8), _FakeResult("antisaccade", 0.6)],
+        BaselineTable(),
+    )
+    assert [(r.battery, r.ours, r.reference, r.user, r.diff)
+            for r in report.rows] == [("antisaccade", 70.0, None, None, None)]
+    assert report.mean_diff is None and report.std_diff is None
 
 
 def test_comparison_user_baselines_fill_missing_batteries():

@@ -1,5 +1,6 @@
 """Loss, Adam, and training-loop tests."""
 
+import json
 import math
 import pickle
 import warnings
@@ -7,6 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fasdnet.data import SplitSpec, stratified_split, synthesize_dataset
 from fasdnet.errors import (
@@ -18,11 +22,13 @@ from fasdnet.errors import (
 )
 from fasdnet.layers import (
     BINARY,
+    IDENTITY,
     RELU,
     SIGMOID,
     SOFTMAX,
     SPARSE_CATEGORICAL,
     DenseLayer,
+    FeatureNormLayer,
     NetworkConfig,
     leaky_relu,
 )
@@ -31,6 +37,7 @@ from fasdnet.training import (
     AdamState,
     History,
     TrainedModel,
+    _json_indented,
     adam_step,
     loss_forward,
     loss_grad,
@@ -495,6 +502,128 @@ def test_trained_model_json_round_trip():
                                    model.predict_proba(ds.x), atol=0)
         # a second serialization is byte-identical
         assert back.to_json() == model.to_json()
+
+
+# no deadline: these examples check bytes, not time, and shared machines
+# stall now and then
+PROPERTY_SETTINGS = settings(deadline=None, max_examples=100)
+FINITE_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-05, -1e-05, 1e16,
+                  1e308, -1e308, 1.7976931348623157e308, 0.1, -1.0 / 3.0]
+FINITE = st.one_of(st.sampled_from(FINITE_SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+ANY_FLOAT = st.one_of(st.sampled_from([float("nan"), float("inf"),
+                                       float("-inf")]), FINITE)
+HIDDEN = st.sampled_from([IDENTITY, RELU, SIGMOID, leaky_relu(),
+                          leaky_relu(0.3)])
+
+
+def _json_oracle(model) -> str:
+    """model.json as json.dumps writes it from nested lists."""
+    norm = model.norm
+    doc = {
+        "config": model.config.to_dict(),
+        "norm": None if norm is None else {"means": norm.means.tolist(),
+                                           "stds": norm.stds.tolist()},
+        "layers": [{"weights": layer.weights.tolist(),
+                    "bias": layer.bias[0].tolist(),
+                    **layer.activation.to_dict()}
+                   for layer in model.layers],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def trained_models(draw):
+    """A TrainedModel of one to four layers of random widths, with or
+    without norm statistics, whose numbers include -0.0, subnormals,
+    1e-05, 1e16 and +-1e308."""
+    loss = draw(st.sampled_from([SPARSE_CATEGORICAL, BINARY]))
+    output = (2, SOFTMAX) if loss == SPARSE_CATEGORICAL else (1, SIGMOID)
+    hidden = draw(st.lists(st.tuples(st.integers(1, 6), HIDDEN), max_size=3))
+    input_dim = draw(st.integers(1, 6))
+    use_norm = draw(st.booleans())
+    config = NetworkConfig(input_dim, tuple(hidden) + (output,), loss,
+                           use_norm, draw(st.integers(1, 10**6)),
+                           draw(st.floats(1e-300, 10.0)),
+                           draw(st.integers(0, 2**64 - 1)))
+    widths = [input_dim] + [width for width, _ in config.layers]
+    layers = [
+        DenseLayer(draw(hnp.arrays(np.float64, (fan_in, fan_out),
+                                   elements=FINITE)),
+                   draw(hnp.arrays(np.float64, (1, fan_out), elements=FINITE)),
+                   act)
+        for fan_in, (fan_out, act) in zip(widths, config.layers)
+    ]
+    norm = None
+    if use_norm:
+        norm = FeatureNormLayer()
+        norm.means, norm.stds = (
+            draw(hnp.arrays(np.float64, input_dim, elements=FINITE))
+            for _ in range(2))
+    return TrainedModel(config, norm, layers)
+
+
+@PROPERTY_SETTINGS
+@given(trained_models())
+def test_model_json_is_json_dumps_text_and_reads_back_bit_for_bit(model):
+    text = model.to_json()
+    assert text == _json_oracle(model)
+    back = TrainedModel.from_json(text)
+    assert back.config == model.config
+    for got, want in zip(back.layers, model.layers):
+        # tobytes: -0.0 must keep its sign bit
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+        assert got.activation == want.activation
+    if model.norm is None:
+        assert back.norm is None
+    else:
+        assert back.norm.means.tobytes() == model.norm.means.tobytes()
+        assert back.norm.stds.tobytes() == model.norm.stds.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                min_side=0, max_side=4),
+                  elements=ANY_FLOAT))
+def test_indented_writer_matches_json_on_any_array(a):
+    # NaN and +-inf come out as json's NaN/Infinity, empty arrays as []
+    doc = {"a": a, "nested": [a, {"b": a, "empty": {}}, []], "none": None}
+    want = {"a": a.tolist(), "nested": [a.tolist(),
+                                        {"b": a.tolist(), "empty": {}}, []],
+            "none": None}
+    assert _json_indented(doc) == json.dumps(want, indent=2)
+    assert _json_indented(a) == json.dumps(a.tolist(), indent=2)
+
+
+def test_indented_writer_on_non_finite_and_empty_arrays():
+    inf, nan = float("inf"), float("nan")
+    assert _json_indented(np.array([1.0, nan, -inf, inf])) == (
+        "[\n  1.0,\n  NaN,\n  -Infinity,\n  Infinity\n]")
+    assert _json_indented({"w": np.array([[0.5, inf], [-0.0, 2.0]])}) == (
+        '{\n  "w": [\n    [\n      0.5,\n      Infinity\n    ],\n'
+        '    [\n      -0.0,\n      2.0\n    ]\n  ]\n}')
+    for shape in ((0,), (0, 3), (2, 0)):
+        a = np.empty(shape)
+        assert _json_indented([a]) == json.dumps([a.tolist()], indent=2)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True),
+       st.sampled_from([SPARSE_CATEGORICAL, BINARY]), st.booleans(),
+       st.integers(1, 20))
+def test_train_many_on_any_seeds_writes_each_seeds_solo_files(
+        seeds, loss, use_norm, epochs):
+    ds = synthesize_dataset(6, 4, 1.0, SeededRng(11))
+    output = (2, SOFTMAX) if loss == SPARSE_CATEGORICAL else (1, SIGMOID)
+    configs = [NetworkConfig(4, ((3, leaky_relu()), output), loss, use_norm,
+                             epochs, 0.01, seed) for seed in seeds]
+    splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in seeds]
+    for config, (tr, te), got in zip(configs, splits,
+                                     _train_stacked(configs, splits)):
+        model, history = train(config, tr.x, tr.y, te.x, te.y)
+        assert got[0].to_json() == model.to_json()
+        assert got[1].to_csv_text() == history.to_csv_text()
 
 
 def test_update_then_measure_epoch_semantics():
