@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import platform
-import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -349,9 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# what argparse would misread: it takes only -1 and -1.5 shaped tokens
-# for negative numbers, so it reads -1e3 or -inf as an unknown option
-_NEGATIVE_NUMBER = re.compile(r"-([\d.]+[eE][-+]?\d+|inf)", re.IGNORECASE)
+def _is_negative_number(token: str) -> bool:
+    """Whether token is a negative value float() reads. argparse takes
+    only -1 and -1.5 shaped tokens for negative numbers, so it reads
+    -1e3, -inf, -Infinity or -nan as an unknown option."""
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -359,7 +366,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     out = []
     for token in argv:
         if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and _NEGATIVE_NUMBER.fullmatch(token)):
+                and _is_negative_number(token)):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -57,15 +57,17 @@ class UnknownFeatureError(DataError):
 
 class DivergenceError(FasdnetError):
     """Training produced a non-finite pre-activation; records the
-    failing epoch (the message also names the layer)."""
+    failing epoch and the first non-finite layer (None where unknown),
+    which the message also names."""
 
-    def __init__(self, message: str, epoch: int):
+    def __init__(self, message: str, epoch: int, layer: int | None = None):
         super().__init__(message)
         self.epoch = epoch
+        self.layer = layer
 
     def __reduce__(self):
-        # args holds only the message; unpickling must pass the epoch too
-        return type(self), (self.args[0], self.epoch)
+        # args holds only the message; unpickling must pass the rest too
+        return type(self), (self.args[0], self.epoch, self.layer)
 
 
 class ReportError(FasdnetError):

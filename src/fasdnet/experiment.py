@@ -288,7 +288,7 @@ def resolve_specs(token: str) -> list[ExperimentSpec]:
 def _annotate(spec_name: str, exc: FasdnetError):
     message = f"{spec_name}: {exc}"
     if isinstance(exc, DivergenceError):
-        annotated = DivergenceError(message, exc.epoch)
+        annotated = DivergenceError(message, exc.epoch, exc.layer)
     else:
         annotated = type(exc)(message)
     annotated.__cause__ = exc

@@ -6,10 +6,10 @@ through an elementwise activation:
     z = x @ W + b          (x: batch x in_dim, W: in_dim x out_dim)
     out = activation(z)
 
-The bias is added in place into the product, which is a fresh array.
-Each activation is computed in as few elementwise passes as give the
-textbook formula's exact bits: leaky ReLU as max(z, slope * z), which
-is z above 0 and slope * z below for any 0 < slope < 1, and the sigmoid
+The bias is added in place into the product. Each activation is
+computed in as few elementwise passes as give the textbook formula's
+exact bits: leaky ReLU as max(z, slope * z), which is z above 0 and
+slope * z below for any 0 < slope < 1, and the sigmoid
 as exp(min(z, 0)) / (1 + exp(-|z|)), which is 1 / (1 + exp(-z)) for
 z >= 0 and exp(z) / (1 + exp(z)) below, so exp never overflows. No
 kernel selects per element with np.where or a boolean mask: on data
@@ -25,6 +25,20 @@ is exactly what the 2-D call on slot s would return. The code is the
 same for both: products use matmul, transposes swap the last two axes
 and sums run over the batch axis, -2. This is how training runs all
 seeds of a spec as one network (see training.train_many).
+
+Every pass follows numpy's out= convention. dense_forward,
+activation_apply, network_forward and network_backward write into
+buffers the caller passes and return them; given none, they return
+new arrays, which is what predictions and the public API use. The
+caller owns the buffers and decides how long they live:
+forward_buffers(layers, rows) holds per layer z, the output, the
+activation's scratch array and z's finiteness mask, and
+backward_buffers(layers, rows) per layer delta and the scratch array
+its activation derivative is formed in. A pass overwrites every buffer
+it is given, so the caches network_forward returns into buffers are
+valid only until those buffers are passed again. The training loop
+allocates one set per stack (see training.train_many); the results are
+the same bits either way.
 
 Backward rules are the textbook ones; see network_backward. It takes
 the sigmoid and ReLU derivatives from each layer's output, which the
@@ -104,11 +118,11 @@ def leaky_relu(slope: float = 0.01) -> Activation:
     return Activation("leaky_relu", slope)
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(z: np.ndarray, out=None, work=None) -> np.ndarray:
     # exp(min(z, 0)) / (1 + exp(-|z|)); see the module docstring
-    num = np.minimum(z, 0.0)
+    num = np.minimum(z, 0.0, out=out)
     np.exp(num, out=num)
-    den = np.abs(z)
+    den = np.abs(z, out=work)
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1.0
@@ -116,18 +130,27 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return num
 
 
-def activation_apply(a: Activation, z: np.ndarray) -> np.ndarray:
-    """Apply an activation elementwise (softmax: per row, stabilized)."""
+def activation_apply(a: Activation, z: np.ndarray, out=None,
+                     work=None) -> np.ndarray:
+    """Apply an activation elementwise (softmax: per row, stabilized).
+
+    The result goes into out when given, else into a new array. The
+    sigmoid also needs a scratch array of z's shape: work when given,
+    else a new one. Neither may overlap z.
+    """
     if a.kind == "identity":
-        return z.copy()
+        if out is None:
+            return z.copy()
+        np.copyto(out, z)
+        return out
     if a.kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if a.kind == "leaky_relu":
         # max(z, slope * z); see the module docstring
-        out = a.slope * z
+        out = np.multiply(z, a.slope, out=out)
         return np.maximum(z, out, out=out)
     if a.kind == "sigmoid":
-        return _stable_sigmoid(z)
+        return _stable_sigmoid(z, out, work)
     # softmax with max subtraction so huge logits cannot overflow
     if z.shape[-1] < 2:
         raise ConfigError(
@@ -136,7 +159,8 @@ def activation_apply(a: Activation, z: np.ndarray) -> np.ndarray:
     # a logit more than ~1.8e308 below the row max shifts to -inf, whose
     # exp is the exact 0 it stands for; only that overflow is expected
     with np.errstate(over="ignore"):
-        shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+        shifted = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True),
+                              out=out)
     np.exp(shifted, out=shifted)
     shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
     return shifted
@@ -166,16 +190,19 @@ def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
 
 
 def _delta_through(a: Activation, z: np.ndarray, out: np.ndarray,
-                   delta: np.ndarray) -> np.ndarray:
+                   delta: np.ndarray, work=None) -> np.ndarray:
     """delta * activation_grad(a, z) in place in delta; sigmoid and relu
     read their derivative off out = activation(z), the cached output:
-    out * (1 - out), and out > 0 exactly where z > 0."""
+    out * (1 - out), and out > 0 exactly where z > 0. The derivative is
+    formed in work when given (an array of z's shape), else in a new
+    array."""
     if a.kind == "relu":
-        delta *= out > 0.0
+        delta *= np.greater(out, 0.0, out=work)
     elif a.kind == "leaky_relu":
-        delta *= activation_grad(a, z)
+        # activation_grad's max(z > 0, slope), written into work
+        delta *= np.maximum(np.greater(z, 0.0, out=work), a.slope, out=work)
     elif a.kind == "sigmoid":
-        g = np.subtract(1.0, out)
+        g = np.subtract(1.0, out, out=work)
         g *= out
         delta *= g
     return delta
@@ -221,21 +248,27 @@ def unstack_layers(layers: list[DenseLayer], slot: int) -> list[DenseLayer]:
     ]
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray):
-    """Forward pass; returns (pre_activation, output) for backprop caching."""
+def dense_forward(layer: DenseLayer, x: np.ndarray, out=None, work=None):
+    """Forward pass; returns (pre_activation, output) for backprop caching.
+
+    out, when given, is a (z, output) pair of arrays to write them
+    into; work is activation_apply's scratch array. Without them every
+    result is a new array.
+    """
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(
             f"dense_forward: input {x.shape} does not match weights "
             f"{layer.weights.shape}"
         )
-    z = matmul(x, layer.weights)
+    z_out, a_out = out or (None, None)
+    z = np.matmul(x, layer.weights, out=z_out)
     if layer.bias.shape != z.shape[:-2] + (1, z.shape[-1]):
         raise ShapeError(
             f"dense_forward: bias {layer.bias.shape} does not match weights "
             f"{layer.weights.shape}"
         )
-    z += layer.bias  # z is matmul's fresh array
-    return z, activation_apply(layer.activation, z)
+    z += layer.bias
+    return z, activation_apply(layer.activation, z, a_out, work)
 
 
 def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
@@ -415,14 +448,42 @@ def network_init(config: NetworkConfig, rng: SeededRng) -> list[DenseLayer]:
     return stack
 
 
+def _z_shapes(layers: list[DenseLayer], rows: int) -> list[tuple]:
+    return [layer.weights.shape[:-2] + (rows, layer.out_dim)
+            for layer in layers]
+
+
+def forward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
+    """Buffers for network_forward(..., out=) on inputs of `rows` rows:
+    per layer, (z, output, work, finite), where work is the activation's
+    scratch array and finite is z's finiteness mask."""
+    return [(np.empty(shape), np.empty(shape), np.empty(shape),
+             np.empty(shape, dtype=bool))
+            for shape in _z_shapes(layers, rows)]
+
+
+def backward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
+    """Buffers for network_backward(..., work=) on `rows` rows: per
+    layer, (delta, work), delta being dLoss/dz and work the scratch
+    array its activation derivative is formed in. The last layer's
+    delta is the caller's: the loss gradient can be written there."""
+    return [(np.empty(shape), np.empty(shape))
+            for shape in _z_shapes(layers, rows)]
+
+
 def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
-                    x: np.ndarray):
+                    x: np.ndarray, out=None):
     """Run the full stack; returns (caches, output).
 
     caches holds one (layer_input, pre_activation) pair per dense layer,
     exactly what network_backward needs. The normalization stage, when
     present, is applied first and has no trainable parameters (pass
     None for a stacked network; its input is normalized per slot).
+
+    out, when given, is forward_buffers(layers, rows): every array the
+    pass makes is written there, so the caches and the output are views
+    of those buffers and stay valid until out is used again. Without it
+    every array is new.
 
     A NaN or infinity in any layer's pre-activation raises
     NonFiniteError naming the layer; on a stack it also names the
@@ -432,21 +493,22 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     h = norm.apply(x) if norm is not None else x
     caches = []
     for i, layer in enumerate(layers):
-        z, out = dense_forward(layer, h)
-        finite = np.isfinite(z)
-        if not finite.all():
+        z_out, a_out, work, finite = out[i] if out else (None,) * 4
+        z, a = dense_forward(layer, h, (z_out, a_out), work)
+        finite = np.isfinite(z, out=finite)
+        if not np.logical_and.reduce(finite, axis=None):
             message = f"layer {i} pre-activation is non-finite"
             slots = np.flatnonzero(~finite.all(axis=(-2, -1))).tolist()
             if z.ndim > 2:
                 message += f" in stack slots {slots}"
             raise NonFiniteError(message, layer=i, slots=slots)
         caches.append((h, z))
-        h = out
+        h = a
     return caches, h
 
 
 def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
-                     out: list[np.ndarray] | None = None):
+                     out: list[np.ndarray] | None = None, work=None):
     """Backpropagate delta = dLoss/dz of the final layer through the stack.
 
     caches is network_forward's. Each earlier layer's delta is the next
@@ -456,6 +518,9 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
     not computed. Returns the gradients in parameter order, [dW0, db0,
     dW1, db1, ...], written into out when given (arrays shaped like the
     parameters, e.g. views of one flat buffer), else into new arrays.
+    work, when given, is backward_buffers(layers, rows), which holds
+    every earlier layer's delta and derivative; without it they are new
+    arrays.
     """
     if delta.shape != caches[-1][1].shape:
         raise ShapeError(
@@ -465,13 +530,16 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
     if out is None:
         out = [np.empty_like(a) for layer in layers
                for a in (layer.weights, layer.bias)]
+    if work is None:
+        work = [(None, None)] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         layer_x, z = caches[i]
         if i < len(layers) - 1:
             delta = _delta_through(layers[i].activation, z, caches[i + 1][0],
-                                   delta)
+                                   delta, work[i][1])
         np.matmul(layer_x.swapaxes(-1, -2), delta, out=out[2 * i])
         np.add.reduce(delta, axis=-2, keepdims=True, out=out[2 * i + 1])
         if i > 0:
-            delta = matmul(delta, layers[i].weights.swapaxes(-1, -2))
+            delta = np.matmul(delta, layers[i].weights.swapaxes(-1, -2),
+                              out=work[i - 1][0])
     return out

@@ -10,9 +10,9 @@ names both operand shapes. Only as_matrix checks finiteness, on input.
 The operations themselves may overflow to infinity; the forward pass
 (layers.network_forward) checks each layer's pre-activation once and
 raises NonFiniteError there. Treat matrices as immutable; every
-function here returns a new array. A caller that owns such a fresh
-result may update it in place, as layers.dense_forward does when it
-adds the bias into matmul's product.
+function here returns a new array. The training step's products do
+not come through here: they write into preallocated buffers with
+np.matmul(..., out=), see layers.dense_forward.
 """
 
 from __future__ import annotations
@@ -60,4 +60,4 @@ def argmax_rows(a: np.ndarray) -> np.ndarray:
         return np.zeros(a.shape[:-1], dtype=np.int64)
     if a.shape[-1] < 1:
         raise ShapeError(f"argmax_rows needs at least one column, got {a.shape}")
-    return np.argmax(a, axis=-1)
+    return a.argmax(axis=-1)

@@ -23,13 +23,33 @@ slot's numbers are bit-identical to training that seed alone. A slot
 that diverges is dropped from the stack and the others carry on.
 train is the S = 1 call.
 
-The loop keeps four (S, P) buffers, P being the parameter count of one
-network: the parameters theta (each layer's weights and bias are views
-of their span of it), the gradients (network_backward writes into views
-of it) and Adam's two moments. A training step is then one backward
-pass and one adam_step call on whole buffers, and dropping a diverged
-slot is one fancy index per buffer, after which the views are bound
-again.
+The loop keeps three (S, P) buffers for the life of the run, P being
+the parameter count of one network: the parameters theta (each layer's
+weights and bias are views of their span of it) and Adam's two
+moments. Every other array an epoch writes lives in a _Workspace,
+allocated when the stack is made and again only when a slot is
+dropped:
+
+* train and valid: network_forward's buffers for the training pass
+  and the validation pass, one set each. The training pass's set
+  holds the caches of the post-update forward until the next epoch's
+  backward pass has read them.
+* backward: network_backward's per-layer delta and derivative arrays;
+  the last layer's delta takes the loss gradient.
+* grad: the (S, P) gradient buffer, which network_backward writes
+  through per-parameter views.
+* adam: adam_step's two temporaries. adam_step writes theta in place,
+  so the layers' views stay bound from one epoch to the next.
+* the one-hot target and the y == 1 masks of the live slots' labels.
+
+A training step is then one backward pass and one adam_step call on
+whole buffers. The only arrays an epoch still allocates are (S, rows)
+or smaller: the softmax's row maxima and sums, and the loss's and the
+accuracy's per-row terms.
+Dropping a diverged slot is one fancy index per (S, P) buffer, after
+which the views are bound again and a workspace is made for the
+smaller stack. The history of every slot fills one (epochs, 4, S)
+array that becomes the History lists once, at the end.
 
 TrainedModel.to_json writes the text of json.dumps(indent=2) but
 formats the weight arrays itself, in _json_indented, because json's
@@ -59,6 +79,8 @@ from .layers import (
     FeatureNormLayer,
     NetworkConfig,
     activation_apply,
+    backward_buffers,
+    forward_buffers,
     network_backward,
     network_forward,
     network_init,
@@ -95,20 +117,28 @@ def _check_output(kind: str, shape: tuple) -> None:
         raise ShapeError(f"{kind} loss expects {width} column(s), got {shape}")
 
 
-def _loss(kind: str, predictions: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean loss per stack slot (0-d for 2-D predictions) on labels that
-    _check_labels has already validated."""
+def _loss(kind: str, predictions: np.ndarray, is_one: np.ndarray) -> np.ndarray:
+    """Mean loss per stack slot (0-d for 2-D predictions); is_one is
+    y == 1 on labels that _check_labels has already validated."""
     p1 = predictions[..., -1]
     p0 = predictions[..., 0] if kind == SPARSE_CATEGORICAL else 1.0 - p1
-    p_true = np.clip(np.where(y == 1, p1, p0), _CLAMP, 1.0 - _CLAMP)
-    return -_mean(np.log(p_true))
+    p_true = np.where(is_one, p1, p0)
+    # np.clip's bits, without its Python-level wrapper
+    np.maximum(p_true, _CLAMP, out=p_true)
+    np.minimum(p_true, 1.0 - _CLAMP, out=p_true)
+    return -_mean(np.log(p_true, out=p_true))
 
 
-def _loss_delta(kind: str, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _target(kind: str, y: np.ndarray) -> np.ndarray:
+    """The labels as the output layer's target: one-hot rows for
+    sparse_categorical, one column for binary."""
+    return y[..., None] == (0, 1) if kind == SPARSE_CATEGORICAL else y[..., None]
+
+
+def _loss_delta(p: np.ndarray, target: np.ndarray, out=None) -> np.ndarray:
     """(p - y) / n per stack slot from the output layer's probabilities
-    p on validated labels; see loss_grad."""
-    target = y[..., None] == (0, 1) if kind == SPARSE_CATEGORICAL else y[..., None]
-    delta = p - target
+    p and _target's labels, into out when given; see loss_grad."""
+    delta = np.subtract(p, target, out=out)
     delta /= p.shape[-2]
     return delta
 
@@ -132,7 +162,7 @@ def loss_forward(kind: str, predictions: np.ndarray, labels) -> float:
     """
     y = _check_labels(labels, (predictions.shape[0],))
     _check_output(kind, predictions.shape)
-    return float(_loss(kind, predictions, y))
+    return float(_loss(kind, predictions, y == 1))
 
 
 def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray:
@@ -145,7 +175,7 @@ def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray
     y = _check_labels(labels, (z.shape[0],))
     _check_output(kind, z.shape)
     output = Activation(LOSS_OUTPUT[kind][1])
-    return _loss_delta(kind, activation_apply(output, z), y)
+    return _loss_delta(activation_apply(output, z), _target(kind, y))
 
 
 class AdamState:
@@ -159,12 +189,17 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> list[np.ndarray]:
+              grads: list[np.ndarray], out=None, work=None) -> list[np.ndarray]:
     """One bias-corrected Adam update; returns the new parameter list.
     The moments in state are updated in place.
 
     m_hat = m / (1 - beta1^t),  v_hat = v / (1 - beta2^t)
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
+
+    The new parameters go into out when given, one array per parameter;
+    out may be params itself, since the update is elementwise. work,
+    when given, holds a pair of scratch arrays per parameter, each of
+    its shape. Without them every result and temporary is a new array.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError(
@@ -173,16 +208,17 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         )
     state.t += 1
     t = state.t
-    out = []
+    new = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ShapeError(
                 f"adam_step: param {i} shape {p.shape} vs grad {g.shape}"
             )
         m, v = state.m[i], state.v[i]
+        tmp, step = work[i] if work else (None, None)
         # the formula above, one operation at a time and in its order,
-        # in two temporaries; the second becomes the new parameter
-        tmp = np.multiply(g, 1.0 - BETA1)
+        # in two temporaries
+        tmp = np.multiply(g, 1.0 - BETA1, out=tmp)
         m *= BETA1
         m += tmp
         np.multiply(g, 1.0 - BETA2, out=tmp)
@@ -192,11 +228,15 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         np.divide(v, 1.0 - BETA2**t, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += EPSILON
-        step = m / (1.0 - BETA1**t)
-        step *= state.learning_rate
+        c1 = 1.0 - BETA1**t
+        if c1 == 1.0:  # from t of about 350 on; m / 1.0 is m
+            step = np.multiply(m, state.learning_rate, out=step)
+        else:
+            step = np.divide(m, c1, out=step)
+            step *= state.learning_rate
         step /= tmp
-        out.append(np.subtract(p, step, out=step))
-    return out
+        new.append(np.subtract(p, step, out=step if out is None else out[i]))
+    return new
 
 
 @dataclass
@@ -397,25 +437,27 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     layers = stack_layers(
         [network_init(c, SeededRng(c.seed)) for c in configs]
     )
-    # one (S, P) buffer each for parameters, gradients and Adam's
-    # moments; see the module docstring
+    # one (S, P) buffer each for parameters and Adam's moments; see the
+    # module docstring
     theta = np.concatenate(
         [a.reshape(len(configs), -1) for a in _parameters(layers)], axis=1
     )
     _set_parameters(layers, theta)
-    grad = np.empty_like(theta)
-    grads = _views(grad, layers)
     state = AdamState([theta], config.learning_rate)
-    histories = [History() for _ in configs]
+    kind = config.loss
     outcomes = [None] * len(configs)
     live = list(range(len(configs)))  # config index of each stack slot
     data = [x_tr, y_tr, x_va, y_va]
+    # history row e of every slot: train loss, train accuracy,
+    # validation loss and validation accuracy after epoch e + 1
+    rows = np.empty((config.epochs, 4, len(configs)))
+    ws = _Workspace(kind, layers, theta, data)
 
     def guarded(forward, epoch):
         """forward() for the live slots. A slot it finds non-finite is
         dropped with its DivergenceError and forward() is repeated for
         the rest; returns None once no slot is left."""
-        nonlocal theta, grad, grads
+        nonlocal theta, rows, ws
         while live:
             try:
                 return forward()
@@ -425,64 +467,81 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
                         f"training diverged at epoch {epoch}: layer "
                         f"{exc.layer} pre-activation is non-finite",
                         epoch,
+                        exc.layer,
                     )
                     error.__cause__ = exc
                     outcomes[live[pos]] = error
                 keep = [p for p in range(len(live)) if p not in exc.slots]
                 live[:] = [live[p] for p in keep]
                 data[:] = [a[keep] for a in data]
-                theta, grad = theta[keep], grad[keep]
-                _set_parameters(layers, theta)
-                grads = _views(grad, layers)
+                theta, rows = theta[keep], rows[..., keep]
                 state.m = [state.m[0][keep]]
                 state.v = [state.v[0][keep]]
+                _set_parameters(layers, theta)
+                ws = _Workspace(kind, layers, theta, data)
         return None
 
-    kind = config.loss
     # divergence is reported by network_forward's finiteness guard, so
     # numpy's own overflow warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        train_pass = guarded(lambda: network_forward(layers, None, data[0]), 1)
+        train_pass = guarded(
+            lambda: network_forward(layers, None, data[0], ws.train), 1)
         for epoch in range(1, config.epochs + 1):
             if train_pass is None:
                 break
             caches, probs = train_pass
-            delta = _loss_delta(kind, probs, data[1])
-            network_backward(layers, caches, delta, out=grads)
-            (theta,) = adam_step(state, [theta], [grad])
-            _set_parameters(layers, theta)
+            delta = _loss_delta(probs, ws.target, out=ws.backward[-1][0])
+            network_backward(layers, caches, delta, ws.grads, ws.backward)
+            adam_step(state, [theta], [ws.grad], [theta], [ws.adam])
 
+            # the train pass first, so that its failure is the one named
             passes = guarded(
                 lambda: (
-                    network_forward(layers, None, data[0]),
-                    network_forward(layers, None, data[2])[1],
+                    network_forward(layers, None, data[0], ws.train),
+                    network_forward(layers, None, data[2], ws.valid)[1],
                 ),
                 epoch,
             )
             if passes is None:
                 break
             train_pass, va_probs = passes
-            _, y_tr, _, y_va = data
             tr_probs = train_pass[1]
-            rows = zip(
-                live,
-                _loss(kind, tr_probs, y_tr).tolist(),
-                _accuracy(kind, tr_probs, y_tr).tolist(),
-                _loss(kind, va_probs, y_va).tolist(),
-                _accuracy(kind, va_probs, y_va).tolist(),
-            )
-            for slot, tr_loss, tr_acc, va_loss, va_acc in rows:
-                history = histories[slot]
-                history.train_loss.append(tr_loss)
-                history.train_acc.append(tr_acc)
-                history.val_loss.append(va_loss)
-                history.val_acc.append(va_acc)
+            row = rows[epoch - 1]
+            row[0] = _loss(kind, tr_probs, ws.train_one)
+            row[1] = _accuracy(kind, tr_probs, data[1])
+            row[2] = _loss(kind, va_probs, ws.valid_one)
+            row[3] = _accuracy(kind, va_probs, data[3])
 
     for pos, slot in enumerate(live):
         model = TrainedModel(configs[slot], norms[slot],
                              unstack_layers(layers, pos))
-        outcomes[slot] = (model, histories[slot])
+        history = History(*(rows[:, k, pos].tolist() for k in range(4)))
+        outcomes[slot] = (model, history)
     return outcomes
+
+
+class _Workspace:
+    """Every array an epoch of train_many writes, for one stack of slots.
+
+    train and valid hold the two forward passes' buffers, backward the
+    backward pass's (its last delta takes the loss gradient), grad the
+    (S, P) gradient buffer with grads its per-parameter views, and adam
+    Adam's two temporaries. The label forms the loss needs are made
+    here once, not every epoch. data is [x_tr, y_tr, x_va, y_va] of the
+    live slots; a stack that drops a slot needs a new workspace.
+    """
+
+    def __init__(self, kind: str, layers: list[DenseLayer],
+                 theta: np.ndarray, data: list[np.ndarray]):
+        x_tr, y_tr, x_va, y_va = data
+        self.train = forward_buffers(layers, x_tr.shape[-2])
+        self.valid = forward_buffers(layers, x_va.shape[-2])
+        self.backward = backward_buffers(layers, x_tr.shape[-2])
+        self.grad = np.empty_like(theta)
+        self.grads = _views(self.grad, layers)
+        self.adam = (np.empty_like(theta), np.empty_like(theta))
+        self.target = _target(kind, y_tr)
+        self.train_one, self.valid_one = y_tr == 1, y_va == 1
 
 
 def _parameters(layers: list[DenseLayer]) -> list[np.ndarray]:

@@ -1,0 +1,89 @@
+"""Per-width microbenchmark of the dense layer's forward and backward.
+
+For every (fan_in, fan_out, activation) a registry spec uses, this times
+dense_forward and network_backward on a stack of S in {1, 10} slots of
+ROWS rows, once into new arrays and once into preallocated buffers, as
+the training loop's workspace does. network_backward runs on a network
+of that one layer, so it times the weight and bias gradients; the
+product that carries delta to the layer below is the lower layer's.
+
+The name keeps the file out of the tier-1 run. Run it with pytest-benchmark:
+
+    PYTHONPATH=src python -m pytest tests/bench_layers.py
+
+and with --benchmark-disable to run every case once, untimed.
+"""
+
+import numpy as np
+import pytest
+
+from fasdnet.experiment import REGISTRY
+from fasdnet.layers import (
+    DenseLayer,
+    backward_buffers,
+    dense_forward,
+    forward_buffers,
+    network_backward,
+    network_forward,
+)
+from fasdnet.rng import SeededRng
+
+# about the training rows of the 129-row psychometric set at 0.75
+ROWS = 100
+
+
+def _registry_layers():
+    found = {}
+    for spec in REGISTRY.values():
+        config = spec.config
+        sizes = [config.input_dim] + [width for width, _ in config.layers]
+        for fan_in, fan_out, (_, act) in zip(sizes, sizes[1:], config.layers):
+            found[(fan_in, fan_out, act.kind)] = act
+    return [(fan_in, fan_out, act)
+            for (fan_in, fan_out, _), act in sorted(found.items())]
+
+
+LAYERS = _registry_layers()
+CASES = [
+    pytest.param(fan_in, fan_out, act, slots, buffered,
+                 id=f"{fan_in}-{fan_out}-{act.kind}-S{slots}-"
+                    f"{'workspace' if buffered else 'new'}")
+    for fan_in, fan_out, act in LAYERS
+    for slots in (1, 10)
+    for buffered in (False, True)
+]
+
+
+def _layer_and_input(fan_in, fan_out, act, slots):
+    rng = SeededRng(fan_in * 1000 + fan_out)
+
+    def draw(*shape):
+        return rng.uniforms(int(np.prod(shape))).reshape(shape) - 0.5
+
+    layer = DenseLayer(draw(slots, fan_in, fan_out), draw(slots, 1, fan_out),
+                       act)
+    return layer, draw(slots, ROWS, fan_in)
+
+
+@pytest.mark.parametrize("fan_in, fan_out, act, slots, buffered", CASES)
+def test_dense_forward(benchmark, fan_in, fan_out, act, slots, buffered):
+    layer, x = _layer_and_input(fan_in, fan_out, act, slots)
+    out, work = None, None
+    if buffered:
+        z, a, work, _ = forward_buffers([layer], ROWS)[0]
+        out = (z, a)
+    z, a = benchmark(dense_forward, layer, x, out, work)
+    assert a.shape == (slots, ROWS, fan_out) and np.isfinite(a).all()
+
+
+@pytest.mark.parametrize("fan_in, fan_out, act, slots, buffered", CASES)
+def test_network_backward(benchmark, fan_in, fan_out, act, slots, buffered):
+    layer, x = _layer_and_input(fan_in, fan_out, act, slots)
+    caches, output = network_forward([layer], None, x)
+    delta = output / ROWS
+    grads, work = None, None
+    if buffered:
+        grads = [np.empty_like(layer.weights), np.empty_like(layer.bias)]
+        work = backward_buffers([layer], ROWS)
+    dw, db = benchmark(network_backward, [layer], caches, delta, grads, work)
+    assert dw.shape == layer.weights.shape and db.shape == layer.bias.shape

@@ -109,6 +109,25 @@ def test_synth_reads_a_negative_exponent_value_after_a_space(tmp_path):
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["-1e3", "-1_000.5", "-inf", "-Infinity",
+                                   "-INF", "-nan", "-NaN"])
+def test_synth_reads_every_negative_float_spelling_after_a_space(
+        tmp_path, capsys, value):
+    # "--separation VALUE" must do what "--separation=VALUE" does, for
+    # every negative spelling float() reads
+    outcomes = []
+    for argv in (["--separation", value], [f"--separation={value}"]):
+        out = tmp_path / "s.csv"
+        code = run("synth", "--samples-per-class", 3, "--features", 2,
+                   *argv, "--out", out)
+        text = out.read_bytes() if out.exists() else None
+        outcomes.append((code, capsys.readouterr().err, text))
+        if out.exists():
+            out.unlink()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (EXIT_OK if value[1].isdigit() else EXIT_DATA)
+
+
 # --------------------------------------------------------------------- train
 
 

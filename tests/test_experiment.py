@@ -364,6 +364,17 @@ def test_sweep_with_diverging_seeds_matches_one_seed_at_a_time():
     assert digest == _MIXED_SUMMARY_SHA256
 
 
+def test_a_spec_named_divergence_keeps_its_epoch_and_layer():
+    # seed 2 of the sweep above; the spec name is prefixed to the message
+    ds = synthesize_dataset(40, 20, 0.7, SeededRng(3))
+    spec = _short(REGISTRY["table2-row1"], learning_rate=3e101, epochs=60)
+    with pytest.raises(DivergenceError) as err:
+        run_experiment_with_model(spec, ds, 2)
+    assert (str(err.value), err.value.epoch, err.value.layer) == (
+        "table2-row1: training diverged at epoch 1: layer 2 pre-activation "
+        "is non-finite", 1, 2)
+
+
 def _see_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
@@ -452,7 +463,9 @@ def _subclasses(cls):
 def test_every_toolkit_error_survives_pickle():
     # a sweep worker sends its failures back to the parent through pickle
     special = {
-        DivergenceError: DivergenceError("training diverged at epoch 7", 7),
+        DivergenceError: DivergenceError(
+            "training diverged at epoch 7: layer 2 pre-activation is "
+            "non-finite", 7, 2),
         NonFiniteError: NonFiniteError(
             "layer 2 pre-activation is non-finite", layer=2, slots=(0, 3)),
     }
@@ -463,7 +476,7 @@ def test_every_toolkit_error_survives_pickle():
         back = pickle.loads(pickle.dumps(error))
         assert type(back) is cls
         assert (back.args, str(back)) == (error.args, str(error))
-        assert vars(back) == vars(error)  # epoch; layer and slots
+        assert vars(back) == vars(error)  # epoch and layer; layer and slots
 
 
 def test_sweep_requires_seeds_and_unique_names():

@@ -5,6 +5,11 @@ bit for bit, with the textbook formula it replaces. The formulas live
 here as oracles. Inputs are 2-D or stacked (S, rows, cols) arrays that
 mix ordinary doubles with -0.0, subnormals, +-1e308, +-inf, NaN and
 exact zeros.
+
+The training loop runs every pass in preallocated buffers (out= and
+work= arguments) that still hold an earlier epoch's numbers. The last
+properties here check that each pass gives the same bits into buffers
+full of NaN as into new arrays.
 """
 
 import numpy as np
@@ -12,16 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fasdnet.errors import NonFiniteError
 from fasdnet.layers import (
     IDENTITY,
     RELU,
     SIGMOID,
+    SOFTMAX,
     DenseLayer,
     _delta_through,
     activation_apply,
     activation_grad,
+    backward_buffers,
     dense_forward,
+    forward_buffers,
     leaky_relu,
+    network_backward,
+    network_forward,
 )
 from fasdnet.matrix import add_row_broadcast, matmul
 from fasdnet.training import BETA1, BETA2, EPSILON, AdamState, adam_step
@@ -151,7 +162,8 @@ def test_dense_forward_adds_the_bias_like_add_row_broadcast(operands):
 @st.composite
 def adam_runs(draw):
     """Parameter tensors sharing a leading stack axis, several steps of
-    gradients for each, and a learning rate."""
+    gradients for each, a learning rate and the number of steps already
+    taken: 0, or 400, where 1 - beta1^t rounds to exactly 1."""
     slots = draw(st.integers(1, 3))
     shapes = draw(st.lists(
         st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1,
@@ -160,7 +172,8 @@ def adam_runs(draw):
     params = [draw(arrays(shape)) for shape in shapes]
     steps = draw(st.integers(1, 5))
     grads = [[draw(arrays(shape)) for shape in shapes] for _ in range(steps)]
-    return params, grads, draw(st.sampled_from([1e-3, 0.1, 1e152]))
+    return (params, grads, draw(st.sampled_from([1e-3, 0.1, 1e152])),
+            draw(st.sampled_from([0, 400])))
 
 
 def _flat(tensors):
@@ -171,15 +184,16 @@ def _flat(tensors):
 @given(adam_runs())
 def test_one_flat_adam_step_equals_the_textbook_step_per_tensor(run):
     # the training loop keeps every parameter in one (S, P) buffer
-    params, grads, lr = run
+    params, grads, lr, start = run
     per_tensor = AdamState(params, lr)
     flat = AdamState([_flat(params)], lr)
+    per_tensor.t = flat.t = start
     cur, cur_flat = params, [_flat(params)]
     want = params
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     with np.errstate(all="ignore"):
-        for t, step in enumerate(grads, start=1):
+        for t, step in enumerate(grads, start=start + 1):
             cur = adam_step(per_tensor, cur, step)
             cur_flat = adam_step(flat, cur_flat, [_flat(step)])
             m = [BETA1 * a + (1.0 - BETA1) * g for a, g in zip(m, step)]
@@ -194,3 +208,132 @@ def test_one_flat_adam_step_equals_the_textbook_step_per_tensor(run):
     assert_same_bits(cur_flat[0], _flat(want))
     assert_same_bits(flat.m[0], _flat(m))
     assert_same_bits(flat.v[0], _flat(v))
+
+
+# ---------------------------------------------------------------- buffers
+
+ACTIVATIONS = [IDENTITY, RELU, leaky_relu(0.01), leaky_relu(0.5), SIGMOID]
+# finite values small enough that a few layers stay finite, with the
+# same -0.0, subnormals and exact zeros as VALUES
+MODERATE = st.one_of(
+    st.sampled_from([v for v in SPECIAL if abs(v) <= 40.0]),
+    st.floats(-4.0, 4.0),
+)
+STACKS = st.sampled_from([1, 3])
+
+
+def nan_filled(buffers):
+    """buffers, as an earlier call might leave them: every float array
+    NaN, every mask True."""
+    for group in buffers:
+        for a in group:
+            a.fill(True if a.dtype == bool else np.nan)
+    return buffers
+
+
+@st.composite
+def networks(draw):
+    """A stacked network of S in {1, 3} slots with every hidden
+    activation kind and a softmax or sigmoid output, and an input x."""
+    slots, rows = draw(STACKS), draw(st.integers(1, 6))
+    widths = [draw(st.integers(1, 5)) for _ in range(draw(st.integers(0, 3)))]
+    acts = [draw(st.sampled_from(ACTIVATIONS)) for _ in widths]
+    widths.append(draw(st.sampled_from([1, 2])))
+    acts.append(SIGMOID if widths[-1] == 1 else SOFTMAX)
+    sizes = [draw(st.integers(1, 5))] + widths
+    layers = [
+        DenseLayer(
+            draw(hnp.arrays(np.float64, (slots, fan_in, fan_out), elements=MODERATE)),
+            draw(hnp.arrays(np.float64, (slots, 1, fan_out), elements=MODERATE)),
+            act,
+        )
+        for fan_in, fan_out, act in zip(sizes, sizes[1:], acts)
+    ]
+    x = draw(hnp.arrays(np.float64, (slots, rows, sizes[0]), elements=MODERATE))
+    return layers, x
+
+
+def _forward(layers, x, out=None):
+    """network_forward's (caches, output), or the NonFiniteError it
+    raised as (message, layer, slots)."""
+    try:
+        return network_forward(layers, None, x, out)
+    except NonFiniteError as exc:
+        return str(exc), exc.layer, exc.slots
+
+
+def assert_same_pass(got, want):
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    (caches, output), (want_caches, want_output) = got, want
+    assert_same_bits(output, want_output)
+    for (h, z), (want_h, want_z) in zip(caches, want_caches, strict=True):
+        assert_same_bits(h, want_h)
+        assert_same_bits(z, want_z)
+
+
+@KERNEL_SETTINGS
+@given(networks(), st.one_of(st.none(), st.sampled_from(SPECIAL)))
+def test_network_forward_into_used_buffers_is_the_unbuffered_pass(net, cell):
+    layers, x = net
+    if cell is not None:  # one special input cell, which may overflow
+        x[(0,) * x.ndim] = cell
+    with np.errstate(all="ignore"):
+        want = _forward(layers, x)
+        buffers = nan_filled(forward_buffers(layers, x.shape[-2]))
+        assert_same_pass(_forward(layers, x, buffers), want)
+        # a second pass into the same buffers, as in the next epoch
+        assert_same_pass(_forward(layers, x, buffers), want)
+
+
+@KERNEL_SETTINGS
+@given(networks(), st.data())
+def test_network_backward_into_used_buffers_is_the_unbuffered_pass(net, data):
+    layers, x = net
+    with np.errstate(all="ignore"):
+        caches, output = network_forward(layers, None, x)
+        delta = data.draw(hnp.arrays(np.float64, output.shape, elements=VALUES))
+        want = network_backward(layers, caches, delta.copy())
+        grads = [np.full_like(a, np.nan) for layer in layers
+                 for a in (layer.weights, layer.bias)]
+        work = nan_filled(backward_buffers(layers, x.shape[-2]))
+        got = network_backward(layers, caches, delta.copy(), grads, work)
+    assert got is grads
+    for g, w in zip(got, want, strict=True):
+        assert_same_bits(g, w)
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(ACTIVATIONS + [SOFTMAX]), STACKS, st.data())
+def test_activation_apply_into_used_buffers_is_the_unbuffered_result(
+        act, slots, data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 6))
+    z = data.draw(arrays((slots, rows, cols)))
+    out, work = np.full_like(z, np.nan), np.full_like(z, np.nan)
+    with np.errstate(all="ignore"):
+        want = activation_apply(act, z)
+        got = activation_apply(act, z, out, work)
+    assert got is out
+    assert_same_bits(got, want)
+
+
+@KERNEL_SETTINGS
+@given(adam_runs())
+def test_adam_step_in_place_into_used_buffers_is_the_unbuffered_step(run):
+    params, grads, lr, start = run
+    fresh, in_place = AdamState(params, lr), AdamState(params, lr)
+    fresh.t = in_place.t = start
+    want = params
+    got = [p.copy() for p in params]
+    with np.errstate(all="ignore"):
+        for step in grads:
+            want = adam_step(fresh, want, step)
+            work = [(np.full_like(p, np.nan), np.full_like(p, np.nan))
+                    for p in got]
+            new = adam_step(in_place, got, step, got, work)
+            assert all(n is p for n, p in zip(new, got))
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+    for a, b in zip(in_place.m + in_place.v, fresh.m + fresh.v):
+        assert_same_bits(a, b)

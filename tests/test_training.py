@@ -271,15 +271,19 @@ def test_train_divergence_names_epoch():
         train(cfg, ds.x, ds.y, ds.x, ds.y)
     assert err.value.epoch >= 1
     assert f"epoch {err.value.epoch}" in str(err.value)
-    assert "layer" in str(err.value)
+    assert f"layer {err.value.layer} pre-activation" in str(err.value)
 
 
 def test_divergence_error_survives_pickle():
     # a run that diverges in a worker process reaches its parent pickled
     err = pickle.loads(pickle.dumps(
-        DivergenceError("training diverged at epoch 3: layer 1 ...", 3)))
+        DivergenceError("training diverged at epoch 3: layer 1 ...", 3, 1)))
     assert type(err) is DivergenceError
-    assert (str(err), err.epoch) == ("training diverged at epoch 3: layer 1 ...", 3)
+    assert (str(err), err.epoch, err.layer) == (
+        "training diverged at epoch 3: layer 1 ...", 3, 1)
+    # the layer is optional; an error made without one keeps None
+    err = pickle.loads(pickle.dumps(DivergenceError("diverged", 2)))
+    assert (str(err), err.epoch, err.layer) == ("diverged", 2, None)
 
 
 def test_predict_on_overflowing_input_raises_non_finite():
@@ -393,7 +397,8 @@ def test_train_many_drops_diverging_slots_and_carries_on():
             want = train(config, tr.x, tr.y, te.x, te.y)
         except DivergenceError as err:
             assert isinstance(got, DivergenceError)
-            assert (str(got), got.epoch) == (str(err), err.epoch)
+            assert (str(got), got.epoch, got.layer) == (
+                str(err), err.epoch, err.layer)
             epochs.append(err.epoch)
         else:
             _assert_same_run(got, want)
@@ -422,6 +427,36 @@ def test_train_many_survivors_of_mid_run_drops_write_their_solo_files():
         model, history = train(config, tr.x, tr.y, te.x, te.y)
         assert got[0].to_json() == model.to_json()
         assert got[1].to_csv_text() == history.to_csv_text()
+
+
+def test_train_many_drops_a_slot_whose_validation_pass_fails():
+    # slot 1's validation set holds an inf cell, so only its validation
+    # pass of epoch 1 is non-finite: the stack drops it after its train
+    # pass succeeded, and repeats both passes for the other slots in
+    # buffers of the smaller stack
+    from fasdnet.experiment import REGISTRY
+
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(3))
+    seeds = [0, 1, 2]
+    configs = [replace(REGISTRY["table2-row5"].config, epochs=20, seed=s)
+               for s in seeds]
+    runs = [(tr.x, tr.y, te.x.copy(), te.y) for tr, te in
+            (stratified_split(ds, SplitSpec(0.75, seed=s)) for s in seeds)]
+    runs[1][2][3, 4] = np.inf
+    stacked = train_many(configs, *(np.stack(a) for a in zip(*runs)))
+    for config, run, got in zip(configs, runs, stacked):
+        try:
+            model, history = train(config, *run)
+        except DivergenceError as err:
+            assert isinstance(got, DivergenceError)
+            assert (str(got), got.epoch, got.layer) == (
+                str(err), err.epoch, err.layer)
+            assert (got.epoch, got.layer) == (1, 0)
+            continue
+        assert got[0].to_json() == model.to_json()
+        assert got[1].to_csv_text() == history.to_csv_text()
+    assert [isinstance(got, DivergenceError) for got in stacked] == [
+        False, True, False]
 
 
 def test_train_many_rejects_configs_that_differ_beyond_seed():
@@ -648,3 +683,55 @@ def test_update_then_measure_epoch_semantics():
     _, h = train(cfg, ds.x, ds.y, ds.x, ds.y)
     assert h.train_loss[0] != loss0
     assert h.train_loss[0] == loss1  # bit-identical replay
+
+
+def _replay(config, x_tr, y_tr, x_va, y_va):
+    """train's epochs by hand, every array new: network_forward,
+    loss_grad, network_backward and a per-tensor adam_step with no
+    buffers. Returns (final layers, History)."""
+    from fasdnet.layers import network_backward, network_forward, network_init
+
+    kind = config.loss
+    layers = network_init(config, SeededRng(config.seed))
+    params = [a for layer in layers for a in (layer.weights, layer.bias)]
+    state = AdamState(params, config.learning_rate)
+    history = History()
+    caches, _ = network_forward(layers, None, x_tr)
+    for _ in range(config.epochs):
+        grads = network_backward(layers, caches,
+                                 loss_grad(kind, caches[-1][1], y_tr))
+        params = adam_step(state, params, grads)
+        for i, layer in enumerate(layers):
+            layer.weights, layer.bias = params[2 * i], params[2 * i + 1]
+        caches, tr_probs = network_forward(layers, None, x_tr)
+        va_probs = network_forward(layers, None, x_va)[1]
+        for probs, y, loss, acc in (
+                (tr_probs, y_tr, history.train_loss, history.train_acc),
+                (va_probs, y_va, history.val_loss, history.val_acc)):
+            loss.append(loss_forward(kind, probs, y))
+            acc.append(float(np.mean(predict_labels(kind, probs) == y)))
+    return layers, history
+
+
+@pytest.mark.parametrize("spec_name", ["table2-row7", "dti-leaky-100ep"])
+def test_train_many_equals_a_replay_with_no_buffers(spec_name):
+    # the validation set has as many rows as the training set but other
+    # contents, so a validation pass written into the training pass's
+    # buffers would change the next step and the training history
+    from fasdnet.experiment import REGISTRY
+
+    ds = synthesize_dataset(12, 20, 0.7, SeededRng(8))
+    seeds = [0, 1, 2]
+    configs = [replace(REGISTRY[spec_name].config, input_dim=20,
+                       use_feature_layer=False, epochs=12, seed=s)
+               for s in seeds]
+    splits = [stratified_split(ds, SplitSpec(0.5, seed=s)) for s in seeds]
+    assert splits[0][0].n_rows == splits[0][1].n_rows
+    stacked = _train_stacked(configs, splits)
+    for config, (tr, te), (model, history) in zip(configs, splits, stacked):
+        layers, want = _replay(config, tr.x, tr.y, te.x, te.y)
+        assert history.to_csv_text() == want.to_csv_text()
+        assert history.train_loss != history.val_loss
+        for layer, ref in zip(model.layers, layers, strict=True):
+            assert layer.weights.tobytes() == ref.weights.tobytes()
+            assert layer.bias.tobytes() == ref.bias.tobytes()
