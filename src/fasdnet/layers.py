@@ -166,6 +166,10 @@ def activation_apply(a: Activation, z: np.ndarray, out=None,
     return shifted
 
 
+_SOFTMAX_GRAD = ("softmax has no standalone gradient; use the fused "
+                 "cross-entropy gradient (training.loss_grad)")
+
+
 def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
     """Elementwise derivative with respect to the pre-activation.
 
@@ -173,10 +177,7 @@ def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
     choice). softmax is rejected: its gradient is fused with the loss.
     """
     if a.kind == "softmax":
-        raise ContractError(
-            "softmax has no standalone gradient; use the fused "
-            "cross-entropy gradient (training.loss_grad)"
-        )
+        raise ContractError(_SOFTMAX_GRAD)
     if a.kind == "identity":
         return np.ones_like(z)
     if a.kind == "relu":
@@ -195,7 +196,8 @@ def _delta_through(a: Activation, z: np.ndarray, out: np.ndarray,
     read their derivative off out = activation(z), the cached output:
     out * (1 - out), and out > 0 exactly where z > 0. The derivative is
     formed in work when given (an array of z's shape), else in a new
-    array."""
+    array. Like activation_grad, it rejects softmax, whose gradient
+    exists only fused with the loss at the last layer."""
     if a.kind == "relu":
         delta *= np.greater(out, 0.0, out=work)
     elif a.kind == "leaky_relu":
@@ -205,6 +207,8 @@ def _delta_through(a: Activation, z: np.ndarray, out: np.ndarray,
         g = np.subtract(1.0, out, out=work)
         g *= out
         delta *= g
+    elif a.kind == "softmax":
+        raise ContractError(_SOFTMAX_GRAD)
     return delta
 
 

@@ -54,7 +54,13 @@ array that becomes the History lists once, at the end.
 TrainedModel.to_json writes the text of json.dumps(indent=2) but
 formats the weight arrays itself, in _json_indented, because json's
 indenting encoder is pure Python and cost as much as a short training
-run.
+run. Each row of weights gets its float texts from data._float_texts,
+the formatter write_csv uses too: orjson's Ryu writes the same
+shortest round-trip digits as float.__repr__, which is what json
+writes for a float, and the few elements orjson lays out differently
+(an exponent below 1e-4 or from 1e16 up) are formatted by repr
+itself. A row of weights is formatted several times faster than by
+one repr per weight.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import _float_texts
 from .errors import (
     ConfigError,
     DataError,
@@ -335,8 +342,8 @@ def _json_indented(value, pad: str = "") -> str:
     by pad, for a JSON value with string keys that may hold numpy
     arrays (written as their .tolist()).
 
-    A finite 1-D float64 array is written by float.__repr__, the
-    formatter json uses for finite floats, in one join; dicts, lists
+    A finite 1-D float64 array is joined from _float_texts, which gives
+    the text json uses for finite floats (float.__repr__); dicts, lists
     and the rows of an array recurse. json.dumps writes the rest
     (scalars, strings, None, empty containers, arrays with NaN or
     inf), re-indented: a JSON string holds no raw newline, so every
@@ -354,7 +361,7 @@ def _json_indented(value, pad: str = "") -> str:
     elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
           and value.dtype == np.float64 and np.isfinite(value).all()):
         brackets = "[]"
-        items = map(float.__repr__, value.tolist())
+        items = _float_texts(value)
     else:
         if isinstance(value, np.ndarray):
             value = value.tolist()

@@ -1,4 +1,5 @@
-"""Per-width microbenchmark of the dense layer's forward and backward.
+"""Per-width microbenchmark of the dense layer's forward and backward,
+and of the text writers and reader.
 
 For every (fan_in, fan_out, activation) a registry spec uses, this times
 dense_forward and network_backward on a stack of S in {1, 10} slots of
@@ -6,6 +7,9 @@ ROWS rows, once into new arrays and once into preallocated buffers, as
 the training loop's workspace does. network_backward runs on a network
 of that one layer, so it times the weight and bias gradients; the
 product that carries delta to the layer below is the lower layer's.
+
+It also times TrainedModel.to_json on the registry's largest model, and
+write_csv and load_csv at every battery's shape and at 10,000 x 48.
 
 The name keeps the file out of the tier-1 run. Run it with pytest-benchmark:
 
@@ -17,16 +21,20 @@ and with --benchmark-disable to run every case once, untimed.
 import numpy as np
 import pytest
 
+from fasdnet.data import SCHEMAS, Dataset, load_csv, synthesize_dataset, write_csv
 from fasdnet.experiment import REGISTRY
 from fasdnet.layers import (
     DenseLayer,
+    FeatureNormLayer,
     backward_buffers,
     dense_forward,
     forward_buffers,
     network_backward,
     network_forward,
+    network_init,
 )
 from fasdnet.rng import SeededRng
+from fasdnet.training import TrainedModel
 
 # about the training rows of the 129-row psychometric set at 0.75
 ROWS = 100
@@ -87,3 +95,47 @@ def test_network_backward(benchmark, fan_in, fan_out, act, slots, buffered):
         work = backward_buffers([layer], ROWS)
     dw, db = benchmark(network_backward, [layer], caches, delta, grads, work)
     assert dw.shape == layer.weights.shape and db.shape == layer.bias.shape
+
+
+def _parameter_count(config):
+    sizes = [config.input_dim] + [width for width, _ in config.layers]
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
+def test_model_to_json(benchmark):
+    config = max((spec.config for spec in REGISTRY.values()), key=_parameter_count)
+    norm = None
+    if config.use_feature_layer:
+        norm = FeatureNormLayer()
+        norm.fit(SeededRng(2).normals(ROWS * config.input_dim).reshape(ROWS, -1))
+    model = TrainedModel(config, norm, network_init(config, SeededRng(1)))
+    text = benchmark(model.to_json)
+    assert text.count("\n") > _parameter_count(config)
+
+
+CSV_SHAPES = [
+    pytest.param(s.expected_rows, s.expected_feature_count,
+                 id=f"{name}-{s.expected_rows}x{s.expected_feature_count}")
+    for name, s in SCHEMAS.items()
+] + [pytest.param(10_000, 48, id="10000x48")]
+
+
+def _csv_dataset(rows, features):
+    full = synthesize_dataset((rows + 1) // 2, features, 0.7, SeededRng(rows))
+    return Dataset("synthetic", full.feature_names, full.x[:rows], full.y[:rows])
+
+
+@pytest.mark.parametrize("rows, features", CSV_SHAPES)
+def test_write_csv(benchmark, tmp_path, rows, features):
+    path = tmp_path / "data.csv"
+    benchmark(write_csv, _csv_dataset(rows, features), path)
+    assert path.read_text().count("\n") == rows + 1
+
+
+@pytest.mark.parametrize("rows, features", CSV_SHAPES)
+def test_load_csv(benchmark, tmp_path, rows, features):
+    ds = _csv_dataset(rows, features)
+    path = tmp_path / "data.csv"
+    write_csv(ds, path)
+    back = benchmark(load_csv, path, "synthetic")
+    assert back.x.tobytes() == ds.x.tobytes()

@@ -1,7 +1,9 @@
 """Dataset ingestion, schema, balancing, splitting, and synthesis tests."""
 
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fasdnet import data
 from fasdnet.data import (
     BATTERIES,
     SCHEMAS,
     Dataset,
     SplitSpec,
+    _float_texts,
     balance_downsample,
     drop_features,
     load_csv,
@@ -431,3 +435,219 @@ def test_balance_gives_equal_classes_and_keeps_row_order(ds, seed):
     assert np.all(np.diff(ids) > 0)  # original order, no repeats
     assert np.array_equal(balanced.y, ds.y[ids])
     assert np.array_equal(balanced.x, ds.x[ids])
+
+
+# ------------------------------------------------ float text and CSV oracles
+
+
+def _edge_floats():
+    """Every value where repr's and orjson's layouts part or could part:
+    the non-finite values, +-0.0, the subnormal and normal extremes,
+    every representable 10**k and 2**e, and 1e-4 and 1e16 (repr's
+    exponent thresholds) with their neighbours, each with both signs."""
+    values = [math.nan, math.inf, 0.0, 5e-324, 2.2250738585072014e-308,
+              math.nextafter(2.2250738585072014e-308, 0.0),
+              1.7976931348623157e308]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    values += [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    for edge in (1e-4, 1e16):
+        values += [math.nextafter(edge, 0.0), edge,
+                   math.nextafter(edge, math.inf)]
+    return values + [-v for v in values]
+
+
+EDGE_FLOATS = _edge_floats()
+
+
+def _repr_texts(a):
+    return list(map(float.__repr__, a.tolist()))
+
+
+def test_float_texts_are_repr_on_every_edge_value_and_binade():
+    edges = np.array(EDGE_FLOATS)
+    assert _float_texts(edges) == _repr_texts(edges)
+    rng = np.random.default_rng(10)
+    # 40 random mantissas in each of the 2,098 binades, and Glorot-like
+    # weights, where about 1 in 2,000 needs repr's exponent
+    binades = np.ldexp(rng.uniform(1.0, 2.0, size=(2098, 40)),
+                       np.arange(-1074, 1024)[:, None]).ravel()
+    binades[::2] *= -1.0
+    weights = rng.uniform(-0.3, 0.3, size=100_000)
+    for a in (binades, weights):
+        assert _float_texts(a) == _repr_texts(a)
+    assert _float_texts(np.empty(0)) == []
+
+
+@PROPERTY_SETTINGS
+@given(hnp.arrays(np.float64, st.integers(0, 40),
+                  elements=st.one_of(st.sampled_from(EDGE_FLOATS),
+                                     st.floats())),
+       st.sampled_from(["=", ">"]), st.integers(1, 3))
+def test_float_texts_equal_repr_for_any_layout(a, byte_order, stride):
+    # big-endian and strided inputs are formatted by value, like tolist()
+    a = a.astype(byte_order + "f8")[::stride]
+    assert _float_texts(a) == _repr_texts(a)
+
+
+def _csv_text_oracle(ds):
+    """write_csv's text as it was written cell by cell with repr."""
+    lines = [",".join(ds.feature_names) + ",label"]
+    for i in range(ds.n_rows):
+        cells = [repr(float(v)) for v in ds.x[i]] + [str(int(ds.y[i]))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(ds, path):
+    write_csv(ds, path)
+    return path.read_text(encoding="utf-8")
+
+
+def test_write_csv_text_is_per_cell_repr_across_blocks(tmp_path):
+    # 300 x 48 cells span four blocks, the last one partial
+    ds = synthesize_dataset(150, 48, 2e15, SeededRng(4))
+    assert _write_text(ds, tmp_path / "s.csv") == _csv_text_oracle(ds)
+
+
+@PROPERTY_SETTINGS
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                min_side=0, max_side=8),
+                  elements=st.one_of(
+                      st.sampled_from([v for v in EDGE_FLOATS
+                                       if math.isfinite(v)]),
+                      FINITE)),
+       st.integers(1, 20), st.data())
+def test_write_csv_text_is_per_cell_repr(x, block, data_):
+    y = np.array(data_.draw(st.lists(st.sampled_from([0, 1]),
+                                     min_size=len(x), max_size=len(x))),
+                 dtype=np.int64)
+    ds = Dataset("synthetic", tuple(f"f{j}" for j in range(x.shape[1])), x, y)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data, "_CSV_BLOCK_CELLS", block):
+        assert _write_text(ds, Path(tmp) / "x.csv") == _csv_text_oracle(ds)
+
+
+def _load_csv_oracle(path, battery):
+    """load_csv as it parsed every cell on its own, kept as the oracle
+    for the one-map-per-row parse."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(f"{path}: file is empty")
+    header = lines[0].split(",")
+    if len(header) < 2 or header[-1] != "label":
+        raise SchemaError(
+            f"{path}: final header column must be 'label', got "
+            f"{header[-1] if header else 'nothing'!r}"
+        )
+    feature_names = tuple(name.strip() for name in header[:-1])
+    rows, labels = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ParseError(
+                f"{path}: line {lineno} has {len(cells)} cells, expected "
+                f"{len(header)}"
+            )
+        values = []
+        for col, cell in zip(header[:-1], cells[:-1]):
+            text = cell.strip()
+            if not text:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {col!r}: missing value"
+                )
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {col!r}: "
+                    f"non-numeric cell {text!r}"
+                ) from None
+        try:
+            label = float(cells[-1].strip())
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}, column 'label': non-numeric cell "
+                f"{cells[-1].strip()!r}"
+            ) from None
+        if label not in (0.0, 1.0):
+            raise DataError(
+                f"{path}: line {lineno}: label must be 0 or 1, got {label}"
+            )
+        rows.append(values)
+        labels.append(int(label))
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    x = np.array(rows)
+    if not np.isfinite(x).all():
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        lineno = [
+            n for n, line in enumerate(lines[1:], start=2) if line.strip()
+        ][row]
+        cell = lines[lineno - 1].split(",")[col].strip()
+        raise ParseError(
+            f"{path}: line {lineno}, column {feature_names[col]!r}: "
+            f"non-finite cell {cell!r}"
+        )
+    return Dataset(battery, feature_names, x, np.array(labels))
+
+
+PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\u3000", " \t"])
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "-1_0.5", "1e3", ".5", "+2.", "nan", "inf",
+                     "-Infinity", "NaN"]),
+)
+NUMBER_CELL = st.tuples(PADDING, NUMBER, PADDING).map("".join)
+FEATURE_CELL = st.one_of(
+    NUMBER_CELL,
+    st.sampled_from(["", "  ", "\u3000", "abc", "1 2", "--1", "1__0", "0x10"]),
+)
+GOOD_LABEL = st.tuples(PADDING, st.sampled_from(["0", "1", "1.0", "0e0"]),
+                       PADDING).map("".join)
+LABEL_CELL = st.one_of(GOOD_LABEL,
+                       st.sampled_from(["2", "-1", "0.5", "x", "", "nan"]))
+
+
+@st.composite
+def csv_texts(draw):
+    """A header of 1-3 features and rows that are mostly well formed
+    (padded numbers, some of them nan or inf), with blank lines,
+    malformed and missing cells, bad labels and wrong widths mixed in."""
+    width = draw(st.integers(1, 3))
+    lines = [",".join(f"c{j}" for j in range(width)) + ",label"]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["good"] * 5 + ["any", "blank", "width"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t  "])))
+            continue
+        good = kind == "good"
+        cells = draw(st.lists(NUMBER_CELL if good else FEATURE_CELL,
+                              min_size=width, max_size=width))
+        if kind == "width":
+            cells = cells[:draw(st.integers(0, width - 1))] + (
+                cells[:1] * draw(st.integers(0, 2)))
+        lines.append(",".join(cells + [draw(GOOD_LABEL if good
+                                            else LABEL_CELL)]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path, "synthetic")
+    except (DataError, ParseError, SchemaError) as err:
+        return type(err), str(err)
+    return ds.feature_names, ds.x.tobytes(), ds.x.shape, ds.y.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(csv_texts())
+def test_load_csv_equals_the_per_cell_parse(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert _outcome(load_csv, path) == _outcome(_load_csv_oracle, path)

@@ -28,6 +28,7 @@ from fasdnet.layers import (
     NetworkConfig,
     activation_apply,
     activation_grad,
+    backward_buffers,
     dense_backward_from_delta,
     dense_forward,
     leaky_relu,
@@ -114,6 +115,19 @@ def test_activation_grad_pinned_values():
 def test_activation_grad_rejects_softmax():
     with pytest.raises(ContractError):
         activation_grad(SOFTMAX, np.array([[1.0, 2.0]]))
+
+
+def test_network_backward_rejects_a_hidden_softmax():
+    # NetworkConfig forbids this stack, but network_backward takes raw
+    # layers; it must refuse, as activation_grad does, not treat the
+    # softmax derivative as 1
+    rng = np.random.default_rng(4)
+    layers = [DenseLayer(rng.normal(size=(3, 2)), np.zeros((1, 2)), SOFTMAX),
+              DenseLayer(rng.normal(size=(2, 1)), np.zeros((1, 1)), SIGMOID)]
+    caches, out = network_forward(layers, None, rng.normal(size=(5, 3)))
+    for work in (None, backward_buffers(layers, 5)):
+        with pytest.raises(ContractError, match="no standalone gradient"):
+            network_backward(layers, caches, out / 5, work=work)
 
 
 def test_activation_grad_matches_finite_differences():
