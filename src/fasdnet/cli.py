@@ -3,9 +3,9 @@
 Every command is deterministic given its flags, input file bytes, and
 seed. Commands that create an output directory also write a single
 manifest.json recording the command line, input hashes, seed, tool
-version, timestamp, and the Python, numpy, BLAS, BLAS thread count
-and worker count of the processes that trained (trained weights depend
-on the BLAS), so a run can be re-executed exactly. A sweep's manifest
+version, timestamp, and the Python, numpy, BLAS, its kernel and thread
+count and the worker count of the processes that trained (trained
+weights depend on the BLAS), so a run can be re-executed exactly. A sweep's manifest
 also records each spec's seconds, which sweep prints to stderr as
 well.
 
@@ -48,6 +48,7 @@ from .experiment import (
     ConfusionMatrix,
     ExperimentSpec,
     RunResult,
+    _blas_core,
     _blas_threads,
     comparison_report,
     resolve_specs,
@@ -97,6 +98,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "blas_core": _blas_core(),
         "blas_threads": _blas_threads(),
     }
 

@@ -122,14 +122,16 @@ def load_csv(path, battery: str) -> Dataset:
     match the battery schema exactly (synthetic accepts any width), and
     header names must be distinct. Any missing, non-numeric or
     non-finite (nan, inf) cell is an error naming its line and column;
-    imputation is deliberately not performed here.
+    imputation is deliberately not performed here. Lines end at LF, CR
+    LF or CR only: str.splitlines()'s other breaks are cell padding.
     """
     if battery not in BATTERIES:
         raise DataError(f"unknown battery {battery!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise ParseError(f"{path}: file is empty")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     header = lines[0].split(",")
     if len(header) < 2 or header[-1] != "label":
         raise SchemaError(
@@ -165,10 +167,10 @@ def load_csv(path, battery: str) -> Dataset:
                 f"{len(header)}"
             )
         try:
-            # float() strips the whitespace str.strip() does
+            # float() keeps U+001C-U+001F, which str.strip() strips
             x[row] = list(map(float, cells[:-1]))
         except ValueError:
-            raise _bad_cell_error(path, lineno, header, cells) from None
+            x[row] = _stripped_cells(path, lineno, header, cells)
         try:
             label = float(cells[-1].strip())
         except ValueError:
@@ -200,24 +202,26 @@ def load_csv(path, battery: str) -> Dataset:
     return Dataset(battery, feature_names, x, np.array(labels))
 
 
-def _bad_cell_error(path, lineno: int, header: list[str],
-                    cells: list[str]) -> ParseError:
-    """The ParseError naming the first feature cell of a row that
-    float() rejects: a missing (empty or blank) cell or a non-numeric
-    one."""
+def _stripped_cells(path, lineno: int, header: list[str],
+                    cells: list[str]) -> list[float]:
+    """The feature cells of a row, each parsed after str.strip(); the
+    first missing (empty or blank) or non-numeric cell is a ParseError
+    naming it."""
+    values = []
     for col, cell in zip(header[:-1], cells[:-1]):
         text = cell.strip()
         if not text:
-            return ParseError(
+            raise ParseError(
                 f"{path}: line {lineno}, column {col!r}: missing value"
             )
         try:
-            float(text)
+            values.append(float(text))
         except ValueError:
-            return ParseError(
+            raise ParseError(
                 f"{path}: line {lineno}, column {col!r}: "
                 f"non-numeric cell {text!r}"
-            )
+            ) from None
+    return values
 
 
 def write_csv(ds: Dataset, path) -> None:
@@ -227,11 +231,14 @@ def write_csv(ds: Dataset, path) -> None:
     parses back to the same double. _float_texts produces that text
     through orjson for a block of rows at a time (see its docstring
     for why it equals repr's), and the rows go to the file as they are
-    joined, so no whole-file string is built.
+    joined, so no whole-file string is built. A dataset without feature
+    columns, which load_csv cannot read back, is a DataError.
     """
     n = ds.n_features
+    if not n:
+        raise DataError(f"{path}: a dataset without features has no CSV form")
     labels = ds.y.tolist()
-    block = max(1, _CSV_BLOCK_CELLS // max(n, 1))
+    block = max(1, _CSV_BLOCK_CELLS // n)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(ds.feature_names) + ",label\n")
         for start in range(0, ds.n_rows, block):

@@ -524,6 +524,15 @@ def _blas_threads() -> int | None:
     return get_threads()
 
 
+def _blas_core() -> str | None:
+    """The OpenBLAS kernel picked for this CPU (SkylakeX, ...), or None."""
+    get_core = _openblas("get_corename")
+    if get_core is not None:
+        get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+        return get_core().decode()
+    return None
+
+
 def _pin_blas() -> None:
     """Pool initializer: one BLAS thread per worker, so that the workers
     do not contend for the cores they already fill."""

@@ -9,13 +9,20 @@ through an elementwise activation:
 The bias is added in place into the product. Each activation is
 computed in as few elementwise passes as give the textbook formula's
 exact bits: leaky ReLU as max(z, slope * z), which is z above 0 and
-slope * z below for any 0 < slope < 1, and the sigmoid
-as exp(min(z, 0)) / (1 + exp(-|z|)), which is 1 / (1 + exp(-z)) for
-z >= 0 and exp(z) / (1 + exp(z)) below, so exp never overflows. No
-kernel selects per element with np.where or a boolean mask: on data
-with mixed signs that branches unpredictably and costs several times
-the arithmetic. tests/test_kernels.py holds the textbook formulas and
-checks every kernel against them bit for bit.
+slope * z below for any 0 < slope < 1, and the sigmoid as
+max(z >= 0, e) / (1 + e) with e = exp(-|z|), taken once: that is
+1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
+never overflows. No kernel selects per element with np.where or a
+boolean mask: on data with mixed signs that branches unpredictably and
+costs several times the arithmetic. The softmax takes the row maximum
+and sum column by column, in column order, which up to 7 columns are
+the bits of numpy's axis reductions at a fraction of their cost on
+NetworkConfig's 2 columns. A logit more than ~1.8e308 below its row's
+maximum shifts to -inf, whose exp is the exact 0 it stands for:
+activation_apply ignores that overflow, while the kernels under it
+leave numpy's error state to their callers (the training loop,
+TrainedModel.predict_proba). tests/test_kernels.py holds the textbook
+formulas and checks every kernel against them bit for bit.
 
 Every forward and backward function also takes stacked operands with a
 leading seed axis: x of shape (S, batch, in_dim), W of shape
@@ -57,6 +64,7 @@ features on wildly different scales (single digits next to values near
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -119,14 +127,14 @@ def leaky_relu(slope: float = 0.01) -> Activation:
 
 
 def _stable_sigmoid(z: np.ndarray, out=None, work=None) -> np.ndarray:
-    # exp(min(z, 0)) / (1 + exp(-|z|)); see the module docstring
-    num = np.minimum(z, 0.0, out=out)
-    np.exp(num, out=num)
-    den = np.abs(z, out=work)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    num /= den
+    # max(z >= 0, e) / (1 + e) with e = exp(-|z|); see the module docstring
+    e = np.abs(z, out=work)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.greater_equal(z, 0.0, out=np.empty(z.shape) if out is None else out)
+    np.maximum(num, e, out=num)
+    e += 1.0
+    num /= e
     return num
 
 
@@ -138,6 +146,12 @@ def activation_apply(a: Activation, z: np.ndarray, out=None,
     sigmoid also needs a scratch array of z's shape: work when given,
     else a new one. Neither may overlap z.
     """
+    with np.errstate(over="ignore"):
+        return _activate(a, z, out, work)
+
+
+def _activate(a: Activation, z: np.ndarray, out, work) -> np.ndarray:
+    """activation_apply in the caller's numpy error state."""
     if a.kind == "identity":
         if out is None:
             return z.copy()
@@ -151,19 +165,20 @@ def activation_apply(a: Activation, z: np.ndarray, out=None,
         return np.maximum(z, out, out=out)
     if a.kind == "sigmoid":
         return _stable_sigmoid(z, out, work)
-    # softmax with max subtraction so huge logits cannot overflow
+    # exp(z - max) / sum, column by column; see the module docstring
     if z.shape[-1] < 2:
         raise ConfigError(
             f"softmax needs at least 2 columns, got shape {z.shape}"
         )
-    # a logit more than ~1.8e308 below the row max shifts to -inf, whose
-    # exp is the exact 0 it stands for; only that overflow is expected
-    with np.errstate(over="ignore"):
-        shifted = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True),
-                              out=out)
-    np.exp(shifted, out=shifted)
-    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
-    return shifted
+    cols = [z[..., j] for j in range(z.shape[-1])]
+    peak = functools.reduce(np.maximum, cols)
+    out = np.empty(z.shape) if out is None else out
+    exps = [np.subtract(c, peak, out=out[..., j]) for j, c in enumerate(cols)]
+    np.exp(out, out=out)
+    total = functools.reduce(np.add, exps)
+    for e in exps:
+        e /= total
+    return out
 
 
 _SOFTMAX_GRAD = ("softmax has no standalone gradient; use the fused "
@@ -252,12 +267,17 @@ def unstack_layers(layers: list[DenseLayer], slot: int) -> list[DenseLayer]:
     ]
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray, out=None, work=None):
+def dense_forward(layer: DenseLayer, x: np.ndarray, out=None, work=None,
+                  split: int | None = None):
     """Forward pass; returns (pre_activation, output) for backprop caching.
 
     out, when given, is a (z, output) pair of arrays to write them
     into; work is activation_apply's scratch array. Without them every
     result is a new array.
+
+    split, when given, cuts x's rows into two blocks, [0, split) and
+    [split, rows): the product, which over both would sum in another
+    order, is taken per block; the rest runs once over all rows.
     """
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(
@@ -265,14 +285,21 @@ def dense_forward(layer: DenseLayer, x: np.ndarray, out=None, work=None):
             f"{layer.weights.shape}"
         )
     z_out, a_out = out or (None, None)
-    z = np.matmul(x, layer.weights, out=z_out)
+    if split is None:
+        z = np.matmul(x, layer.weights, out=z_out)
+    else:
+        z = z_out if z_out is not None else np.empty(
+            np.broadcast_shapes(x.shape[:-2], layer.weights.shape[:-2])
+            + (x.shape[-2], layer.out_dim))
+        for rows in (slice(None, split), slice(split, None)):
+            np.matmul(x[..., rows, :], layer.weights, out=z[..., rows, :])
     if layer.bias.shape != z.shape[:-2] + (1, z.shape[-1]):
         raise ShapeError(
             f"dense_forward: bias {layer.bias.shape} does not match weights "
             f"{layer.weights.shape}"
         )
     z += layer.bias
-    return z, activation_apply(layer.activation, z, a_out, work)
+    return z, _activate(layer.activation, z, a_out, work)
 
 
 def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
@@ -476,7 +503,7 @@ def backward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
 
 
 def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
-                    x: np.ndarray, out=None):
+                    x: np.ndarray, out=None, split: int | None = None):
     """Run the full stack; returns (caches, output).
 
     caches holds one (layer_input, pre_activation) pair per dense layer,
@@ -493,22 +520,36 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     NonFiniteError naming the layer; on a stack it also names the
     failing slots (exc.slots), so the other slots can carry on. This is
     the only finiteness check of a training step.
+
+    split, when given, cuts x's rows into two blocks (see
+    dense_forward). The result is bit for bit that of one pass per
+    block, joined along the rows, and so is the error: the first
+    block's first non-finite layer if it has one, else the second's.
     """
     h = norm.apply(x) if norm is not None else x
-    caches = []
+    caches, later = [], None
     for i, layer in enumerate(layers):
         z_out, a_out, work, finite = out[i] if out else (None,) * 4
-        z, a = dense_forward(layer, h, (z_out, a_out), work)
+        z, a = dense_forward(layer, h, (z_out, a_out), work, split)
         finite = np.isfinite(z, out=finite)
         if not np.logical_and.reduce(finite, axis=None):
-            message = f"layer {i} pre-activation is non-finite"
-            slots = np.flatnonzero(~finite.all(axis=(-2, -1))).tolist()
-            if z.ndim > 2:
-                message += f" in stack slots {slots}"
-            raise NonFiniteError(message, layer=i, slots=slots)
+            first = _non_finite(i, finite[..., :split, :])
+            if first:
+                raise first
+            later = later or _non_finite(i, finite[..., split:, :])
         caches.append((h, z))
         h = a
+    if later:
+        raise later
     return caches, h
+
+
+def _non_finite(layer: int, finite: np.ndarray) -> NonFiniteError | None:
+    """The layer's error for the slots with a False in finite, if any."""
+    slots = np.flatnonzero(~finite.all(axis=(-2, -1))).tolist()
+    where = f" in stack slots {slots}" if finite.ndim > 2 else ""
+    message = f"layer {layer} pre-activation is non-finite{where}"
+    return NonFiniteError(message, layer=layer, slots=slots) if slots else None
 
 
 def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,

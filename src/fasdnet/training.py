@@ -23,6 +23,12 @@ slot's numbers are bit-identical to training that seed alone. A slot
 that diverges is dropped from the stack and the others carry on.
 train is the S = 1 call.
 
+An epoch makes one forward pass over each slot's training and
+validation rows, laid end to end and split between them (see
+network_forward); only the loss and accuracy means are taken per set.
+The pass before epoch 1 feeds only the first backward pass, so it
+covers the training rows alone.
+
 The loop keeps three (S, P) buffers for the life of the run, P being
 the parameter count of one network: the parameters theta (each layer's
 weights and bias are views of their span of it) and Adam's two
@@ -30,17 +36,16 @@ moments. Every other array an epoch writes lives in a _Workspace,
 allocated when the stack is made and again only when a slot is
 dropped:
 
-* train and valid: network_forward's buffers for the training pass
-  and the validation pass, one set each. The training pass's set
-  holds the caches of the post-update forward until the next epoch's
-  backward pass has read them.
+* forward: network_forward's buffers over all rows (train: their
+  training-row views), which hold the post-update pass's caches until
+  the next epoch's backward pass has read the training rows'.
 * backward: network_backward's per-layer delta and derivative arrays;
   the last layer's delta takes the loss gradient.
 * grad: the (S, P) gradient buffer, which network_backward writes
   through per-parameter views.
 * adam: adam_step's two temporaries. adam_step writes theta in place,
   so the layers' views stay bound from one epoch to the next.
-* the one-hot target and the y == 1 masks of the live slots' labels.
+* the one-hot target of the training labels and the y == 1 mask.
 
 A training step is then one backward pass and one adam_step call on
 whole buffers. The only arrays an epoch still allocates are (S, rows)
@@ -124,16 +129,17 @@ def _check_output(kind: str, shape: tuple) -> None:
         raise ShapeError(f"{kind} loss expects {width} column(s), got {shape}")
 
 
-def _loss(kind: str, predictions: np.ndarray, is_one: np.ndarray) -> np.ndarray:
-    """Mean loss per stack slot (0-d for 2-D predictions); is_one is
-    y == 1 on labels that _check_labels has already validated."""
+def _log_p_true(kind: str, predictions: np.ndarray,
+                is_one: np.ndarray) -> np.ndarray:
+    """Per row, the log of the clamped probability of the true class,
+    whose mean is minus the loss; is_one is y == 1 on checked labels."""
     p1 = predictions[..., -1]
     p0 = predictions[..., 0] if kind == SPARSE_CATEGORICAL else 1.0 - p1
     p_true = np.where(is_one, p1, p0)
     # np.clip's bits, without its Python-level wrapper
     np.maximum(p_true, _CLAMP, out=p_true)
     np.minimum(p_true, 1.0 - _CLAMP, out=p_true)
-    return -_mean(np.log(p_true, out=p_true))
+    return np.log(p_true, out=p_true)
 
 
 def _target(kind: str, y: np.ndarray) -> np.ndarray:
@@ -148,10 +154,6 @@ def _loss_delta(p: np.ndarray, target: np.ndarray, out=None) -> np.ndarray:
     delta = np.subtract(p, target, out=out)
     delta /= p.shape[-2]
     return delta
-
-
-def _accuracy(kind: str, probabilities: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _mean(predict_labels(kind, probabilities) == y)
 
 
 def _mean(a: np.ndarray) -> np.ndarray:
@@ -169,7 +171,7 @@ def loss_forward(kind: str, predictions: np.ndarray, labels) -> float:
     """
     y = _check_labels(labels, (predictions.shape[0],))
     _check_output(kind, predictions.shape)
-    return float(_loss(kind, predictions, y == 1))
+    return float(-_mean(_log_p_true(kind, predictions, y == 1)))
 
 
 def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray:
@@ -290,7 +292,8 @@ class TrainedModel:
     layers: list[DenseLayer]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return network_forward(self.layers, self.norm, x)[1]
+        with np.errstate(over="ignore"):  # the softmax's; see layers
+            return network_forward(self.layers, self.norm, x)[1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return predict_labels(self.config.loss, self.predict_proba(x))
@@ -404,11 +407,12 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     slot's training rows only and frozen; validation data always goes
     through the training statistics. Each epoch performs one gradient
     step and then records train and validation loss/accuracy at the
-    updated parameters. A non-finite pre-activation in any forward pass
-    stops that slot with DivergenceError("training diverged at epoch
-    {e}: layer {i} pre-activation is non-finite"); the slot is dropped
+    updated parameters. A non-finite pre-activation stops that slot with
+    DivergenceError("training diverged at epoch {e}: layer {i}
+    pre-activation is non-finite") for its training rows' first
+    non-finite layer, else its validation rows'; the slot is dropped
     from the stack (parameters, Adam moments, data and labels) and the
-    forward passes of that epoch are repeated for the others.
+    forward pass of that epoch is repeated for the others.
     """
     configs = list(configs)
     if not configs:
@@ -433,13 +437,14 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     y_tr = _check_labels(y_train, x_train.shape[:2])
     y_va = _check_labels(y_valid, x_valid.shape[:2])
 
+    # every slot's training rows, then its validation rows
+    n = x_train.shape[1]
+    data = [np.concatenate([x_train, x_valid], axis=1),
+            np.concatenate([y_tr, y_va], axis=1)]
     norms = [None] * len(configs)
     if config.use_feature_layer:
         norms = [FeatureNormLayer().fit(x) for x in x_train]
-        x_tr = np.stack([n.apply(x) for n, x in zip(norms, x_train)])
-        x_va = np.stack([n.apply(x) for n, x in zip(norms, x_valid)])
-    else:
-        x_tr, x_va = x_train, x_valid
+        data[0] = np.stack([n.apply(x) for n, x in zip(norms, data[0])])
 
     layers = stack_layers(
         [network_init(c, SeededRng(c.seed)) for c in configs]
@@ -454,11 +459,10 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     kind = config.loss
     outcomes = [None] * len(configs)
     live = list(range(len(configs)))  # config index of each stack slot
-    data = [x_tr, y_tr, x_va, y_va]
     # history row e of every slot: train loss, train accuracy,
     # validation loss and validation accuracy after epoch e + 1
     rows = np.empty((config.epochs, 4, len(configs)))
-    ws = _Workspace(kind, layers, theta, data)
+    ws = _Workspace(kind, layers, theta, data, n)
 
     def guarded(forward, epoch):
         """forward() for the live slots. A slot it finds non-finite is
@@ -485,39 +489,34 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
                 state.m = [state.m[0][keep]]
                 state.v = [state.v[0][keep]]
                 _set_parameters(layers, theta)
-                ws = _Workspace(kind, layers, theta, data)
+                ws = _Workspace(kind, layers, theta, data, n)
         return None
 
     # divergence is reported by network_forward's finiteness guard, so
     # numpy's own overflow warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        train_pass = guarded(
-            lambda: network_forward(layers, None, data[0], ws.train), 1)
+        passed = guarded(lambda: network_forward(
+            layers, None, data[0][:, :n], ws.train), 1)
         for epoch in range(1, config.epochs + 1):
-            if train_pass is None:
+            if passed is None:
                 break
-            caches, probs = train_pass
-            delta = _loss_delta(probs, ws.target, out=ws.backward[-1][0])
-            network_backward(layers, caches, delta, ws.grads, ws.backward)
+            caches, probs = passed
+            delta = _loss_delta(probs[:, :n], ws.target, ws.backward[-1][0])
+            network_backward(layers, [(h[:, :n], z[:, :n]) for h, z in caches],
+                             delta, ws.grads, ws.backward)
             adam_step(state, [theta], [ws.grad], [theta], [ws.adam])
 
-            # the train pass first, so that its failure is the one named
-            passes = guarded(
-                lambda: (
-                    network_forward(layers, None, data[0], ws.train),
-                    network_forward(layers, None, data[2], ws.valid)[1],
-                ),
-                epoch,
-            )
-            if passes is None:
+            passed = guarded(
+                lambda: network_forward(layers, None, data[0], ws.forward, n),
+                epoch)
+            if passed is None:
                 break
-            train_pass, va_probs = passes
-            tr_probs = train_pass[1]
+            probs = passed[1]
+            log_p = _log_p_true(kind, probs, ws.is_one)
+            hit = predict_labels(kind, probs) == data[1]
             row = rows[epoch - 1]
-            row[0] = _loss(kind, tr_probs, ws.train_one)
-            row[1] = _accuracy(kind, tr_probs, data[1])
-            row[2] = _loss(kind, va_probs, ws.valid_one)
-            row[3] = _accuracy(kind, va_probs, data[3])
+            row[0], row[2] = -_mean(log_p[:, :n]), -_mean(log_p[:, n:])
+            row[1], row[3] = _mean(hit[:, :n]), _mean(hit[:, n:])
 
     for pos, slot in enumerate(live):
         model = TrainedModel(configs[slot], norms[slot],
@@ -530,25 +529,27 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
 class _Workspace:
     """Every array an epoch of train_many writes, for one stack of slots.
 
-    train and valid hold the two forward passes' buffers, backward the
+    forward holds the forward pass's buffers over all rows and train
+    their views of the first n, the training rows; backward holds the
     backward pass's (its last delta takes the loss gradient), grad the
     (S, P) gradient buffer with grads its per-parameter views, and adam
     Adam's two temporaries. The label forms the loss needs are made
-    here once, not every epoch. data is [x_tr, y_tr, x_va, y_va] of the
-    live slots; a stack that drops a slot needs a new workspace.
+    here once, not every epoch. data is [x, y] of the live slots, n
+    training rows and then the validation rows; a stack that drops a
+    slot needs a new workspace.
     """
 
     def __init__(self, kind: str, layers: list[DenseLayer],
-                 theta: np.ndarray, data: list[np.ndarray]):
-        x_tr, y_tr, x_va, y_va = data
-        self.train = forward_buffers(layers, x_tr.shape[-2])
-        self.valid = forward_buffers(layers, x_va.shape[-2])
-        self.backward = backward_buffers(layers, x_tr.shape[-2])
+                 theta: np.ndarray, data: list[np.ndarray], n: int):
+        x, y = data
+        self.forward = forward_buffers(layers, x.shape[-2])
+        self.train = [tuple(a[:, :n] for a in group) for group in self.forward]
+        self.backward = backward_buffers(layers, n)
         self.grad = np.empty_like(theta)
         self.grads = _views(self.grad, layers)
         self.adam = (np.empty_like(theta), np.empty_like(theta))
-        self.target = _target(kind, y_tr)
-        self.train_one, self.valid_one = y_tr == 1, y_va == 1
+        self.target = _target(kind, y[:, :n])
+        self.is_one = y == 1
 
 
 def _parameters(layers: list[DenseLayer]) -> list[np.ndarray]:

@@ -587,7 +587,8 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
         "--spec", "psychometric-feature-layer", "--out-dir", out_dir)
     env = json.loads((out_dir / "manifest.json").read_text())["environment"]
     assert set(env) == {
-        "python", "numpy", "blas", "blas_version", "blas_threads", "workers",
+        "python", "numpy", "blas", "blas_version", "blas_core",
+        "blas_threads", "workers",
     }
     assert env["workers"] == 1  # train runs in one process
     assert env["python"] == platform.python_version()
@@ -596,6 +597,13 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
     assert (env["blas"], env["blas_version"]) == (
         blas.get("name"), blas.get("version"))
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
+    # the kernel is one of the words of OpenBLAS's build string
+    get_config = _openblas("get_config")
+    if get_config is None:
+        assert env["blas_core"] is None
+    else:
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        assert env["blas_core"] in get_config().decode().split()
     # found once per process, not once per manifest
     assert _environment() is _environment()
 

@@ -1,6 +1,7 @@
 """Dataset ingestion, schema, balancing, splitting, and synthesis tests."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -136,6 +137,23 @@ def test_load_csv_rejects_bad_labels(tmp_path):
     path = _write(tmp_path / "x.csv", "a,label\n1.0,3\n")
     with pytest.raises(DataError, match="label must be 0 or 1"):
         load_csv(path, "synthetic")
+
+
+def test_load_csv_ends_lines_only_at_lf_crlf_and_cr(tmp_path):
+    # str.splitlines() would also end lines at the \x0b after 2.0 and at
+    # the \x85 and \u2028 before values, and report a wrong-width line;
+    # they are padding, like the \x1c and \x1f that float() rejects
+    # but str.strip() strips
+    path = _write(tmp_path / "x.csv", "a,b,label\n2.0\x0b,1.0,0\n"
+                  "\x851.5,\u20283.0,1\n\x1c4.0,5.0\x1f,0\n")
+    ds = load_csv(path, "synthetic")
+    assert ds.x.tolist() == [[2.0, 1.0], [1.5, 3.0], [4.0, 5.0]]
+    assert ds.y.tolist() == [0, 1, 0]
+    for end in ("\n", "\r\n", "\r"):
+        path = tmp_path / "ends.csv"
+        path.write_bytes(end.join(["a,label", "1.0,0", "", "x,1", ""]).encode())
+        with pytest.raises(ParseError, match="line 4, column 'a'"):
+            load_csv(path, "synthetic")
 
 
 def test_load_csv_empty_and_unknown_battery(tmp_path):
@@ -498,6 +516,15 @@ def _csv_text_oracle(ds):
     return "\n".join(lines) + "\n"
 
 
+def test_write_csv_refuses_a_dataset_without_features(tmp_path):
+    # its file would hold bare labels, which load_csv cannot read back
+    ds = synthesize_dataset(3, 2, 1.0, SeededRng(0))
+    path = tmp_path / "none.csv"
+    with pytest.raises(DataError, match=f"{path}: a dataset without features has no CSV form"):
+        write_csv(drop_features(ds, ds.feature_names), path)
+    assert not path.exists()
+
+
 def _write_text(ds, path):
     write_csv(ds, path)
     return path.read_text(encoding="utf-8")
@@ -524,16 +551,21 @@ def test_write_csv_text_is_per_cell_repr(x, block, data_):
     ds = Dataset("synthetic", tuple(f"f{j}" for j in range(x.shape[1])), x, y)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(data, "_CSV_BLOCK_CELLS", block):
+        if not x.shape[1]:  # see the test above
+            with pytest.raises(DataError):
+                write_csv(ds, Path(tmp) / "x.csv")
+            return
         assert _write_text(ds, Path(tmp) / "x.csv") == _csv_text_oracle(ds)
 
 
 def _load_csv_oracle(path, battery):
     """load_csv as it parsed every cell on its own, kept as the oracle
-    for the one-map-per-row parse."""
+    for the one-map-per-row parse; lines end at LF, CR LF or CR."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise ParseError(f"{path}: file is empty")
+    lines = re.split("\r\n|\r|\n", text)
     header = lines[0].split(",")
     if len(header) < 2 or header[-1] != "label":
         raise SchemaError(
@@ -594,7 +626,8 @@ def _load_csv_oracle(path, battery):
     return Dataset(battery, feature_names, x, np.array(labels))
 
 
-PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\u3000", " \t"])
+PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\x1f", "\x85",
+                          "\u2028", "\u3000", " \t"])
 NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),

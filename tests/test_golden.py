@@ -8,7 +8,9 @@ CSV `golden/synth.csv`, and compares the SHA-256 of each artifact with
 and the C library's log and cos, not on the BLAS.
 
 Trained weights depend on the BLAS summation order, so the digests hold
-only for the numpy/BLAS build recorded next to them. A change that
+only for the numpy/BLAS build recorded next to them, and only under the
+kernel OpenBLAS picks for the CPU (SkylakeX when they were recorded); a
+failure names the running kernel. A change that
 alters the numbers on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json
@@ -24,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from fasdnet.cli import EXIT_OK, main
+from fasdnet.experiment import _blas_core
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -77,7 +80,8 @@ def test_artifacts_match_golden_digests(tmp_path):
                      if got.get(k) != recorded["digests"][k])
     assert not changed, (
         f"artifacts {changed} differ from the golden digests; recorded "
-        f"under {recorded['identity']}, running under {numeric_identity()}"
+        f"under {recorded['identity']}, running under {numeric_identity()} "
+        f"with the {_blas_core()} BLAS kernel"
     )
 
 

@@ -9,7 +9,8 @@ exact zeros.
 The training loop runs every pass in preallocated buffers (out= and
 work= arguments) that still hold an earlier epoch's numbers. The last
 properties here check that each pass gives the same bits into buffers
-full of NaN as into new arrays.
+full of NaN as into new arrays, and that a forward pass split into two
+row blocks gives the bits and the error of one pass per block.
 """
 
 import numpy as np
@@ -71,6 +72,12 @@ def assert_same_bits(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+def softmax_oracle(z):
+    # exp(z - max) / sum, with numpy's axis reductions
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
 def sigmoid_oracle(z):
     # the two-branch form, one branch per boolean mask
     out = np.empty_like(z)
@@ -94,6 +101,30 @@ def test_leaky_relu_forward_is_the_piecewise_formula(z, slope):
 def test_sigmoid_forward_is_the_two_branch_formula(z):
     with np.errstate(all="ignore"):
         assert_same_bits(activation_apply(SIGMOID, z), sigmoid_oracle(z))
+
+
+# logits with ties, signed zeros and spreads of up to 2e308, whose max
+# shift overflows to -inf
+LOGITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     709.8, -745.2, 5e-324]),
+    st.floats(width=64),
+)
+
+
+@KERNEL_SETTINGS
+@given(hnp.arrays(np.float64,
+                  st.tuples(st.integers(1, 3), st.integers(1, 9),
+                            st.one_of(st.just(2), st.integers(3, 7))),
+                  elements=LOGITS))
+def test_column_softmax_is_the_axis_reduction_formula(z):
+    # training's softmax has 2 columns; up to 7 the column order is the
+    # order of numpy's reductions
+    with np.errstate(all="ignore"):
+        want = softmax_oracle(z)
+        assert_same_bits(activation_apply(SOFTMAX, z), want)
+        assert_same_bits(activation_apply(SOFTMAX, z[0]), want[0])
 
 
 @KERNEL_SETTINGS
@@ -220,6 +251,8 @@ MODERATE = st.one_of(
     st.floats(-4.0, 4.0),
 )
 STACKS = st.sampled_from([1, 3])
+DIVERGENT = [float("inf"), float("-inf"), float("nan"), 1e308, -1e308, 1e307,
+             -3e307, 1e306]
 
 
 def nan_filled(buffers):
@@ -232,10 +265,11 @@ def nan_filled(buffers):
 
 
 @st.composite
-def networks(draw):
-    """A stacked network of S in {1, 3} slots with every hidden
-    activation kind and a softmax or sigmoid output, and an input x."""
-    slots, rows = draw(STACKS), draw(st.integers(1, 6))
+def networks(draw, slots=STACKS, rows=st.integers(1, 6)):
+    """A stacked network of S slots (1 or 3 by default) with every
+    hidden activation kind and a softmax or sigmoid output, and an
+    input x."""
+    slots, rows = draw(slots), draw(rows)
     widths = [draw(st.integers(1, 5)) for _ in range(draw(st.integers(0, 3)))]
     acts = [draw(st.sampled_from(ACTIVATIONS)) for _ in widths]
     widths.append(draw(st.sampled_from([1, 2])))
@@ -253,13 +287,26 @@ def networks(draw):
     return layers, x
 
 
-def _forward(layers, x, out=None):
+def _forward(layers, x, out=None, split=None):
     """network_forward's (caches, output), or the NonFiniteError it
     raised as (message, layer, slots)."""
     try:
-        return network_forward(layers, None, x, out)
+        return network_forward(layers, None, x, out, split)
     except NonFiniteError as exc:
         return str(exc), exc.layer, exc.slots
+
+
+def _rows_stacked(first, second):
+    """Two passes' results as one pass over both blocks of rows should
+    give them: the first pass's error, else the second's, else the
+    caches and outputs joined along the rows."""
+    for block in (first, second):
+        if isinstance(block[0], str):
+            return block
+    (caches, output), (more_caches, more_output) = first, second
+    return ([tuple(np.concatenate(pair, axis=-2) for pair in zip(a, b))
+             for a, b in zip(caches, more_caches, strict=True)],
+            np.concatenate([output, more_output], axis=-2))
 
 
 def assert_same_pass(got, want):
@@ -285,6 +332,29 @@ def test_network_forward_into_used_buffers_is_the_unbuffered_pass(net, cell):
         assert_same_pass(_forward(layers, x, buffers), want)
         # a second pass into the same buffers, as in the next epoch
         assert_same_pass(_forward(layers, x, buffers), want)
+
+
+@KERNEL_SETTINGS
+@given(networks(st.integers(1, 3), st.integers(2, 8)), st.data())
+def test_split_forward_is_one_pass_per_block(net, data):
+    # training runs its training and validation rows as one pass split
+    # between them; a huge or non-finite cell in either block, or in
+    # both, may make that block fail at some layer
+    layers, x = net
+    split = data.draw(st.integers(1, x.shape[-2] - 1))
+    for rows in (range(split), range(split, x.shape[-2])):
+        if data.draw(st.booleans()):
+            cell = (data.draw(st.integers(0, len(x) - 1)),
+                    data.draw(st.sampled_from(rows)),
+                    data.draw(st.integers(0, x.shape[-1] - 1)))
+            x[cell] = data.draw(st.sampled_from(DIVERGENT))
+    with np.errstate(all="ignore"):
+        want = _rows_stacked(_forward(layers, x[:, :split].copy()),
+                             _forward(layers, x[:, split:].copy()))
+        assert_same_pass(_forward(layers, x, split=split), want)
+        buffers = nan_filled(forward_buffers(layers, x.shape[-2]))
+        assert_same_pass(_forward(layers, x, buffers, split), want)
+        assert_same_pass(_forward(layers, x, buffers, split), want)
 
 
 @KERNEL_SETTINGS

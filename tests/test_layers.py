@@ -4,6 +4,7 @@ Gradient-bearing ops are validated against central finite differences;
 forward ops against per-neuron loop oracles.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,16 @@ def test_softmax_rows_sum_to_one():
     z = rng.uniform(-100, 100, size=(30, 4))
     out = activation_apply(SOFTMAX, z)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_softmax_of_logits_2e308_apart_does_not_warn():
+    # the max shift overflows to -inf, whose exp is exactly the 0 it
+    # stands for, so the result is valid and the call stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = activation_apply(SOFTMAX, np.array([[1e308, -1e308],
+                                                  [-1e308, 1e308]]))
+    assert out.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_softmax_needs_two_columns():
@@ -432,6 +443,32 @@ def test_network_forward_guard_names_failing_stack_slots():
                            r"is non-finite in stack slots \[1\]") as err:
             network_forward(stack_layers(nets), None, x)
     assert (err.value.layer, err.value.slots) == (0, (1,))
+
+
+def test_split_forward_names_the_first_blocks_failure_first():
+    # two identity layers; slot 0's first block overflows at layer 1
+    # (1e300 * 1e10), slot 1's second block holds an inf, non-finite
+    # from layer 0 on. One pass per block names the first block's
+    # failure, so the split pass does too, though it is the later layer
+    layers = [DenseLayer(np.ones((2, 1, 1)), np.zeros((2, 1, 1)), IDENTITY),
+              DenseLayer(np.full((2, 1, 1), 1e10), np.zeros((2, 1, 1)),
+                         IDENTITY)]
+    x = np.ones((2, 4, 1))
+    x[0, 1, 0], x[1, 3, 0] = 1e300, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=r"layer 1 pre-activation "
+                           r"is non-finite in stack slots \[0\]") as err:
+            network_forward(layers, None, x, split=2)
+        assert (err.value.layer, err.value.slots) == (1, (0,))
+        # with the first block finite, the second block's layer is named
+        x[0, 1, 0] = 1.0
+        with pytest.raises(NonFiniteError) as err:
+            network_forward(layers, None, x, split=2)
+        assert (err.value.layer, err.value.slots) == (0, (1,))
+        # and with both finite, a split after every row is the plain pass
+        x[1, 3, 0] = 1.0
+        assert network_forward(layers, None, x, split=4)[1].tolist() == [
+            [[1e10]] * 4] * 2
 
 
 # --------------------------------------------------------------- config type

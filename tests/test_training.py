@@ -459,6 +459,97 @@ def test_train_many_drops_a_slot_whose_validation_pass_fails():
         False, True, False]
 
 
+def _stack_with_scaled_validation_rows(spec_name, learning_rate, epochs,
+                                       scales):
+    """train_many over seeds 0, 1, ... of a registry spec, with slot s's
+    validation rows multiplied by scales[s]; returns the configs, the
+    per-slot runs and the stacked outcomes."""
+    from fasdnet.experiment import REGISTRY
+
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(3))
+    configs = [replace(REGISTRY[spec_name].config, epochs=epochs,
+                       learning_rate=learning_rate, seed=s)
+               for s in range(len(scales))]
+    with np.errstate(over="ignore"):
+        runs = [(tr.x, tr.y, te.x * scale, te.y) for (tr, te), scale in zip(
+            (stratified_split(ds, SplitSpec(0.75, seed=s))
+             for s in range(len(scales))), scales)]
+    return configs, runs, train_many(configs,
+                                     *(np.stack(a) for a in zip(*runs)))
+
+
+def _divergence(outcome):
+    if not isinstance(outcome, DivergenceError):
+        return None
+    return str(outcome), outcome.epoch, outcome.layer
+
+
+_DIVERGED = "training diverged at epoch {}: layer {} pre-activation is non-finite"
+
+
+def _validation_layer_after_one_step(config, run) -> int:
+    """The first layer at which the validation rows are non-finite after
+    epoch 1's Adam step, replayed with the unbuffered public functions."""
+    from fasdnet.layers import network_backward, network_forward, network_init
+
+    x_tr, y_tr, x_va, _ = run
+    layers = network_init(config, SeededRng(config.seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        caches, _ = network_forward(layers, None, x_tr)
+        grads = network_backward(
+            layers, caches, loss_grad(config.loss, caches[-1][1], y_tr))
+        params = [a for layer in layers for a in (layer.weights, layer.bias)]
+        new = adam_step(AdamState(params, config.learning_rate), params, grads)
+        layers = [replace(layer, weights=new[2 * i], bias=new[2 * i + 1])
+                  for i, layer in enumerate(layers)]
+        with pytest.raises(NonFiniteError) as err:
+            network_forward(layers, None, x_va)
+    return err.value.layer
+
+
+def test_train_many_names_the_training_rows_layer_before_the_validation_rows():
+    # the first Adam step at this rate moves every weight by about
+    # 3e101, so epoch 1's pass overflows in every slot's training rows,
+    # at layer 2 or 3. Slots 1, 3 and 4 have their validation rows
+    # scaled up, and those overflow earlier, at layer 1 or 0 (slot 4's
+    # even before the first step); the training rows' layer is still
+    # the one named. The expected errors are those of separate
+    # training and validation passes
+    from fasdnet.layers import network_forward, network_init
+
+    configs, runs, stacked = _stack_with_scaled_validation_rows(
+        "table2-row5", 3e101, 5, [1.0, 1e200, 1.0, 1e150, 1e307])
+    assert [_validation_layer_after_one_step(configs[s], runs[s])
+            for s in (1, 3, 4)] == [1, 1, 0]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="layer 0"):
+        network_forward(network_init(configs[4], SeededRng(4)), None,
+                        runs[4][2])
+    assert [_divergence(got) for got in stacked] == [
+        (_DIVERGED.format(1, layer), 1, layer) for layer in (2, 2, 3, 2, 3)]
+    for config, run, got in zip(configs, runs, stacked):
+        with pytest.raises(DivergenceError) as err:
+            train(config, *run)
+        assert _divergence(err.value) == _divergence(got)
+
+
+def test_train_many_names_validation_only_overflows_and_trains_the_rest():
+    # slots 1 and 3 have their validation rows scaled to about 1e307, so
+    # layer 0 overflows there while their training rows stay finite:
+    # slot 1 at epoch 1, slot 3 at epoch 6, once its weights have moved.
+    # The expected errors are those of separate training and validation
+    # passes; slots 0 and 2 train on and write their solo files
+    configs, runs, stacked = _stack_with_scaled_validation_rows(
+        "table2-row5", 0.001, 20, [1.0, 1e307, 1.0, 1.44e306])
+    assert [_divergence(got) for got in stacked] == [
+        None, (_DIVERGED.format(1, 0), 1, 0),
+        None, (_DIVERGED.format(6, 0), 6, 0)]
+    for s in (0, 2):
+        model, history = train(configs[s], *runs[s])
+        assert stacked[s][0].to_json() == model.to_json()
+        assert stacked[s][1].to_csv_text() == history.to_csv_text()
+
+
 def test_train_many_rejects_configs_that_differ_beyond_seed():
     ds = _separable_set(4, 6)
     cfg = NetworkConfig(6, ((1, SIGMOID),), "binary", False, 1, 0.001, 0)
