@@ -211,9 +211,8 @@ def cmd_train(args, argv) -> int:
 def cmd_sweep(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
     specs = _sweep_specs(args)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     out_dir = _out_dir(args)
-    sweep = run_sweep(specs, ds, seeds)
+    sweep = run_sweep(specs, ds, args.seeds)
     (out_dir / "runs.csv").write_text(sweep.runs_csv_text(), encoding="utf-8")
     (out_dir / "summary.txt").write_text(sweep.summary_text(), encoding="utf-8")
     (out_dir / "summary.json").write_text(
@@ -222,7 +221,7 @@ def cmd_sweep(args, argv) -> int:
     config_digest = _sha256_text("".join(s.config.to_json() for s in specs))
     timings = sweep.timings()
     trainers = {"workers": sweep.workers, "blas_threads": sweep.blas_threads}
-    _write_manifest(out_dir, argv, seeds[0], config_digest, data_hash,
+    _write_manifest(out_dir, argv, args.seeds[0], config_digest, data_hash,
                     trainers, timings=timings)
     for name, t in timings.items():
         print(f"{name}: {t['seeds']} seeds, {t['failures']} failed, "
@@ -245,19 +244,24 @@ def cmd_report(args, argv) -> int:
             f"no sweep results in {results_dir} (need runs.csv and "
             "summary.json)"
         )
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
     user = {}
     if args.baselines:
-        text = Path(args.baselines).read_text(encoding="utf-8").strip()
-        user = json.loads(text) if text else {}
-        for battery in user:
+        path = Path(args.baselines)
+        user = _json_object(path, DataError)
+        for battery, value in user.items():
             if battery not in BATTERIES:
                 raise DataError(
-                    f"baselines file names unknown battery {battery!r}"
+                    f"baselines file {path} names unknown battery {battery!r}"
+                )
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DataError(
+                    f"baselines file {path}: the value for {battery!r} is "
+                    f"not a number: {value!r}"
                 )
     baselines = BaselineTable(user=user)
 
-    report = comparison_report(_runs_from_csv(runs_path, summary), baselines)
+    report = comparison_report(_runs_from_csv(runs_path, summary_path),
+                               baselines)
     out_dir = _out_dir(args)
     (out_dir / "comparison.csv").write_text(
         report.to_csv_text(), encoding="utf-8"
@@ -269,10 +273,24 @@ def cmd_report(args, argv) -> int:
     return EXIT_OK
 
 
-def _runs_from_csv(runs_path: Path, summary) -> list[RunResult]:
+def _json_object(path: Path, error: type) -> dict:
+    """The JSON object in a report input file, {} for a blank file;
+    error, naming the file, when it holds invalid JSON or another kind
+    of value."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text) if text.strip() else {}
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _runs_from_csv(runs_path: Path, summary_path: Path) -> list[RunResult]:
     """Rebuild a sweep's runs from runs.csv, joining each spec to its
     battery in summary.json."""
-    battery = {name: s["battery"] for name, s in summary.get("specs", {}).items()}
+    specs = _json_object(summary_path, ReportError).get("specs", {})
     runs = []
     with open(runs_path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -280,7 +298,7 @@ def _runs_from_csv(runs_path: Path, summary) -> list[RunResult]:
             try:
                 cm = ConfusionMatrix(*(int(row[k]) for k in ("tp", "fp", "tn", "fn")))
                 runs.append(RunResult(
-                    row["spec"], battery[row["spec"]], int(row["seed"]),
+                    row["spec"], specs[row["spec"]]["battery"], int(row["seed"]),
                     float(row["train_acc"]), float(row["test_acc"]), cm, None,
                 ))
             except (KeyError, TypeError, ValueError) as exc:
@@ -334,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specs", required=True,
                    help="set name (table2, feature-layer, all), comma list of "
                         "builtin names, or a directory of config JSON files")
-    p.add_argument("--seeds", required=True, help="comma list of integers")
+    p.add_argument("--seeds", required=True, type=_seed_list,
+                   help="comma list of integers")
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--balance", action="store_true")
     p.add_argument("--out-dir", default=None)
@@ -348,6 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_report)
     return parser
+
+
+def _seed_list(text: str) -> list[int]:
+    """--seeds: a comma list of integers, empty items skipped; a bad
+    item is a usage error that names it."""
+    try:
+        return [int(token) for token in text.split(",") if token.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _is_negative_number(token: str) -> bool:

@@ -35,10 +35,6 @@ class ContractError(FasdnetError):
     """An operation was called in a way its contract forbids."""
 
 
-class NotFittedError(FasdnetError):
-    """A fitted transform was applied before fitting."""
-
-
 class DataError(FasdnetError):
     """Dataset contents violate an invariant (labels, class counts, sizes)."""
 

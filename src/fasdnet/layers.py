@@ -33,19 +33,19 @@ same for both: products use matmul, transposes swap the last two axes
 and sums run over the batch axis, -2. This is how training runs all
 seeds of a spec as one network (see training.train_many).
 
-Every pass follows numpy's out= convention. dense_forward,
-activation_apply, network_forward and network_backward write into
-buffers the caller passes and return them; given none, they return
-new arrays, which is what predictions and the public API use. The
-caller owns the buffers and decides how long they live:
-forward_buffers(layers, rows) holds per layer z, the output, the
-activation's scratch array and z's finiteness mask, and
-backward_buffers(layers, rows) per layer delta and the scratch array
-its activation derivative is formed in. A pass overwrites every buffer
-it is given, so the caches network_forward returns into buffers are
-valid only until those buffers are passed again. The training loop
-allocates one set per stack (see training.train_many); the results are
-the same bits either way.
+Every pass writes into buffers, and that is its one path.
+dense_forward, activation_apply, network_forward and network_backward
+take the buffers as out= and work= arguments and return them; a call
+without them, as predictions and the public API make, allocates them
+once, at entry, and then runs the same lines. The caller owns the
+buffers and decides how long they live: forward_buffers(layers, rows)
+holds per layer z, the output, the activation's scratch array and z's
+finiteness mask, and backward_buffers(layers, rows) per layer delta and
+the scratch array its activation derivative is formed in. A pass
+overwrites every buffer it is given, so the caches network_forward
+returns into buffers are valid only until those buffers are passed
+again. The training loop allocates one set per stack (see
+training.train_many).
 
 Backward rules are the textbook ones; see network_backward. It takes
 the sigmoid and ReLU derivatives from each layer's output, which the
@@ -55,11 +55,12 @@ fused with the cross-entropy loss (see training.loss_grad), so asking
 for a standalone softmax derivative is a contract error.
 
 The "feature layer" used by the second family of models is a
-per-feature standardization stage: it learns column means and standard
-deviations from the training rows only and maps every later input
-through (x - mean) / std. It exists because the raw batteries mix
-features on wildly different scales (single digits next to values near
-100), which cripples an unnormalized first layer.
+per-feature standardization stage: FeatureNormLayer.fit learns column
+means and standard deviations from the training rows only, as a frozen
+value whose apply maps every later input through (x - mean) / std. It
+exists because the raw batteries mix features on wildly different
+scales (single digits next to values near 100), which cripples an
+unnormalized first layer.
 """
 
 from __future__ import annotations
@@ -75,10 +76,8 @@ from .errors import (
     ContractError,
     DataError,
     NonFiniteError,
-    NotFittedError,
     ShapeError,
 )
-from .matrix import matmul
 from .rng import SeededRng
 
 _KINDS = ("identity", "relu", "leaky_relu", "sigmoid", "softmax")
@@ -126,12 +125,12 @@ def leaky_relu(slope: float = 0.01) -> Activation:
     return Activation("leaky_relu", slope)
 
 
-def _stable_sigmoid(z: np.ndarray, out=None, work=None) -> np.ndarray:
+def _stable_sigmoid(z: np.ndarray, out: np.ndarray, work) -> np.ndarray:
     # max(z >= 0, e) / (1 + e) with e = exp(-|z|); see the module docstring
     e = np.abs(z, out=work)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.greater_equal(z, 0.0, out=np.empty(z.shape) if out is None else out)
+    num = np.greater_equal(z, 0.0, out=out)
     np.maximum(num, e, out=num)
     e += 1.0
     num /= e
@@ -142,26 +141,28 @@ def activation_apply(a: Activation, z: np.ndarray, out=None,
                      work=None) -> np.ndarray:
     """Apply an activation elementwise (softmax: per row, stabilized).
 
-    The result goes into out when given, else into a new array. The
-    sigmoid also needs a scratch array of z's shape: work when given,
-    else a new one. Neither may overlap z.
+    The result goes into out, allocated here when not given; work is
+    the sigmoid's scratch array of z's shape (numpy makes one when it
+    is None). Neither may overlap z.
     """
+    if out is None:
+        out = np.empty(z.shape)
     with np.errstate(over="ignore"):
         return _activate(a, z, out, work)
 
 
-def _activate(a: Activation, z: np.ndarray, out, work) -> np.ndarray:
-    """activation_apply in the caller's numpy error state."""
+def _activate(a: Activation, z: np.ndarray, out: np.ndarray,
+              work) -> np.ndarray:
+    """activation_apply into out, in the caller's numpy error state; the
+    sigmoid forms exp in work (numpy allocates it when work is None)."""
     if a.kind == "identity":
-        if out is None:
-            return z.copy()
         np.copyto(out, z)
         return out
     if a.kind == "relu":
         return np.maximum(z, 0.0, out=out)
     if a.kind == "leaky_relu":
         # max(z, slope * z); see the module docstring
-        out = np.multiply(z, a.slope, out=out)
+        np.multiply(z, a.slope, out=out)
         return np.maximum(z, out, out=out)
     if a.kind == "sigmoid":
         return _stable_sigmoid(z, out, work)
@@ -172,7 +173,6 @@ def _activate(a: Activation, z: np.ndarray, out, work) -> np.ndarray:
         )
     cols = [z[..., j] for j in range(z.shape[-1])]
     peak = functools.reduce(np.maximum, cols)
-    out = np.empty(z.shape) if out is None else out
     exps = [np.subtract(c, peak, out=out[..., j]) for j, c in enumerate(cols)]
     np.exp(out, out=out)
     total = functools.reduce(np.add, exps)
@@ -186,37 +186,31 @@ _SOFTMAX_GRAD = ("softmax has no standalone gradient; use the fused "
 
 
 def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
-    """Elementwise derivative with respect to the pre-activation.
+    """Elementwise derivative with respect to the pre-activation: the
+    training code's _delta_through applied to a delta of ones.
 
     leaky_relu at exactly 0 uses the slope (the pinned subgradient
     choice). softmax is rejected: its gradient is fused with the loss.
     """
     if a.kind == "softmax":
         raise ContractError(_SOFTMAX_GRAD)
-    if a.kind == "identity":
-        return np.ones_like(z)
-    if a.kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    if a.kind == "leaky_relu":
-        # 1.0 above 0, else the slope: max(mask, slope) on the 0/1 mask
-        # is exactly that, without np.where's per-element branch
-        return np.maximum(z > 0.0, a.slope)
-    s = _stable_sigmoid(z)
-    return s * (1.0 - s)
+    return _delta_through(a, z, activation_apply(a, z), np.ones(z.shape),
+                          np.empty(z.shape))
 
 
 def _delta_through(a: Activation, z: np.ndarray, out: np.ndarray,
-                   delta: np.ndarray, work=None) -> np.ndarray:
-    """delta * activation_grad(a, z) in place in delta; sigmoid and relu
-    read their derivative off out = activation(z), the cached output:
-    out * (1 - out), and out > 0 exactly where z > 0. The derivative is
-    formed in work when given (an array of z's shape), else in a new
-    array. Like activation_grad, it rejects softmax, whose gradient
-    exists only fused with the loss at the last layer."""
+                   delta: np.ndarray, work) -> np.ndarray:
+    """delta times the derivative of a at z, in place in delta; sigmoid
+    and relu read their derivative off out = activation(z), the cached
+    output: out * (1 - out), and out > 0 exactly where z > 0. leaky_relu
+    at exactly 0 takes the slope. The derivative is formed in work, an
+    array of z's shape. softmax is rejected: its gradient exists only
+    fused with the loss at the last layer."""
     if a.kind == "relu":
         delta *= np.greater(out, 0.0, out=work)
     elif a.kind == "leaky_relu":
-        # activation_grad's max(z > 0, slope), written into work
+        # 1.0 above 0, else the slope: max(mask, slope) on the 0/1 mask
+        # is exactly that, without np.where's per-element branch
         delta *= np.maximum(np.greater(z, 0.0, out=work), a.slope, out=work)
     elif a.kind == "sigmoid":
         g = np.subtract(1.0, out, out=work)
@@ -271,40 +265,40 @@ def dense_forward(layer: DenseLayer, x: np.ndarray, out=None, work=None,
                   split: int | None = None):
     """Forward pass; returns (pre_activation, output) for backprop caching.
 
-    out, when given, is a (z, output) pair of arrays to write them
-    into; work is activation_apply's scratch array. Without them every
-    result is a new array.
+    out is a (z, output) pair of arrays to write them into and work is
+    activation_apply's scratch array; without out, all three are
+    allocated here.
 
     split, when given, cuts x's rows into two blocks, [0, split) and
     [split, rows): the product, which over both would sum in another
     order, is taken per block; the rest runs once over all rows.
     """
-    if x.shape[-1] != layer.in_dim:
+    if (x.shape[-1] != layer.in_dim
+            or x.shape[:-2] not in ((), layer.weights.shape[:-2])):
         raise ShapeError(
             f"dense_forward: input {x.shape} does not match weights "
             f"{layer.weights.shape}"
         )
-    z_out, a_out = out or (None, None)
-    if split is None:
-        z = np.matmul(x, layer.weights, out=z_out)
-    else:
-        z = z_out if z_out is not None else np.empty(
-            np.broadcast_shapes(x.shape[:-2], layer.weights.shape[:-2])
-            + (x.shape[-2], layer.out_dim))
-        for rows in (slice(None, split), slice(split, None)):
-            np.matmul(x[..., rows, :], layer.weights, out=z[..., rows, :])
+    if out is None:
+        *out, work, _ = forward_buffers([layer], x.shape[-2])[0]
+    z, a = out
+    blocks = ((slice(None),) if split is None
+              else (slice(None, split), slice(split, None)))
+    for rows in blocks:
+        np.matmul(x[..., rows, :], layer.weights, out=z[..., rows, :])
     if layer.bias.shape != z.shape[:-2] + (1, z.shape[-1]):
         raise ShapeError(
             f"dense_forward: bias {layer.bias.shape} does not match weights "
             f"{layer.weights.shape}"
         )
     z += layer.bias
-    return z, _activate(layer.activation, z, a_out, work)
+    return z, _activate(layer.activation, z, a, work)
 
 
 def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
                               delta: np.ndarray):
-    """Backward pass through the affine map, given delta = dLoss/dz.
+    """Backward pass through the affine map, given delta = dLoss/dz:
+    network_backward's gradients of a one-layer stack, plus grad_x.
 
     grad_w = x^T @ delta
     grad_b = column sums of delta
@@ -315,43 +309,33 @@ def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
             f"dense_backward_from_delta: delta {delta.shape} inconsistent "
             f"with input {x.shape} and weights {layer.weights.shape}"
         )
-    return (
-        matmul(x.swapaxes(-1, -2), delta),
-        delta.sum(axis=-2, keepdims=True),
-        matmul(delta, layer.weights.swapaxes(-1, -2)),
-    )
+    grad_w, grad_b = network_backward([layer], [(x, delta)], delta)
+    return grad_w, grad_b, delta @ layer.weights.swapaxes(-1, -2)
 
 
+@dataclass(frozen=True, eq=False)
 class FeatureNormLayer:
     """Fit-on-train z-score stage; the first layer of the second models.
 
     fit() learns per-column mean and population standard deviation from
     the training rows only. Columns with zero variance get std = 1 so
-    apply() never divides by zero. apply() before fit() is an error;
-    test data must be transformed with the training statistics.
+    apply() never divides by zero. Test data must be transformed with
+    the training statistics.
     """
 
-    def __init__(self):
-        self.means: np.ndarray | None = None
-        self.stds: np.ndarray | None = None
+    means: np.ndarray
+    stds: np.ndarray
 
-    @property
-    def fitted(self) -> bool:
-        return self.means is not None
-
-    def fit(self, train_x: np.ndarray) -> "FeatureNormLayer":
+    @classmethod
+    def fit(cls, train_x: np.ndarray) -> "FeatureNormLayer":
         if train_x.shape[0] < 2:
             raise DataError(
                 f"feature normalization needs >= 2 rows, got {train_x.shape[0]}"
             )
-        self.means = train_x.mean(axis=0)
         stds = train_x.std(axis=0)  # population convention (ddof=0)
-        self.stds = np.where(stds > 0.0, stds, 1.0)
-        return self
+        return cls(train_x.mean(axis=0), np.where(stds > 0.0, stds, 1.0))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise NotFittedError("feature normalization applied before fit")
         if x.shape[1] != self.means.shape[0]:
             raise ShapeError(
                 f"feature normalization fitted on {self.means.shape[0]} "
@@ -457,8 +441,11 @@ class NetworkConfig:
                 learning_rate=doc["learning_rate"],
                 seed=doc["seed"],
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ConfigError(f"config JSON is missing field: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"config JSON has a field of the wrong type: {exc}") from exc
 
 
 def network_init(config: NetworkConfig, rng: SeededRng) -> list[DenseLayer]:
@@ -511,10 +498,10 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     present, is applied first and has no trainable parameters (pass
     None for a stacked network; its input is normalized per slot).
 
-    out, when given, is forward_buffers(layers, rows): every array the
-    pass makes is written there, so the caches and the output are views
-    of those buffers and stay valid until out is used again. Without it
-    every array is new.
+    out is forward_buffers(layers, rows), allocated here when not
+    given: every array the pass makes is written there, so the caches
+    and the output are views of those buffers and stay valid until out
+    is used again.
 
     A NaN or infinity in any layer's pre-activation raises
     NonFiniteError naming the layer; on a stack it also names the
@@ -526,12 +513,13 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     block, joined along the rows, and so is the error: the first
     block's first non-finite layer if it has one, else the second's.
     """
+    if out is None:
+        out = forward_buffers(layers, x.shape[-2])
     h = norm.apply(x) if norm is not None else x
     caches, later = [], None
-    for i, layer in enumerate(layers):
-        z_out, a_out, work, finite = out[i] if out else (None,) * 4
-        z, a = dense_forward(layer, h, (z_out, a_out), work, split)
-        finite = np.isfinite(z, out=finite)
+    for i, (layer, (z, a, work, finite)) in enumerate(zip(layers, out)):
+        z, a = dense_forward(layer, h, (z, a), work, split)
+        np.isfinite(z, out=finite)
         if not np.logical_and.reduce(finite, axis=None):
             first = _non_finite(i, finite[..., :split, :])
             if first:
@@ -561,11 +549,10 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
     layer's cached output where that is cheaper than from z (see
     _delta_through); the first layer's grad_x has no consumer and is
     not computed. Returns the gradients in parameter order, [dW0, db0,
-    dW1, db1, ...], written into out when given (arrays shaped like the
-    parameters, e.g. views of one flat buffer), else into new arrays.
-    work, when given, is backward_buffers(layers, rows), which holds
-    every earlier layer's delta and derivative; without it they are new
-    arrays.
+    dW1, db1, ...], written into out (arrays shaped like the
+    parameters, e.g. views of one flat buffer). work is
+    backward_buffers(layers, rows), which holds every earlier layer's
+    delta and derivative. Either is allocated here when not given.
     """
     if delta.shape != caches[-1][1].shape:
         raise ShapeError(
@@ -576,7 +563,7 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
         out = [np.empty_like(a) for layer in layers
                for a in (layer.weights, layer.bias)]
     if work is None:
-        work = [(None, None)] * len(layers)
+        work = backward_buffers(layers, delta.shape[-2])
     for i in range(len(layers) - 1, -1, -1):
         layer_x, z = caches[i]
         if i < len(layers) - 1:

@@ -1,18 +1,13 @@
-"""Dense 2-D float64 arrays and the handful of operations layers need.
+"""Dense 2-D float64 arrays: the input check and two reference operations.
 
 A "matrix" throughout the toolkit is a C-contiguous 2-D float64 numpy
-array, rows = samples and columns = features. matmul, add_row_broadcast
-and argmax_rows also take a stack of matrices with a leading axis,
-(S, rows, cols), and work on each slot independently; that is how the
-training loop trains several seeds as one network. These wrappers
-attach the shape contract every caller relies on: a failed shape check
-names both operand shapes. Only as_matrix checks finiteness, on input.
-The operations themselves may overflow to infinity; the forward pass
-(layers.network_forward) checks each layer's pre-activation once and
-raises NonFiniteError there. Treat matrices as immutable; every
-function here returns a new array. The training step's products do
-not come through here: they write into preallocated buffers with
-np.matmul(..., out=), see layers.dense_forward.
+array, rows = samples and columns = features. as_matrix makes every
+dataset's features one (data.Dataset) and rejects NaN and infinity.
+matmul and add_row_broadcast are the dense layer's product and bias
+add, per slot on stacks (S, rows, cols), with a shape check naming both
+operands; each returns a new array. Training does not call them: it
+writes into preallocated buffers (layers.dense_forward), and the tests
+use these two as its reference.
 """
 
 from __future__ import annotations
@@ -52,12 +47,3 @@ def add_row_broadcast(a: np.ndarray, bias: np.ndarray) -> np.ndarray:
             f"{a.shape}, got {bias.shape}"
         )
     return a + bias
-
-
-def argmax_rows(a: np.ndarray) -> np.ndarray:
-    """Index of the max entry in each row; ties go to the lower index."""
-    if a.shape[-2] == 0:
-        return np.zeros(a.shape[:-1], dtype=np.int64)
-    if a.shape[-1] < 1:
-        raise ShapeError(f"argmax_rows needs at least one column, got {a.shape}")
-    return a.argmax(axis=-1)

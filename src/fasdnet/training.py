@@ -99,7 +99,6 @@ from .layers import (
     stack_layers,
     unstack_layers,
 )
-from .matrix import argmax_rows
 from .rng import SeededRng
 
 _CLAMP = 1e-12  # probability floor/ceiling before any log
@@ -121,12 +120,17 @@ def _check_labels(labels, shape: tuple) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def _check_output(kind: str, shape: tuple) -> None:
+def _loss_labels(kind: str, output: np.ndarray, labels) -> np.ndarray:
+    """loss_forward's and loss_grad's checks: labels, one per row of
+    output, then the loss kind and output's width; returns the labels."""
+    y = _check_labels(labels, (output.shape[0],))
     if kind not in LOSS_OUTPUT:
         raise ConfigError(f"unknown loss kind {kind!r}")
     width = LOSS_OUTPUT[kind][0]
-    if shape[-1] != width:
-        raise ShapeError(f"{kind} loss expects {width} column(s), got {shape}")
+    if output.shape[-1] != width:
+        raise ShapeError(
+            f"{kind} loss expects {width} column(s), got {output.shape}")
+    return y
 
 
 def _log_p_true(kind: str, predictions: np.ndarray,
@@ -169,8 +173,7 @@ def loss_forward(kind: str, predictions: np.ndarray, labels) -> float:
     sparse_categorical, a single sigmoid column for binary), clamped to
     [1e-12, 1 - 1e-12] before the log.
     """
-    y = _check_labels(labels, (predictions.shape[0],))
-    _check_output(kind, predictions.shape)
+    y = _loss_labels(kind, predictions, labels)
     return float(-_mean(_log_p_true(kind, predictions, y == 1)))
 
 
@@ -181,8 +184,7 @@ def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray
     is the same expression: (p - y) / n.
     """
     z = pre_activation_final
-    y = _check_labels(labels, (z.shape[0],))
-    _check_output(kind, z.shape)
+    y = _loss_labels(kind, z, labels)
     output = Activation(LOSS_OUTPUT[kind][1])
     return _loss_delta(activation_apply(output, z), _target(kind, y))
 
@@ -205,29 +207,31 @@ def adam_step(state: AdamState, params: list[np.ndarray],
     m_hat = m / (1 - beta1^t),  v_hat = v / (1 - beta2^t)
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
-    The new parameters go into out when given, one array per parameter;
-    out may be params itself, since the update is elementwise. work,
-    when given, holds a pair of scratch arrays per parameter, each of
-    its shape. Without them every result and temporary is a new array.
+    The new parameters go into out, one array per parameter; out may
+    be params itself, since the update is elementwise. work holds a pair
+    of scratch arrays per parameter, each of its shape. Either is
+    allocated here when not given.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError(
             f"adam_step: got {len(params)} params, {len(grads)} grads, "
             f"state of size {len(state.m)}"
         )
+    if out is None:
+        out = [np.empty_like(p) for p in params]
+    if work is None:
+        work = [(np.empty_like(p), np.empty_like(p)) for p in params]
     state.t += 1
     t = state.t
-    new = []
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for i, (p, g, (tmp, step)) in enumerate(zip(params, grads, work)):
         if p.shape != g.shape:
             raise ShapeError(
                 f"adam_step: param {i} shape {p.shape} vs grad {g.shape}"
             )
         m, v = state.m[i], state.v[i]
-        tmp, step = work[i] if work else (None, None)
         # the formula above, one operation at a time and in its order,
         # in two temporaries
-        tmp = np.multiply(g, 1.0 - BETA1, out=tmp)
+        np.multiply(g, 1.0 - BETA1, out=tmp)
         m *= BETA1
         m += tmp
         np.multiply(g, 1.0 - BETA2, out=tmp)
@@ -239,13 +243,13 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         tmp += EPSILON
         c1 = 1.0 - BETA1**t
         if c1 == 1.0:  # from t of about 350 on; m / 1.0 is m
-            step = np.multiply(m, state.learning_rate, out=step)
+            np.multiply(m, state.learning_rate, out=step)
         else:
-            step = np.divide(m, c1, out=step)
+            np.divide(m, c1, out=step)
             step *= state.learning_rate
         step /= tmp
-        new.append(np.subtract(p, step, out=step if out is None else out[i]))
-    return new
+        np.subtract(p, step, out=out[i])
+    return out
 
 
 @dataclass
@@ -275,11 +279,11 @@ class History:
 
 
 def predict_labels(kind: str, probabilities: np.ndarray) -> np.ndarray:
-    """Hard 0/1 decisions. Softmax rows use argmax (ties to class 0);
-    a sigmoid column goes to class 1 strictly above 0.5, matching the
-    argmax tie rule on [1-p, p]."""
+    """Hard 0/1 decisions. Softmax rows use argmax (ties to class 0, a
+    NaN to its own column); a sigmoid column goes to class 1 strictly
+    above 0.5, matching the argmax tie rule on [1-p, p]."""
     if kind == SPARSE_CATEGORICAL:
-        return argmax_rows(probabilities)
+        return probabilities.argmax(axis=-1)
     return (probabilities[..., 0] > 0.5).astype(np.int64)
 
 
@@ -322,21 +326,15 @@ class TrainedModel:
     def from_json(cls, text: str) -> "TrainedModel":
         doc = json.loads(text)
         config = NetworkConfig.from_dict(doc["config"])
-        norm = None
-        if doc["norm"] is not None:
-            norm = FeatureNormLayer()
-            norm.means = np.asarray(doc["norm"]["means"], dtype=np.float64)
-            norm.stds = np.asarray(doc["norm"]["stds"], dtype=np.float64)
-        stack = []
-        for entry in doc["layers"]:
-            act = Activation.from_dict(entry)
-            stack.append(
-                DenseLayer(
-                    np.asarray(entry["weights"], dtype=np.float64),
-                    np.asarray(entry["bias"], dtype=np.float64).reshape(1, -1),
-                    act,
-                )
-            )
+        norm = None if doc["norm"] is None else FeatureNormLayer(
+            *(np.asarray(doc["norm"][k], dtype=np.float64)
+              for k in ("means", "stds")))
+        stack = [
+            DenseLayer(np.asarray(e["weights"], dtype=np.float64),
+                       np.asarray(e["bias"], dtype=np.float64).reshape(1, -1),
+                       Activation.from_dict(e))
+            for e in doc["layers"]
+        ]
         return cls(config, norm, stack)
 
 
@@ -443,7 +441,7 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
             np.concatenate([y_tr, y_va], axis=1)]
     norms = [None] * len(configs)
     if config.use_feature_layer:
-        norms = [FeatureNormLayer().fit(x) for x in x_train]
+        norms = [FeatureNormLayer.fit(x) for x in x_train]
         data[0] = np.stack([n.apply(x) for n, x in zip(norms, data[0])])
 
     layers = stack_layers(

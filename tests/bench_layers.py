@@ -106,8 +106,8 @@ def test_model_to_json(benchmark):
     config = max((spec.config for spec in REGISTRY.values()), key=_parameter_count)
     norm = None
     if config.use_feature_layer:
-        norm = FeatureNormLayer()
-        norm.fit(SeededRng(2).normals(ROWS * config.input_dim).reshape(ROWS, -1))
+        norm = FeatureNormLayer.fit(
+            SeededRng(2).normals(ROWS * config.input_dim).reshape(ROWS, -1))
     model = TrainedModel(config, norm, network_init(config, SeededRng(1)))
     text = benchmark(model.to_json)
     assert text.count("\n") > _parameter_count(config)

@@ -276,6 +276,18 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_seed_that_is_not_an_integer_is_a_usage_error(
+        data_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--data", data_csv, "--battery", "psychometric",
+            "--specs", "table2-row1", "--seeds", "1,x",
+            "--out-dir", tmp_path / "o")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seeds" in err and "'x'" in err and "1,x" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_commands_never_mutate_inputs(data_csv, tmp_path):
     before = data_csv.read_bytes()
     run("train", "--data", data_csv, "--battery", "psychometric",
@@ -551,6 +563,35 @@ def test_report_rejects_unknown_battery_in_baselines(data_csv, tmp_path):
     code = run("report", "--results", results, "--baselines", baselines,
                "--out-dir", tmp_path / "rep")
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{\"psychometric\": 80.0", "is not valid JSON"),
+    ("[80.0]", "must hold a JSON object, got list"),
+    ("80.0", "must hold a JSON object, got float"),
+    ("{\"psychometric\": \"x\"}", "'psychometric' is not a number: 'x'"),
+    ("{\"psychometric\": true}", "'psychometric' is not a number: True"),
+])
+def test_report_rejects_a_malformed_baselines_file(data_csv, tmp_path, capsys,
+                                                   text, message):
+    results = _sweep_results(data_csv, tmp_path)
+    baselines = tmp_path / "bad.json"
+    baselines.write_text(text)
+    code = run("report", "--results", results, "--baselines", baselines,
+               "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(baselines) in err and message in err
+
+
+@pytest.mark.parametrize("text", ["{\"specs\": ", "[]", "{\"specs\": [1]}"])
+def test_report_rejects_a_malformed_summary_json(data_csv, tmp_path, capsys,
+                                                 text):
+    results = _sweep_results(data_csv, tmp_path)
+    (results / "summary.json").write_text(text)
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    assert "summary.json" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ manifest

@@ -1,5 +1,6 @@
 """Registry, runner, sweep, confusion-matrix, and comparison tests."""
 
+import ctypes
 import faulthandler
 import hashlib
 import os
@@ -400,6 +401,28 @@ def test_sweep_files_do_not_depend_on_the_worker_count(monkeypatch):
     two = _sweep_files(monkeypatch, 2, specs, ds, seeds)
     assert one == two
     assert one[0].count("\n") == 1 + len(specs) * len(seeds)
+
+
+def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
+    # a wide spec on 300 training rows, whose products are big enough
+    # that OpenBLAS splits them between its threads
+    set_threads = experiment._openblas("set_num_threads")
+    if set_threads is None:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    ds = synthesize_dataset(200, 48, 0.7, SeededRng(3))
+    spec = _short(REGISTRY["table2-row9"], epochs=60)
+    before = experiment._blas_threads()
+    texts = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            assert experiment._blas_threads() == threads
+            result, model = run_experiment_with_model(spec, ds, 4)
+            texts.append((model.to_json(), result.history.to_csv_text()))
+    finally:
+        set_threads(before)
+    assert texts[0] == texts[1]
 
 
 def test_failures_cross_the_worker_pool_unchanged(monkeypatch):

@@ -4,16 +4,22 @@ The rerun tests elsewhere compare a run with itself, so they cannot see
 a change that reorders the floating-point arithmetic. This test can: it
 runs a fixed `synth`, and a fixed `train` and `sweep` on the committed
 CSV `golden/synth.csv`, and compares the SHA-256 of each artifact with
-`golden/digests.json`. The `synth` file depends on the random stream
-and the C library's log and cos, not on the BLAS.
+`golden/digests.json`.
 
-Trained weights depend on the BLAS summation order, so the digests hold
-only for the numpy/BLAS build recorded next to them, and only under the
-kernel OpenBLAS picks for the CPU (SkylakeX when they were recorded); a
-failure names the running kernel. A change that
-alters the numbers on purpose regenerates them with
+The `synth` file depends on the random stream and the C library's log
+and cos, not on the BLAS, so `digests.json` holds one `portable` digest
+for it. Trained weights depend on the BLAS summation order, which
+OpenBLAS sets per CPU kernel: `kernels` holds one digest set per kernel
+(SkylakeX, Haswell, Sandybridge, Nehalem), all for the numpy/BLAS build
+recorded as `identity`. The test checks the set of the running kernel
+(experiment._blas_core); a kernel with no recorded set fails and names
+the command that records it. Running this file records the running
+kernel's set in place, and OPENBLAS_CORETYPE picks the kernel, so a
+change that alters the numbers on purpose regenerates every set with
 
-    PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json
+    for core in SkylakeX Haswell Sandybridge Nehalem; do
+        OPENBLAS_CORETYPE=$core PYTHONPATH=src python tests/test_golden.py
+    done
 """
 
 import contextlib
@@ -29,6 +35,9 @@ from fasdnet.cli import EXIT_OK, main
 from fasdnet.experiment import _blas_core
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = GOLDEN / "digests.json"
+# the artifacts whose bytes do not depend on the BLAS kernel
+PORTABLE = ("synth/synth.csv",)
 
 RUNS = {
     # 200 x 2 rows x 48 features: 19,200 normals, three draw blocks
@@ -74,21 +83,38 @@ def current_digests(work_dir: Path) -> dict:
 
 
 def test_artifacts_match_golden_digests(tmp_path):
-    recorded = json.loads((GOLDEN / "digests.json").read_text())
+    recorded = json.loads(DIGESTS.read_text())
+    core = _blas_core()
+    assert core in recorded["kernels"], (
+        f"no golden digests for the {core} BLAS kernel (recorded: "
+        f"{sorted(recorded['kernels'])}); record them with `OPENBLAS_CORETYPE="
+        f"{core} PYTHONPATH=src python tests/test_golden.py`"
+    )
+    want = {**recorded["portable"], **recorded["kernels"][core]}
     got = current_digests(tmp_path)
-    changed = sorted(k for k in recorded["digests"]
-                     if got.get(k) != recorded["digests"][k])
+    changed = sorted(k for k in want if got.get(k) != want[k])
     assert not changed, (
-        f"artifacts {changed} differ from the golden digests; recorded "
-        f"under {recorded['identity']}, running under {numeric_identity()} "
-        f"with the {_blas_core()} BLAS kernel"
+        f"artifacts {changed} differ from the golden digests of the {core} "
+        f"BLAS kernel; recorded under {recorded['identity']}, running under "
+        f"{numeric_identity()}"
     )
 
 
 if __name__ == "__main__":
-    # the commands' own progress lines must not mix into the JSON
+    # record the running kernel's set and the portable digests, keeping
+    # the other kernels' sets while the numpy/BLAS identity is the same;
+    # the commands' own progress lines go to stderr
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(sys.stderr):
-        doc = {"identity": numeric_identity(),
-               "digests": current_digests(Path(tmp))}
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        got = current_digests(Path(tmp))
+    doc = json.loads(DIGESTS.read_text()) if DIGESTS.is_file() else {}
+    kernels = doc.get("kernels", {})
+    if doc.get("identity") != numeric_identity():
+        kernels = {}
+    kernels[_blas_core()] = {k: v for k, v in got.items() if k not in PORTABLE}
+    doc = {"identity": numeric_identity(),
+           "portable": {k: got[k] for k in PORTABLE},
+           "kernels": dict(sorted(kernels.items()))}
+    DIGESTS.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"recorded the {_blas_core()} kernel; sets: {sorted(kernels)}",
+          file=sys.stderr)

@@ -29,6 +29,7 @@ from fasdnet.layers import (
     activation_apply,
     activation_grad,
     backward_buffers,
+    dense_backward_from_delta,
     dense_forward,
     forward_buffers,
     leaky_relu,
@@ -127,16 +128,23 @@ def test_column_softmax_is_the_axis_reduction_formula(z):
         assert_same_bits(activation_apply(SOFTMAX, z[0]), want[0])
 
 
+def assert_backward(act, z, delta, derivative):
+    """activation_grad(act, z) is the derivative oracle, and the
+    training code's _delta_through, with its derivative formed in a
+    used (NaN-filled) scratch array, is delta times it."""
+    assert_same_bits(activation_grad(act, z), derivative)
+    got = _delta_through(act, z, activation_apply(act, z), delta.copy(),
+                         np.full_like(z, np.nan))
+    assert_same_bits(got, delta * derivative)
+
+
 @KERNEL_SETTINGS
 @given(pairs(), SLOPES)
 def test_leaky_relu_backward_is_delta_times_the_derivative(zd, slope):
     z, delta = zd
-    act = leaky_relu(slope)
     with np.errstate(all="ignore"):
         derivative = np.where(z > 0.0, 1.0, slope)
-        assert_same_bits(activation_grad(act, z), derivative)
-        got = _delta_through(act, z, activation_apply(act, z), delta.copy())
-        assert_same_bits(got, delta * derivative)
+        assert_backward(leaky_relu(slope), z, delta, derivative)
 
 
 @KERNEL_SETTINGS
@@ -145,9 +153,7 @@ def test_sigmoid_backward_from_the_cached_output(zd):
     z, delta = zd
     with np.errstate(all="ignore"):
         s = sigmoid_oracle(z)
-        want = delta * (s * (1.0 - s))
-        out = activation_apply(SIGMOID, z)
-        assert_same_bits(_delta_through(SIGMOID, z, out, delta.copy()), want)
+        assert_backward(SIGMOID, z, delta, s * (1.0 - s))
 
 
 @KERNEL_SETTINGS
@@ -155,9 +161,7 @@ def test_sigmoid_backward_from_the_cached_output(zd):
 def test_relu_backward_from_the_cached_output(zd):
     z, delta = zd
     with np.errstate(all="ignore"):
-        want = delta * (z > 0.0).astype(np.float64)
-        out = activation_apply(RELU, z)
-        assert_same_bits(_delta_through(RELU, z, out, delta.copy()), want)
+        assert_backward(RELU, z, delta, (z > 0.0).astype(np.float64))
 
 
 @KERNEL_SETTINGS
@@ -165,10 +169,7 @@ def test_relu_backward_from_the_cached_output(zd):
 def test_identity_backward_passes_delta_through(zd):
     z, delta = zd
     with np.errstate(all="ignore"):
-        want = delta * np.ones_like(z)
-        got = _delta_through(IDENTITY, z, activation_apply(IDENTITY, z),
-                             delta.copy())
-        assert_same_bits(got, want)
+        assert_backward(IDENTITY, z, delta, np.ones_like(z))
 
 
 @st.composite
@@ -188,6 +189,22 @@ def test_dense_forward_adds_the_bias_like_add_row_broadcast(operands):
         want = add_row_broadcast(matmul(x, weights), bias)
         z, _ = dense_forward(DenseLayer(weights, bias, IDENTITY), x)
     assert_same_bits(z, want)
+
+
+@KERNEL_SETTINGS
+@given(dense_operands(), st.data())
+def test_dense_backward_from_delta_is_the_textbook_products(operands, data):
+    # network_backward computes the weight and bias gradients
+    x, weights, bias = operands
+    delta = data.draw(arrays(x.shape[:-1] + weights.shape[-1:]))
+    layer = DenseLayer(weights, bias, IDENTITY)
+    with np.errstate(all="ignore"):
+        got = dense_backward_from_delta(layer, x, delta)
+        want = (matmul(x.swapaxes(-1, -2), delta),
+                delta.sum(axis=-2, keepdims=True),
+                matmul(delta, weights.swapaxes(-1, -2)))
+    for g, w in zip(got, want, strict=True):
+        assert_same_bits(g, w)
 
 
 @st.composite

@@ -4,6 +4,7 @@ Gradient-bearing ops are validated against central finite differences;
 forward ops against per-neuron loop oracles.
 """
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -15,7 +16,6 @@ from fasdnet.errors import (
     ContractError,
     DataError,
     NonFiniteError,
-    NotFittedError,
     ShapeError,
 )
 from fasdnet.layers import (
@@ -254,7 +254,7 @@ def test_dense_backward_from_delta_matches_finite_differences():
 
 
 def test_feature_norm_hand_cases():
-    layer = FeatureNormLayer().fit(np.array([[5.0, 0.0], [5.0, 10.0],
+    layer = FeatureNormLayer.fit(np.array([[5.0, 0.0], [5.0, 10.0],
                                              [5.0, 5.0]]))
     assert layer.means.tolist() == [5.0, 5.0]
     # constant column gets the std = 1 guard
@@ -262,12 +262,12 @@ def test_feature_norm_hand_cases():
     # population convention: std of [0, 10, 5] about mean 5
     assert layer.stds[1] == pytest.approx(np.sqrt(50.0 / 3.0))
 
-    two = FeatureNormLayer().fit(np.array([[0.0], [10.0]]))
+    two = FeatureNormLayer.fit(np.array([[0.0], [10.0]]))
     assert two.means[0] == 5.0 and two.stds[0] == 5.0
 
 
 def test_feature_norm_two_row_zscores():
-    layer = FeatureNormLayer().fit(np.array([[0.0, 4.0], [10.0, 8.0]]))
+    layer = FeatureNormLayer.fit(np.array([[0.0, 4.0], [10.0, 8.0]]))
     out = layer.apply(np.array([[0.0, 4.0], [10.0, 8.0]]))
     np.testing.assert_allclose(out, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
 
@@ -275,7 +275,7 @@ def test_feature_norm_two_row_zscores():
 def test_feature_norm_means_map_to_zero():
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 100, size=(20, 5))
-    layer = FeatureNormLayer().fit(x)
+    layer = FeatureNormLayer.fit(x)
     out = layer.apply(layer.means.reshape(1, -1))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
@@ -283,22 +283,20 @@ def test_feature_norm_means_map_to_zero():
 def test_feature_norm_standardizes_training_data():
     rng = np.random.default_rng(8)
     x = rng.uniform(-3, 3, size=(50, 4)) * np.array([1, 10, 100, 0.1])
-    layer = FeatureNormLayer().fit(x)
+    layer = FeatureNormLayer.fit(x)
     out = layer.apply(x)
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
     # refitting on the output is (approximately) the identity transform
-    again = FeatureNormLayer().fit(out)
+    again = FeatureNormLayer.fit(out)
     np.testing.assert_allclose(again.means, 0.0, atol=1e-10)
     np.testing.assert_allclose(again.stds, 1.0, atol=1e-10)
 
 
 def test_feature_norm_errors():
-    with pytest.raises(NotFittedError):
-        FeatureNormLayer().apply(np.zeros((2, 2)))
     with pytest.raises(DataError):
-        FeatureNormLayer().fit(np.zeros((1, 3)))
-    layer = FeatureNormLayer().fit(np.zeros((3, 3)))
+        FeatureNormLayer.fit(np.zeros((1, 3)))
+    layer = FeatureNormLayer.fit(np.zeros((3, 3)))
     with pytest.raises(ShapeError):
         layer.apply(np.zeros((2, 4)))
 
@@ -346,7 +344,7 @@ def test_network_forward_zero_layers():
     caches, out = network_forward([], None, x)
     assert caches == []
     assert np.array_equal(out, x)
-    norm = FeatureNormLayer().fit(x)
+    norm = FeatureNormLayer.fit(x)
     _, out2 = network_forward([], norm, x)
     np.testing.assert_allclose(out2, norm.apply(x), atol=1e-15)
 
@@ -498,6 +496,20 @@ def test_config_json_round_trip_is_byte_stable():
     back = NetworkConfig.from_json(text)
     assert back == cfg
     assert back.to_json() == text
+
+
+def test_config_json_names_a_missing_field_and_a_wrong_type():
+    good = json.loads(_config(((2, SOFTMAX),)).to_json())
+    missing = {k: v for k, v in good.items() if k != "epochs"}
+    with pytest.raises(ConfigError, match="missing field: 'epochs'"):
+        NetworkConfig.from_dict(missing)
+    for field, value in (("epochs", "5"), ("layers", [1]),
+                         ("learning_rate", None), ("input_dim", [20]),
+                         ("layers", [{"width": "two", "activation": "softmax"}])):
+        with pytest.raises(ConfigError, match="field of the wrong type"):
+            NetworkConfig.from_dict({**good, field: value})
+    with pytest.raises(ConfigError, match="field of the wrong type"):
+        NetworkConfig.from_json("[1, 2]")
 
 
 def test_config_replace_revalidates():

@@ -6,7 +6,6 @@ import pytest
 from fasdnet.errors import NonFiniteError, ShapeError
 from fasdnet.matrix import (
     add_row_broadcast,
-    argmax_rows,
     as_matrix,
     matmul,
 )
@@ -103,28 +102,3 @@ def test_add_row_broadcast_rejects_width_mismatch():
     with pytest.raises(ShapeError):
         # a flat vector is not an accepted bias shape
         add_row_broadcast(np.zeros((2, 3)), np.zeros(3))
-
-
-def test_argmax_rows_basic_and_tie_rule():
-    assert argmax_rows(as_matrix([[0.1, 0.9]])).tolist() == [1]
-    # exact ties break toward the lower index
-    assert argmax_rows(as_matrix([[0.5, 0.5]])).tolist() == [0]
-    assert argmax_rows(as_matrix([[3.0, 3.0, 3.0]])).tolist() == [0]
-
-
-def test_argmax_rows_matches_scan_oracle():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((10, 2))
-    expected = []
-    for row in a:
-        best, best_j = row[0], 0
-        for j, v in enumerate(row):
-            if v > best:
-                best, best_j = v, j
-        expected.append(best_j)
-    assert argmax_rows(a).tolist() == expected
-
-
-def test_argmax_rows_empty_matrix():
-    out = argmax_rows(np.zeros((0, 3)))
-    assert out.shape == (0,)
