@@ -9,6 +9,8 @@ from fasdnet.matrix import (
     as_matrix,
     matmul,
 )
+from fasdnet.layers import SPARSE_CATEGORICAL
+from fasdnet.training import predict_labels
 
 
 def triple_loop_matmul(a, b):
@@ -102,3 +104,33 @@ def test_add_row_broadcast_rejects_width_mismatch():
     with pytest.raises(ShapeError):
         # a flat vector is not an accepted bias shape
         add_row_broadcast(np.zeros((2, 3)), np.zeros(3))
+
+
+# The row argmax is training.predict_labels on softmax rows.
+def argmax_rows(a):
+    return predict_labels(SPARSE_CATEGORICAL, a)
+
+
+def test_argmax_rows_basic_and_tie_rule():
+    assert argmax_rows(as_matrix([[0.1, 0.9]])).tolist() == [1]
+    # exact ties break toward the lower index
+    assert argmax_rows(as_matrix([[0.5, 0.5]])).tolist() == [0]
+    assert argmax_rows(as_matrix([[3.0, 3.0, 3.0]])).tolist() == [0]
+
+
+def test_argmax_rows_matches_scan_oracle():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((10, 2))
+    expected = []
+    for row in a:
+        best, best_j = row[0], 0
+        for j, v in enumerate(row):
+            if v > best:
+                best, best_j = v, j
+        expected.append(best_j)
+    assert argmax_rows(a).tolist() == expected
+
+
+def test_argmax_rows_empty_matrix():
+    out = argmax_rows(np.zeros((0, 3)))
+    assert out.shape == (0,) and out.dtype == np.int64
