@@ -378,17 +378,20 @@ def _seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _is_negative_number(token: str) -> bool:
-    """Whether token is a negative value float() reads. argparse takes
-    only -1 and -1.5 shaped tokens for negative numbers, so it reads
-    -1e3, -inf, -Infinity or -nan as an unknown option."""
+def _is_negative_value(token: str) -> bool:
+    """Whether token is a negative value float() or _seed_list reads.
+    argparse takes only -1 and -1.5 shaped tokens for negative numbers,
+    so it reads -1e3, -inf, -Infinity, -nan or -1,2 as an unknown
+    option."""
     if not token.startswith("-"):
         return False
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+    for read in (float, _seed_list):
+        try:
+            read(token)
+        except (ValueError, argparse.ArgumentTypeError):
+            continue
+        return True
+    return False
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -396,7 +399,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     out = []
     for token in argv:
         if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and _is_negative_number(token)):
+                and _is_negative_value(token)):
             out[-1] += "=" + token
         else:
             out.append(token)

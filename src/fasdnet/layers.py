@@ -33,19 +33,22 @@ same for both: products use matmul, transposes swap the last two axes
 and sums run over the batch axis, -2. This is how training runs all
 seeds of a spec as one network (see training.train_many).
 
-Every pass writes into buffers, and that is its one path.
-dense_forward, activation_apply, network_forward and network_backward
-take the buffers as out= and work= arguments and return them; a call
-without them, as predictions and the public API make, allocates them
-once, at entry, and then runs the same lines. The caller owns the
-buffers and decides how long they live: forward_buffers(layers, rows)
+Every pass writes into buffers and is bound to them before it runs,
+and that is its one path. dense_forward, activation_apply,
+network_forward and network_backward take the buffers as out= and
+work= arguments (a call without them allocates them at entry); the
+_*_steps functions and _Forward then check the shapes, cut every row
+block, column and transposed view, and return the pass as a list of
+ufunc and matmul calls bound to those operands (functools.partial),
+which the public function runs at once. forward_buffers(layers, rows)
 holds per layer z, the output, the activation's scratch array and z's
-finiteness mask, and backward_buffers(layers, rows) per layer delta and
-the scratch array its activation derivative is formed in. A pass
+finiteness mask, and backward_buffers(layers, rows) per layer delta
+and the scratch array its activation derivative is formed in. A pass
 overwrites every buffer it is given, so the caches network_forward
 returns into buffers are valid only until those buffers are passed
-again. The training loop allocates one set per stack (see
-training.train_many).
+again. The training loop allocates and binds one set per stack and
+runs the bound calls every epoch (see training._Workspace), so its
+checks and views are made per stack, not per epoch.
 
 Backward rules are the textbook ones; see network_backward. It takes
 the sigmoid and ReLU derivatives from each layer's output, which the
@@ -65,9 +68,11 @@ unnormalized first layer.
 
 from __future__ import annotations
 
-import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -125,60 +130,63 @@ def leaky_relu(slope: float = 0.01) -> Activation:
     return Activation("leaky_relu", slope)
 
 
-def _stable_sigmoid(z: np.ndarray, out: np.ndarray, work) -> np.ndarray:
-    # max(z >= 0, e) / (1 + e) with e = exp(-|z|); see the module docstring
-    e = np.abs(z, out=work)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    num = np.greater_equal(z, 0.0, out=out)
-    np.maximum(num, e, out=num)
-    e += 1.0
-    num /= e
-    return num
-
-
 def activation_apply(a: Activation, z: np.ndarray, out=None,
                      work=None) -> np.ndarray:
     """Apply an activation elementwise (softmax: per row, stabilized).
 
     The result goes into out, allocated here when not given; work is
-    the sigmoid's scratch array of z's shape (numpy makes one when it
-    is None). Neither may overlap z.
+    the sigmoid's and the softmax's scratch array of z's shape,
+    allocated here when they need it and it is None. Neither may
+    overlap z.
     """
     if out is None:
         out = np.empty(z.shape)
+    steps = _activation_steps(a, z, out, work)
     with np.errstate(over="ignore"):
-        return _activate(a, z, out, work)
+        _run(steps)
+    return out
 
 
-def _activate(a: Activation, z: np.ndarray, out: np.ndarray,
-              work) -> np.ndarray:
-    """activation_apply into out, in the caller's numpy error state; the
-    sigmoid forms exp in work (numpy allocates it when work is None)."""
+def _run(steps) -> None:
+    for step in steps:
+        step()
+
+
+def _activation_steps(a: Activation, z: np.ndarray, out: np.ndarray,
+                      work) -> list:
+    """activation_apply's calls from z into out, bound to their
+    operands, to run in the caller's numpy error state."""
     if a.kind == "identity":
-        np.copyto(out, z)
-        return out
+        return [partial(np.copyto, out, z)]
     if a.kind == "relu":
-        return np.maximum(z, 0.0, out=out)
+        return [partial(np.maximum, z, 0.0, out=out)]
     if a.kind == "leaky_relu":
         # max(z, slope * z); see the module docstring
-        np.multiply(z, a.slope, out=out)
-        return np.maximum(z, out, out=out)
+        return [partial(np.multiply, z, a.slope, out),
+                partial(np.maximum, z, out, out=out)]
+    if work is None:
+        work = np.empty(z.shape)
     if a.kind == "sigmoid":
-        return _stable_sigmoid(z, out, work)
-    # exp(z - max) / sum, column by column; see the module docstring
+        e = work  # max(z >= 0, e) / (1 + e) with e = exp(-|z|)
+        return [partial(np.absolute, z, e), partial(np.negative, e, e),
+                partial(np.exp, e, e), partial(np.greater_equal, z, 0.0, out),
+                partial(np.maximum, out, e, out=out), partial(np.add, e, 1.0, e),
+                partial(np.true_divide, out, e, out)]
+    # exp(z - max) / sum, column by column, the row maximum and then
+    # the sum kept in one column of work; see the module docstring
     if z.shape[-1] < 2:
         raise ConfigError(
             f"softmax needs at least 2 columns, got shape {z.shape}"
         )
     cols = [z[..., j] for j in range(z.shape[-1])]
-    peak = functools.reduce(np.maximum, cols)
-    exps = [np.subtract(c, peak, out=out[..., j]) for j, c in enumerate(cols)]
-    np.exp(out, out=out)
-    total = functools.reduce(np.add, exps)
-    for e in exps:
-        e /= total
-    return out
+    exps = [out[..., j] for j in range(z.shape[-1])]
+    acc = work[..., 0]
+    return ([partial(np.maximum, cols[0], cols[1], out=acc)]
+            + [partial(np.maximum, acc, c, out=acc) for c in cols[2:]]
+            + [partial(np.subtract, c, acc, e) for c, e in zip(cols, exps)]
+            + [partial(np.exp, out, out), partial(np.add, exps[0], exps[1], acc)]
+            + [partial(np.add, acc, e, acc) for e in exps[2:]]
+            + [partial(np.true_divide, e, acc, e) for e in exps])
 
 
 _SOFTMAX_GRAD = ("softmax has no standalone gradient; use the fused "
@@ -187,38 +195,43 @@ _SOFTMAX_GRAD = ("softmax has no standalone gradient; use the fused "
 
 def activation_grad(a: Activation, z: np.ndarray) -> np.ndarray:
     """Elementwise derivative with respect to the pre-activation: the
-    training code's _delta_through applied to a delta of ones.
+    backward pass's _delta_steps run on a delta of ones.
 
     leaky_relu at exactly 0 uses the slope (the pinned subgradient
     choice). softmax is rejected: its gradient is fused with the loss.
     """
     if a.kind == "softmax":
         raise ContractError(_SOFTMAX_GRAD)
-    return _delta_through(a, z, activation_apply(a, z), np.ones(z.shape),
-                          np.empty(z.shape))
+    delta = np.ones(z.shape)
+    _run(_delta_steps(a, z, activation_apply(a, z), delta, np.empty(z.shape)))
+    return delta
 
 
-def _delta_through(a: Activation, z: np.ndarray, out: np.ndarray,
-                   delta: np.ndarray, work) -> np.ndarray:
-    """delta times the derivative of a at z, in place in delta; sigmoid
-    and relu read their derivative off out = activation(z), the cached
-    output: out * (1 - out), and out > 0 exactly where z > 0. leaky_relu
-    at exactly 0 takes the slope. The derivative is formed in work, an
-    array of z's shape. softmax is rejected: its gradient exists only
-    fused with the loss at the last layer."""
+def _delta_steps(a: Activation, z: np.ndarray, out: np.ndarray,
+                 delta: np.ndarray, work: np.ndarray) -> list:
+    """The calls that multiply delta in place by the derivative of a at
+    z, bound to their operands; sigmoid and relu read their derivative
+    off out = activation(z), the cached output: out * (1 - out), and
+    out > 0 exactly where z > 0. leaky_relu at exactly 0 takes the
+    slope. The derivative is formed in work, an array of z's shape.
+    softmax is rejected: its gradient exists only fused with the loss
+    at the last layer."""
     if a.kind == "relu":
-        delta *= np.greater(out, 0.0, out=work)
-    elif a.kind == "leaky_relu":
+        return [partial(np.greater, out, 0.0, work),
+                partial(np.multiply, delta, work, delta)]
+    if a.kind == "leaky_relu":
         # 1.0 above 0, else the slope: max(mask, slope) on the 0/1 mask
         # is exactly that, without np.where's per-element branch
-        delta *= np.maximum(np.greater(z, 0.0, out=work), a.slope, out=work)
-    elif a.kind == "sigmoid":
-        g = np.subtract(1.0, out, out=work)
-        g *= out
-        delta *= g
-    elif a.kind == "softmax":
+        return [partial(np.greater, z, 0.0, work),
+                partial(np.maximum, work, a.slope, out=work),
+                partial(np.multiply, delta, work, delta)]
+    if a.kind == "sigmoid":
+        return [partial(np.subtract, 1.0, out, work),
+                partial(np.multiply, work, out, work),
+                partial(np.multiply, delta, work, delta)]
+    if a.kind == "softmax":
         raise ContractError(_SOFTMAX_GRAD)
-    return delta
+    return []
 
 
 @dataclass
@@ -261,38 +274,41 @@ def unstack_layers(layers: list[DenseLayer], slot: int) -> list[DenseLayer]:
     ]
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray, out=None, work=None,
-                  split: int | None = None):
+def dense_forward(layer: DenseLayer, x: np.ndarray, out=None, work=None):
     """Forward pass; returns (pre_activation, output) for backprop caching.
 
     out is a (z, output) pair of arrays to write them into and work is
     activation_apply's scratch array; without out, all three are
     allocated here.
-
-    split, when given, cuts x's rows into two blocks, [0, split) and
-    [split, rows): the product, which over both would sum in another
-    order, is taken per block; the rest runs once over all rows.
     """
+    if out is None:
+        *out, work, _ = forward_buffers([layer], x.shape[-2])[0]
+    z, a = out
+    _run(_dense_steps(layer, x, z, a, work, None))
+    return z, a
+
+
+def _dense_steps(layer: DenseLayer, x: np.ndarray, z: np.ndarray,
+                 a: np.ndarray, work, split: int | None) -> list:
+    """dense_forward's calls, its shapes checked and the row blocks of
+    split (see network_forward) cut once, bound to their operands."""
     if (x.shape[-1] != layer.in_dim
             or x.shape[:-2] not in ((), layer.weights.shape[:-2])):
         raise ShapeError(
             f"dense_forward: input {x.shape} does not match weights "
             f"{layer.weights.shape}"
         )
-    if out is None:
-        *out, work, _ = forward_buffers([layer], x.shape[-2])[0]
-    z, a = out
-    blocks = ((slice(None),) if split is None
-              else (slice(None, split), slice(split, None)))
-    for rows in blocks:
-        np.matmul(x[..., rows, :], layer.weights, out=z[..., rows, :])
     if layer.bias.shape != z.shape[:-2] + (1, z.shape[-1]):
         raise ShapeError(
             f"dense_forward: bias {layer.bias.shape} does not match weights "
             f"{layer.weights.shape}"
         )
-    z += layer.bias
-    return z, _activate(layer.activation, z, a, work)
+    blocks = ((slice(None),) if split is None
+              else (slice(None, split), slice(split, None)))
+    return ([partial(np.matmul, x[..., rows, :], layer.weights, z[..., rows, :])
+             for rows in blocks]
+            + [partial(np.add, z, layer.bias, z)]
+            + _activation_steps(layer.activation, z, a, work))
 
 
 def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
@@ -370,6 +386,19 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a bool is an int to Python, but here only ever a bool
+        for name, value, kind, what in (
+                ("input_dim", self.input_dim, numbers.Integral, "an integer"),
+                ("epochs", self.epochs, numbers.Integral, "an integer"),
+                ("seed", self.seed, numbers.Integral, "an integer"),
+                ("learning_rate", self.learning_rate, numbers.Real, "a number"),
+                ("use_feature_layer", self.use_feature_layer, bool, "a bool"),
+                *(("layer width", w, numbers.Integral, "an integer")
+                  for w, _ in self.layers)):
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, kind)):
+                raise ConfigError(f"config has a field of the wrong type: "
+                                  f"{name} must be {what}, got {value!r}")
         object.__setattr__(
             self,
             "layers",
@@ -384,10 +413,9 @@ class NetworkConfig:
             raise ConfigError(f"unknown loss kind {self.loss!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
+        if not 0.0 < self.learning_rate < math.inf:  # NaN fails too
+            raise ConfigError("learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
         for width, act in self.layers:
             if width < 1:
                 raise ConfigError(f"layer widths must be >= 1, got {width}")
@@ -508,28 +536,46 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     failing slots (exc.slots), so the other slots can carry on. This is
     the only finiteness check of a training step.
 
-    split, when given, cuts x's rows into two blocks (see
-    dense_forward). The result is bit for bit that of one pass per
-    block, joined along the rows, and so is the error: the first
-    block's first non-finite layer if it has one, else the second's.
+    split, when given, cuts x's rows into two blocks, [0, split) and
+    [split, rows): each product, which over both would sum in another
+    order, is taken per block, and the rest runs once over all rows.
+    The result is bit for bit that of one pass per block, joined along
+    the rows, and so is the error: the first block's first non-finite
+    layer if it has one, else the second's.
     """
     if out is None:
         out = forward_buffers(layers, x.shape[-2])
     h = norm.apply(x) if norm is not None else x
-    caches, later = [], None
-    for i, (layer, (z, a, work, finite)) in enumerate(zip(layers, out)):
-        z, a = dense_forward(layer, h, (z, a), work, split)
-        np.isfinite(z, out=finite)
-        if not np.logical_and.reduce(finite, axis=None):
-            first = _non_finite(i, finite[..., :split, :])
-            if first:
-                raise first
-            later = later or _non_finite(i, finite[..., split:, :])
-        caches.append((h, z))
-        h = a
-    if later:
-        raise later
-    return caches, h
+    return _Forward(layers, h, out, split)()
+
+
+class _Forward:
+    """network_forward bound to its operands; calling it runs the pass
+    and returns (caches, output)."""
+
+    def __init__(self, layers: list[DenseLayer], x: np.ndarray, out,
+                 split: int | None = None):
+        self.split, self.layers, self.caches = split, [], []
+        for layer, (z, a, work, finite) in zip(layers, out):
+            steps = _dense_steps(layer, x, z, a, work, split)
+            self.layers.append((steps + [partial(np.isfinite, z, finite)],
+                                finite))
+            self.caches.append((x, z))
+            x = a
+        self.output = x
+
+    def __call__(self):
+        split, later = self.split, None
+        for i, (steps, finite) in enumerate(self.layers):
+            _run(steps)
+            if not np.logical_and.reduce(finite, axis=None):
+                first = _non_finite(i, finite[..., :split, :])
+                if first:
+                    raise first
+                later = later or _non_finite(i, finite[..., split:, :])
+        if later:
+            raise later
+        return self.caches, self.output
 
 
 def _non_finite(layer: int, finite: np.ndarray) -> NonFiniteError | None:
@@ -547,31 +593,42 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
     caches is network_forward's. Each earlier layer's delta is the next
     layer's grad_x times its own activation derivative, taken from the
     layer's cached output where that is cheaper than from z (see
-    _delta_through); the first layer's grad_x has no consumer and is
-    not computed. Returns the gradients in parameter order, [dW0, db0,
+    _delta_steps); the first layer's grad_x has no consumer and is not
+    computed. Returns the gradients in parameter order, [dW0, db0,
     dW1, db1, ...], written into out (arrays shaped like the
     parameters, e.g. views of one flat buffer). work is
     backward_buffers(layers, rows), which holds every earlier layer's
     delta and derivative. Either is allocated here when not given.
     """
+    if out is None:
+        out = [np.empty_like(a) for layer in layers
+               for a in (layer.weights, layer.bias)]
+    if work is None:  # sized by the caches: delta is checked below
+        work = backward_buffers(layers, caches[-1][1].shape[-2])
+    _run(_backward_steps(layers, caches, delta, out, work))
+    return out
+
+
+def _backward_steps(layers: list[DenseLayer], caches, delta: np.ndarray,
+                    out: list[np.ndarray], work) -> list:
+    """network_backward's calls, its shapes checked and its transposed
+    views made once, bound to their operands."""
     if delta.shape != caches[-1][1].shape:
         raise ShapeError(
             f"network_backward: delta {delta.shape} does not match the final "
             f"pre-activation {caches[-1][1].shape}"
         )
-    if out is None:
-        out = [np.empty_like(a) for layer in layers
-               for a in (layer.weights, layer.bias)]
-    if work is None:
-        work = backward_buffers(layers, delta.shape[-2])
+    steps = []
     for i in range(len(layers) - 1, -1, -1):
         layer_x, z = caches[i]
         if i < len(layers) - 1:
-            delta = _delta_through(layers[i].activation, z, caches[i + 1][0],
-                                   delta, work[i][1])
-        np.matmul(layer_x.swapaxes(-1, -2), delta, out=out[2 * i])
-        np.add.reduce(delta, axis=-2, keepdims=True, out=out[2 * i + 1])
+            steps += _delta_steps(layers[i].activation, z, caches[i + 1][0],
+                                  delta, work[i][1])
+        steps += [partial(np.matmul, layer_x.swapaxes(-1, -2), delta, out[2 * i]),
+                  partial(np.add.reduce, delta, -2, None, out[2 * i + 1], True)]
         if i > 0:
-            delta = np.matmul(delta, layers[i].weights.swapaxes(-1, -2),
-                              out=work[i - 1][0])
-    return out
+            below = work[i - 1][0]
+            steps.append(partial(np.matmul, delta,
+                                 layers[i].weights.swapaxes(-1, -2), below))
+            delta = below
+    return steps

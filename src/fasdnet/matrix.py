@@ -6,7 +6,7 @@ dataset's features one (data.Dataset) and rejects NaN and infinity.
 matmul and add_row_broadcast are the dense layer's product and bias
 add, per slot on stacks (S, rows, cols), with a shape check naming both
 operands; each returns a new array. Training does not call them: it
-writes into preallocated buffers (layers.dense_forward), and the tests
+writes into preallocated buffers (layers._dense_steps), and the tests
 use these two as its reference.
 """
 

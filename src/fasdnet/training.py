@@ -25,36 +25,29 @@ train is the S = 1 call.
 
 An epoch makes one forward pass over each slot's training and
 validation rows, laid end to end and split between them (see
-network_forward); only the loss and accuracy means are taken per set.
-The pass before epoch 1 feeds only the first backward pass, so it
-covers the training rows alone.
+network_forward). The pass before epoch 1 feeds only the first
+backward pass, so it covers the training rows alone.
 
 The loop keeps three (S, P) buffers for the life of the run, P being
 the parameter count of one network: the parameters theta (each layer's
 weights and bias are views of their span of it) and Adam's two
-moments. Every other array an epoch writes lives in a _Workspace,
-allocated when the stack is made and again only when a slot is
-dropped:
+moments. Everything else an epoch touches is made once per stack, in a
+_Workspace: network_forward's buffers over all rows (the first pass
+writes their training-row views), network_backward's (the last delta
+takes the loss gradient) and an (S, P) gradient buffer, Adam's two
+temporaries, the label forms the loss needs, and the epoch's calls
+bound to all of these (see layers), so that an epoch runs only its
+ufunc and matmul calls and one finiteness check per layer. Adam writes
+theta in place, so the layers' views stay bound.
 
-* forward: network_forward's buffers over all rows (train: their
-  training-row views), which hold the post-update pass's caches until
-  the next epoch's backward pass has read the training rows'.
-* backward: network_backward's per-layer delta and derivative arrays;
-  the last layer's delta takes the loss gradient.
-* grad: the (S, P) gradient buffer, which network_backward writes
-  through per-parameter views.
-* adam: adam_step's two temporaries. adam_step writes theta in place,
-  so the layers' views stay bound from one epoch to the next.
-* the one-hot target of the training labels and the y == 1 mask.
-
-A training step is then one backward pass and one adam_step call on
-whole buffers. The only arrays an epoch still allocates are (S, rows)
-or smaller: the softmax's row maxima and sums, and the loss's and the
-accuracy's per-row terms.
-Dropping a diverged slot is one fancy index per (S, P) buffer, after
-which the views are bound again and a workspace is made for the
-smaller stack. The history of every slot fills one (epochs, 4, S)
-array that becomes the History lists once, at the end.
+The history is scored per block of up to _BLOCK epochs: each epoch
+copies its probabilities into the block, and when it is full, at the
+end and before a diverged slot is dropped, the loss and accuracy terms
+and their per-set means are taken once over all its epochs. Each mean
+is the same float64 sum over one slot's rows as a per-epoch mean, so
+the bits are too. Dropping a slot is one fancy index per (S, P)
+buffer, after which the views are bound again and a workspace is made
+for the smaller stack.
 
 TrainedModel.to_json writes the text of json.dumps(indent=2) but
 formats the weight arrays itself, in _json_indented, because json's
@@ -72,6 +65,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -90,10 +84,12 @@ from .layers import (
     DenseLayer,
     FeatureNormLayer,
     NetworkConfig,
+    _backward_steps,
+    _Forward,
+    _run,
     activation_apply,
     backward_buffers,
     forward_buffers,
-    network_backward,
     network_forward,
     network_init,
     stack_layers,
@@ -102,6 +98,7 @@ from .layers import (
 from .rng import SeededRng
 
 _CLAMP = 1e-12  # probability floor/ceiling before any log
+_BLOCK = 64  # epochs whose history train_many scores in one pass
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -152,12 +149,13 @@ def _target(kind: str, y: np.ndarray) -> np.ndarray:
     return y[..., None] == (0, 1) if kind == SPARSE_CATEGORICAL else y[..., None]
 
 
-def _loss_delta(p: np.ndarray, target: np.ndarray, out=None) -> np.ndarray:
-    """(p - y) / n per stack slot from the output layer's probabilities
-    p and _target's labels, into out when given; see loss_grad."""
-    delta = np.subtract(p, target, out=out)
-    delta /= p.shape[-2]
-    return delta
+def _loss_delta_steps(p: np.ndarray, target: np.ndarray,
+                      out: np.ndarray) -> list:
+    """The calls that write (p - y) / n per stack slot into out from
+    the output layer's probabilities p and _target's labels, bound to
+    their operands; see loss_grad."""
+    return [partial(np.subtract, p, target, out),
+            partial(np.true_divide, out, p.shape[-2], out)]
 
 
 def _mean(a: np.ndarray) -> np.ndarray:
@@ -185,8 +183,9 @@ def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray
     """
     z = pre_activation_final
     y = _loss_labels(kind, z, labels)
-    output = Activation(LOSS_OUTPUT[kind][1])
-    return _loss_delta(activation_apply(output, z), _target(kind, y))
+    p = activation_apply(Activation(LOSS_OUTPUT[kind][1]), z)
+    _run(_loss_delta_steps(p, _target(kind, y), p))
+    return p
 
 
 class AdamState:
@@ -212,44 +211,56 @@ def adam_step(state: AdamState, params: list[np.ndarray],
     of scratch arrays per parameter, each of its shape. Either is
     allocated here when not given.
     """
+    return _adam(state, params, grads, out, work)()
+
+
+def _adam(state: AdamState, params: list[np.ndarray],
+          grads: list[np.ndarray], out=None, work=None):
+    """adam_step bound to its operands, which are checked and allocated
+    once, here; returns the update as a function of no arguments."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError(
             f"adam_step: got {len(params)} params, {len(grads)} grads, "
             f"state of size {len(state.m)}"
         )
-    if out is None:
-        out = [np.empty_like(p) for p in params]
-    if work is None:
-        work = [(np.empty_like(p), np.empty_like(p)) for p in params]
-    state.t += 1
-    t = state.t
-    for i, (p, g, (tmp, step)) in enumerate(zip(params, grads, work)):
+    for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ShapeError(
                 f"adam_step: param {i} shape {p.shape} vs grad {g.shape}"
             )
-        m, v = state.m[i], state.v[i]
-        # the formula above, one operation at a time and in its order,
-        # in two temporaries
-        np.multiply(g, 1.0 - BETA1, out=tmp)
-        m *= BETA1
-        m += tmp
-        np.multiply(g, 1.0 - BETA2, out=tmp)
-        tmp *= g
-        v *= BETA2
-        v += tmp
-        np.divide(v, 1.0 - BETA2**t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += EPSILON
-        c1 = 1.0 - BETA1**t
-        if c1 == 1.0:  # from t of about 350 on; m / 1.0 is m
-            np.multiply(m, state.learning_rate, out=step)
-        else:
-            np.divide(m, c1, out=step)
-            step *= state.learning_rate
-        step /= tmp
-        np.subtract(p, step, out=out[i])
-    return out
+    if out is None:
+        out = [np.empty_like(p) for p in params]
+    if work is None:
+        work = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    operands = list(zip(params, grads, state.m, state.v, work, out))
+    lr = state.learning_rate
+
+    def update() -> list[np.ndarray]:
+        state.t += 1
+        c1, c2 = 1.0 - BETA1**state.t, 1.0 - BETA2**state.t
+        for p, g, m, v, (tmp, step), new in operands:
+            # adam_step's formula, one operation at a time and in its
+            # order, in two temporaries
+            np.multiply(g, 1.0 - BETA1, tmp)
+            m *= BETA1
+            m += tmp
+            np.multiply(g, 1.0 - BETA2, tmp)
+            tmp *= g
+            v *= BETA2
+            v += tmp
+            np.divide(v, c2, tmp)
+            np.sqrt(tmp, tmp)
+            tmp += EPSILON
+            if c1 == 1.0:  # from t of about 350 on; m / 1.0 is m
+                np.multiply(m, lr, step)
+            else:
+                np.divide(m, c1, step)
+                step *= lr
+            step /= tmp
+            np.subtract(p, step, new)
+        return out
+
+    return update
 
 
 @dataclass
@@ -460,7 +471,7 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     # history row e of every slot: train loss, train accuracy,
     # validation loss and validation accuracy after epoch e + 1
     rows = np.empty((config.epochs, 4, len(configs)))
-    ws = _Workspace(kind, layers, theta, data, n)
+    ws = _Workspace(kind, layers, state, theta, data, n, config.epochs)
 
     def guarded(forward, epoch):
         """forward() for the live slots. A slot it finds non-finite is
@@ -480,6 +491,7 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
                     )
                     error.__cause__ = exc
                     outcomes[live[pos]] = error
+                ws.score(rows, epoch - 1)  # the block has the old slots
                 keep = [p for p in range(len(live)) if p not in exc.slots]
                 live[:] = [live[p] for p in keep]
                 data[:] = [a[keep] for a in data]
@@ -487,34 +499,23 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
                 state.m = [state.m[0][keep]]
                 state.v = [state.v[0][keep]]
                 _set_parameters(layers, theta)
-                ws = _Workspace(kind, layers, theta, data, n)
+                ws = _Workspace(kind, layers, state, theta, data, n,
+                                config.epochs)
         return None
 
     # divergence is reported by network_forward's finiteness guard, so
     # numpy's own overflow warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        passed = guarded(lambda: network_forward(
-            layers, None, data[0][:, :n], ws.train), 1)
+        passed = guarded(lambda: ws.first(), 1)
         for epoch in range(1, config.epochs + 1):
             if passed is None:
                 break
-            caches, probs = passed
-            delta = _loss_delta(probs[:, :n], ws.target, ws.backward[-1][0])
-            network_backward(layers, [(h[:, :n], z[:, :n]) for h, z in caches],
-                             delta, ws.grads, ws.backward)
-            adam_step(state, [theta], [ws.grad], [theta], [ws.adam])
-
-            passed = guarded(
-                lambda: network_forward(layers, None, data[0], ws.forward, n),
-                epoch)
-            if passed is None:
-                break
-            probs = passed[1]
-            log_p = _log_p_true(kind, probs, ws.is_one)
-            hit = predict_labels(kind, probs) == data[1]
-            row = rows[epoch - 1]
-            row[0], row[2] = -_mean(log_p[:, :n]), -_mean(log_p[:, n:])
-            row[1], row[3] = _mean(hit[:, :n]), _mean(hit[:, n:])
+            _run(ws.step)
+            ws.adam()
+            passed = guarded(lambda: ws.forward(), epoch)
+            if passed is not None and ws.keep():
+                ws.score(rows, epoch)
+        ws.score(rows, epoch)  # empty if the loop broke: no slot is left
 
     for pos, slot in enumerate(live):
         model = TrainedModel(configs[slot], norms[slot],
@@ -525,29 +526,51 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
 
 
 class _Workspace:
-    """Every array an epoch of train_many writes, for one stack of slots.
+    """Every array an epoch of train_many writes, and its calls bound to
+    them, for the live slots, whose data is [x, y] with n training rows
+    and then the validation rows (see the module docstring). first is
+    the pass before epoch 1, step the loss gradient and the backward
+    pass, adam the update of theta and forward the pass after it."""
 
-    forward holds the forward pass's buffers over all rows and train
-    their views of the first n, the training rows; backward holds the
-    backward pass's (its last delta takes the loss gradient), grad the
-    (S, P) gradient buffer with grads its per-parameter views, and adam
-    Adam's two temporaries. The label forms the loss needs are made
-    here once, not every epoch. data is [x, y] of the live slots, n
-    training rows and then the validation rows; a stack that drops a
-    slot needs a new workspace.
-    """
-
-    def __init__(self, kind: str, layers: list[DenseLayer],
-                 theta: np.ndarray, data: list[np.ndarray], n: int):
+    def __init__(self, kind: str, layers: list[DenseLayer], state: AdamState,
+                 theta: np.ndarray, data: list[np.ndarray], n: int,
+                 epochs: int):
         x, y = data
-        self.forward = forward_buffers(layers, x.shape[-2])
-        self.train = [tuple(a[:, :n] for a in group) for group in self.forward]
-        self.backward = backward_buffers(layers, n)
-        self.grad = np.empty_like(theta)
-        self.grads = _views(self.grad, layers)
-        self.adam = (np.empty_like(theta), np.empty_like(theta))
-        self.target = _target(kind, y[:, :n])
-        self.is_one = y == 1
+        buffers = forward_buffers(layers, x.shape[-2])
+        self.forward = _Forward(layers, x, buffers, n)
+        self.first = _Forward(
+            layers, x[:, :n],
+            [tuple(a[:, :n] for a in group) for group in buffers])
+        backward = backward_buffers(layers, n)
+        delta = backward[-1][0]
+        grad = np.empty_like(theta)
+        self.step = (
+            _loss_delta_steps(self.first.output, _target(kind, y[:, :n]), delta)
+            + _backward_steps(layers, self.first.caches, delta,
+                              _views(grad, layers), backward))
+        self.adam = _adam(state, [theta], [grad], [theta],
+                          [(np.empty_like(theta), np.empty_like(theta))])
+        self.kind, self.n, self.y, self.is_one = kind, n, y, y == 1
+        self.block = np.empty((min(epochs, _BLOCK),) + self.forward.output.shape)
+        self.kept = 0
+
+    def keep(self) -> bool:
+        """Copy the last pass's probabilities into the block; True once
+        the block is full."""
+        np.copyto(self.block[self.kept], self.forward.output)
+        self.kept += 1
+        return self.kept == len(self.block)
+
+    def score(self, rows: np.ndarray, epoch: int) -> None:
+        """Write the history rows of the kept epochs, the last of which
+        is epoch, into rows, and empty the block."""
+        probs, n = self.block[:self.kept], self.n
+        log_p = _log_p_true(self.kind, probs, self.is_one)
+        hit = predict_labels(self.kind, probs) == self.y
+        out = rows[epoch - self.kept:epoch]
+        out[:, 0], out[:, 2] = -_mean(log_p[..., :n]), -_mean(log_p[..., n:])
+        out[:, 1], out[:, 3] = _mean(hit[..., :n]), _mean(hit[..., n:])
+        self.kept = 0
 
 
 def _parameters(layers: list[DenseLayer]) -> list[np.ndarray]:

@@ -8,8 +8,11 @@ the training loop's workspace does. network_backward runs on a network
 of that one layer, so it times the weight and bias gradients; the
 product that carries delta to the layer below is the lower layer's.
 
-It also times TrainedModel.to_json on the registry's largest model, and
-write_csv and load_csv at every battery's shape and at 10,000 x 48.
+It also times whole training runs, train_many on S = 2 slots of
+ROWS training and VALID_ROWS validation rows for EPOCHS epochs, for a
+small and a large table2 spec and a feature-layer spec; and
+TrainedModel.to_json on the registry's largest model, and write_csv
+and load_csv at every battery's shape and at 10,000 x 48.
 
 The name keeps the file out of the tier-1 run. Run it with pytest-benchmark:
 
@@ -17,6 +20,8 @@ The name keeps the file out of the tier-1 run. Run it with pytest-benchmark:
 
 and with --benchmark-disable to run every case once, untimed.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +39,13 @@ from fasdnet.layers import (
     network_init,
 )
 from fasdnet.rng import SeededRng
-from fasdnet.training import TrainedModel
+from fasdnet.training import _BLOCK, TrainedModel, train_many
 
 # about the training rows of the 129-row psychometric set at 0.75
 ROWS = 100
+VALID_ROWS = 29
+# two history blocks and part of a third
+EPOCHS = 2 * _BLOCK + 3
 
 
 def _registry_layers():
@@ -95,6 +103,20 @@ def test_network_backward(benchmark, fan_in, fan_out, act, slots, buffered):
         work = backward_buffers([layer], ROWS)
     dw, db = benchmark(network_backward, [layer], caches, delta, grads, work)
     assert dw.shape == layer.weights.shape and db.shape == layer.bias.shape
+
+
+@pytest.mark.parametrize("spec_name", ["table2-row1", "table2-row9",
+                                       "psychometric-feature-layer"])
+def test_train_many_epochs(benchmark, spec_name):
+    config = REGISTRY[spec_name].config
+    rng = SeededRng(len(spec_name))
+    rows = ROWS + VALID_ROWS
+    x = rng.normals(2 * rows * config.input_dim).reshape(2, rows, -1)
+    y = (rng.uniforms(2 * rows) < 0.5).reshape(2, rows)
+    configs = [replace(config, epochs=EPOCHS, seed=s) for s in (0, 1)]
+    outcomes = benchmark(train_many, configs, x[:, :ROWS], y[:, :ROWS],
+                         x[:, ROWS:], y[:, ROWS:])
+    assert [len(history) for _, history in outcomes] == [EPOCHS] * 2
 
 
 def _parameter_count(config):

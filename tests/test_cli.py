@@ -267,6 +267,26 @@ def test_train_divergence_exits_5(data_csv, tmp_path):
     assert EXIT_DIVERGENCE != EXIT_DATA
 
 
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True),
+                                          ("width", 4.7)])
+def test_train_config_field_of_the_wrong_type_exits_4(data_csv, tmp_path,
+                                                      capsys, field, value):
+    config = json.loads(NetworkConfig(
+        20, ((8, SIGMOID), (1, SIGMOID)), "binary", epochs=3).to_json())
+    if field == "width":
+        config["layers"][0]["width"] = value
+    else:
+        config[field] = value
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    code = run("train", "--data", data_csv, "--battery", "psychometric",
+               "--spec", cfg_path, "--out-dir", tmp_path / "o")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run("train")  # missing required flags
@@ -286,6 +306,21 @@ def test_sweep_seed_that_is_not_an_integer_is_a_usage_error(
     err = capsys.readouterr().err
     assert "argument --seeds" in err and "'x'" in err and "1,x" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seeds", ["-1,2", "-3"])
+def test_sweep_reads_a_negative_first_seed_after_a_space(data_csv, tmp_path,
+                                                         seeds):
+    # argparse alone reads "-1,2" as an unknown option
+    runs = []
+    for i, argv in enumerate((["--seeds", seeds], [f"--seeds={seeds}"])):
+        out_dir = tmp_path / f"s{i}"
+        assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+                   "--specs", "psychometric-feature-layer", *argv,
+                   "--out-dir", out_dir) == EXIT_OK
+        runs.append((out_dir / "runs.csv").read_bytes())
+    assert runs[0] == runs[1]
+    assert runs[0].count(b"\n") == 1 + len(seeds.split(","))
 
 
 def test_commands_never_mutate_inputs(data_csv, tmp_path):

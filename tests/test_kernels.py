@@ -25,7 +25,8 @@ from fasdnet.layers import (
     SIGMOID,
     SOFTMAX,
     DenseLayer,
-    _delta_through,
+    _delta_steps,
+    _run,
     activation_apply,
     activation_grad,
     backward_buffers,
@@ -130,11 +131,12 @@ def test_column_softmax_is_the_axis_reduction_formula(z):
 
 def assert_backward(act, z, delta, derivative):
     """activation_grad(act, z) is the derivative oracle, and the
-    training code's _delta_through, with its derivative formed in a
-    used (NaN-filled) scratch array, is delta times it."""
+    backward pass's _delta_steps, with its derivative formed in a
+    used (NaN-filled) scratch array, multiply delta by it."""
     assert_same_bits(activation_grad(act, z), derivative)
-    got = _delta_through(act, z, activation_apply(act, z), delta.copy(),
-                         np.full_like(z, np.nan))
+    got = delta.copy()
+    _run(_delta_steps(act, z, activation_apply(act, z), got,
+                      np.full_like(z, np.nan)))
     assert_same_bits(got, delta * derivative)
 
 

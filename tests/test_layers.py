@@ -5,6 +5,7 @@ forward ops against per-neuron loop oracles.
 """
 
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -510,6 +511,46 @@ def test_config_json_names_a_missing_field_and_a_wrong_type():
             NetworkConfig.from_dict({**good, field: value})
     with pytest.raises(ConfigError, match="field of the wrong type"):
         NetworkConfig.from_json("[1, 2]")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 2.5), ("epochs", True), ("epochs", 3.0), ("input_dim", 20.0),
+    ("input_dim", False), ("seed", 1.5), ("seed", True), ("seed", "1"),
+    ("learning_rate", True), ("learning_rate", "0.001"),
+    ("learning_rate", [0.001]), ("use_feature_layer", 1),
+    ("use_feature_layer", "true"), ("use_feature_layer", None),
+    ("width", 4.7), ("width", 2.0), ("width", True),
+])
+def test_config_rejects_a_field_of_the_wrong_type_by_name(field, value):
+    # a float count is not truncated and a bool is not a count, a step
+    # size or a seed; each is a ConfigError naming the field, whether
+    # the config comes from JSON or is built directly
+    doc = json.loads(_config(((2, SOFTMAX),)).to_json())
+    if field == "width":
+        doc["layers"][0]["width"] = value
+        name = "layer width"
+    else:
+        doc[field] = value
+        name = field
+    with pytest.raises(ConfigError, match=f"{name} must be .*, got"):
+        NetworkConfig.from_dict(doc)
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        NetworkConfig.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("rate", [0.0, -1e-3, math.nan, math.inf])
+def test_config_rejects_a_learning_rate_not_positive_and_finite(rate):
+    # NaN compares false with everything, so "<= 0" alone let it through
+    # to train as a divergence at epoch 1
+    with pytest.raises(ConfigError, match="learning_rate must be positive"):
+        _config(((2, SOFTMAX),), learning_rate=rate)
+
+
+def test_config_takes_integer_and_number_fields_of_any_numeric_type():
+    cfg = _config(((np.int64(2), SOFTMAX),), input_dim=np.int32(20),
+                  epochs=np.int64(3), learning_rate=1, seed=np.uint8(4))
+    assert cfg.layers[0][0] == 2 and type(cfg.layers[0][0]) is int
+    assert replace(cfg, learning_rate=np.float32(0.5)).learning_rate == 0.5
 
 
 def test_config_replace_revalidates():

@@ -34,6 +34,7 @@ from fasdnet.layers import (
 )
 from fasdnet.rng import SeededRng
 from fasdnet.training import (
+    _BLOCK,
     AdamState,
     History,
     TrainedModel,
@@ -546,6 +547,61 @@ def test_train_many_names_validation_only_overflows_and_trains_the_rest():
         None, (_DIVERGED.format(6, 0), 6, 0)]
     for s in (0, 2):
         model, history = train(configs[s], *runs[s])
+        assert stacked[s][0].to_json() == model.to_json()
+        assert stacked[s][1].to_csv_text() == history.to_csv_text()
+
+
+@pytest.mark.parametrize("spec_name", ["table2-row1",
+                                       "psychometric-feature-layer"])
+def test_history_is_whole_across_block_boundaries(spec_name):
+    # train_many scores the history _BLOCK epochs at a time. At every
+    # epoch count around a block boundary, each run's history is the
+    # start of the longest run's, and its last row is the loss and the
+    # accuracy of the model it returns
+    from fasdnet.experiment import REGISTRY
+
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(17))
+    seeds = [3, 4]
+    splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in seeds]
+    counts = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+    runs = {epochs: _train_stacked(
+        [replace(REGISTRY[spec_name].config, epochs=epochs, seed=s)
+         for s in seeds], splits) for epochs in counts}
+    names = ("train_loss", "train_acc", "val_loss", "val_acc")
+    for epochs, outcomes in runs.items():
+        for (model, history), (_, full), (tr, te) in zip(
+                outcomes, runs[counts[-1]], splits):
+            for name in names:
+                assert getattr(history, name) == getattr(full, name)[:epochs]
+            kind = model.config.loss
+            assert [getattr(history, name)[-1] for name in names] == [
+                loss_forward(kind, model.predict_proba(tr.x), tr.y),
+                float(np.mean(model.predict(tr.x) == tr.y)),
+                loss_forward(kind, model.predict_proba(te.x), te.y),
+                float(np.mean(model.predict(te.x) == te.y))]
+
+
+def test_train_many_drop_inside_the_second_block_keeps_solo_bytes():
+    # at this learning rate seed 1 overflows at layer 2 in epoch 84
+    # (recorded at the commit before block scoring), after the first
+    # block of history rows is scored and with 19 epochs in the second;
+    # seeds 0 and 2 train all 2 * _BLOCK + 3 epochs and must write what
+    # a run of their own writes
+    from fasdnet.experiment import REGISTRY
+
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(3))
+    seeds = [0, 1, 2]
+    configs = [replace(REGISTRY["dti-leaky-100ep"].config, input_dim=20,
+                       epochs=2 * _BLOCK + 3, learning_rate=7.39e151, seed=s)
+               for s in seeds]
+    splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in seeds]
+    stacked = _train_stacked(configs, splits)
+    assert _BLOCK < 84 < 2 * _BLOCK
+    assert [_divergence(got) for got in stacked] == [
+        None, (_DIVERGED.format(84, 2), 84, 2), None]
+    for s in (0, 2):
+        model, history = train(configs[s], splits[s][0].x, splits[s][0].y,
+                               splits[s][1].x, splits[s][1].y)
         assert stacked[s][0].to_json() == model.to_json()
         assert stacked[s][1].to_csv_text() == history.to_csv_text()
 
