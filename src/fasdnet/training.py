@@ -52,13 +52,13 @@ for the smaller stack.
 TrainedModel.to_json writes the text of json.dumps(indent=2) but
 formats the weight arrays itself, in _json_indented, because json's
 indenting encoder is pure Python and cost as much as a short training
-run. Each row of weights gets its float texts from data._float_texts,
-the formatter write_csv uses too: orjson's Ryu writes the same
-shortest round-trip digits as float.__repr__, which is what json
-writes for a float, and the few elements orjson lays out differently
-(an exponent below 1e-4 or from 1e16 up) are formatted by repr
-itself. A row of weights is formatted several times faster than by
-one repr per weight.
+run. Each block of weight rows gets its float texts from one
+data._float_texts call, the formatter write_csv uses too: orjson's Ryu
+writes the same shortest round-trip digits as float.__repr__, which is
+what json writes for a float, and the few elements orjson lays out
+differently (an exponent below 1e-4 or from 1e16 up) are formatted by
+repr itself. A block of weights is formatted several times faster than
+by one repr per weight.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import _float_texts
+from .data import _float_text_rows, _float_texts
 from .errors import (
     ConfigError,
     DataError,
@@ -349,19 +349,31 @@ class TrainedModel:
         return cls(config, norm, stack)
 
 
+# cells per _float_texts call in _json_indented: blocks of 1 << 8 to
+# 1 << 12 cells formatted model.json equally fast, and the smaller the
+# block the less peak RSS rose over one call per row (feature-layer-train
+# at --seconds 0: 2 MB at 1 << 12, the CSV blocks, and 0.3 MB at 1 << 8)
+_JSON_BLOCK_CELLS = 1 << 8
+
+
 def _json_indented(value, pad: str = "") -> str:
     """json.dumps(value, indent=2), each line after the first indented
     by pad, for a JSON value with string keys that may hold numpy
     arrays (written as their .tolist()).
 
-    A finite 1-D float64 array is joined from _float_texts, which gives
-    the text json uses for finite floats (float.__repr__); dicts, lists
-    and the rows of an array recurse. json.dumps writes the rest
-    (scalars, strings, None, empty containers, arrays with NaN or
+    A finite float64 array of one or two dimensions is joined from
+    _float_texts, which gives the text json uses for finite floats
+    (float.__repr__); a matrix gets them a block of rows of up to
+    _JSON_BLOCK_CELLS cells at a time from _float_text_rows. Dicts,
+    lists and the rows of other arrays recurse. json.dumps writes the
+    rest (scalars, strings, None, empty containers, arrays with NaN or
     inf), re-indented: a JSON string holds no raw newline, so every
     newline in json's output starts a line."""
     inner = pad + "  "
-    if isinstance(value, np.ndarray) and value.ndim > 1:
+    finite = (isinstance(value, np.ndarray) and value.ndim in (1, 2)
+              and value.size and value.dtype == np.float64
+              and np.isfinite(value).all())
+    if isinstance(value, np.ndarray) and value.ndim > 1 and not finite:
         value = list(value)
     if isinstance(value, dict) and value:
         brackets = "{}"
@@ -370,10 +382,15 @@ def _json_indented(value, pad: str = "") -> str:
     elif isinstance(value, list) and value:
         brackets = "[]"
         items = (_json_indented(item, inner) for item in value)
-    elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
-          and value.dtype == np.float64 and np.isfinite(value).all()):
+    elif finite and value.ndim == 1:
         brackets = "[]"
         items = _float_texts(value)
+    elif finite:
+        brackets = "[]"
+        row_pad = inner + "  "
+        items = (f"[\n{row_pad}" + f",\n{row_pad}".join(texts)
+                 + f"\n{inner}]"
+                 for texts in _float_text_rows(value, _JSON_BLOCK_CELLS))
     else:
         if isinstance(value, np.ndarray):
             value = value.tolist()

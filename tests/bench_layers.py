@@ -12,7 +12,9 @@ It also times whole training runs, train_many on S = 2 slots of
 ROWS training and VALID_ROWS validation rows for EPOCHS epochs, for a
 small and a large table2 spec and a feature-layer spec; and
 TrainedModel.to_json on the registry's largest model, and write_csv
-and load_csv at every battery's shape and at 10,000 x 48.
+and load_csv at every battery's shape and at 10,000 x 48; load_csv also
+at 10,000 x 48 with every cell padded by \\x0b, which float() skips and
+JSON does not, so that every block takes the per-row parse.
 
 The name keeps the file out of the tier-1 run. Run it with pytest-benchmark:
 
@@ -154,10 +156,17 @@ def test_write_csv(benchmark, tmp_path, rows, features):
     assert path.read_text().count("\n") == rows + 1
 
 
-@pytest.mark.parametrize("rows, features", CSV_SHAPES)
-def test_load_csv(benchmark, tmp_path, rows, features):
+@pytest.mark.parametrize("rows, features, pad", [
+    pytest.param(*shape.values, "", id=shape.id) for shape in CSV_SHAPES
+] + [pytest.param(10_000, 48, "\x0b", id="10000x48-padded")])
+def test_load_csv(benchmark, tmp_path, rows, features, pad):
     ds = _csv_dataset(rows, features)
     path = tmp_path / "data.csv"
     write_csv(ds, path)
+    if pad:
+        header, *lines = path.read_text().rstrip("\n").split("\n")
+        path.write_text("\n".join(
+            [header] + [pad + line.replace(",", f"{pad},{pad}") + pad
+                        for line in lines]) + "\n")
     back = benchmark(load_csv, path, "synthetic")
     assert back.x.tobytes() == ds.x.tobytes()

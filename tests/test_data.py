@@ -1,5 +1,6 @@
 """Dataset ingestion, schema, balancing, splitting, and synthesis tests."""
 
+import decimal
 import math
 import re
 import tempfile
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -626,45 +627,100 @@ def _load_csv_oracle(path, battery):
     return Dataset(battery, feature_names, x, np.array(labels))
 
 
+# JSON_PADDING is whitespace both float() and JSON skip; the rest of
+# PADDING only float() skips, which keeps a block off the orjson parse
+JSON_PADDING = st.sampled_from(["", " ", "\t", " \t"])
 PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\x1f", "\x85",
                           "\u2028", "\u3000", " \t"])
+
+
+@st.composite
+def long_decimals(draw):
+    """17-40 significant digits, more than a double holds, with a point
+    and an exponent anywhere."""
+    digits = draw(st.text("0123456789", min_size=17, max_size=40))
+    point = draw(st.integers(1, len(digits) - 1))
+    exponent = draw(st.sampled_from(["", f"e{draw(st.integers(-350, 330))}"]))
+    sign = draw(st.sampled_from(["", "-"]))
+    whole = digits[:point].lstrip("0") or "0"  # JSON has no leading zeros
+    return f"{sign}{whole}.{digits[point:]}{exponent}"
+
+
+@st.composite
+def near_halfway(draw):
+    """The midpoint of two neighbouring doubles, exact where it has at
+    most 17-40 digits and rounded to them otherwise, so just above or
+    below the tie."""
+    low = draw(st.floats(allow_nan=False, allow_infinity=False,
+                         max_value=1.7e308))
+    high = math.nextafter(low, math.inf)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # holds every midpoint exactly
+        mid = (decimal.Decimal(low) + decimal.Decimal(high)) / 2
+        return format(mid, f".{draw(st.integers(16, 39))}e")
+
+
 NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),
-    st.sampled_from(["1_000", "-1_0.5", "1e3", ".5", "+2.", "nan", "inf",
-                     "-Infinity", "NaN"]),
+    long_decimals(),
+    near_halfway(),
+    # signed zeros: orjson reads the integer -0 as 0, float() as -0.0
+    st.sampled_from(["-0", "-0e0", "-0.0", "0e5"]),
+    # integers beyond 2**53 and int64, and the ends of the double range
+    st.sampled_from([str(2**53 + 1), str(2**63), str(2**64 + 1),
+                     str(10**25), "1e400", "-1e400", "4.9e-324",
+                     "2.4703282292062328e-324"]),
 )
-NUMBER_CELL = st.tuples(PADDING, NUMBER, PADDING).map("".join)
-FEATURE_CELL = st.one_of(
-    NUMBER_CELL,
-    st.sampled_from(["", "  ", "\u3000", "abc", "1 2", "--1", "1__0", "0x10"]),
-)
-GOOD_LABEL = st.tuples(PADDING, st.sampled_from(["0", "1", "1.0", "0e0"]),
-                       PADDING).map("".join)
-LABEL_CELL = st.one_of(GOOD_LABEL,
-                       st.sampled_from(["2", "-1", "0.5", "x", "", "nan"]))
+# numbers float() reads and JSON does not
+FLOAT_ONLY = ["1_000", "-1_0.5", ".5", "+2.", "nan", "inf", "-Infinity",
+              "NaN"]
+# JSON that is not a number, which float() refuses
+JSON_TOKENS = ["true", "false", "null", '"1"', "[1]", "{}"]
+BAD_CELLS = ["", "  ", "\u3000", "abc", "1 2", "--1", "1__0", "0x10"]
+BAD_LABELS = ["2", "-1", "0.5", "x", "", "nan"]
 
 
 @st.composite
 def csv_texts(draw):
     """A header of 1-3 features and rows that are mostly well formed
-    (padded numbers, some of them nan or inf), with blank lines,
-    malformed and missing cells, bad labels and wrong widths mixed in."""
+    (padded JSON numbers), with blank lines, float()-only numbers,
+    malformed and missing cells, bad labels, wrong widths, a JSON token
+    in an otherwise good row and a row that splices JSON brackets mixed
+    in. Two files in three pad with JSON whitespace only, so that whole
+    blocks can take orjson's parse."""
+    padding = draw(st.sampled_from([JSON_PADDING, JSON_PADDING, PADDING]))
+    number_cell = st.tuples(padding, NUMBER, padding).map("".join)
+    good_label = st.tuples(
+        padding, st.sampled_from(["0", "1", "1.0", "0e0", "-0", "-0.0"]),
+        padding).map("".join)
+    feature_cell = st.one_of(
+        number_cell,
+        st.tuples(padding, st.sampled_from(FLOAT_ONLY), padding).map("".join),
+        st.sampled_from(BAD_CELLS))
+    label_cell = st.one_of(good_label, st.sampled_from(BAD_LABELS))
     width = draw(st.integers(1, 3))
     lines = [",".join(f"c{j}" for j in range(width)) + ",label"]
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["good"] * 5 + ["any", "blank", "width"]))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["good"] * 8 + [
+            "any", "blank", "width", "json", "splice"]))
         if kind == "blank":
             lines.append(draw(st.sampled_from(["", " ", "\t  "])))
             continue
-        good = kind == "good"
-        cells = draw(st.lists(NUMBER_CELL if good else FEATURE_CELL,
+        if kind == "splice":
+            lines.append("1,0],[1,0")
+            continue
+        good = kind in ("good", "json")
+        cells = draw(st.lists(number_cell if good else feature_cell,
                               min_size=width, max_size=width))
+        cells.append(draw(good_label if good else label_cell))
         if kind == "width":
             cells = cells[:draw(st.integers(0, width - 1))] + (
-                cells[:1] * draw(st.integers(0, 2)))
-        lines.append(",".join(cells + [draw(GOOD_LABEL if good
-                                            else LABEL_CELL)]))
+                cells[:1] * draw(st.integers(0, 2))) + cells[-1:]
+        if kind == "json":
+            cells[draw(st.integers(0, width))] = draw(
+                st.sampled_from(JSON_TOKENS))
+        lines.append(",".join(cells))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
@@ -677,9 +733,22 @@ def _outcome(load, path):
 
 
 @PROPERTY_SETTINGS
-@given(csv_texts())
-def test_load_csv_equals_the_per_cell_parse(text):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(csv_texts(), st.integers(1, 12))
+# the first error in a later block, after a non-finite cell in the first
+@example("c0,label\n1.5,0\ninf,1\n0.25,0\n3e2,1\nx,0\n", 4)
+# blocks that only one of _json_rows' checks keeps off orjson's parse:
+# a JSON token, an integer -0, a bad label, short rows
+@example("c0,label\ntrue,0\n", 2)
+@example("c0,label\n-0,1\n", 2)
+@example("c0,label\n1,2\n", 2)
+@example("c0,c1,label\n1,0\n2,1\n", 12)
+# a bad cell before a wrong-width row, in one block and in two
+@example("c0,c1,label\n1,2,0\noops,2,1\n1,0\n", 9)
+@example("c0,c1,label\n1,2,0\noops,2,1\n1,0\n", 3)
+def test_load_csv_equals_the_per_cell_parse(text, block):
+    # block: cells per block, so files span several blocks of rows
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data, "_CSV_BLOCK_CELLS", block):
         path = Path(tmp) / "x.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

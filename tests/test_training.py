@@ -5,6 +5,7 @@ import math
 import pickle
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fasdnet import training
 from fasdnet.data import SplitSpec, stratified_split, synthesize_dataset
 from fasdnet.errors import (
     ConfigError,
@@ -780,15 +782,18 @@ def test_model_json_is_json_dumps_text_and_reads_back_bit_for_bit(model):
 @PROPERTY_SETTINGS
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
                                                 min_side=0, max_side=4),
-                  elements=ANY_FLOAT))
-def test_indented_writer_matches_json_on_any_array(a):
-    # NaN and +-inf come out as json's NaN/Infinity, empty arrays as []
+                  elements=ANY_FLOAT),
+       st.integers(1, 7))
+def test_indented_writer_matches_json_on_any_array(a, block):
+    # NaN and +-inf come out as json's NaN/Infinity, empty arrays as [];
+    # block: cells per _float_texts call, so blocks end inside a matrix
     doc = {"a": a, "nested": [a, {"b": a, "empty": {}}, []], "none": None}
     want = {"a": a.tolist(), "nested": [a.tolist(),
                                         {"b": a.tolist(), "empty": {}}, []],
             "none": None}
-    assert _json_indented(doc) == json.dumps(want, indent=2)
-    assert _json_indented(a) == json.dumps(a.tolist(), indent=2)
+    with mock.patch.object(training, "_JSON_BLOCK_CELLS", block):
+        assert _json_indented(doc) == json.dumps(want, indent=2)
+        assert _json_indented(a) == json.dumps(a.tolist(), indent=2)
 
 
 def test_indented_writer_on_non_finite_and_empty_arrays():
