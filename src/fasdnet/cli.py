@@ -88,14 +88,17 @@ def _out_dir(args) -> Path:
 
 @functools.cache
 def _environment() -> dict:
-    """The Python, numpy and BLAS of this process, found once."""
+    """The Python, numpy and BLAS of this process, and the SIMD
+    extensions numpy dispatches to, found once."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):
-        blas = {}
+        config = np.show_config(mode="dicts")
+    except TypeError:  # a numpy without show_config's mode
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy_simd": config.get("SIMD Extensions", {}).get("found"),
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "blas_core": _blas_core(),

@@ -122,9 +122,10 @@ def load_csv(path, battery: str) -> Dataset:
     The final header column must be "label". Feature column counts must
     match the battery schema exactly (synthetic accepts any width), and
     header names must be distinct. Any missing, non-numeric or
-    non-finite (nan, inf) cell is an error naming its line and column;
-    imputation is deliberately not performed here. Lines end at LF, CR
-    LF or CR only: str.splitlines()'s other breaks are cell padding.
+    non-finite (nan, inf) cell, and any byte that is not UTF-8, is an
+    error naming its line and column; imputation is deliberately not
+    performed here. Lines end at LF, CR LF or CR only:
+    str.splitlines()'s other breaks are cell padding.
 
     A cell's value is the double float() reads from its stripped text.
     Blocks of up to _CSV_BLOCK_CELLS cells are parsed by one orjson call
@@ -134,13 +135,10 @@ def load_csv(path, battery: str) -> Dataset:
     """
     if battery not in BATTERIES:
         raise DataError(f"unknown battery {battery!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    text = _read_utf8(path)
     if not text:
         raise ParseError(f"{path}: file is empty")
-    if "\r" in text:  # one scan, where each replace() scans again
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    lines = _lines(text)
     header = lines[0].split(",")
     if len(header) < 2 or header[-1] != "label":
         raise SchemaError(
@@ -219,6 +217,35 @@ def load_csv(path, battery: str) -> Dataset:
     return Dataset(battery, feature_names, x, y)
 
 
+def _read_utf8(path) -> str:
+    """The text of a UTF-8 file, read as bytes and decoded once. A byte
+    that is not UTF-8 is a ParseError naming its line and column, found
+    in the valid text before it: a data cell is named from the header,
+    a header cell by number. The bytes are freed on return."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    lines = _lines(raw[:start].decode("utf-8"))
+    names = [name.strip() for name in lines[0].split(",")]
+    col = lines[-1].count(",")
+    column = (repr(names[col]) if len(lines) > 1 and col < len(names)
+              else str(col + 1))
+    raise ParseError(
+        f"{path}: line {len(lines)}, column {column}: byte "
+        f"0x{raw[start]:02x} is not UTF-8"
+    )
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a text, ended at LF, CR LF or CR."""
+    if "\r" in text:  # one scan, where each replace() scans again
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 # the bytes of a block of rows that hold only JSON numbers: digits,
 # exponents, signs, points, commas, and the whitespace both JSON and
 # float() skip
@@ -282,42 +309,57 @@ def write_csv(ds: Dataset, path) -> None:
     """Write the dataset in the load_csv contract; round-trips bit-exactly.
 
     Each float is written as repr writes it: the shortest text that
-    parses back to the same double. _float_texts produces that text
-    through orjson for a block of rows at a time (see its docstring
-    for why it equals repr's), and the rows go to the file as they are
-    joined, so no whole-file string is built. A dataset without feature
-    columns, which load_csv cannot read back, is a DataError.
+    parses back to the same double. _float_text_rows produces each
+    row's comma-joined text from one orjson dump per block of rows (see
+    _float_texts for why it equals repr's), and the rows go to the file
+    with their labels as they come, so no whole-file string is built. A
+    dataset without feature columns, which load_csv cannot read back,
+    is a DataError.
     """
     if not ds.n_features:
         raise DataError(f"{path}: a dataset without features has no CSV form")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(ds.feature_names) + ",label\n")
         fh.writelines(
-            ",".join(cells + [str(label)]) + "\n"
-            for cells, label in zip(_float_text_rows(ds.x, _CSV_BLOCK_CELLS),
-                                    ds.y.tolist())
+            f"{row},{label}\n"
+            for row, label in zip(_float_text_rows(ds.x, _CSV_BLOCK_CELLS),
+                                  ds.y.tolist())
         )
 
 
-# cells per block of CSV text, formatted by one _float_texts call or
-# parsed by one _json_rows call: enough to spread a call's fixed cost
-# (about 10 us) thin, few enough that the block's texts and values stay
-# a few hundred KB (at 1 << 16, data-io's peak RSS rose by 10 MB when
-# writing; loading 10,000 x 48 cells took the same time from 1 << 11 to
-# 1 << 14 cells a block)
+# cells per block of CSV text, formatted by one orjson dump in
+# _float_text_rows or parsed by one _json_rows call: enough to spread a
+# call's fixed cost (about 10 us) thin, few enough that the block's
+# texts and values stay a few hundred KB (at 1 << 16, data-io's peak
+# RSS rose by 10 MB when writing; loading 10,000 x 48 cells took the
+# same time from 1 << 11 to 1 << 14 cells a block)
 _CSV_BLOCK_CELLS = 1 << 12
 
 
 def _float_text_rows(a: np.ndarray, cells: int):
-    """The _float_texts of each row of a 2-D float array with columns,
-    from one call per block of whole rows: up to the given number of
-    cells, or one row where a row is wider."""
-    n = a.shape[1]
-    block = max(1, cells // n)
+    """Each row of a 2-D float array with columns as the comma-joined
+    _float_texts of its cells, from one orjson call per block of whole
+    rows: up to the given number of cells, or one row where a row is
+    wider. orjson writes the block as "[[row],[row],...]"; the few rows
+    that hold a cell it writes differently from repr (see _float_texts)
+    are joined from _float_texts instead."""
+    import orjson  # see _float_texts
+
+    block = max(1, cells // a.shape[1])
     for start in range(0, len(a), block):
-        texts = _float_texts(a[start:start + block].ravel())
-        for i in range(0, len(texts), n):
-            yield texts[i:i + n]
+        b = np.ascontiguousarray(a[start:start + block], dtype=np.float64)
+        text = orjson.dumps(b, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        rows = text[2:-2].split("],[")
+        for i in np.flatnonzero(_odd_cells(b).any(axis=1)).tolist():
+            rows[i] = ",".join(_float_texts(b[i]))
+        yield from rows
+
+
+def _odd_cells(a: np.ndarray) -> np.ndarray:
+    """Where orjson's text of a float64 differs from repr's: below 1e-4
+    or from 1e16 up in magnitude, except +-0.0, and nan and inf."""
+    magnitude = np.abs(a)
+    return ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (a != 0.0)
 
 
 def _float_texts(a: np.ndarray) -> list[str]:
@@ -328,8 +370,8 @@ def _float_texts(a: np.ndarray) -> list[str]:
     to it, which are the digits repr writes. The texts differ only where
     repr writes an exponent, below 1e-4 and from 1e16 up in magnitude
     (orjson: 0.00001 and 1e16, repr: 1e-05 and 1e+16), and for nan and
-    inf, which orjson writes as null. One vectorized mask picks those
-    elements, except +-0.0, and repr formats them; about 1 in 2,000
+    inf, which orjson writes as null. One vectorized mask, _odd_cells,
+    picks those elements, and repr formats them; about 1 in 2,000
     Glorot weights is one.
     """
     # imported here, as _map_specs imports multiprocessing, so that
@@ -341,8 +383,7 @@ def _float_texts(a: np.ndarray) -> list[str]:
         return []
     text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     texts = text[1:-1].split(",")
-    magnitude = np.abs(a)
-    odd = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (a != 0.0)
+    odd = _odd_cells(a)
     for i, value in zip(np.flatnonzero(odd).tolist(), a[odd].tolist()):
         texts[i] = float.__repr__(value)
     return texts

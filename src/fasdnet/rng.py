@@ -27,13 +27,23 @@ compute the next n draws with numpy array operations (normals in
 fixed-size blocks, to bound the temporaries); they return exactly the
 values, in order, that n calls of next_uint64, next_uniform or
 next_normal would, and leave the generator in the same state. The
-scalar methods stay the reference definition. The block normals
-still take the logarithm and cosine from Python's math module (the C
-library's), one value at a time: numpy ships its own np.log and np.cos,
-which need not round the same way (np.log differs from math.log in the
-last bit for about 1 in 300 of these inputs on x86-64 with numpy 2.4),
-and a one-bit change would change the data. Only the square root,
-which IEEE 754 rounds correctly everywhere, is taken with numpy.
+scalar methods stay the reference definition.
+
+Under numpy 2.4 the block normals take the cosine with np.cos, which
+for float64 calls the C library's cos, the function math.cos calls:
+numpy 2.4 has no SIMD float64 cos on any target it dispatches to, so
+the bits match next_normal's on every one (tests/test_rng.py, which CI
+also runs under numpy's AVX2 dispatch where the runner has AVX-512).
+Other numpy versions are not checked (an older numpy's AVX-512 target
+has its own float64 cos), so under them the cosine stays math.cos, one
+value at a time, as slow as before and the same bits. The logarithm stays Python's math.log, one
+value at a time: np.log need not round as the C library's log does (it
+differs from math.log in the last bit for about 1 in 300 of these
+inputs on x86-64 with AVX-512), and a one-bit change would change the
+data. The square root, which IEEE 754 rounds correctly everywhere, is
+taken with numpy. The streams and synth's data do not depend on
+numpy's SIMD target; trained weights do, as they depend on the BLAS
+kernel (see training).
 """
 
 from __future__ import annotations
@@ -45,6 +55,9 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, the SplitMix64 increment
 _BLOCK = 8192  # normals per block; bounds the temporaries of a large draw
+# whether np.cos is known to round as math.cos does: checked for the
+# numpy versions listed here only (see the module docstring)
+_LIBM_COS = np.__version__.split(".")[:2] == ["2", "4"]
 
 
 def _mix64(z: int) -> int:
@@ -111,10 +124,13 @@ class SeededRng:
             u1 = (bits[0::2] + np.uint64(1)) * 2.0**-53
             u2 = bits[1::2] * 2.0**-53
             logs = np.fromiter(map(math.log, u1.tolist()), float, m)
-            angles = (2.0 * math.pi * u2).tolist()
             r = out[start:start + m]
             np.sqrt(-2.0 * logs, out=r)
-            r *= np.fromiter(map(math.cos, angles), float, m)
+            angles = 2.0 * math.pi * u2
+            if _LIBM_COS:
+                r *= np.cos(angles)
+            else:
+                r *= np.fromiter(map(math.cos, angles.tolist()), float, m)
         return out
 
     def next_below(self, n: int) -> int:

@@ -12,6 +12,9 @@ therefore never needs a softmax Jacobian.
 
 Training is deliberately full batch: the batteries top out at 186 rows,
 so one gradient step per epoch is exact and keeps runs reproducible.
+The bits of a run are fixed per BLAS kernel, which sets the matmuls'
+summation order, and per numpy SIMD target, which picks the
+elementwise loops; manifest.json records both (blas_core, numpy_simd).
 Adam uses the canonical constants (beta1=0.9, beta2=0.999, eps=1e-8).
 Its update is elementwise, so one adam_step over all parameters laid
 end to end gives exactly the per-tensor results.
@@ -52,13 +55,14 @@ for the smaller stack.
 TrainedModel.to_json writes the text of json.dumps(indent=2) but
 formats the weight arrays itself, in _json_indented, because json's
 indenting encoder is pure Python and cost as much as a short training
-run. Each block of weight rows gets its float texts from one
-data._float_texts call, the formatter write_csv uses too: orjson's Ryu
+run. Each block of weight rows gets its text from one orjson dump in
+data._float_text_rows, the formatter write_csv uses too: orjson's Ryu
 writes the same shortest round-trip digits as float.__repr__, which is
-what json writes for a float, and the few elements orjson lays out
-differently (an exponent below 1e-4 or from 1e16 up) are formatted by
-repr itself. A block of weights is formatted several times faster than
-by one repr per weight.
+what json writes for a float, and the few rows holding an element
+orjson lays out differently (an exponent below 1e-4 or from 1e16 up)
+are formatted by repr itself. Each comma-joined row is then indented
+by replacing its commas. A block of weights is formatted several times
+faster than by one repr per weight.
 """
 
 from __future__ import annotations
@@ -349,7 +353,7 @@ class TrainedModel:
         return cls(config, norm, stack)
 
 
-# cells per _float_texts call in _json_indented: blocks of 1 << 8 to
+# cells per orjson dump in _json_indented: blocks of 1 << 8 to
 # 1 << 12 cells formatted model.json equally fast, and the smaller the
 # block the less peak RSS rose over one call per row (feature-layer-train
 # at --seconds 0: 2 MB at 1 << 12, the CSV blocks, and 0.3 MB at 1 << 8)
@@ -363,9 +367,10 @@ def _json_indented(value, pad: str = "") -> str:
 
     A finite float64 array of one or two dimensions is joined from
     _float_texts, which gives the text json uses for finite floats
-    (float.__repr__); a matrix gets them a block of rows of up to
-    _JSON_BLOCK_CELLS cells at a time from _float_text_rows. Dicts,
-    lists and the rows of other arrays recurse. json.dumps writes the
+    (float.__repr__); a matrix gets its rows as comma-joined texts a
+    block of up to _JSON_BLOCK_CELLS cells at a time from
+    _float_text_rows, and each comma becomes a comma and a newline.
+    Dicts, lists and the rows of other arrays recurse. json.dumps writes the
     rest (scalars, strings, None, empty containers, arrays with NaN or
     inf), re-indented: a JSON string holds no raw newline, so every
     newline in json's output starts a line."""
@@ -388,9 +393,9 @@ def _json_indented(value, pad: str = "") -> str:
     elif finite:
         brackets = "[]"
         row_pad = inner + "  "
-        items = (f"[\n{row_pad}" + f",\n{row_pad}".join(texts)
+        items = (f"[\n{row_pad}" + row.replace(",", f",\n{row_pad}")
                  + f"\n{inner}]"
-                 for texts in _float_text_rows(value, _JSON_BLOCK_CELLS))
+                 for row in _float_text_rows(value, _JSON_BLOCK_CELLS))
     else:
         if isinstance(value, np.ndarray):
             value = value.tolist()

@@ -238,6 +238,18 @@ def test_train_missing_data_exits_3(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_train_data_that_is_not_utf8_exits_3(data_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    lines = data_csv.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b",", b",\xff", 1)
+    bad.write_bytes(b"\n".join(lines))
+    code = run("train", "--data", bad, "--battery", "psychometric",
+               "--spec", "table2-row1", "--out-dir", tmp_path / "o")
+    assert code == EXIT_DATA
+    assert "line 3, column 'f01': byte 0xff is not UTF-8" in (
+        capsys.readouterr().err)
+
+
 def test_train_unknown_spec_exits_4(data_csv, tmp_path):
     code = run("train", "--data", data_csv, "--battery", "psychometric",
                "--spec", "not-a-spec", "--out-dir", tmp_path / "o")
@@ -663,13 +675,16 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
         "--spec", "psychometric-feature-layer", "--out-dir", out_dir)
     env = json.loads((out_dir / "manifest.json").read_text())["environment"]
     assert set(env) == {
-        "python", "numpy", "blas", "blas_version", "blas_core",
-        "blas_threads", "workers",
+        "python", "numpy", "numpy_simd", "blas", "blas_version",
+        "blas_core", "blas_threads", "workers",
     }
     assert env["workers"] == 1  # train runs in one process
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    # the SIMD targets numpy dispatches to, after NPY_DISABLE_CPU_FEATURES
+    assert env["numpy_simd"] == config["SIMD Extensions"]["found"]
+    blas = config["Build Dependencies"]["blas"]
     assert (env["blas"], env["blas_version"]) == (
         blas.get("name"), blas.get("version"))
     assert env["blas_threads"] is None or env["blas_threads"] >= 1

@@ -157,6 +157,30 @@ def test_load_csv_ends_lines_only_at_lf_crlf_and_cr(tmp_path):
             load_csv(path, "synthetic")
 
 
+def test_load_csv_names_the_line_and_column_of_a_byte_that_is_not_utf8(
+        tmp_path):
+    path = tmp_path / "x.csv"
+    for end in (b"\n", b"\r\n", b"\r"):
+        # the blank line counts, and the two-byte \xc3\xa9 before the
+        # bad byte is one valid character
+        path.write_bytes(end.join([b"a, b ,label", b"1.0,2.0,0", b"",
+                                   b"\xc3\xa9,4\xff,1", b""]))
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "synthetic")
+        assert str(err.value) == (
+            f"{path}: line 4, column 'b': byte 0xff is not UTF-8")
+    # a truncated sequence at the end of the file, in the label column
+    path.write_bytes(b"a,label\n1.0,0\n2.0,\xc3")
+    with pytest.raises(ParseError, match="line 3, column 'label': byte 0xc3"):
+        load_csv(path, "synthetic")
+    # a header cell, and a cell beyond the header's width, by number
+    for text, where in ((b"a,\xfe,label\n1,0\n", "line 1, column 2"),
+                        (b"a,label\n1,0,\xfe\n", "line 2, column 3")):
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=f"{where}: byte 0xfe"):
+            load_csv(path, "synthetic")
+
+
 def test_load_csv_empty_and_unknown_battery(tmp_path):
     path = _write(tmp_path / "x.csv", "")
     with pytest.raises(ParseError):
@@ -506,6 +530,39 @@ def test_float_texts_equal_repr_for_any_layout(a, byte_order, stride):
     # big-endian and strided inputs are formatted by value, like tolist()
     a = a.astype(byte_order + "f8")[::stride]
     assert _float_texts(a) == _repr_texts(a)
+
+
+@st.composite
+def float_matrices(draw):
+    """A float64 matrix in any layout (big-endian, strided, transposed,
+    Fortran order), with odd cells (see data._odd_cells) anywhere,
+    including the first and last row of a block."""
+    a = draw(hnp.arrays(np.float64, hnp.array_shapes(
+        min_dims=2, max_dims=2, min_side=1, max_side=9),
+        elements=st.one_of(FINITE, st.floats(-1e3, 1e3))))
+    for _ in range(draw(st.integers(0, 3))):
+        a[draw(st.integers(0, len(a) - 1)),
+          draw(st.integers(0, a.shape[1] - 1))] = draw(
+            st.sampled_from(EDGE_FLOATS))
+    a = a.astype(draw(st.sampled_from(["=", ">"])) + "f8")
+    layout = draw(st.sampled_from(["C", "F", "T", "strided"]))
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "T":
+        a = a.T
+    elif layout == "strided":
+        a = a[::draw(st.integers(1, 3)), ::draw(st.integers(1, 3))]
+    return a
+
+
+@PROPERTY_SETTINGS
+@given(float_matrices(), st.integers(1, 30))
+# odd cells in the first and the last row of a two-row block
+@example(np.array([[1e-05, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, math.inf]]), 4)
+def test_float_text_rows_are_repr_joined_per_row(a, cells):
+    # cells below a row's width make one-row blocks
+    want = [",".join(map(repr, row)) for row in a.tolist()]
+    assert list(data._float_text_rows(a, cells)) == want
 
 
 def _csv_text_oracle(ds):

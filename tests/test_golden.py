@@ -7,13 +7,17 @@ CSV `golden/synth.csv`, and compares the SHA-256 of each artifact with
 `golden/digests.json`.
 
 The `synth` file depends on the random stream and the C library's log
-and cos, not on the BLAS, so `digests.json` holds one `portable` digest
-for it. Trained weights depend on the BLAS summation order, which
+and cos, not on the BLAS or on numpy's SIMD target, so `digests.json`
+holds one `portable` digest for it, which test_synth_is_portable checks
+alone. Trained weights depend on the BLAS summation order, which
 OpenBLAS sets per CPU kernel: `kernels` holds one digest set per kernel
 (SkylakeX, Haswell, Sandybridge, Nehalem), all for the numpy/BLAS build
-recorded as `identity`. The test checks the set of the running kernel
-(experiment._blas_core); a kernel with no recorded set fails and names
-the command that records it. Running this file records the running
+recorded as `identity` and numpy's AVX-512 SIMD target: under
+NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" (AVX2) the
+SkylakeX set of `train` differs, so the failure message names the SIMD
+targets numpy runs (manifest.json's `numpy_simd`). The test checks the
+set of the running kernel (experiment._blas_core); a kernel with no
+recorded set fails and names the command that records it. Running this file records the running
 kernel's set in place, and OPENBLAS_CORETYPE picks the kernel, so a
 change that alters the numbers on purpose regenerates every set with
 
@@ -31,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fasdnet.cli import EXIT_OK, main
+from fasdnet.cli import EXIT_OK, _environment, main
 from fasdnet.experiment import _blas_core
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -66,9 +70,10 @@ def numeric_identity() -> dict:
             "blas_version": blas.get("version")}
 
 
-def current_digests(work_dir: Path) -> dict:
+def current_digests(work_dir: Path, runs=tuple(RUNS)) -> dict:
     digests = {}
-    for run, (argv, artifacts) in RUNS.items():
+    for run in runs:
+        argv, artifacts = RUNS[run]
         out_dir = work_dir / run
         if run == "synth":
             io = ["--out", str(out_dir / "synth.csv")]
@@ -96,7 +101,18 @@ def test_artifacts_match_golden_digests(tmp_path):
     assert not changed, (
         f"artifacts {changed} differ from the golden digests of the {core} "
         f"BLAS kernel; recorded under {recorded['identity']}, running under "
-        f"{numeric_identity()}"
+        f"{numeric_identity()} with numpy SIMD targets "
+        f"{_environment()['numpy_simd']}"
+    )
+
+
+def test_synth_is_portable(tmp_path):
+    # the portable digests alone: CI also runs this under a second numpy
+    # SIMD target, where the trained sets need not hold
+    recorded = json.loads(DIGESTS.read_text())["portable"]
+    assert current_digests(tmp_path, ("synth",)) == recorded, (
+        f"synth differs from its portable digest under numpy SIMD targets "
+        f"{_environment()['numpy_simd']}"
     )
 
 

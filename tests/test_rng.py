@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fasdnet import rng
 from fasdnet.rng import _BLOCK, SeededRng, derive_seed
 
 BLOCK_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
@@ -124,6 +125,25 @@ def test_block_draws_equal_the_scalar_stream(seed, block, scalar):
         assert got.tobytes() == want.tobytes(), (block, n)
         # the block leaves the generator where n scalar draws do
         assert a.next_uint64() == b.next_uint64()
+
+
+def test_normals_equal_the_scalar_stream_over_many_blocks():
+    # 2^17 normals span 16 blocks, enough angles that a cosine rounded
+    # differently from math.cos's would show
+    got = SeededRng(2024).normals(2**17)
+    scalar = SeededRng(2024)
+    want = np.array([scalar.next_normal() for _ in range(2**17)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_normals_equal_the_scalar_stream_under_an_unchecked_numpy(
+        monkeypatch):
+    # a numpy whose np.cos is not known to round as math.cos does
+    monkeypatch.setattr(rng, "_LIBM_COS", False)
+    got = SeededRng(7).normals(3 * _BLOCK + 5)
+    scalar = SeededRng(7)
+    want = np.array([scalar.next_normal() for _ in range(len(got))])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_block_draws_interleave_with_scalar_draws():
