@@ -604,8 +604,8 @@ def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
     process."""
     specs = list(specs)
     seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ConfigError("sweep needs at least one seed")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"sweep needs one or more distinct seeds, got {seeds}")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate spec names in sweep: {names}")

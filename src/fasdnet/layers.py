@@ -34,21 +34,14 @@ and sums run over the batch axis, -2. This is how training runs all
 seeds of a spec as one network (see training.train_many).
 
 Every pass writes into buffers and is bound to them before it runs,
-and that is its one path. dense_forward, activation_apply,
-network_forward and network_backward take the buffers as out= and
-work= arguments (a call without them allocates them at entry); the
-_*_steps functions and _Forward then check the shapes, cut every row
-block, column and transposed view, and return the pass as a list of
-ufunc and matmul calls bound to those operands (functools.partial),
-which the public function runs at once. forward_buffers(layers, rows)
-holds per layer z, the output, the activation's scratch array and z's
-finiteness mask, and backward_buffers(layers, rows) per layer delta
-and the scratch array its activation derivative is formed in. A pass
-overwrites every buffer it is given, so the caches network_forward
-returns into buffers are valid only until those buffers are passed
-again. The training loop allocates and binds one set per stack and
-runs the bound calls every epoch (see training._Workspace), so its
-checks and views are made per stack, not per epoch.
+and that is its one path: _Forward and the _*_steps functions check
+the shapes, cut every row block, column and transposed view, and
+return the pass as ufunc and matmul calls bound to their operands
+(functools.partial). The public passes (dense_forward,
+activation_apply, network_forward and network_backward) allocate new
+buffers and run their bound pass once. Only the training loop binds
+buffers of its own, one set per stack, and runs the bound calls every
+epoch (see training._Workspace).
 
 Backward rules are the textbook ones; see network_backward. It takes
 the sigmoid and ReLU derivatives from each layer's output, which the
@@ -71,6 +64,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -130,18 +124,10 @@ def leaky_relu(slope: float = 0.01) -> Activation:
     return Activation("leaky_relu", slope)
 
 
-def activation_apply(a: Activation, z: np.ndarray, out=None,
-                     work=None) -> np.ndarray:
-    """Apply an activation elementwise (softmax: per row, stabilized).
-
-    The result goes into out, allocated here when not given; work is
-    the sigmoid's and the softmax's scratch array of z's shape,
-    allocated here when they need it and it is None. Neither may
-    overlap z.
-    """
-    if out is None:
-        out = np.empty(z.shape)
-    steps = _activation_steps(a, z, out, work)
+def activation_apply(a: Activation, z: np.ndarray) -> np.ndarray:
+    """Apply an activation elementwise (softmax: per row, stabilized)."""
+    out = np.empty(z.shape)
+    steps = _activation_steps(a, z, out, np.empty(z.shape))
     with np.errstate(over="ignore"):
         _run(steps)
     return out
@@ -153,9 +139,10 @@ def _run(steps) -> None:
 
 
 def _activation_steps(a: Activation, z: np.ndarray, out: np.ndarray,
-                      work) -> list:
-    """activation_apply's calls from z into out, bound to their
-    operands, to run in the caller's numpy error state."""
+                      work: np.ndarray) -> list:
+    """activation_apply's calls from z into out, bound to their operands,
+    to run in the caller's numpy error state; work is a scratch array of
+    z's shape. Neither out nor work may overlap z."""
     if a.kind == "identity":
         return [partial(np.copyto, out, z)]
     if a.kind == "relu":
@@ -164,8 +151,6 @@ def _activation_steps(a: Activation, z: np.ndarray, out: np.ndarray,
         # max(z, slope * z); see the module docstring
         return [partial(np.multiply, z, a.slope, out),
                 partial(np.maximum, z, out, out=out)]
-    if work is None:
-        work = np.empty(z.shape)
     if a.kind == "sigmoid":
         e = work  # max(z >= 0, e) / (1 + e) with e = exp(-|z|)
         return [partial(np.absolute, z, e), partial(np.negative, e, e),
@@ -274,24 +259,18 @@ def unstack_layers(layers: list[DenseLayer], slot: int) -> list[DenseLayer]:
     ]
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray, out=None, work=None):
-    """Forward pass; returns (pre_activation, output) for backprop caching.
-
-    out is a (z, output) pair of arrays to write them into and work is
-    activation_apply's scratch array; without out, all three are
-    allocated here.
-    """
-    if out is None:
-        *out, work, _ = forward_buffers([layer], x.shape[-2])[0]
-    z, a = out
-    _run(_dense_steps(layer, x, z, a, work, None))
+def dense_forward(layer: DenseLayer, x: np.ndarray):
+    """Forward pass; returns (pre_activation, output) for backprop caching."""
+    z, a, work, _ = _forward_buffers([layer], x.shape[-2])[0]
+    _run(_dense_steps(layer, x, z, a, work))
     return z, a
 
 
 def _dense_steps(layer: DenseLayer, x: np.ndarray, z: np.ndarray,
-                 a: np.ndarray, work, split: int | None) -> list:
+                 a: np.ndarray, work: np.ndarray,
+                 split: int | None = None) -> list:
     """dense_forward's calls, its shapes checked and the row blocks of
-    split (see network_forward) cut once, bound to their operands."""
+    split (see _Forward) cut once, bound to their operands."""
     if (x.shape[-1] != layer.in_dim
             or x.shape[:-2] not in ((), layer.weights.shape[:-2])):
         raise ShapeError(
@@ -365,6 +344,21 @@ BINARY = "binary"
 
 # the output layer each loss kind scores: (width, activation kind)
 LOSS_OUTPUT = {SPARSE_CATEGORICAL: (2, "softmax"), BINARY: (1, "sigmoid")}
+
+
+@contextmanager
+def _json_fields(what: str):
+    """The block's errors of parsing what's JSON, or of reading its
+    fields, as ConfigError naming the problem."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{what} JSON is missing field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{what} JSON has a field of the wrong type: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -449,15 +443,12 @@ class NetworkConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        with _json_fields("config"):
+            return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, doc) -> "NetworkConfig":
-        try:
+        with _json_fields("config"):
             return cls(
                 input_dim=doc["input_dim"],
                 layers=tuple(
@@ -469,11 +460,6 @@ class NetworkConfig:
                 learning_rate=doc["learning_rate"],
                 seed=doc["seed"],
             )
-        except KeyError as exc:
-            raise ConfigError(f"config JSON is missing field: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"config JSON has a field of the wrong type: {exc}") from exc
 
 
 def network_init(config: NetworkConfig, rng: SeededRng) -> list[DenseLayer]:
@@ -494,31 +480,36 @@ def network_init(config: NetworkConfig, rng: SeededRng) -> list[DenseLayer]:
     return stack
 
 
+def _parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
+    """Every layer's weights and bias, in parameter order."""
+    return [a for layer in layers for a in (layer.weights, layer.bias)]
+
+
 def _z_shapes(layers: list[DenseLayer], rows: int) -> list[tuple]:
     return [layer.weights.shape[:-2] + (rows, layer.out_dim)
             for layer in layers]
 
 
-def forward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
-    """Buffers for network_forward(..., out=) on inputs of `rows` rows:
-    per layer, (z, output, work, finite), where work is the activation's
-    scratch array and finite is z's finiteness mask."""
+def _forward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
+    """Buffers for _Forward on inputs of `rows` rows: per layer,
+    (z, output, work, finite), where work is the activation's scratch
+    array and finite is z's finiteness mask."""
     return [(np.empty(shape), np.empty(shape), np.empty(shape),
              np.empty(shape, dtype=bool))
             for shape in _z_shapes(layers, rows)]
 
 
-def backward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
-    """Buffers for network_backward(..., work=) on `rows` rows: per
-    layer, (delta, work), delta being dLoss/dz and work the scratch
-    array its activation derivative is formed in. The last layer's
-    delta is the caller's: the loss gradient can be written there."""
+def _backward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
+    """Buffers for _backward_steps on `rows` rows: per layer,
+    (delta, work), delta being dLoss/dz and work the scratch array its
+    activation derivative is formed in. The last layer's delta is the
+    caller's: the loss gradient can be written there."""
     return [(np.empty(shape), np.empty(shape))
             for shape in _z_shapes(layers, rows)]
 
 
 def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
-                    x: np.ndarray, out=None, split: int | None = None):
+                    x: np.ndarray):
     """Run the full stack; returns (caches, output).
 
     caches holds one (layer_input, pre_activation) pair per dense layer,
@@ -526,32 +517,23 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     present, is applied first and has no trainable parameters (pass
     None for a stacked network; its input is normalized per slot).
 
-    out is forward_buffers(layers, rows), allocated here when not
-    given: every array the pass makes is written there, so the caches
-    and the output are views of those buffers and stay valid until out
-    is used again.
-
     A NaN or infinity in any layer's pre-activation raises
     NonFiniteError naming the layer; on a stack it also names the
-    failing slots (exc.slots), so the other slots can carry on. This is
-    the only finiteness check of a training step.
-
-    split, when given, cuts x's rows into two blocks, [0, split) and
-    [split, rows): each product, which over both would sum in another
-    order, is taken per block, and the rest runs once over all rows.
-    The result is bit for bit that of one pass per block, joined along
-    the rows, and so is the error: the first block's first non-finite
-    layer if it has one, else the second's.
+    failing slots (exc.slots), so the other slots can carry on.
     """
-    if out is None:
-        out = forward_buffers(layers, x.shape[-2])
     h = norm.apply(x) if norm is not None else x
-    return _Forward(layers, h, out, split)()
+    return _Forward(layers, h, _forward_buffers(layers, x.shape[-2]))()
 
 
 class _Forward:
-    """network_forward bound to its operands; calling it runs the pass
-    and returns (caches, output)."""
+    """network_forward without the normalization stage, bound to
+    out = _forward_buffers(layers, rows); each call runs the pass and
+    returns (caches, output), views of out. split, when given, cuts x's
+    rows into blocks [0, split) and [split, rows): each product, which
+    over both would sum in another order, is taken per block, and the
+    rest runs once over all rows. The result and the error are those of
+    one pass per block, joined along the rows, bit for bit: the first
+    block's first non-finite layer if it has one, else the second's."""
 
     def __init__(self, layers: list[DenseLayer], x: np.ndarray, out,
                  split: int | None = None):
@@ -586,8 +568,7 @@ def _non_finite(layer: int, finite: np.ndarray) -> NonFiniteError | None:
     return NonFiniteError(message, layer=layer, slots=slots) if slots else None
 
 
-def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
-                     out: list[np.ndarray] | None = None, work=None):
+def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray):
     """Backpropagate delta = dLoss/dz of the final layer through the stack.
 
     caches is network_forward's. Each earlier layer's delta is the next
@@ -595,16 +576,11 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
     layer's cached output where that is cheaper than from z (see
     _delta_steps); the first layer's grad_x has no consumer and is not
     computed. Returns the gradients in parameter order, [dW0, db0,
-    dW1, db1, ...], written into out (arrays shaped like the
-    parameters, e.g. views of one flat buffer). work is
-    backward_buffers(layers, rows), which holds every earlier layer's
-    delta and derivative. Either is allocated here when not given.
+    dW1, db1, ...].
     """
-    if out is None:
-        out = [np.empty_like(a) for layer in layers
-               for a in (layer.weights, layer.bias)]
-    if work is None:  # sized by the caches: delta is checked below
-        work = backward_buffers(layers, caches[-1][1].shape[-2])
+    out = [np.empty_like(a) for a in _parameters(layers)]
+    # sized by the caches: delta is checked in _backward_steps
+    work = _backward_buffers(layers, caches[-1][1].shape[-2])
     _run(_backward_steps(layers, caches, delta, out, work))
     return out
 
@@ -612,7 +588,9 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray,
 def _backward_steps(layers: list[DenseLayer], caches, delta: np.ndarray,
                     out: list[np.ndarray], work) -> list:
     """network_backward's calls, its shapes checked and its transposed
-    views made once, bound to their operands."""
+    views made once, bound to their operands: the gradients go into
+    out, arrays shaped like the parameters, and the earlier layers'
+    deltas and derivatives into work, _backward_buffers(layers, rows)."""
     if delta.shape != caches[-1][1].shape:
         raise ShapeError(
             f"network_backward: delta {delta.shape} does not match the final "

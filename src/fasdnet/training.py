@@ -12,9 +12,8 @@ therefore never needs a softmax Jacobian.
 
 Training is deliberately full batch: the batteries top out at 186 rows,
 so one gradient step per epoch is exact and keeps runs reproducible.
-The bits of a run are fixed per BLAS kernel, which sets the matmuls'
-summation order, and per numpy SIMD target, which picks the
-elementwise loops; manifest.json records both (blas_core, numpy_simd).
+The bits of a run are fixed per BLAS kernel and numpy SIMD target
+(see README, Determinism).
 Adam uses the canonical constants (beta1=0.9, beta2=0.999, eps=1e-8).
 Its update is elementwise, so one adam_step over all parameters laid
 end to end gives exactly the per-tensor results.
@@ -28,20 +27,16 @@ train is the S = 1 call.
 
 An epoch makes one forward pass over each slot's training and
 validation rows, laid end to end and split between them (see
-network_forward). The pass before epoch 1 feeds only the first
+layers._Forward). The pass before epoch 1 feeds only the first
 backward pass, so it covers the training rows alone.
 
 The loop keeps three (S, P) buffers for the life of the run, P being
 the parameter count of one network: the parameters theta (each layer's
 weights and bias are views of their span of it) and Adam's two
 moments. Everything else an epoch touches is made once per stack, in a
-_Workspace: network_forward's buffers over all rows (the first pass
-writes their training-row views), network_backward's (the last delta
-takes the loss gradient) and an (S, P) gradient buffer, Adam's two
-temporaries, the label forms the loss needs, and the epoch's calls
-bound to all of these (see layers), so that an epoch runs only its
-ufunc and matmul calls and one finiteness check per layer. Adam writes
-theta in place, so the layers' views stay bound.
+_Workspace, with the epoch's calls bound to it (see layers), so that
+an epoch runs only its ufunc and matmul calls and one finiteness check
+per layer. Adam writes theta in place, so the layers' views stay bound.
 
 The history is scored per block of up to _BLOCK epochs: each epoch
 copies its probabilities into the block, and when it is full, at the
@@ -53,16 +48,10 @@ buffer, after which the views are bound again and a workspace is made
 for the smaller stack.
 
 TrainedModel.to_json writes the text of json.dumps(indent=2) but
-formats the weight arrays itself, in _json_indented, because json's
-indenting encoder is pure Python and cost as much as a short training
-run. Each block of weight rows gets its text from one orjson dump in
-data._float_text_rows, the formatter write_csv uses too: orjson's Ryu
-writes the same shortest round-trip digits as float.__repr__, which is
-what json writes for a float, and the few rows holding an element
-orjson lays out differently (an exponent below 1e-4 or from 1e16 up)
-are formatted by repr itself. Each comma-joined row is then indented
-by replacing its commas. A block of weights is formatted several times
-faster than by one repr per weight.
+formats the weight arrays itself, a block of rows per orjson dump (see
+_json_indented and data._float_text_rows): json's indenting encoder is
+pure Python and cost as much as a short training run, and a block of
+weights is formatted several times faster than by one repr per weight.
 """
 
 from __future__ import annotations
@@ -88,12 +77,14 @@ from .layers import (
     DenseLayer,
     FeatureNormLayer,
     NetworkConfig,
+    _backward_buffers,
     _backward_steps,
     _Forward,
+    _forward_buffers,
+    _json_fields,
+    _parameters,
     _run,
     activation_apply,
-    backward_buffers,
-    forward_buffers,
     network_forward,
     network_init,
     stack_layers,
@@ -203,25 +194,23 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray], out=None, work=None) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns the new parameter list.
-    The moments in state are updated in place.
+              grads: list[np.ndarray]) -> list[np.ndarray]:
+    """One bias-corrected Adam update into new arrays, which it returns;
+    the moments in state are updated in place.
 
     m_hat = m / (1 - beta1^t),  v_hat = v / (1 - beta2^t)
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
-
-    The new parameters go into out, one array per parameter; out may
-    be params itself, since the update is elementwise. work holds a pair
-    of scratch arrays per parameter, each of its shape. Either is
-    allocated here when not given.
     """
-    return _adam(state, params, grads, out, work)()
+    new = [p.copy() for p in params]
+    _adam(state, new, grads)()
+    return new
 
 
 def _adam(state: AdamState, params: list[np.ndarray],
-          grads: list[np.ndarray], out=None, work=None):
-    """adam_step bound to its operands, which are checked and allocated
-    once, here; returns the update as a function of no arguments."""
+          grads: list[np.ndarray]):
+    """adam_step bound to its operands, checked once here, and to two
+    scratch arrays per parameter: a function of no arguments that
+    updates params in place (the update is elementwise)."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError(
             f"adam_step: got {len(params)} params, {len(grads)} grads, "
@@ -232,17 +221,14 @@ def _adam(state: AdamState, params: list[np.ndarray],
             raise ShapeError(
                 f"adam_step: param {i} shape {p.shape} vs grad {g.shape}"
             )
-    if out is None:
-        out = [np.empty_like(p) for p in params]
-    if work is None:
-        work = [(np.empty_like(p), np.empty_like(p)) for p in params]
-    operands = list(zip(params, grads, state.m, state.v, work, out))
+    operands = [(p, g, m, v, np.empty_like(p), np.empty_like(p))
+                for p, g, m, v in zip(params, grads, state.m, state.v)]
     lr = state.learning_rate
 
-    def update() -> list[np.ndarray]:
+    def update() -> None:
         state.t += 1
         c1, c2 = 1.0 - BETA1**state.t, 1.0 - BETA2**state.t
-        for p, g, m, v, (tmp, step), new in operands:
+        for p, g, m, v, tmp, step in operands:
             # adam_step's formula, one operation at a time and in its
             # order, in two temporaries
             np.multiply(g, 1.0 - BETA1, tmp)
@@ -261,8 +247,7 @@ def _adam(state: AdamState, params: list[np.ndarray],
                 np.divide(m, c1, step)
                 step *= lr
             step /= tmp
-            np.subtract(p, step, new)
-        return out
+            p -= step
 
     return update
 
@@ -339,17 +324,18 @@ class TrainedModel:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
-        doc = json.loads(text)
-        config = NetworkConfig.from_dict(doc["config"])
-        norm = None if doc["norm"] is None else FeatureNormLayer(
-            *(np.asarray(doc["norm"][k], dtype=np.float64)
-              for k in ("means", "stds")))
-        stack = [
-            DenseLayer(np.asarray(e["weights"], dtype=np.float64),
-                       np.asarray(e["bias"], dtype=np.float64).reshape(1, -1),
-                       Activation.from_dict(e))
-            for e in doc["layers"]
-        ]
+        with _json_fields("model"):
+            doc = json.loads(text)
+            config = NetworkConfig.from_dict(doc["config"])
+            norm = None if doc["norm"] is None else FeatureNormLayer(
+                *(np.asarray(doc["norm"][k], dtype=np.float64)
+                  for k in ("means", "stds")))
+            stack = [
+                DenseLayer(np.asarray(e["weights"], dtype=np.float64),
+                           np.asarray(e["bias"], dtype=np.float64).reshape(1, -1),
+                           Activation.from_dict(e))
+                for e in doc["layers"]
+            ]
         return cls(config, norm, stack)
 
 
@@ -558,20 +544,19 @@ class _Workspace:
                  theta: np.ndarray, data: list[np.ndarray], n: int,
                  epochs: int):
         x, y = data
-        buffers = forward_buffers(layers, x.shape[-2])
+        buffers = _forward_buffers(layers, x.shape[-2])
         self.forward = _Forward(layers, x, buffers, n)
         self.first = _Forward(
             layers, x[:, :n],
             [tuple(a[:, :n] for a in group) for group in buffers])
-        backward = backward_buffers(layers, n)
+        backward = _backward_buffers(layers, n)
         delta = backward[-1][0]
         grad = np.empty_like(theta)
         self.step = (
             _loss_delta_steps(self.first.output, _target(kind, y[:, :n]), delta)
             + _backward_steps(layers, self.first.caches, delta,
                               _views(grad, layers), backward))
-        self.adam = _adam(state, [theta], [grad], [theta],
-                          [(np.empty_like(theta), np.empty_like(theta))])
+        self.adam = _adam(state, [theta], [grad])
         self.kind, self.n, self.y, self.is_one = kind, n, y, y == 1
         self.block = np.empty((min(epochs, _BLOCK),) + self.forward.output.shape)
         self.kept = 0
@@ -593,10 +578,6 @@ class _Workspace:
         out[:, 0], out[:, 2] = -_mean(log_p[..., :n]), -_mean(log_p[..., n:])
         out[:, 1], out[:, 3] = _mean(hit[..., :n]), _mean(hit[..., n:])
         self.kept = 0
-
-
-def _parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
-    return [a for layer in layers for a in (layer.weights, layer.bias)]
 
 
 def _views(flat: np.ndarray, layers: list[DenseLayer]) -> list[np.ndarray]:

@@ -3,10 +3,12 @@ and of the text writers and reader.
 
 For every (fan_in, fan_out, activation) a registry spec uses, this times
 dense_forward and network_backward on a stack of S in {1, 10} slots of
-ROWS rows, once into new arrays and once into preallocated buffers, as
-the training loop's workspace does. network_backward runs on a network
-of that one layer, so it times the weight and bias gradients; the
-product that carries delta to the layer below is the lower layer's.
+ROWS rows, once as the public call, which allocates its buffers and
+binds its pass, and once as the pass bound to buffers once and run, as
+the training loop's workspace runs it every epoch. network_backward runs
+on a network of that one layer, so it times the weight and bias
+gradients; the product that carries delta to the layer below is the
+lower layer's.
 
 It also times whole training runs, train_many on S = 2 slots of
 ROWS training and VALID_ROWS validation rows for EPOCHS epochs, for a
@@ -33,9 +35,12 @@ from fasdnet.experiment import REGISTRY
 from fasdnet.layers import (
     DenseLayer,
     FeatureNormLayer,
-    backward_buffers,
+    _backward_buffers,
+    _backward_steps,
+    _dense_steps,
+    _forward_buffers,
+    _run,
     dense_forward,
-    forward_buffers,
     network_backward,
     network_forward,
     network_init,
@@ -86,11 +91,11 @@ def _layer_and_input(fan_in, fan_out, act, slots):
 @pytest.mark.parametrize("fan_in, fan_out, act, slots, buffered", CASES)
 def test_dense_forward(benchmark, fan_in, fan_out, act, slots, buffered):
     layer, x = _layer_and_input(fan_in, fan_out, act, slots)
-    out, work = None, None
     if buffered:
-        z, a, work, _ = forward_buffers([layer], ROWS)[0]
-        out = (z, a)
-    z, a = benchmark(dense_forward, layer, x, out, work)
+        z, a, work, _ = _forward_buffers([layer], ROWS)[0]
+        benchmark(_run, _dense_steps(layer, x, z, a, work))
+    else:
+        z, a = benchmark(dense_forward, layer, x)
     assert a.shape == (slots, ROWS, fan_out) and np.isfinite(a).all()
 
 
@@ -99,11 +104,12 @@ def test_network_backward(benchmark, fan_in, fan_out, act, slots, buffered):
     layer, x = _layer_and_input(fan_in, fan_out, act, slots)
     caches, output = network_forward([layer], None, x)
     delta = output / ROWS
-    grads, work = None, None
     if buffered:
-        grads = [np.empty_like(layer.weights), np.empty_like(layer.bias)]
-        work = backward_buffers([layer], ROWS)
-    dw, db = benchmark(network_backward, [layer], caches, delta, grads, work)
+        dw, db = np.empty_like(layer.weights), np.empty_like(layer.bias)
+        benchmark(_run, _backward_steps([layer], caches, delta, [dw, db],
+                                        _backward_buffers([layer], ROWS)))
+    else:
+        dw, db = benchmark(network_backward, [layer], caches, delta)
     assert dw.shape == layer.weights.shape and db.shape == layer.bias.shape
 
 

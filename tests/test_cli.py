@@ -427,6 +427,15 @@ def test_sweep_from_config_directory(data_csv, tmp_path):
     assert {line.split(",")[0] for line in runs[1:]} == {"narrow", "wide"}
 
 
+def test_sweep_repeated_seed_exits_4(data_csv, tmp_path, capsys):
+    code = run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", "table2-row1", "--seeds", "1,1,2",
+               "--out-dir", tmp_path / "o")
+    assert code == EXIT_CONFIG
+    assert "distinct seeds, got [1, 1, 2]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "runs.csv").exists()
+
+
 def test_sweep_empty_config_directory_exits_4(data_csv, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

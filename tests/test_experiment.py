@@ -509,6 +509,10 @@ def test_sweep_requires_seeds_and_unique_names():
         run_sweep([spec], ds, [])
     with pytest.raises(ConfigError, match="duplicate"):
         run_sweep([spec, spec], ds, [0])
+    # a repeated seed would be a repeated runs.csv row, counted twice
+    # in the medians
+    with pytest.raises(ConfigError, match=r"distinct seeds, got \[1, 1, 2\]"):
+        run_sweep([spec], ds, [1, 1, 2])
 
 
 def test_sweep_reports_are_deterministic():

@@ -6,11 +6,14 @@ here as oracles. Inputs are 2-D or stacked (S, rows, cols) arrays that
 mix ordinary doubles with -0.0, subnormals, +-1e308, +-inf, NaN and
 exact zeros.
 
-The training loop runs every pass in preallocated buffers (out= and
-work= arguments) that still hold an earlier epoch's numbers. The last
-properties here check that each pass gives the same bits into buffers
-full of NaN as into new arrays, and that a forward pass split into two
-row blocks gives the bits and the error of one pass per block.
+The public passes allocate their buffers; the training loop binds each
+pass once to buffers of its own (layers._Forward, the _*_steps lists
+and training._adam) and runs it every epoch, into buffers that still
+hold an earlier epoch's numbers. The last properties here run those
+bound passes, into buffers full of NaN and more than once, and check
+that they give the bits of the public passes, and that a forward pass
+split into two row blocks gives the bits and the error of one pass per
+block.
 """
 
 import numpy as np
@@ -25,20 +28,23 @@ from fasdnet.layers import (
     SIGMOID,
     SOFTMAX,
     DenseLayer,
+    _activation_steps,
+    _backward_buffers,
+    _backward_steps,
     _delta_steps,
+    _Forward,
+    _forward_buffers,
     _run,
     activation_apply,
     activation_grad,
-    backward_buffers,
     dense_backward_from_delta,
     dense_forward,
-    forward_buffers,
     leaky_relu,
     network_backward,
     network_forward,
 )
 from fasdnet.matrix import add_row_broadcast, matmul
-from fasdnet.training import BETA1, BETA2, EPSILON, AdamState, adam_step
+from fasdnet.training import BETA1, BETA2, EPSILON, AdamState, _adam, adam_step
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
            1e308, -1e308, 1.7976931348623157e308, float("inf"),
@@ -306,11 +312,22 @@ def networks(draw, slots=STACKS, rows=st.integers(1, 6)):
     return layers, x
 
 
-def _forward(layers, x, out=None, split=None):
+def _forward(layers, x):
     """network_forward's (caches, output), or the NonFiniteError it
     raised as (message, layer, slots)."""
+    return _outcome(lambda: network_forward(layers, None, x))
+
+
+def _bound_forward(layers, x, split=None):
+    """_Forward bound to NaN-filled buffers, run as _outcome."""
+    bound = _Forward(layers, x,
+                     nan_filled(_forward_buffers(layers, x.shape[-2])), split)
+    return lambda: _outcome(bound)
+
+
+def _outcome(forward):
     try:
-        return network_forward(layers, None, x, out, split)
+        return forward()
     except NonFiniteError as exc:
         return str(exc), exc.layer, exc.slots
 
@@ -347,10 +364,10 @@ def test_network_forward_into_used_buffers_is_the_unbuffered_pass(net, cell):
         x[(0,) * x.ndim] = cell
     with np.errstate(all="ignore"):
         want = _forward(layers, x)
-        buffers = nan_filled(forward_buffers(layers, x.shape[-2]))
-        assert_same_pass(_forward(layers, x, buffers), want)
+        bound = _bound_forward(layers, x)
+        assert_same_pass(bound(), want)
         # a second pass into the same buffers, as in the next epoch
-        assert_same_pass(_forward(layers, x, buffers), want)
+        assert_same_pass(bound(), want)
 
 
 @KERNEL_SETTINGS
@@ -370,10 +387,9 @@ def test_split_forward_is_one_pass_per_block(net, data):
     with np.errstate(all="ignore"):
         want = _rows_stacked(_forward(layers, x[:, :split].copy()),
                              _forward(layers, x[:, split:].copy()))
-        assert_same_pass(_forward(layers, x, split=split), want)
-        buffers = nan_filled(forward_buffers(layers, x.shape[-2]))
-        assert_same_pass(_forward(layers, x, buffers, split), want)
-        assert_same_pass(_forward(layers, x, buffers, split), want)
+        bound = _bound_forward(layers, x, split)
+        assert_same_pass(bound(), want)
+        assert_same_pass(bound(), want)
 
 
 @KERNEL_SETTINGS
@@ -386,11 +402,12 @@ def test_network_backward_into_used_buffers_is_the_unbuffered_pass(net, data):
         want = network_backward(layers, caches, delta.copy())
         grads = [np.full_like(a, np.nan) for layer in layers
                  for a in (layer.weights, layer.bias)]
-        work = nan_filled(backward_buffers(layers, x.shape[-2]))
-        got = network_backward(layers, caches, delta.copy(), grads, work)
-    assert got is grads
-    for g, w in zip(got, want, strict=True):
-        assert_same_bits(g, w)
+        work = nan_filled(_backward_buffers(layers, x.shape[-2]))
+        steps = _backward_steps(layers, caches, delta.copy(), grads, work)
+        for _ in range(2):  # the second run, as in the next epoch
+            _run(steps)
+            for g, w in zip(grads, want, strict=True):
+                assert_same_bits(g, w)
 
 
 @KERNEL_SETTINGS
@@ -402,27 +419,31 @@ def test_activation_apply_into_used_buffers_is_the_unbuffered_result(
     out, work = np.full_like(z, np.nan), np.full_like(z, np.nan)
     with np.errstate(all="ignore"):
         want = activation_apply(act, z)
-        got = activation_apply(act, z, out, work)
-    assert got is out
-    assert_same_bits(got, want)
+        steps = _activation_steps(act, z, out, work)
+        for _ in range(2):  # the second run, as in the next epoch
+            _run(steps)
+            assert_same_bits(out, want)
 
 
 @KERNEL_SETTINGS
 @given(adam_runs())
 def test_adam_step_in_place_into_used_buffers_is_the_unbuffered_step(run):
     params, grads, lr, start = run
+    # bound once, as training binds it: from the second step on, the
+    # update's scratch arrays hold the step before's numbers
     fresh, in_place = AdamState(params, lr), AdamState(params, lr)
     fresh.t = in_place.t = start
     want = params
     got = [p.copy() for p in params]
+    bound = [np.full_like(p, np.nan) for p in params]
+    update = _adam(in_place, got, bound)
     with np.errstate(all="ignore"):
         for step in grads:
             want = adam_step(fresh, want, step)
-            work = [(np.full_like(p, np.nan), np.full_like(p, np.nan))
-                    for p in got]
-            new = adam_step(in_place, got, step, got, work)
-            assert all(n is p for n, p in zip(new, got))
-    for g, w in zip(got, want):
-        assert_same_bits(g, w)
+            for b, g in zip(bound, step):
+                np.copyto(b, g)
+            update()
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
     for a, b in zip(in_place.m + in_place.v, fresh.m + fresh.v):
         assert_same_bits(a, b)

@@ -28,9 +28,12 @@ from fasdnet.layers import (
     DenseLayer,
     FeatureNormLayer,
     NetworkConfig,
+    _backward_buffers,
+    _backward_steps,
+    _Forward,
+    _forward_buffers,
     activation_apply,
     activation_grad,
-    backward_buffers,
     dense_backward_from_delta,
     dense_forward,
     leaky_relu,
@@ -137,9 +140,14 @@ def test_network_backward_rejects_a_hidden_softmax():
     layers = [DenseLayer(rng.normal(size=(3, 2)), np.zeros((1, 2)), SOFTMAX),
               DenseLayer(rng.normal(size=(2, 1)), np.zeros((1, 1)), SIGMOID)]
     caches, out = network_forward(layers, None, rng.normal(size=(5, 3)))
-    for work in (None, backward_buffers(layers, 5)):
-        with pytest.raises(ContractError, match="no standalone gradient"):
-            network_backward(layers, caches, out / 5, work=work)
+    with pytest.raises(ContractError, match="no standalone gradient"):
+        network_backward(layers, caches, out / 5)
+    # the pass training binds refuses it too
+    grads = [np.empty_like(a) for layer in layers
+             for a in (layer.weights, layer.bias)]
+    with pytest.raises(ContractError, match="no standalone gradient"):
+        _backward_steps(layers, caches, out / 5, grads,
+                        _backward_buffers(layers, 5))
 
 
 def test_activation_grad_matches_finite_differences():
@@ -454,20 +462,23 @@ def test_split_forward_names_the_first_blocks_failure_first():
                          IDENTITY)]
     x = np.ones((2, 4, 1))
     x[0, 1, 0], x[1, 3, 0] = 1e300, np.inf
+
+    def split_forward(split):
+        return _Forward(layers, x, _forward_buffers(layers, 4), split)()
+
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match=r"layer 1 pre-activation "
                            r"is non-finite in stack slots \[0\]") as err:
-            network_forward(layers, None, x, split=2)
+            split_forward(2)
         assert (err.value.layer, err.value.slots) == (1, (0,))
         # with the first block finite, the second block's layer is named
         x[0, 1, 0] = 1.0
         with pytest.raises(NonFiniteError) as err:
-            network_forward(layers, None, x, split=2)
+            split_forward(2)
         assert (err.value.layer, err.value.slots) == (0, (1,))
         # and with both finite, a split after every row is the plain pass
         x[1, 3, 0] = 1.0
-        assert network_forward(layers, None, x, split=4)[1].tolist() == [
-            [[1e10]] * 4] * 2
+        assert split_forward(4)[1].tolist() == [[[1e10]] * 4] * 2
 
 
 # --------------------------------------------------------------- config type

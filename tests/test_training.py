@@ -204,6 +204,19 @@ def test_adam_state_invariants():
         assert state.m[0].shape == (2, 3)
 
 
+def test_adam_step_returns_new_arrays_and_leaves_params_unchanged():
+    # training's update writes theta in place; the public step does not
+    rng = np.random.default_rng(5)
+    params = [rng.standard_normal((2, 3)), rng.standard_normal((1, 3))]
+    before = [p.copy() for p in params]
+    new = adam_step(AdamState(params, 0.1), params,
+                    [rng.standard_normal(p.shape) for p in params])
+    for p, b, n in zip(params, before, new, strict=True):
+        assert p.tobytes() == b.tobytes()
+        assert not np.shares_memory(n, p)
+        assert not np.array_equal(n, p)
+
+
 def test_adam_shape_mismatch():
     p = [np.zeros((2, 2))]
     state = AdamState(p, 0.01)
@@ -675,6 +688,16 @@ def test_predict_labels_softmax_rows_take_the_first_maximum():
                  for row in slot] for slot in a]
     got = predict_labels(SPARSE_CATEGORICAL, a)
     assert got.dtype == np.int64 and got.tolist() == expected
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("not json", "not valid JSON"),
+    ("{}", "missing field: 'config'"),
+    ("[1]", "field of the wrong type"),
+])
+def test_trained_model_from_json_names_the_problem(text, problem):
+    with pytest.raises(ConfigError, match=problem):
+        TrainedModel.from_json(text)
 
 
 def test_trained_model_json_round_trip():
