@@ -76,13 +76,15 @@ def _sha256_text(text: str) -> str:
 
 
 def _out_dir(args) -> Path:
+    """The output directory; a command makes it before its first write."""
     out = args.out_dir or os.environ.get("FASDNET_OUT_DIR")
     if not out:
         raise ConfigError(
             "no output directory: pass --out-dir or set FASDNET_OUT_DIR"
         )
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and not path.is_dir():
+        raise NotADirectoryError(f"output path {path} is not a directory")
     return path
 
 
@@ -195,6 +197,7 @@ def cmd_train(args, argv) -> int:
     spec = _train_spec(args)
     out_dir = _out_dir(args)
     result, model = run_experiment_with_model(spec, ds, args.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "confusion.txt").write_text(
         result.confusion.to_text(), encoding="utf-8"
     )
@@ -216,6 +219,7 @@ def cmd_sweep(args, argv) -> int:
     specs = _sweep_specs(args)
     out_dir = _out_dir(args)
     sweep = run_sweep(specs, ds, args.seeds)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "runs.csv").write_text(sweep.runs_csv_text(), encoding="utf-8")
     (out_dir / "summary.txt").write_text(sweep.summary_text(), encoding="utf-8")
     (out_dir / "summary.json").write_text(
@@ -266,6 +270,7 @@ def cmd_report(args, argv) -> int:
     report = comparison_report(_runs_from_csv(runs_path, summary_path),
                                baselines)
     out_dir = _out_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "comparison.csv").write_text(
         report.to_csv_text(), encoding="utf-8"
     )

@@ -21,7 +21,7 @@ NetworkConfig's 2 columns. A logit more than ~1.8e308 below its row's
 maximum shifts to -inf, whose exp is the exact 0 it stands for:
 activation_apply ignores that overflow, while the kernels under it
 leave numpy's error state to their callers (the training loop,
-TrainedModel.predict_proba). tests/test_kernels.py holds the textbook
+network_forward). tests/test_kernels.py holds the textbook
 formulas and checks every kernel against them bit for bit.
 
 Every forward and backward function also takes stacked operands with a
@@ -30,8 +30,10 @@ leading seed axis: x of shape (S, batch, in_dim), W of shape
 independent networks of one architecture, and slot s of every result
 is exactly what the 2-D call on slot s would return. The code is the
 same for both: products use matmul, transposes swap the last two axes
-and sums run over the batch axis, -2. This is how training runs all
-seeds of a spec as one network (see training.train_many).
+and sums run over the batch axis, -2, so a NaN in one slot never
+reaches another. This is how training runs all seeds of a spec as one
+network, where a diverged seed keeps its slot (see _Forward.failures
+and training.train_many).
 
 Every pass writes into buffers and is bound to them before it runs,
 and that is its one path: _Forward and the _*_steps functions check
@@ -518,11 +520,22 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     None for a stacked network; its input is normalized per slot).
 
     A NaN or infinity in any layer's pre-activation raises
-    NonFiniteError naming the layer; on a stack it also names the
-    failing slots (exc.slots), so the other slots can carry on.
+    NonFiniteError naming the first such layer and, on a stack, the
+    slots that fail there (exc.slots). The pass runs to its end first,
+    without numpy's overflow and invalid warnings.
     """
-    h = norm.apply(x) if norm is not None else x
-    return _Forward(layers, h, _forward_buffers(layers, x.shape[-2]))()
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = norm.apply(x) if norm is not None else x
+        forward = _Forward(layers, h, _forward_buffers(layers, x.shape[-2]))
+        caches, output = forward()
+    failures = forward.failures()
+    if failures:
+        layer = min(failures.values())
+        slots = sorted(s for s, i in failures.items() if i == layer)
+        where = f" in stack slots {slots}" if output.ndim > 2 else ""
+        message = f"layer {layer} pre-activation is non-finite{where}"
+        raise NonFiniteError(message, layer=layer, slots=slots)
+    return caches, output
 
 
 class _Forward:
@@ -531,41 +544,37 @@ class _Forward:
     returns (caches, output), views of out. split, when given, cuts x's
     rows into blocks [0, split) and [split, rows): each product, which
     over both would sum in another order, is taken per block, and the
-    rest runs once over all rows. The result and the error are those of
-    one pass per block, joined along the rows, bit for bit: the first
-    block's first non-finite layer if it has one, else the second's."""
+    rest runs once over all rows. The result and failures() are those
+    of one pass per block, joined along the rows, bit for bit."""
 
     def __init__(self, layers: list[DenseLayer], x: np.ndarray, out,
                  split: int | None = None):
-        self.split, self.layers, self.caches = split, [], []
+        self.split, self.steps, self.finite, self.caches = split, [], [], []
         for layer, (z, a, work, finite) in zip(layers, out):
-            steps = _dense_steps(layer, x, z, a, work, split)
-            self.layers.append((steps + [partial(np.isfinite, z, finite)],
-                                finite))
+            self.steps += _dense_steps(layer, x, z, a, work, split)
+            self.steps.append(partial(np.isfinite, z, finite))
+            self.finite.append(finite)
             self.caches.append((x, z))
             x = a
         self.output = x
 
     def __call__(self):
-        split, later = self.split, None
-        for i, (steps, finite) in enumerate(self.layers):
-            _run(steps)
-            if not np.logical_and.reduce(finite, axis=None):
-                first = _non_finite(i, finite[..., :split, :])
-                if first:
-                    raise first
-                later = later or _non_finite(i, finite[..., split:, :])
-        if later:
-            raise later
+        _run(self.steps)
         return self.caches, self.output
 
-
-def _non_finite(layer: int, finite: np.ndarray) -> NonFiniteError | None:
-    """The layer's error for the slots with a False in finite, if any."""
-    slots = np.flatnonzero(~finite.all(axis=(-2, -1))).tolist()
-    where = f" in stack slots {slots}" if finite.ndim > 2 else ""
-    message = f"layer {layer} pre-activation is non-finite{where}"
-    return NonFiniteError(message, layer=layer, slots=slots) if slots else None
+    def failures(self) -> dict[int, int]:
+        """{slot: layer} for the last pass (slot 0 for a 2-D pass): the
+        first layer whose pre-activation is non-finite in the slot's
+        first block, else in its second."""
+        split, first, later = self.split, {}, {}
+        for i, finite in enumerate(self.finite):
+            if np.logical_and.reduce(finite, axis=None):
+                continue
+            for found, rows in ((first, finite[..., :split, :]),
+                                (later, finite[..., split:, :])):
+                for slot in np.flatnonzero(~rows.all(axis=(-2, -1))).tolist():
+                    found.setdefault(slot, i)
+        return later | first
 
 
 def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray):

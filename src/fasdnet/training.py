@@ -22,8 +22,8 @@ There is one training loop, train_many. It trains S configs that
 differ only in seed as one stacked network: parameters, Adam moments,
 data and labels all carry a leading seed axis of length S, and each
 slot's numbers are bit-identical to training that seed alone. A slot
-that diverges is dropped from the stack and the others carry on.
-train is the S = 1 call.
+that diverges keeps its place in the stack, computing on NaN and inf
+that cannot reach another slot. train is the S = 1 call.
 
 An epoch makes one forward pass over each slot's training and
 validation rows, laid end to end and split between them (see
@@ -33,19 +33,16 @@ backward pass, so it covers the training rows alone.
 The loop keeps three (S, P) buffers for the life of the run, P being
 the parameter count of one network: the parameters theta (each layer's
 weights and bias are views of their span of it) and Adam's two
-moments. Everything else an epoch touches is made once per stack, in a
+moments. Everything else an epoch touches is made once per run, in a
 _Workspace, with the epoch's calls bound to it (see layers), so that
 an epoch runs only its ufunc and matmul calls and one finiteness check
 per layer. Adam writes theta in place, so the layers' views stay bound.
 
 The history is scored per block of up to _BLOCK epochs: each epoch
-copies its probabilities into the block, and when it is full, at the
-end and before a diverged slot is dropped, the loss and accuracy terms
-and their per-set means are taken once over all its epochs. Each mean
-is the same float64 sum over one slot's rows as a per-epoch mean, so
-the bits are too. Dropping a slot is one fancy index per (S, P)
-buffer, after which the views are bound again and a workspace is made
-for the smaller stack.
+copies its probabilities into the block, and when it is full and at
+the end, the loss and accuracy terms and their per-set means are taken
+once over all its epochs. Each mean is the same float64 sum over one
+slot's rows as a per-epoch mean, so the bits are too.
 
 TrainedModel.to_json writes the text of json.dumps(indent=2) but
 formats the weight arrays itself, a block of rows per orjson dump (see
@@ -59,6 +56,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -67,7 +65,6 @@ from .errors import (
     ConfigError,
     DataError,
     DivergenceError,
-    NonFiniteError,
     ShapeError,
 )
 from .layers import (
@@ -296,8 +293,7 @@ class TrainedModel:
     layers: list[DenseLayer]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # the softmax's; see layers
-            return network_forward(self.layers, self.norm, x)[1]
+        return network_forward(self.layers, self.norm, x)[1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return predict_labels(self.config.loss, self.predict_proba(x))
@@ -324,6 +320,8 @@ class TrainedModel:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
+        """The model to_json wrote; ConfigError names a missing or mistyped
+        field, or a norm or layer that does not match the config."""
         with _json_fields("model"):
             doc = json.loads(text)
             config = NetworkConfig.from_dict(doc["config"])
@@ -332,10 +330,27 @@ class TrainedModel:
                   for k in ("means", "stds")))
             stack = [
                 DenseLayer(np.asarray(e["weights"], dtype=np.float64),
-                           np.asarray(e["bias"], dtype=np.float64).reshape(1, -1),
+                           np.asarray(e["bias"], dtype=np.float64),
                            Activation.from_dict(e))
                 for e in doc["layers"]
             ]
+        found = None if norm is None else (norm.means.shape, norm.stds.shape)
+        dims = (config.input_dim,)
+        if found != ((dims, dims) if config.use_feature_layer else None):
+            raise ConfigError(
+                f"model norm shapes {found} do not match its config's "
+                f"input_dim {config.input_dim} and use_feature_layer "
+                f"{config.use_feature_layer}")
+        sizes = [config.input_dim] + [w for w, _ in config.layers]
+        wanted = [((m, w), (w,), a) for m, (w, a) in zip(sizes, config.layers)]
+        for i, (layer, want) in enumerate(zip_longest(stack, wanted)):
+            found = None if layer is None else (
+                layer.weights.shape, layer.bias.shape, layer.activation)
+            if found != want:
+                raise ConfigError(
+                    f"model layer {i} has (weights shape, bias shape, "
+                    f"activation) {found}, its config {want}")
+            layer.bias = layer.bias.reshape(1, -1)
         return cls(config, norm, stack)
 
 
@@ -424,12 +439,11 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     slot's training rows only and frozen; validation data always goes
     through the training statistics. Each epoch performs one gradient
     step and then records train and validation loss/accuracy at the
-    updated parameters. A non-finite pre-activation stops that slot with
-    DivergenceError("training diverged at epoch {e}: layer {i}
+    updated parameters. A slot's first non-finite pre-activation gives
+    it DivergenceError("training diverged at epoch {e}: layer {i}
     pre-activation is non-finite") for its training rows' first
-    non-finite layer, else its validation rows'; the slot is dropped
-    from the stack (parameters, Adam moments, data and labels) and the
-    forward pass of that epoch is repeated for the others.
+    non-finite layer, else its validation rows'. The run stops once
+    every slot has failed.
     """
     configs = list(configs)
     if not configs:
@@ -456,12 +470,12 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
 
     # every slot's training rows, then its validation rows
     n = x_train.shape[1]
-    data = [np.concatenate([x_train, x_valid], axis=1),
-            np.concatenate([y_tr, y_va], axis=1)]
+    x = np.concatenate([x_train, x_valid], axis=1)
+    y = np.concatenate([y_tr, y_va], axis=1)
     norms = [None] * len(configs)
     if config.use_feature_layer:
-        norms = [FeatureNormLayer.fit(x) for x in x_train]
-        data[0] = np.stack([n.apply(x) for n, x in zip(norms, data[0])])
+        norms = [FeatureNormLayer.fit(slot) for slot in x_train]
+        x = np.stack([norm.apply(slot) for norm, slot in zip(norms, x)])
 
     layers = stack_layers(
         [network_init(c, SeededRng(c.seed)) for c in configs]
@@ -473,77 +487,54 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     )
     _set_parameters(layers, theta)
     state = AdamState([theta], config.learning_rate)
-    kind = config.loss
     outcomes = [None] * len(configs)
-    live = list(range(len(configs)))  # config index of each stack slot
     # history row e of every slot: train loss, train accuracy,
     # validation loss and validation accuracy after epoch e + 1
     rows = np.empty((config.epochs, 4, len(configs)))
-    ws = _Workspace(kind, layers, state, theta, data, n, config.epochs)
+    ws = _Workspace(config.loss, layers, state, theta, x, y, n, config.epochs)
 
-    def guarded(forward, epoch):
-        """forward() for the live slots. A slot it finds non-finite is
-        dropped with its DivergenceError and forward() is repeated for
-        the rest; returns None once no slot is left."""
-        nonlocal theta, rows, ws
-        while live:
-            try:
-                return forward()
-            except NonFiniteError as exc:
-                for pos in exc.slots:
-                    error = DivergenceError(
-                        f"training diverged at epoch {epoch}: layer "
-                        f"{exc.layer} pre-activation is non-finite",
-                        epoch,
-                        exc.layer,
-                    )
-                    error.__cause__ = exc
-                    outcomes[live[pos]] = error
-                ws.score(rows, epoch - 1)  # the block has the old slots
-                keep = [p for p in range(len(live)) if p not in exc.slots]
-                live[:] = [live[p] for p in keep]
-                data[:] = [a[keep] for a in data]
-                theta, rows = theta[keep], rows[..., keep]
-                state.m = [state.m[0][keep]]
-                state.v = [state.v[0][keep]]
-                _set_parameters(layers, theta)
-                ws = _Workspace(kind, layers, state, theta, data, n,
-                                config.epochs)
-        return None
+    def record_failures(forward, epoch) -> bool:
+        """Record each slot's first failure; True once every slot has one."""
+        for slot, layer in forward.failures().items():
+            outcomes[slot] = outcomes[slot] or DivergenceError(
+                f"training diverged at epoch {epoch}: layer {layer} "
+                "pre-activation is non-finite", epoch, layer)
+        return all(outcomes)
 
-    # divergence is reported by network_forward's finiteness guard, so
-    # numpy's own overflow warnings add nothing
+    # divergence is reported per slot from the forward passes'
+    # finiteness masks, so numpy's own overflow warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        passed = guarded(lambda: ws.first(), 1)
-        for epoch in range(1, config.epochs + 1):
-            if passed is None:
-                break
+        ws.first()
+        epoch, stop = 0, record_failures(ws.first, 1)
+        while not stop and epoch < config.epochs:
+            epoch += 1
             _run(ws.step)
             ws.adam()
-            passed = guarded(lambda: ws.forward(), epoch)
-            if passed is not None and ws.keep():
+            ws.forward()
+            stop = record_failures(ws.forward, epoch)
+            if ws.keep():
                 ws.score(rows, epoch)
-        ws.score(rows, epoch)  # empty if the loop broke: no slot is left
+        ws.score(rows, epoch)
 
-    for pos, slot in enumerate(live):
-        model = TrainedModel(configs[slot], norms[slot],
-                             unstack_layers(layers, pos))
-        history = History(*(rows[:, k, pos].tolist() for k in range(4)))
-        outcomes[slot] = (model, history)
+    for slot, outcome in enumerate(outcomes):
+        if outcome is None:
+            model = TrainedModel(configs[slot], norms[slot],
+                                 unstack_layers(layers, slot))
+            history = History(*(rows[:, k, slot].tolist() for k in range(4)))
+            outcomes[slot] = (model, history)
     return outcomes
 
 
 class _Workspace:
     """Every array an epoch of train_many writes, and its calls bound to
-    them, for the live slots, whose data is [x, y] with n training rows
-    and then the validation rows (see the module docstring). first is
+    them; x and y hold each slot's n training rows and then its
+    validation rows (see the module docstring). first is
     the pass before epoch 1, step the loss gradient and the backward
     pass, adam the update of theta and forward the pass after it."""
 
     def __init__(self, kind: str, layers: list[DenseLayer], state: AdamState,
-                 theta: np.ndarray, data: list[np.ndarray], n: int,
+                 theta: np.ndarray, x: np.ndarray, y: np.ndarray, n: int,
                  epochs: int):
-        x, y = data
         buffers = _forward_buffers(layers, x.shape[-2])
         self.forward = _Forward(layers, x, buffers, n)
         self.first = _Forward(

@@ -16,6 +16,7 @@ from fasdnet.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGENCE,
+    EXIT_IO,
     EXIT_OK,
     _environment,
     main,
@@ -27,7 +28,7 @@ from fasdnet.experiment import (
     _openblas,
     comparison_report,
 )
-from fasdnet.layers import SIGMOID, NetworkConfig
+from fasdnet.layers import RELU, SIGMOID, NetworkConfig
 
 
 # small synthetic files under real battery names trip the row-count notice;
@@ -356,9 +357,46 @@ def test_out_dir_from_environment(data_csv, tmp_path, monkeypatch):
 
 def test_missing_out_dir_exits_4(data_csv, monkeypatch):
     monkeypatch.delenv("FASDNET_OUT_DIR", raising=False)
+    # and before any training starts
+    for name in ("run_experiment_with_model", "run_sweep"):
+        monkeypatch.setattr(f"fasdnet.cli.{name}",
+                            lambda *_, name=name: pytest.fail(f"{name} ran"))
     code = run("train", "--data", data_csv, "--battery", "psychometric",
                "--spec", "psychometric-feature-layer", "--seed", 0)
     assert code == EXIT_CONFIG
+    code = run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", "psychometric-feature-layer", "--seeds", "0")
+    assert code == EXIT_CONFIG
+
+
+def test_out_dir_that_is_a_file_exits_6_before_training(data_csv, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr("fasdnet.cli.run_experiment_with_model",
+                        lambda *_: pytest.fail("trained"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run("train", "--data", data_csv, "--battery", "psychometric",
+               "--spec", "psychometric-feature-layer", "--out-dir", taken)
+    assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("command", ["sweep", "train"])
+def test_a_command_that_fails_before_writing_leaves_no_out_dir(
+        data_csv, tmp_path, command):
+    # sweep rejects a repeated seed (exit 4) and train's config diverges
+    # (exit 5) before either writes a file: neither --out-dir nor the
+    # parent it would have made is left behind
+    boom = tmp_path / "boom.json"
+    boom.write_text(NetworkConfig(
+        20, ((8, RELU), (8, RELU), (1, SIGMOID)), "binary", True, 10,
+        1e200).to_json())
+    argv, code = {
+        "sweep": (["--specs", "table2-row1", "--seeds", "1,1,2"], EXIT_CONFIG),
+        "train": (["--spec", boom], EXIT_DIVERGENCE),
+    }[command]
+    assert run(command, "--data", data_csv, "--battery", "psychometric",
+               *argv, "--out-dir", tmp_path / "o" / "run") == code
+    assert not (tmp_path / "o").exists()
 
 
 # --------------------------------------------------------------------- sweep

@@ -12,8 +12,8 @@ and training._adam) and runs it every epoch, into buffers that still
 hold an earlier epoch's numbers. The last properties here run those
 bound passes, into buffers full of NaN and more than once, and check
 that they give the bits of the public passes, and that a forward pass
-split into two row blocks gives the bits and the error of one pass per
-block.
+split into two row blocks gives the bits and the per-slot failures of
+one pass per block.
 """
 
 import numpy as np
@@ -42,6 +42,7 @@ from fasdnet.layers import (
     leaky_relu,
     network_backward,
     network_forward,
+    unstack_layers,
 )
 from fasdnet.matrix import add_row_broadcast, matmul
 from fasdnet.training import BETA1, BETA2, EPSILON, AdamState, _adam, adam_step
@@ -313,32 +314,42 @@ def networks(draw, slots=STACKS, rows=st.integers(1, 6)):
 
 
 def _forward(layers, x):
-    """network_forward's (caches, output), or the NonFiniteError it
-    raised as (message, layer, slots)."""
-    return _outcome(lambda: network_forward(layers, None, x))
+    """network_forward's (caches, output), or, where it raises, the
+    failing layer of each slot that fails run alone, as {slot: layer}."""
+    try:
+        return network_forward(layers, None, x)
+    except NonFiniteError:
+        pass
+    failures = {}
+    for s in range(len(x)):
+        try:
+            network_forward(unstack_layers(layers, s), None, x[s])
+        except NonFiniteError as exc:
+            failures[s] = exc.layer
+    return failures
 
 
 def _bound_forward(layers, x, split=None):
-    """_Forward bound to NaN-filled buffers, run as _outcome."""
+    """_Forward bound to NaN-filled buffers, as a function that runs it
+    and returns its failures(), if any, else its (caches, output)."""
     bound = _Forward(layers, x,
                      nan_filled(_forward_buffers(layers, x.shape[-2])), split)
-    return lambda: _outcome(bound)
 
+    def run():
+        result = bound()
+        return bound.failures() or result
 
-def _outcome(forward):
-    try:
-        return forward()
-    except NonFiniteError as exc:
-        return str(exc), exc.layer, exc.slots
+    return run
 
 
 def _rows_stacked(first, second):
     """Two passes' results as one pass over both blocks of rows should
-    give them: the first pass's error, else the second's, else the
-    caches and outputs joined along the rows."""
-    for block in (first, second):
-        if isinstance(block[0], str):
-            return block
+    give them: each failing slot's layer in the first block, else in
+    the second, or else the caches and outputs joined along the rows."""
+    failed = [block if isinstance(block, dict) else {}
+              for block in (second, first)]
+    if any(failed):
+        return failed[0] | failed[1]
     (caches, output), (more_caches, more_output) = first, second
     return ([tuple(np.concatenate(pair, axis=-2) for pair in zip(a, b))
              for a, b in zip(caches, more_caches, strict=True)],
@@ -346,7 +357,7 @@ def _rows_stacked(first, second):
 
 
 def assert_same_pass(got, want):
-    if isinstance(want[0], str):
+    if isinstance(want, dict):
         assert got == want
         return
     (caches, output), (want_caches, want_output) = got, want

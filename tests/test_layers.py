@@ -455,30 +455,38 @@ def test_network_forward_guard_names_failing_stack_slots():
 def test_split_forward_names_the_first_blocks_failure_first():
     # two identity layers; slot 0's first block overflows at layer 1
     # (1e300 * 1e10), slot 1's second block holds an inf, non-finite
-    # from layer 0 on. One pass per block names the first block's
-    # failure, so the split pass does too, though it is the later layer
+    # from layer 0 on. One pass per block names a slot's first block's
+    # failure before its second's, so the split pass does too, though
+    # it may be the later layer
     layers = [DenseLayer(np.ones((2, 1, 1)), np.zeros((2, 1, 1)), IDENTITY),
               DenseLayer(np.full((2, 1, 1), 1e10), np.zeros((2, 1, 1)),
                          IDENTITY)]
     x = np.ones((2, 4, 1))
     x[0, 1, 0], x[1, 3, 0] = 1e300, np.inf
 
-    def split_forward(split):
-        return _Forward(layers, x, _forward_buffers(layers, 4), split)()
+    def failures(x, split=None):
+        forward = _Forward(layers, x, _forward_buffers(layers, x.shape[-2]),
+                           split)
+        forward()
+        return forward.failures()
+
+    def per_block(split):
+        return failures(x[:, split:].copy()) | failures(x[:, :split].copy())
 
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError, match=r"layer 1 pre-activation "
-                           r"is non-finite in stack slots \[0\]") as err:
-            split_forward(2)
-        assert (err.value.layer, err.value.slots) == (1, (0,))
-        # with the first block finite, the second block's layer is named
+        assert failures(x, 2) == per_block(2) == {0: 1, 1: 0}
+        # slot 0's second block non-finite from layer 0 on as well: its
+        # first block's layer 1 is still the one named
+        x[0, 3, 0] = np.inf
+        assert failures(x, 2) == per_block(2) == {0: 1, 1: 0}
+        # with its first block finite, its second block's layer is named
         x[0, 1, 0] = 1.0
-        with pytest.raises(NonFiniteError) as err:
-            split_forward(2)
-        assert (err.value.layer, err.value.slots) == (0, (1,))
+        assert failures(x, 2) == per_block(2) == {0: 0, 1: 0}
         # and with both finite, a split after every row is the plain pass
-        x[1, 3, 0] = 1.0
-        assert split_forward(4)[1].tolist() == [[[1e10]] * 4] * 2
+        x[0, 3, 0] = x[1, 3, 0] = 1.0
+        forward = _Forward(layers, x, _forward_buffers(layers, 4), 4)
+        assert forward()[1].tolist() == [[[1e10]] * 4] * 2
+        assert forward.failures() == {}
 
 
 # --------------------------------------------------------------- config type

@@ -33,6 +33,7 @@ from fasdnet.layers import (
     FeatureNormLayer,
     NetworkConfig,
     leaky_relu,
+    network_init,
 )
 from fasdnet.rng import SeededRng
 from fasdnet.training import (
@@ -423,9 +424,10 @@ def test_train_many_drops_diverging_slots_and_carries_on():
 
 def test_train_many_survivors_of_mid_run_drops_write_their_solo_files():
     # slots 0, 1, 3 and 4 diverge at epochs 17-29, one or two at a time,
-    # so the flat parameter buffer is cut down and its views re-bound
+    # and compute on inf and NaN in their slots to the end of the run
     # while slots 2 and 5 train on; their model.json and history.csv
-    # must be byte for byte what a run of their own writes
+    # must be byte for byte what a run of their own writes, and no
+    # numpy warning may escape train_many
     from fasdnet.experiment import REGISTRY
 
     ds = synthesize_dataset(20, 20, 0.7, SeededRng(3))
@@ -434,7 +436,9 @@ def test_train_many_survivors_of_mid_run_drops_write_their_solo_files():
                        input_dim=20, epochs=30, learning_rate=7e151, seed=s)
                for s in seeds]
     splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in seeds]
-    stacked = _train_stacked(configs, splits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _train_stacked(configs, splits)
     dropped = [got.epoch for got in stacked if isinstance(got, DivergenceError)]
     assert len(dropped) == 4 and 1 < min(dropped) < max(dropped) < 30
     for config, (tr, te), got in zip(configs, splits, stacked):
@@ -447,9 +451,8 @@ def test_train_many_survivors_of_mid_run_drops_write_their_solo_files():
 
 def test_train_many_drops_a_slot_whose_validation_pass_fails():
     # slot 1's validation set holds an inf cell, so only its validation
-    # pass of epoch 1 is non-finite: the stack drops it after its train
-    # pass succeeded, and repeats both passes for the other slots in
-    # buffers of the smaller stack
+    # rows of epoch 1 are non-finite: its results are dropped, though its
+    # training rows passed, and the other slots train on beside it
     from fasdnet.experiment import REGISTRY
 
     ds = synthesize_dataset(20, 20, 0.7, SeededRng(3))
@@ -690,10 +693,44 @@ def test_predict_labels_softmax_rows_take_the_first_maximum():
     assert got.dtype == np.int64 and got.tolist() == expected
 
 
+def _edited_model_json(edit) -> str:
+    """model.json of a small two-layer feature-layer model, its document
+    changed by edit."""
+    config = NetworkConfig(3, ((4, leaky_relu()), (2, SOFTMAX)),
+                           SPARSE_CATEGORICAL, True, 1, 0.001, 0)
+    model = TrainedModel(config, FeatureNormLayer(np.zeros(3), np.ones(3)),
+                         network_init(config, SeededRng(0)))
+    doc = json.loads(model.to_json())
+    edit(doc)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, problem", [
     ("not json", "not valid JSON"),
     ("{}", "missing field: 'config'"),
     ("[1]", "field of the wrong type"),
+    pytest.param(_edited_model_json(lambda doc: doc["layers"].pop()),
+                 r"model layer 1 has .* None, its config \(\(4, 2\), "
+                 r"\(2,\), Activation\(kind='softmax'", id="cut-to-one-layer"),
+    pytest.param(_edited_model_json(
+        lambda doc: doc["layers"][0].update(weights=5)),
+        r"model layer 0 has \(weights shape, bias shape, activation\) "
+        r"\(\(\), \(4,\), .*, its config \(\(3, 4\), \(4,\), ",
+        id="scalar-weights"),
+    pytest.param(_edited_model_json(
+        lambda doc: doc["layers"][1].update(bias=[0.0])),
+        r"model layer 1 has .* \(\(4, 2\), \(1,\), .*, its config "
+        r"\(\(4, 2\), \(2,\), ", id="short-bias"),
+    pytest.param(_edited_model_json(
+        lambda doc: doc["layers"][0].update(slope=0.05)),
+        "model layer 0 has .*slope=0.05.*, its config .*slope=0.01",
+        id="other-slope"),
+    pytest.param(_edited_model_json(lambda doc: doc.update(norm=None)),
+                 "model norm shapes None do not match its config's "
+                 "input_dim 3 and use_feature_layer True", id="missing-norm"),
+    pytest.param(_edited_model_json(lambda doc: doc["norm"]["stds"].pop()),
+                 r"model norm shapes \(\(3,\), \(2,\)\) do not match",
+                 id="short-norm"),
 ])
 def test_trained_model_from_json_names_the_problem(text, problem):
     with pytest.raises(ConfigError, match=problem):
