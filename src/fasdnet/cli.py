@@ -23,6 +23,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import platform
@@ -299,21 +300,25 @@ def _runs_from_csv(runs_path: Path, summary_path: Path) -> list[RunResult]:
     """Rebuild a sweep's runs from runs.csv, joining each spec to its
     battery in summary.json."""
     specs = _json_object(summary_path, ReportError).get("specs", {})
+    data = runs_path.read_bytes()
     runs = []
-    with open(runs_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    try:
+        reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
         for row in reader:
-            try:
-                cm = ConfusionMatrix(*(int(row[k]) for k in ("tp", "fp", "tn", "fn")))
-                runs.append(RunResult(
-                    row["spec"], specs[row["spec"]]["battery"], int(row["seed"]),
-                    float(row["train_acc"]), float(row["test_acc"]), cm, None,
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ReportError(
-                    f"{runs_path}:{reader.line_num}: malformed run row or "
-                    f"spec missing from summary.json: {exc!r}"
-                ) from exc
+            cm = ConfusionMatrix(*(int(row[k]) for k in ("tp", "fp", "tn", "fn")))
+            runs.append(RunResult(
+                row["spec"], specs[row["spec"]]["battery"], int(row["seed"]),
+                float(row["train_acc"]), float(row["test_acc"]), cm, None,
+            ))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ReportError(f"{runs_path}:{line}: not UTF-8: {exc}") from exc
+    except (KeyError, TypeError, ValueError, csv.Error, DataError) as exc:
+        # the csv reader's count: DictReader's lags a line behind a csv.Error
+        raise ReportError(
+            f"{runs_path}:{reader.reader.line_num}: malformed run row or "
+            f"spec missing from summary.json: {exc!r}"
+        ) from exc
     if not runs:
         raise ReportError(f"{runs_path} lists no runs")
     return runs

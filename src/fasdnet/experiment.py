@@ -253,14 +253,8 @@ def builtin_registry() -> list[ExperimentSpec]:
 REGISTRY = {spec.name: spec for spec in builtin_registry()}
 
 SPEC_SETS = {
-    "table2": [f"table2-row{i}" for i in range(1, 10)],
-    "feature-layer": [
-        "psychometric-feature-layer",
-        "antisaccade-128x2",
-        "prosaccade-128x2",
-        "memory-guided-feature-layer",
-        "dti-leaky-100ep",
-    ],
+    "table2": [n for n, s in REGISTRY.items() if s.config.loss == SPARSE_CATEGORICAL],
+    "feature-layer": [n for n, s in REGISTRY.items() if s.config.loss == BINARY],
     "all": list(REGISTRY),
 }
 
@@ -317,39 +311,35 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
     network; returns (RunResult, TrainedModel) or the FasdnetError per
     seed, in order.
 
-    Each seed's ablate, balance and split run on their own. Train and
-    test sizes depend only on class counts, never on the seed, so the
-    seeds that get that far stack into one train_many call.
+    Everything up to and including train_many is one step whose
+    FasdnetError fails every seed with one message: none of its checks
+    (battery, ablated names, classes to balance and split, input width,
+    train_many's shapes, labels and rows) reads the seed. They read the
+    spec, the columns and the class counts, which balancing sets to the
+    minority count for any seed, so the seeds' sizes agree and they
+    stack. A divergence or evaluation error fails its seed alone.
     """
-    if ds.battery != spec.battery and ds.battery != SYNTHETIC:
-        error = DataError(
-            f"{spec.name}: dataset battery {ds.battery!r} does not match "
-            f"spec battery {spec.battery!r}"
-        )
-        return [error] * len(seeds)
-    outcomes, prepared = [], []
-    for seed in seeds:
-        try:
-            working = drop_features(ds, spec.ablate) if spec.ablate else ds
+    try:
+        if ds.battery != spec.battery and ds.battery != SYNTHETIC:
+            raise DataError(
+                f"dataset battery {ds.battery!r} does not match "
+                f"spec battery {spec.battery!r}"
+            )
+        ablated = drop_features(ds, spec.ablate) if spec.ablate else ds
+        configs, train_sets, test_sets = [], [], []
+        for seed in seeds:
+            working = ablated
             if spec.balance:
                 working = balance_downsample(
                     working, SeededRng(derive_seed(seed, 1))
                 )
             split = replace(spec.split, seed=derive_seed(seed, 2))
             train_set, test_set = stratified_split(working, split)
-            config = replace(
+            configs.append(replace(
                 spec.config, input_dim=working.n_features, seed=derive_seed(seed, 3)
-            )
-        except FasdnetError as exc:
-            outcomes.append(_annotate(spec.name, exc))
-            continue
-        outcomes.append(None)
-        prepared.append((len(outcomes) - 1, seed, config, train_set, test_set))
-    if not prepared:
-        return outcomes
-
-    _, _, configs, train_sets, test_sets = zip(*prepared)
-    try:
+            ))
+            train_sets.append(train_set)
+            test_sets.append(test_set)
         trained = train_many(
             configs,
             np.stack([t.x for t in train_sets]),
@@ -358,10 +348,11 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
             np.stack([t.y for t in test_sets]),
         )
     except FasdnetError as exc:
-        trained = [exc] * len(prepared)
-    for (index, seed, _, _, test_set), outcome in zip(prepared, trained):
+        return [_annotate(spec.name, exc)] * len(seeds)
+    outcomes = []
+    for seed, test_set, outcome in zip(seeds, test_sets, trained):
         if isinstance(outcome, FasdnetError):
-            outcomes[index] = _annotate(spec.name, outcome)
+            outcomes.append(_annotate(spec.name, outcome))
             continue
         model, history = outcome
         try:
@@ -375,9 +366,9 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
                 confusion=cm,
                 history=history,
             )
-            outcomes[index] = (result, model)
+            outcomes.append((result, model))
         except FasdnetError as exc:
-            outcomes[index] = _annotate(spec.name, exc)
+            outcomes.append(_annotate(spec.name, exc))
     return outcomes
 
 

@@ -321,7 +321,7 @@ class TrainedModel:
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
         """The model to_json wrote; ConfigError names a missing or mistyped
-        field, or a norm or layer that does not match the config."""
+        field, a norm or layer unlike the config, or a std fit never writes."""
         with _json_fields("model"):
             doc = json.loads(text)
             config = NetworkConfig.from_dict(doc["config"])
@@ -341,6 +341,9 @@ class TrainedModel:
                 f"model norm shapes {found} do not match its config's "
                 f"input_dim {config.input_dim} and use_feature_layer "
                 f"{config.use_feature_layer}")
+        if norm is not None and not np.all((norm.stds > 0) & (norm.stds < np.inf)):
+            raise ConfigError(
+                f"model norm stds must be finite and > 0, got {norm.stds.tolist()}")
         sizes = [config.input_dim] + [w for w, _ in config.layers]
         wanted = [((m, w), (w,), a) for m, (w, a) in zip(sizes, config.layers)]
         for i, (layer, want) in enumerate(zip_longest(stack, wanted)):

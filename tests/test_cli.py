@@ -688,6 +688,27 @@ def test_report_rejects_a_malformed_summary_json(data_csv, tmp_path, capsys,
     assert "summary.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    (b"psychometric-feature-layer,3,1.0,x,1,1,1,1\n", "malformed run row"),
+    (b"psychometric-feature-layer,3,1.5,0.5,1,1,1,1\n",
+     "train accuracy out of [0, 1]: 1.5"),
+    (b"psychometric-feature-layer,3,1.0,0.5,1,1,1,\xff\n", "not UTF-8"),
+    # one field over the csv module's limit of 131,072 characters
+    (b"psychometric-feature-layer," + b"9" * 140_000 + b",1.0,0.5,1,1,1,1\n",
+     "field larger than field limit"),
+], ids=["malformed-row", "accuracy-out-of-range", "not-utf-8",
+        "field-over-csv-limit"])
+def test_report_names_the_line_of_an_unreadable_runs_csv(data_csv, tmp_path,
+                                                         capsys, row, message):
+    results = _sweep_results(data_csv, tmp_path)
+    with open(results / "runs.csv", "ab") as fh:
+        fh.write(row)  # line 5, after the header and three seeds' rows
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{results / 'runs.csv'}:5: " in err and message in err
+
+
 # ------------------------------------------------------------------ manifest
 
 

@@ -136,7 +136,10 @@ def test_resolve_specs():
     assert [s.name for s in resolve_specs("table2")] == [
         f"table2-row{i}" for i in range(1, 10)
     ]
-    assert len(resolve_specs("feature-layer")) == 5
+    assert [s.name for s in resolve_specs("feature-layer")] == [
+        "psychometric-feature-layer", "antisaccade-128x2", "prosaccade-128x2",
+        "memory-guided-feature-layer", "dti-leaky-100ep",
+    ]
     assert len(resolve_specs("all")) == 14
     assert [s.name for s in resolve_specs("table2-row1,dti-leaky-100ep")] == [
         "table2-row1", "dti-leaky-100ep"
@@ -270,10 +273,10 @@ def test_run_experiment_battery_mismatch():
         run_experiment_with_model(REGISTRY["antisaccade-128x2"], mismatched, seed=0)
 
 
-def Dataset_with_battery(ds, battery):
+def Dataset_with_battery(ds, battery, rows=slice(None)):
     from fasdnet.data import Dataset
 
-    return Dataset(battery, ds.feature_names, ds.x, ds.y)
+    return Dataset(battery, ds.feature_names, ds.x[rows], ds.y[rows])
 
 
 def test_run_experiment_ablation_narrows_input():
@@ -334,6 +337,27 @@ def test_sweep_records_failures_without_aborting():
     assert len(sweep.failures) == 2
     assert all(name == "diverges" for name, _, _ in sweep.failures)
     assert "diverges" in sweep.summary_text()  # failures are listed
+
+
+def test_a_spec_that_fails_before_training_fails_every_seed_alike():
+    # every label-0 row and one label-1 row: table2 finds no class-1 pair
+    # to split, and dti, which balances first, no class-0 pair
+    full = synthesize_dataset(30, 48, 0.7, SeededRng(3))
+    rows = np.flatnonzero(full.y == 0).tolist() + [int(np.argmax(full.y))]
+    ds = Dataset_with_battery(full, "synthetic", rows)
+    specs = [_short(REGISTRY[name], epochs=3)
+             for name in ("table2-row1", "dti-leaky-100ep")]
+    sweep = run_sweep(specs, ds, [0, 1, 2])
+    assert sweep.results == []
+    assert [(name, seed) for name, seed, _ in sweep.failures] == [
+        (spec.name, seed) for spec in specs for seed in (0, 1, 2)]
+    for i, (spec, cls) in enumerate(zip(specs, (1, 0))):
+        with pytest.raises(DataError) as err:
+            run_experiment_with_model(spec, ds, 0)
+        assert [msg for _, _, msg in sweep.failures[3 * i:3 * i + 3]] == [
+            str(err.value)] * 3
+        assert str(err.value) == (
+            f"{spec.name}: class {cls} has fewer than 2 samples; cannot split")
 
 
 # runs.csv and the summary.json digest of the sweep below, recorded with

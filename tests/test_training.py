@@ -731,6 +731,15 @@ def _edited_model_json(edit) -> str:
     pytest.param(_edited_model_json(lambda doc: doc["norm"]["stds"].pop()),
                  r"model norm shapes \(\(3,\), \(2,\)\) do not match",
                  id="short-norm"),
+    pytest.param(_edited_model_json(lambda doc: doc["norm"].update(
+        stds=[0.0, 1.0, 1.0])), r"model norm stds must be finite and > 0, "
+        r"got \[0\.0, 1\.0, 1\.0\]", id="zero-std"),
+    pytest.param(_edited_model_json(lambda doc: doc["norm"].update(
+        stds=[-1.0, 1.0, 1.0])), r"stds must be finite and > 0, "
+        r"got \[-1\.0, 1\.0, 1\.0\]", id="negative-std"),
+    pytest.param(_edited_model_json(lambda doc: doc["norm"].update(
+        stds=[1.0, float("nan"), 1.0])), r"stds must be finite and > 0, "
+        r"got \[1\.0, nan, 1\.0\]", id="nan-std"),
 ])
 def test_trained_model_from_json_names_the_problem(text, problem):
     with pytest.raises(ConfigError, match=problem):
@@ -814,9 +823,11 @@ def trained_models(draw):
     ]
     norm = None
     if use_norm:
+        # from_json reads only the stds FeatureNormLayer.fit writes,
+        # finite and > 0; zero and negative numbers stay in the means
         norm = FeatureNormLayer(*(
-            draw(hnp.arrays(np.float64, input_dim, elements=FINITE))
-            for _ in range(2)))
+            draw(hnp.arrays(np.float64, input_dim, elements=elements))
+            for elements in (FINITE, FINITE.filter(lambda v: v > 0))))
     return TrainedModel(config, norm, layers)
 
 
