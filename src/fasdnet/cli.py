@@ -51,6 +51,7 @@ from .experiment import (
     RunResult,
     _blas_core,
     _blas_threads,
+    accuracy,
     comparison_report,
     resolve_specs,
     run_experiment_with_model,
@@ -301,15 +302,23 @@ def _runs_from_csv(runs_path: Path, summary_path: Path) -> list[RunResult]:
     battery in summary.json."""
     specs = _json_object(summary_path, ReportError).get("specs", {})
     data = runs_path.read_bytes()
-    runs = []
+    runs, seen = [], set()
     try:
         reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
         for row in reader:
-            cm = ConfusionMatrix(*(int(row[k]) for k in ("tp", "fp", "tn", "fn")))
-            runs.append(RunResult(
-                row["spec"], specs[row["spec"]]["battery"], int(row["seed"]),
-                float(row["train_acc"]), float(row["test_acc"]), cm, None,
-            ))
+            cells = [int(row[k]) for k in ("tp", "fp", "tn", "fn")]
+            run = RunResult(row["spec"], specs[row["spec"]]["battery"],
+                            int(row["seed"]), float(row["train_acc"]),
+                            float(row["test_acc"]), ConfusionMatrix(*cells), None)
+            if min(cells) < 0 or sum(cells) == 0:
+                raise DataError(f"confusion cells {cells} must be >= 0, not all 0")
+            # runs.csv holds the repr of this same division
+            if run.test_accuracy != accuracy(run.confusion):
+                raise DataError(f"test_acc is not (tp + tn) / total of {cells}")
+            if (run.spec_name, run.seed) in seen:
+                raise DataError(f"{run.spec_name} seed {run.seed} is listed twice")
+            seen.add((run.spec_name, run.seed))
+            runs.append(run)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ReportError(f"{runs_path}:{line}: not UTF-8: {exc}") from exc

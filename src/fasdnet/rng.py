@@ -36,19 +36,30 @@ the bits match next_normal's on every one (tests/test_rng.py, which CI
 also runs under numpy's AVX2 dispatch where the runner has AVX-512).
 Other numpy versions are not checked (an older numpy's AVX-512 target
 has its own float64 cos), so under them the cosine stays math.cos, one
-value at a time, as slow as before and the same bits. The logarithm stays Python's math.log, one
-value at a time: np.log need not round as the C library's log does (it
-differs from math.log in the last bit for about 1 in 300 of these
-inputs on x86-64 with AVX-512), and a one-bit change would change the
-data. The square root, which IEEE 754 rounds correctly everywhere, is
-taken with numpy. The streams and synth's data do not depend on
-numpy's SIMD target; trained weights do, as they depend on the BLAS
-kernel (see training).
+value at a time, as slow as before and the same bits.
+
+The logarithm must keep math.log's bits too, and np.log need not round
+as the C library's log does (about 1 in 300 of these inputs differ on
+x86-64 with AVX-512). glibc's log is within 0.52 ulp (older glibc
+rounds correctly), so it rounds correctly wherever the exact value is
+over 0.02 ulp from a midpoint between doubles, and x87's 64-bit-mantissa
+logl is within about 2^-11 ulp. So the block normals round logl to
+double, and take math.log only where logl lies within 1/16 ulp of a
+midpoint (about 1 value in 8) or rounds to a power of two, below which
+the ulp is half as wide. Off x86-64 glibc (a long double with 63
+fraction bits, and glibc) the logarithm stays math.log, one value at a
+time, slower and the same bits.
+
+The square root, which IEEE 754 rounds correctly everywhere, is taken
+with numpy. The streams and synth's data do not depend on numpy's SIMD
+target; trained weights do, as they depend on the BLAS kernel (see
+training).
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -58,6 +69,12 @@ _BLOCK = 8192  # normals per block; bounds the temporaries of a large draw
 # whether np.cos is known to round as math.cos does: checked for the
 # numpy versions listed here only (see the module docstring)
 _LIBM_COS = np.__version__.split(".")[:2] == ["2", "4"]
+try:  # confstr, or the name, or its value is missing off glibc
+    _GLIBC = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+except (AttributeError, ValueError, OSError):
+    _GLIBC = False
+# whether logl rounded to double can stand in for math.log (see above)
+_LOGL = np.finfo(np.longdouble).nmant == 63 and _GLIBC
 
 
 def _mix64(z: int) -> int:
@@ -74,6 +91,22 @@ def derive_seed(seed: int, stream: int) -> int:
     The scheme is itself SplitMix64: mix(seed + (stream + 1) * gamma).
     """
     return _mix64((seed + (stream + 1) * _GAMMA) & _MASK64)
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log of each value of x (positive float64s), with its bits."""
+    if not _LOGL:
+        return np.fromiter(map(math.log, x.tolist()), float, len(x))
+    wide = np.log(x.astype(np.longdouble))
+    out = wide.astype(np.float64)
+    mag = np.abs(out)
+    # wide - out is exact, and fits a double; log may round otherwise only
+    # near a midpoint, or below a power of two, where the ulp is half as wide
+    redo = np.flatnonzero(
+        (np.abs((wide - out).astype(np.float64)) > 0.4375 * np.spacing(mag))
+        | (np.frexp(mag)[0] == 0.5))
+    out[redo] = np.fromiter(map(math.log, x[redo].tolist()), float, len(redo))
+    return out
 
 
 class SeededRng:
@@ -123,9 +156,8 @@ class SeededRng:
             bits = self.uint64s(2 * m) >> np.uint64(11)
             u1 = (bits[0::2] + np.uint64(1)) * 2.0**-53
             u2 = bits[1::2] * 2.0**-53
-            logs = np.fromiter(map(math.log, u1.tolist()), float, m)
             r = out[start:start + m]
-            np.sqrt(-2.0 * logs, out=r)
+            np.sqrt(-2.0 * _logs(u1), out=r)
             angles = 2.0 * math.pi * u2
             if _LIBM_COS:
                 r *= np.cos(angles)

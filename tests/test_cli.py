@@ -696,8 +696,19 @@ def test_report_rejects_a_malformed_summary_json(data_csv, tmp_path, capsys,
     # one field over the csv module's limit of 131,072 characters
     (b"psychometric-feature-layer," + b"9" * 140_000 + b",1.0,0.5,1,1,1,1\n",
      "field larger than field limit"),
+    # rows no sweep writes: runs.csv's test_acc is the repr of
+    # (tp + tn) / total, and each (spec, seed) runs once
+    (b"psychometric-feature-layer,3,0.5,0.5,-5,1,1,1\n",
+     "confusion cells [-5, 1, 1, 1] must be >= 0, not all 0"),
+    (b"psychometric-feature-layer,3,0.5,0.9,0,0,0,0\n",
+     "confusion cells [0, 0, 0, 0] must be >= 0, not all 0"),
+    (b"psychometric-feature-layer,3,0.5,0.5000000000000001,1,1,1,1\n",
+     "test_acc is not (tp + tn) / total of [1, 1, 1, 1]"),
+    (b"psychometric-feature-layer,0,1.0,0.5,1,1,1,1\n",
+     "psychometric-feature-layer seed 0 is listed twice"),
 ], ids=["malformed-row", "accuracy-out-of-range", "not-utf-8",
-        "field-over-csv-limit"])
+        "field-over-csv-limit", "negative-cell", "cells-sum-to-0",
+        "test-acc-not-the-cells", "run-listed-twice"])
 def test_report_names_the_line_of_an_unreadable_runs_csv(data_csv, tmp_path,
                                                          capsys, row, message):
     results = _sweep_results(data_csv, tmp_path)

@@ -1,12 +1,13 @@
 """Deterministic generator tests: stream stability, uniformity, derivation."""
 
 import math
+import platform
 
 import numpy as np
 import pytest
 
 from fasdnet import rng
-from fasdnet.rng import _BLOCK, SeededRng, derive_seed
+from fasdnet.rng import _BLOCK, SeededRng, _logs, derive_seed
 
 BLOCK_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
 
@@ -144,6 +145,48 @@ def test_normals_equal_the_scalar_stream_under_an_unchecked_numpy(
     scalar = SeededRng(7)
     want = np.array([scalar.next_normal() for _ in range(len(got))])
     assert got.tobytes() == want.tobytes()
+
+
+def _math_logs(x):
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+def test_logs_have_math_logs_bits_on_the_normals_inputs():
+    # 2^20 Box-Muller inputs built as normals builds them; about 1 in
+    # 300 np.log values and 1 in 1,100 rounded logl values differ here
+    bits = SeededRng(31).uint64s(2**21) >> np.uint64(11)
+    u1 = (bits[0::2] + np.uint64(1)) * 2.0**-53
+    assert _logs(u1).tobytes() == _math_logs(u1).tobytes()
+
+
+def test_logs_have_math_logs_bits_at_the_edges():
+    # the largest and smallest inputs, every power of two that normals
+    # can draw with both of its neighbours, and the 2^16 doubles below 1
+    powers = 2.0 ** -np.arange(54.0)
+    x = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, 2.0),
+        1.0 - np.arange(1, 2**16 + 1) * 2.0**-53,
+    ])
+    assert x.min() < 2.0**-53 and x.max() > 1.0
+    assert _logs(x).tobytes() == _math_logs(x).tobytes()
+
+
+def test_normals_equal_the_scalar_stream_without_logl(monkeypatch):
+    # a platform whose logl is not known to round as math.log does
+    monkeypatch.setattr(rng, "_LOGL", False)
+    got = SeededRng(7).normals(3 * _BLOCK + 5)
+    scalar = SeededRng(7)
+    want = np.array([scalar.next_normal() for _ in range(len(got))])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="logl stands in for math.log on x86-64 glibc only")
+def test_logl_path_is_on_under_x86_64_glibc():
+    # so that a gate that stops recognising this platform fails a test
+    # rather than falling back to math.log unseen
+    assert rng._LOGL
 
 
 def test_block_draws_interleave_with_scalar_draws():
