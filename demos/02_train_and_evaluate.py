@@ -27,8 +27,7 @@ ds = synthesize_dataset(40, 12, 2.5, SeededRng(11))
 print(f"dataset: {ds.n_rows} rows x {ds.n_features} features, "
       f"class counts {ds.class_counts()}")
 
-train_set, test_set = stratified_split(ds, SplitSpec(0.8, stratified=True,
-                                                     seed=1))
+train_set, test_set = stratified_split(ds, SplitSpec(0.8, seed=1))
 print(f"split: {train_set.n_rows} train / {test_set.n_rows} test")
 
 config = NetworkConfig(

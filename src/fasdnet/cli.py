@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import BATTERIES, SplitSpec, load_csv, synthesize_dataset, write_csv
+from .data import BATTERIES, load_csv, synthesize_dataset, write_csv
 from .errors import (
     ConfigError,
     DataError,
@@ -144,7 +144,7 @@ def _config_spec(path: Path, args) -> ExperimentSpec:
         name=path.stem,
         battery=args.battery,
         config=NetworkConfig.from_json(path.read_text(encoding="utf-8")),
-        split=SplitSpec(args.train_fraction, stratified=True, seed=0),
+        train_fraction=args.train_fraction,
         balance=args.balance,
     )
 
@@ -262,7 +262,9 @@ def cmd_report(args, argv) -> int:
                 raise DataError(
                     f"baselines file {path} names unknown battery {battery!r}"
                 )
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            # nan, inf and ints beyond a double's range are not percentages
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
                 raise DataError(
                     f"baselines file {path}: the value for {battery!r} is "
                     f"not a number: {value!r}"
@@ -310,6 +312,9 @@ def _runs_from_csv(runs_path: Path, summary_path: Path) -> list[RunResult]:
             run = RunResult(row["spec"], specs[row["spec"]]["battery"],
                             int(row["seed"]), float(row["train_acc"]),
                             float(row["test_acc"]), ConfusionMatrix(*cells), None)
+            if run.battery not in BATTERIES:
+                raise ReportError(f"{summary_path}: spec {run.spec_name!r} "
+                                  f"has unknown battery {run.battery!r}")
             if min(cells) < 0 or sum(cells) == 0:
                 raise DataError(f"confusion cells {cells} must be >= 0, not all 0")
             # runs.csv holds the repr of this same division

@@ -103,10 +103,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train fraction in (0, 1), stratification flag, and shuffle seed."""
+    """Train fraction in (0, 1) and shuffle seed."""
 
     train_fraction: float
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -266,7 +265,7 @@ def _json_rows(rows: list[str], width: int) -> np.ndarray | None:
     0), a label other than 0 or 1, and whatever orjson refuses (leading
     zeros or points, empty cells, doubles beyond range) give None.
     """
-    import orjson  # see _float_texts
+    import orjson  # see _float_text_rows
 
     text = ("[[" + "],[".join(rows) + "]]").encode()
     if (text.translate(None, _NUMBER_BYTES)
@@ -310,11 +309,10 @@ def write_csv(ds: Dataset, path) -> None:
 
     Each float is written as repr writes it: the shortest text that
     parses back to the same double. _float_text_rows produces each
-    row's comma-joined text from one orjson dump per block of rows (see
-    _float_texts for why it equals repr's), and the rows go to the file
-    with their labels as they come, so no whole-file string is built. A
-    dataset without feature columns, which load_csv cannot read back,
-    is a DataError.
+    row's comma-joined text from one orjson dump per block of rows, and
+    the rows go to the file with their labels as they come, so no
+    whole-file string is built. A dataset without feature columns, which
+    load_csv cannot read back, is a DataError.
     """
     if not ds.n_features:
         raise DataError(f"{path}: a dataset without features has no CSV form")
@@ -338,12 +336,23 @@ _CSV_BLOCK_CELLS = 1 << 12
 
 def _float_text_rows(a: np.ndarray, cells: int):
     """Each row of a 2-D float array with columns as the comma-joined
-    _float_texts of its cells, from one orjson call per block of whole
-    rows: up to the given number of cells, or one row where a row is
-    wider. orjson writes the block as "[[row],[row],...]"; the few rows
-    that hold a cell it writes differently from repr (see _float_texts)
-    are joined from _float_texts instead."""
-    import orjson  # see _float_texts
+    float.__repr__ texts of its cells, from one orjson call per block
+    of whole rows: up to the given number of cells, or one row where a
+    row is wider.
+
+    orjson writes the block as "[[row],[row],...]", each double with Ryu
+    (Adams, PLDI 2018): the shortest digits that parse back to the same
+    double, and of those the nearest to it, which are the digits repr
+    writes. The texts differ only where repr writes an exponent, below
+    1e-4 and from 1e16 up in magnitude (orjson: 0.00001 and 1e16, repr:
+    1e-05 and 1e+16), and for nan and inf, which orjson writes as null.
+    One vectorized mask, _odd_cells, finds the rows that hold such a
+    cell, and repr formats those rows; about 1 in 2,000 Glorot weights
+    is one.
+    """
+    # imported here, as _map_specs imports multiprocessing, so that
+    # importing fasdnet does not load it
+    import orjson
 
     block = max(1, cells // a.shape[1])
     for start in range(0, len(a), block):
@@ -351,7 +360,7 @@ def _float_text_rows(a: np.ndarray, cells: int):
         text = orjson.dumps(b, option=orjson.OPT_SERIALIZE_NUMPY).decode()
         rows = text[2:-2].split("],[")
         for i in np.flatnonzero(_odd_cells(b).any(axis=1)).tolist():
-            rows[i] = ",".join(_float_texts(b[i]))
+            rows[i] = ",".join(map(float.__repr__, b[i].tolist()))
         yield from rows
 
 
@@ -360,33 +369,6 @@ def _odd_cells(a: np.ndarray) -> np.ndarray:
     or from 1e16 up in magnitude, except +-0.0, and nan and inf."""
     magnitude = np.abs(a)
     return ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (a != 0.0)
-
-
-def _float_texts(a: np.ndarray) -> list[str]:
-    """[float.__repr__(v) for v in a.tolist()] for a 1-D float array.
-
-    orjson writes each double with Ryu (Adams, PLDI 2018): the shortest
-    digits that parse back to the same double, and of those the nearest
-    to it, which are the digits repr writes. The texts differ only where
-    repr writes an exponent, below 1e-4 and from 1e16 up in magnitude
-    (orjson: 0.00001 and 1e16, repr: 1e-05 and 1e+16), and for nan and
-    inf, which orjson writes as null. One vectorized mask, _odd_cells,
-    picks those elements, and repr formats them; about 1 in 2,000
-    Glorot weights is one.
-    """
-    # imported here, as _map_specs imports multiprocessing, so that
-    # importing fasdnet does not load it
-    import orjson
-
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if not a.size:
-        return []
-    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    texts = text[1:-1].split(",")
-    odd = _odd_cells(a)
-    for i, value in zip(np.flatnonzero(odd).tolist(), a[odd].tolist()):
-        texts[i] = float.__repr__(value)
-    return texts
 
 
 def drop_features(ds: Dataset, names) -> Dataset:
@@ -435,7 +417,7 @@ def balance_downsample(ds: Dataset, rng: SeededRng) -> Dataset:
 def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Shuffle-split into disjoint, exhaustive train/test partitions.
 
-    Stratified mode allocates per class, rounding the train share up, so
+    Each class is allocated separately, rounding the train share up, so
     class proportions in each partition stay within one sample of the
     overall proportions. Deterministic for a given spec.seed.
     """
@@ -446,16 +428,11 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             )
     rng = SeededRng(spec.seed)
     train_idx = []
-    if spec.stratified:
-        for cls in (0, 1):
-            idx = np.flatnonzero(ds.y == cls)
-            order = rng.shuffle(len(idx))
-            n_train = int(np.ceil(spec.train_fraction * len(idx)))
-            train_idx.extend(idx[order[:n_train]])
-    else:
-        order = rng.shuffle(ds.n_rows)
-        n_train = int(np.ceil(spec.train_fraction * ds.n_rows))
-        train_idx.extend(order[:n_train])
+    for cls in (0, 1):
+        idx = np.flatnonzero(ds.y == cls)
+        order = rng.shuffle(len(idx))
+        n_train = int(np.ceil(spec.train_fraction * len(idx)))
+        train_idx.extend(idx[order[:n_train]])
     train_mask = np.zeros(ds.n_rows, dtype=bool)
     train_mask[np.asarray(train_idx, dtype=np.int64)] = True
 

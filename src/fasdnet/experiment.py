@@ -50,7 +50,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DataError,
-    DivergenceError,
     FasdnetError,
     ReportError,
     ShapeError,
@@ -139,11 +138,12 @@ class ExperimentSpec:
     name: str
     battery: str
     config: NetworkConfig
-    split: SplitSpec
+    train_fraction: float
     balance: bool = False
     ablate: tuple[str, ...] = ()
 
     def __post_init__(self):
+        SplitSpec(self.train_fraction)  # its (0, 1) check
         object.__setattr__(self, "ablate", tuple(self.ablate))
 
 
@@ -200,7 +200,7 @@ def _first_model_spec(row_number: int, widths) -> ExperimentSpec:
         name=f"table2-row{row_number}",
         battery=PSYCHOMETRIC,
         config=config,
-        split=SplitSpec(0.75, stratified=True, seed=0),
+        train_fraction=0.75,
         balance=False,
     )
 
@@ -219,7 +219,7 @@ def _second_model_spec(name, battery, input_dim, hidden, epochs) -> ExperimentSp
         name=name,
         battery=battery,
         config=config,
-        split=SplitSpec(0.80, stratified=True, seed=0),
+        train_fraction=0.80,
         balance=True,
     )
 
@@ -279,14 +279,10 @@ def resolve_specs(token: str) -> list[ExperimentSpec]:
     return specs
 
 
-def _annotate(spec_name: str, exc: FasdnetError):
-    message = f"{spec_name}: {exc}"
-    if isinstance(exc, DivergenceError):
-        annotated = DivergenceError(message, exc.epoch, exc.layer)
-    else:
-        annotated = type(exc)(message)
-    annotated.__cause__ = exc
-    return annotated
+def _annotate(spec_name: str, exc: FasdnetError) -> FasdnetError:
+    """exc, its message prefixed with the spec's name."""
+    exc.args = (f"{spec_name}: {exc}",)
+    return exc
 
 
 def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
@@ -333,7 +329,7 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
                 working = balance_downsample(
                     working, SeededRng(derive_seed(seed, 1))
                 )
-            split = replace(spec.split, seed=derive_seed(seed, 2))
+            split = SplitSpec(spec.train_fraction, seed=derive_seed(seed, 2))
             train_set, test_set = stratified_split(working, split)
             configs.append(replace(
                 spec.config, input_dim=working.n_features, seed=derive_seed(seed, 3)
@@ -638,12 +634,10 @@ REFERENCE_ACCURACY_RAW_PSYCHOMETRIC = 75.55
 
 @dataclass(frozen=True)
 class BaselineTable:
-    """Reference accuracies plus optional user-supplied baseline values
-    (e.g. a comparison learner), both keyed by battery, in percent."""
+    """Optional user-supplied baseline values (e.g. a comparison
+    learner) keyed by battery, in percent, shown beside
+    REFERENCE_ACCURACIES."""
 
-    reference: dict[str, float] = field(
-        default_factory=lambda: dict(REFERENCE_ACCURACIES)
-    )
     user: dict[str, float] = field(default_factory=dict)
 
 
@@ -713,7 +707,8 @@ def battery_medians(results) -> dict[str, float]:
 
 
 def comparison_report(results, baselines: BaselineTable) -> ComparisonReport:
-    """Median our-accuracy per battery against the baseline table.
+    """Median our-accuracy per battery against the reference and user
+    baselines.
 
     Differences (ours - reference) are reported in percentage points
     with the population standard deviation. A battery without a
@@ -724,7 +719,7 @@ def comparison_report(results, baselines: BaselineTable) -> ComparisonReport:
     rows = []
     diffs = []
     for battery, ours in medians.items():
-        ref = baselines.reference.get(battery)
+        ref = REFERENCE_ACCURACIES.get(battery)
         usr = baselines.user.get(battery)
         diff = None if ref is None else ours - ref
         if diff is not None:

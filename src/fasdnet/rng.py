@@ -29,31 +29,8 @@ values, in order, that n calls of next_uint64, next_uniform or
 next_normal would, and leave the generator in the same state. The
 scalar methods stay the reference definition.
 
-Under numpy 2.4 the block normals take the cosine with np.cos, which
-for float64 calls the C library's cos, the function math.cos calls:
-numpy 2.4 has no SIMD float64 cos on any target it dispatches to, so
-the bits match next_normal's on every one (tests/test_rng.py, which CI
-also runs under numpy's AVX2 dispatch where the runner has AVX-512).
-Other numpy versions are not checked (an older numpy's AVX-512 target
-has its own float64 cos), so under them the cosine stays math.cos, one
-value at a time, as slow as before and the same bits.
-
-The logarithm must keep math.log's bits too, and np.log need not round
-as the C library's log does (about 1 in 300 of these inputs differ on
-x86-64 with AVX-512). glibc's log is within 0.52 ulp (older glibc
-rounds correctly), so it rounds correctly wherever the exact value is
-over 0.02 ulp from a midpoint between doubles, and x87's 64-bit-mantissa
-logl is within about 2^-11 ulp. So the block normals round logl to
-double, and take math.log only where logl lies within 1/16 ulp of a
-midpoint (about 1 value in 8) or rounds to a power of two, below which
-the ulp is half as wide. Off x86-64 glibc (a long double with 63
-fraction bits, and glibc) the logarithm stays math.log, one value at a
-time, slower and the same bits.
-
-The square root, which IEEE 754 rounds correctly everywhere, is taken
-with numpy. The streams and synth's data do not depend on numpy's SIMD
-target; trained weights do, as they depend on the BLAS kernel (see
-training).
+The block normals' cosines and logarithms keep math.cos's and
+math.log's bits as README's Determinism section sets out.
 """
 
 from __future__ import annotations
@@ -67,13 +44,13 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, the SplitMix64 increment
 _BLOCK = 8192  # normals per block; bounds the temporaries of a large draw
 # whether np.cos is known to round as math.cos does: checked for the
-# numpy versions listed here only (see the module docstring)
+# numpy versions listed here only (see README's Determinism section)
 _LIBM_COS = np.__version__.split(".")[:2] == ["2", "4"]
 try:  # confstr, or the name, or its value is missing off glibc
     _GLIBC = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
 except (AttributeError, ValueError, OSError):
     _GLIBC = False
-# whether logl rounded to double can stand in for math.log (see above)
+# whether logl rounded to double can stand in for math.log (see README)
 _LOGL = np.finfo(np.longdouble).nmant == 63 and _GLIBC
 
 

@@ -60,7 +60,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .data import _float_text_rows, _float_texts
+from .data import _float_text_rows
 from .errors import (
     ConfigError,
     DataError,
@@ -129,9 +129,7 @@ def _log_p_true(kind: str, predictions: np.ndarray,
     p1 = predictions[..., -1]
     p0 = predictions[..., 0] if kind == SPARSE_CATEGORICAL else 1.0 - p1
     p_true = np.where(is_one, p1, p0)
-    # np.clip's bits, without its Python-level wrapper
-    np.maximum(p_true, _CLAMP, out=p_true)
-    np.minimum(p_true, 1.0 - _CLAMP, out=p_true)
+    np.clip(p_true, _CLAMP, 1.0 - _CLAMP, out=p_true)
     return np.log(p_true, out=p_true)
 
 
@@ -150,12 +148,6 @@ def _loss_delta_steps(p: np.ndarray, target: np.ndarray,
             partial(np.true_divide, out, p.shape[-2], out)]
 
 
-def _mean(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=-1) without its Python-level wrapper: the same
-    float64 sum divided by the count."""
-    return np.add.reduce(a, axis=-1, dtype=np.float64) / a.shape[-1]
-
-
 def loss_forward(kind: str, predictions: np.ndarray, labels) -> float:
     """Mean negative log-probability of the true class.
 
@@ -164,7 +156,7 @@ def loss_forward(kind: str, predictions: np.ndarray, labels) -> float:
     [1e-12, 1 - 1e-12] before the log.
     """
     y = _loss_labels(kind, predictions, labels)
-    return float(-_mean(_log_p_true(kind, predictions, y == 1)))
+    return float(-np.mean(_log_p_true(kind, predictions, y == 1)))
 
 
 def loss_grad(kind: str, pre_activation_final: np.ndarray, labels) -> np.ndarray:
@@ -369,11 +361,11 @@ def _json_indented(value, pad: str = "") -> str:
     by pad, for a JSON value with string keys that may hold numpy
     arrays (written as their .tolist()).
 
-    A finite float64 array of one or two dimensions is joined from
-    _float_texts, which gives the text json uses for finite floats
-    (float.__repr__); a matrix gets its rows as comma-joined texts a
-    block of up to _JSON_BLOCK_CELLS cells at a time from
-    _float_text_rows, and each comma becomes a comma and a newline.
+    A finite float64 array of one or two dimensions gets its rows (a
+    vector is one row) as comma-joined texts a block of up to
+    _JSON_BLOCK_CELLS cells at a time from _float_text_rows, which
+    gives the text json uses for finite floats (float.__repr__), and
+    each comma becomes a comma and a newline.
     Dicts, lists and the rows of other arrays recurse. json.dumps writes the
     rest (scalars, strings, None, empty containers, arrays with NaN or
     inf), re-indented: a JSON string holds no raw newline, so every
@@ -391,15 +383,15 @@ def _json_indented(value, pad: str = "") -> str:
     elif isinstance(value, list) and value:
         brackets = "[]"
         items = (_json_indented(item, inner) for item in value)
-    elif finite and value.ndim == 1:
-        brackets = "[]"
-        items = _float_texts(value)
     elif finite:
         brackets = "[]"
-        row_pad = inner + "  "
-        items = (f"[\n{row_pad}" + row.replace(",", f",\n{row_pad}")
-                 + f"\n{inner}]"
-                 for row in _float_text_rows(value, _JSON_BLOCK_CELLS))
+        rows = _float_text_rows(np.atleast_2d(value), _JSON_BLOCK_CELLS)
+        if value.ndim == 1:
+            items = (row.replace(",", f",\n{inner}") for row in rows)
+        else:
+            row_pad = inner + "  "
+            items = (f"[\n{row_pad}" + row.replace(",", f",\n{row_pad}")
+                     + f"\n{inner}]" for row in rows)
     else:
         if isinstance(value, np.ndarray):
             value = value.tolist()
@@ -569,8 +561,10 @@ class _Workspace:
         log_p = _log_p_true(self.kind, probs, self.is_one)
         hit = predict_labels(self.kind, probs) == self.y
         out = rows[epoch - self.kept:epoch]
-        out[:, 0], out[:, 2] = -_mean(log_p[..., :n]), -_mean(log_p[..., n:])
-        out[:, 1], out[:, 3] = _mean(hit[..., :n]), _mean(hit[..., n:])
+        out[:, 0] = -np.mean(log_p[..., :n], axis=-1)
+        out[:, 2] = -np.mean(log_p[..., n:], axis=-1)
+        out[:, 1] = np.mean(hit[..., :n], axis=-1)
+        out[:, 3] = np.mean(hit[..., n:], axis=-1)
         self.kept = 0
 
 

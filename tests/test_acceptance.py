@@ -234,7 +234,7 @@ def test_criterion_07_pipeline_properties():
 
     # stratified split: disjoint, exhaustive, proportions within 1 sample
     train_set, test_set = stratified_split(
-        balanced, SplitSpec(0.75, stratified=True, seed=9))
+        balanced, SplitSpec(0.75, seed=9))
     rows = lambda d: {tuple(r) + (int(lbl),) for r, lbl in zip(d.x, d.y)}
     assert rows(train_set) | rows(test_set) == rows(balanced)
     assert rows(train_set) & rows(test_set) == set()

@@ -399,6 +399,29 @@ def test_a_command_that_fails_before_writing_leaves_no_out_dir(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flag, fraction",
+                         [("train", "--spec", "1.5"), ("sweep", "--specs", "0")])
+def test_a_train_fraction_outside_0_1_exits_3_before_training(
+        data_csv, tmp_path, capsys, monkeypatch, command, flag, fraction):
+    # a config file's spec takes --train-fraction, and is checked when
+    # it is built: before training, and before --out-dir is made
+    for name in ("run_experiment_with_model", "run_sweep"):
+        monkeypatch.setattr(f"fasdnet.cli.{name}",
+                            lambda *_, name=name: pytest.fail(f"{name} ran"))
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "net.json").write_text(NetworkConfig(
+        20, ((8, RELU), (1, SIGMOID)), "binary", True, 5, 0.001).to_json())
+    spec = configs / "net.json" if command == "train" else configs
+    assert run(command, "--data", data_csv, "--battery", "psychometric",
+               flag, spec, "--seeds" if command == "sweep" else "--seed", 0,
+               "--train-fraction", fraction,
+               "--out-dir", tmp_path / "o" / "run") == EXIT_DATA
+    assert (f"train_fraction must be in (0, 1), got {float(fraction)}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 # --------------------------------------------------------------------- sweep
 
 
@@ -665,6 +688,11 @@ def test_report_rejects_unknown_battery_in_baselines(data_csv, tmp_path):
     ("80.0", "must hold a JSON object, got float"),
     ("{\"psychometric\": \"x\"}", "'psychometric' is not a number: 'x'"),
     ("{\"psychometric\": true}", "'psychometric' is not a number: True"),
+    ("{\"psychometric\": NaN}", "'psychometric' is not a number: nan"),
+    ("{\"psychometric\": Infinity}", "'psychometric' is not a number: inf"),
+    pytest.param("{\"psychometric\": 1" + "0" * 400 + "}",
+                 "'psychometric' is not a number: 1" + "0" * 400,
+                 id="int-beyond-the-double-range"),
 ])
 def test_report_rejects_a_malformed_baselines_file(data_csv, tmp_path, capsys,
                                                    text, message):
@@ -686,6 +714,19 @@ def test_report_rejects_a_malformed_summary_json(data_csv, tmp_path, capsys,
     code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
     assert code == EXIT_DATA
     assert "summary.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("battery", [[1], "nonsense"])
+def test_report_rejects_an_unknown_battery_in_summary_json(data_csv, tmp_path,
+                                                           capsys, battery):
+    results = _sweep_results(data_csv, tmp_path)
+    summary = json.loads((results / "summary.json").read_text())
+    summary["specs"]["psychometric-feature-layer"]["battery"] = battery
+    (results / "summary.json").write_text(json.dumps(summary))
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    assert (f"{results / 'summary.json'}: spec 'psychometric-feature-layer' "
+            f"has unknown battery {battery!r}") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row, message", [

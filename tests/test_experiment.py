@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fasdnet import experiment
-from fasdnet.data import SplitSpec, synthesize_dataset
+from fasdnet.data import synthesize_dataset
 from fasdnet.errors import (
     ConfigError,
     ContractError,
@@ -21,6 +21,7 @@ from fasdnet.errors import (
     DivergenceError,
     FasdnetError,
     NonFiniteError,
+    ParseError,
     ReportError,
     ShapeError,
 )
@@ -59,7 +60,7 @@ def test_registry_first_model_family():
         assert spec.config.loss == "sparse_categorical"
         assert spec.config.epochs == 1000
         assert spec.config.use_feature_layer is False
-        assert spec.split.train_fraction == 0.75
+        assert spec.train_fraction == 0.75
         assert spec.balance is False
         # all hidden layers leaky relu, output (2, softmax)
         *hidden, (out_w, out_a) = spec.config.layers
@@ -86,7 +87,7 @@ def test_registry_second_model_family():
     for spec in second:
         assert spec.config.use_feature_layer is True
         assert spec.balance is True
-        assert spec.split.train_fraction == 0.80
+        assert spec.train_fraction == 0.80
         assert spec.config.layers[-1] == (1, spec.config.layers[-1][1])
         assert spec.config.layers[-1][1].kind == "sigmoid"
 
@@ -221,7 +222,7 @@ def _short(spec, **overrides) -> ExperimentSpec:
         spec.name,
         spec.battery,
         replace(spec.config, **overrides),
-        spec.split,
+        spec.train_fraction,
         spec.balance,
         spec.ablate,
     )
@@ -284,14 +285,14 @@ def test_run_experiment_ablation_narrows_input():
     base = REGISTRY["psychometric-feature-layer"]
     spec = ExperimentSpec(
         "ablated", base.battery, replace(base.config, epochs=5),
-        base.split, base.balance, ("f00", "f03"),
+        base.train_fraction, base.balance, ("f00", "f03"),
     )
     result = run_experiment_with_model(spec, ds, seed=1)[0]
     assert result.spec_name == "ablated"
     # error path: unknown ablation name is annotated with the spec name
     bad = ExperimentSpec(
-        "bad-ablate", base.battery, base.config, base.split, base.balance,
-        ("not-a-feature",),
+        "bad-ablate", base.battery, base.config, base.train_fraction,
+        base.balance, ("not-a-feature",),
     )
     with pytest.raises(DataError, match="bad-ablate"):
         run_experiment_with_model(bad, ds, seed=1)
@@ -330,7 +331,7 @@ def test_sweep_records_failures_without_aborting():
         "diverges", "psychometric",
         replace(REGISTRY["table2-row1"].config, epochs=5,
                 learning_rate=1e200),
-        SplitSpec(0.75, seed=0), False, (),
+        0.75, False, (),
     )
     sweep = run_sweep([good, diverging], ds, [0, 1])
     assert len(sweep.results) == 2
@@ -524,6 +525,17 @@ def test_every_toolkit_error_survives_pickle():
         assert type(back) is cls
         assert (back.args, str(back)) == (error.args, str(error))
         assert vars(back) == vars(error)  # epoch and layer; layer and slots
+
+
+def test_a_spec_annotated_error_keeps_its_type_and_fields():
+    # a failure's text in summary.json starts with its spec's name
+    error = experiment._annotate("row1", NonFiniteError(
+        "layer 2 pre-activation is non-finite", layer=2, slots=(0, 3)))
+    assert type(error) is NonFiniteError
+    assert str(error) == "row1: layer 2 pre-activation is non-finite"
+    assert (error.layer, error.slots) == (2, (0, 3))
+    error = experiment._annotate("row1", ParseError("line 3: bad cell"))
+    assert (type(error), str(error)) == (ParseError, "row1: line 3: bad cell")
 
 
 def test_sweep_requires_seeds_and_unique_names():

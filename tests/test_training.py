@@ -857,7 +857,7 @@ def test_model_json_is_json_dumps_text_and_reads_back_bit_for_bit(model):
        st.integers(1, 7))
 def test_indented_writer_matches_json_on_any_array(a, block):
     # NaN and +-inf come out as json's NaN/Infinity, empty arrays as [];
-    # block: cells per _float_texts call, so blocks end inside a matrix
+    # block: cells per orjson dump, so blocks end inside a matrix
     doc = {"a": a, "nested": [a, {"b": a, "empty": {}}, []], "none": None}
     want = {"a": a.tolist(), "nested": [a.tolist(),
                                         {"b": a.tolist(), "empty": {}}, []],
