@@ -20,10 +20,8 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import platform
@@ -46,12 +44,11 @@ from .errors import (
 from .experiment import (
     REGISTRY,
     BaselineTable,
-    ConfusionMatrix,
     ExperimentSpec,
-    RunResult,
+    SweepResult,
     _blas_core,
     _blas_threads,
-    accuracy,
+    _json_object,
     comparison_report,
     resolve_specs,
     run_experiment_with_model,
@@ -249,93 +246,31 @@ def cmd_report(args, argv) -> int:
     runs_path = results_dir / "runs.csv"
     summary_path = results_dir / "summary.json"
     if not runs_path.is_file() or not summary_path.is_file():
-        raise ReportError(
-            f"no sweep results in {results_dir} (need runs.csv and "
-            "summary.json)"
-        )
+        raise ReportError(f"no sweep results in {results_dir} (need runs.csv "
+                          "and summary.json)")
     user = {}
     if args.baselines:
         path = Path(args.baselines)
         user = _json_object(path, DataError)
         for battery, value in user.items():
             if battery not in BATTERIES:
-                raise DataError(
-                    f"baselines file {path} names unknown battery {battery!r}"
-                )
+                raise DataError(f"baselines file {path} names unknown battery "
+                                f"{battery!r}")
             # nan, inf and ints beyond a double's range are not percentages
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not abs(value) <= sys.float_info.max):
-                raise DataError(
-                    f"baselines file {path}: the value for {battery!r} is "
-                    f"not a number: {value!r}"
-                )
-    baselines = BaselineTable(user=user)
-
-    report = comparison_report(_runs_from_csv(runs_path, summary_path),
-                               baselines)
+                raise DataError(f"baselines file {path}: the value for "
+                                f"{battery!r} is not a number: {value!r}")
+    sweep = SweepResult.from_files(runs_path, summary_path)
+    report = comparison_report(sweep.results, BaselineTable(user=user))
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "comparison.csv").write_text(
-        report.to_csv_text(), encoding="utf-8"
-    )
+    (out_dir / "comparison.csv").write_text(report.to_csv_text(), encoding="utf-8")
     (out_dir / "comparison.txt").write_text(report.to_text(), encoding="utf-8")
     _write_manifest(out_dir, argv, 0, _sha256_text(json.dumps(user)),
                     _sha256_file(runs_path))
     sys.stdout.write(report.to_text())
     return EXIT_OK
-
-
-def _json_object(path: Path, error: type) -> dict:
-    """The JSON object in a report input file, {} for a blank file;
-    error, naming the file, when it holds invalid JSON or another kind
-    of value."""
-    try:
-        text = path.read_text(encoding="utf-8")
-        doc = json.loads(text) if text.strip() else {}
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise error(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise error(f"{path} must hold a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def _runs_from_csv(runs_path: Path, summary_path: Path) -> list[RunResult]:
-    """Rebuild a sweep's runs from runs.csv, joining each spec to its
-    battery in summary.json."""
-    specs = _json_object(summary_path, ReportError).get("specs", {})
-    data = runs_path.read_bytes()
-    runs, seen = [], set()
-    try:
-        reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
-        for row in reader:
-            cells = [int(row[k]) for k in ("tp", "fp", "tn", "fn")]
-            run = RunResult(row["spec"], specs[row["spec"]]["battery"],
-                            int(row["seed"]), float(row["train_acc"]),
-                            float(row["test_acc"]), ConfusionMatrix(*cells), None)
-            if run.battery not in BATTERIES:
-                raise ReportError(f"{summary_path}: spec {run.spec_name!r} "
-                                  f"has unknown battery {run.battery!r}")
-            if min(cells) < 0 or sum(cells) == 0:
-                raise DataError(f"confusion cells {cells} must be >= 0, not all 0")
-            # runs.csv holds the repr of this same division
-            if run.test_accuracy != accuracy(run.confusion):
-                raise DataError(f"test_acc is not (tp + tn) / total of {cells}")
-            if (run.spec_name, run.seed) in seen:
-                raise DataError(f"{run.spec_name} seed {run.seed} is listed twice")
-            seen.add((run.spec_name, run.seed))
-            runs.append(run)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ReportError(f"{runs_path}:{line}: not UTF-8: {exc}") from exc
-    except (KeyError, TypeError, ValueError, csv.Error, DataError) as exc:
-        # the csv reader's count: DictReader's lags a line behind a csv.Error
-        raise ReportError(
-            f"{runs_path}:{reader.reader.line_num}: malformed run row or "
-            f"spec missing from summary.json: {exc!r}"
-        ) from exc
-    if not runs:
-        raise ReportError(f"{runs_path} lists no runs")
-    return runs
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,17 +24,21 @@ because the runs behind them fixed neither seeds nor splits.
 
 from __future__ import annotations
 
+import csv
 import ctypes
+import io
 import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .data import (
     ANTISACCADE,
+    BATTERIES,
     DTI,
     MEMORY_GUIDED,
     PROSACCADE,
@@ -158,12 +162,16 @@ class RunResult:
     history: object
 
     def __post_init__(self):
-        for label, acc in (
-            ("train", self.train_accuracy),
-            ("test", self.test_accuracy),
-        ):
+        for label, acc in (("train", self.train_accuracy),
+                           ("test", self.test_accuracy)):
             if not 0.0 <= acc <= 1.0:
                 raise DataError(f"{label} accuracy out of [0, 1]: {acc}")
+        cells = list(astuple(self.confusion))
+        if min(cells) < 0 or sum(cells) == 0:
+            raise DataError(f"confusion cells {cells} must be >= 0, not all 0")
+        # runs.csv holds the repr of this same division
+        if self.test_accuracy != accuracy(self.confusion):
+            raise DataError(f"test_acc is not (tp + tn) / total of {cells}")
 
 
 _TABLE2_ROWS = (
@@ -428,11 +436,10 @@ class SweepResult:
     def runs_csv_text(self) -> str:
         lines = ["spec,seed,train_acc,test_acc,tp,fp,tn,fn"]
         for r in self.results:
-            cm = r.confusion
-            lines.append(
-                f"{r.spec_name},{r.seed},{r.train_accuracy!r},"
-                f"{r.test_accuracy!r},{cm.tp},{cm.fp},{cm.tn},{cm.fn}"
-            )
+            row = io.StringIO()  # a spec name is quoted where csv quotes it
+            csv.writer(row).writerow((r.spec_name, r.seed, repr(r.train_accuracy),
+                                      repr(r.test_accuracy), *astuple(r.confusion)))
+            lines.append(row.getvalue()[:-2])  # less the writer's "\r\n"
         return "\n".join(lines) + "\n"
 
     def summary_json_text(self) -> str:
@@ -455,6 +462,57 @@ class SweepResult:
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
+
+    @classmethod
+    def from_files(cls, runs_path: Path, summary_path: Path) -> "SweepResult":
+        """The sweep that wrote runs.csv and summary.json, each run with
+        its spec's battery; ReportError, naming the file and line, for
+        a file that is unreadable or that this sweep would not write."""
+        doc = _json_object(summary_path, ReportError)
+        try:
+            seeds = [int(seed) for seed in doc["seeds"]]
+            failures = [(str(f["spec"]), int(f["seed"]), str(f["error"]))
+                        for f in doc["failures"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ReportError(f"{summary_path}: malformed seeds or failures: "
+                              f"{exc!r}") from exc
+        specs, data, runs = doc.get("specs", {}), runs_path.read_bytes(), {}
+        try:
+            text = data.decode("utf-8")
+            reader = csv.DictReader(io.StringIO(text, newline=""))
+            for row in reader:
+                cells = [int(row[k]) for k in ("tp", "fp", "tn", "fn")]
+                run = RunResult(row["spec"], specs[row["spec"]]["battery"],
+                                int(row["seed"]), float(row["train_acc"]),
+                                float(row["test_acc"]), ConfusionMatrix(*cells),
+                                None)
+                if run.battery not in BATTERIES:
+                    raise ReportError(f"{summary_path}: spec {run.spec_name!r} "
+                                      f"has unknown battery {run.battery!r}")
+                if runs.setdefault((run.spec_name, run.seed), run) is not run:
+                    raise DataError(f"{run.spec_name} seed {run.seed} is listed twice")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ReportError(f"{runs_path}:{line}: not UTF-8: {exc}") from exc
+        except (KeyError, TypeError, ValueError, csv.Error, DataError) as exc:
+            # the csv reader's count: DictReader's lags a line behind a csv.Error
+            raise ReportError(
+                f"{runs_path}:{reader.reader.line_num}: malformed run row or "
+                f"spec missing from summary.json: {exc!r}"
+            ) from exc
+        if not runs:
+            raise ReportError(f"{runs_path} lists no runs")
+        sweep = cls(list(runs.values()), failures,
+                    list(dict.fromkeys(name for name, _ in runs)), seeds)
+        for path, got, want in ((runs_path, text, sweep.runs_csv_text()),
+                                (summary_path, summary_path.read_bytes().decode(),
+                                 sweep.summary_json_text())):
+            if got != want:  # name the first line that differs
+                line = got.count("\n", 0, len(os.path.commonprefix((got, want))))
+                got, want = got.split("\n")[line], want.split("\n")[line]
+                raise ReportError(f"{path}:{line + 1}: reads {got!r} where a "
+                                  f"sweep of these runs writes {want!r}")
+        return sweep
 
     def summary_text(self) -> str:
         """Generalization-gap table sorted by median test accuracy."""
@@ -482,6 +540,19 @@ class SweepResult:
             for name, seed, msg in self.failures:
                 lines.append(f"  {name} seed={seed}: {msg}")
         return "\n".join(lines) + "\n"
+
+
+def _json_object(path: Path, error: type) -> dict:
+    """The JSON object in a report input file, {} for a blank file;
+    error, naming the file, for invalid JSON or another kind of value."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text) if text.strip() else {}
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _openblas(stem: str):

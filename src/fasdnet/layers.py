@@ -346,6 +346,8 @@ BINARY = "binary"
 
 # the output layer each loss kind scores: (width, activation kind)
 LOSS_OUTPUT = {SPARSE_CATEGORICAL: (2, "softmax"), BINARY: (1, "sigmoid")}
+# caps that keep a config's arrays in memory, far above the registry's
+MAX_EPOCHS, MAX_WIDTH = 1_000_000, 4_096  # 1,000 epochs and width 200
 
 
 @contextmanager
@@ -407,14 +409,15 @@ class NetworkConfig:
         # a tuple compares by equality, so an unhashable loss is rejected too
         if self.loss not in tuple(LOSS_OUTPUT):
             raise ConfigError(f"unknown loss kind {self.loss!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ConfigError(f"epochs must be in [1, {MAX_EPOCHS}], got {self.epochs}")
         if not 0.0 < self.learning_rate < math.inf:  # NaN fails too
             raise ConfigError("learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
         for width, act in self.layers:
-            if width < 1:
-                raise ConfigError(f"layer widths must be >= 1, got {width}")
+            if not 1 <= width <= MAX_WIDTH:
+                raise ConfigError(f"layer widths must be in [1, {MAX_WIDTH}], "
+                                  f"got {width}")
             if not isinstance(act, Activation):
                 raise ConfigError(f"layer activation must be an Activation, got {act!r}")
         for width, act in self.layers[:-1]:

@@ -280,6 +280,25 @@ def test_train_divergence_exits_5(data_csv, tmp_path):
     assert EXIT_DIVERGENCE != EXIT_DATA
 
 
+@pytest.mark.parametrize("field", ["epochs", "width"])
+def test_train_config_epochs_or_width_beyond_its_cap_exits_4(data_csv, tmp_path,
+                                                             capsys, field):
+    config = json.loads(NetworkConfig(
+        20, ((8, SIGMOID), (1, SIGMOID)), "binary", epochs=3).to_json())
+    if field == "width":
+        config["layers"][0]["width"] = 10**30
+    else:
+        config["epochs"] = 10**30
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    code = run("train", "--data", data_csv, "--battery", "psychometric",
+               "--spec", cfg_path, "--out-dir", tmp_path / "o")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"got {10**30}" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True),
                                           ("width", 4.7)])
 def test_train_config_field_of_the_wrong_type_exits_4(data_csv, tmp_path,
@@ -759,6 +778,92 @@ def test_report_names_the_line_of_an_unreadable_runs_csv(data_csv, tmp_path,
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{results / 'runs.csv'}:5: " in err and message in err
+
+
+def _edit_summary(results, edit):
+    """Apply edit to summary.json's document and write it back as a
+    sweep writes it, so that only the edited lines differ."""
+    summary = json.loads((results / "summary.json").read_text())
+    edit(summary)
+    (results / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("row, path, line, text", [
+    # seed 3 was never run: the spec's summary.json entry counts 3 runs
+    ("psychometric-feature-layer,3,1.0,0.5,1,1,1,1\n", "summary.json", 10,
+     '      "runs": 3,'),
+    # 00 reads as seed 0, which a sweep writes as 0
+    ("psychometric-feature-layer,00,1.0,0.5,1,1,1,1\n", "runs.csv", 2,
+     "psychometric-feature-layer,00,"),
+], ids=["extra-seed-row", "seed-spelled-00"])
+def test_report_rejects_a_runs_csv_no_sweep_writes(data_csv, tmp_path, capsys,
+                                                   row, path, line, text):
+    results = _sweep_results(data_csv, tmp_path)
+    runs = (results / "runs.csv").read_text().splitlines(keepends=True)
+    if path == "runs.csv":
+        runs[1] = row  # in place of seed 0's row
+    else:
+        runs.append(row)
+    (results / "runs.csv").write_text("".join(runs))
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{results / path}:{line}: reads '{text}" in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_rejects_a_summary_json_median_that_is_not_the_runs(
+        data_csv, tmp_path, capsys):
+    results = _sweep_results(data_csv, tmp_path)
+    _edit_summary(results, lambda doc: doc["specs"][
+        "psychometric-feature-layer"].update(median_test_accuracy=0.99))
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{results / 'summary.json'}:11: reads "
+            "'      \"median_test_accuracy\": 0.99,' where a sweep") in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("failures", None), ("failures", 5), ("failures", "x"),
+    ("failures", [{"spec": "s"}]), ("seeds", None), ("seeds", 0),
+    ("seeds", "012"), ("seeds", [1e400]), ("seeds", ["x"])],
+    ids=["failures-missing", "failures-int", "failures-str",
+         "failure-without-seed", "seeds-missing", "seeds-int", "seeds-str",
+         "seed-inf", "seed-str"])
+def test_report_rejects_a_summary_json_without_its_seeds_or_failures(
+        data_csv, tmp_path, capsys, field, value):
+    # None deletes the field
+    results = _sweep_results(data_csv, tmp_path)
+    _edit_summary(results, lambda doc: doc.pop(field) if value is None
+                  else doc.update({field: value}))
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"\nerror: {results / 'summary.json'}" in err
+
+
+def test_report_reads_a_sweep_of_spec_names_that_need_csv_quoting(
+        data_csv, tmp_path):
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    config = NetworkConfig(20, ((4, SIGMOID), (1, SIGMOID)), "binary",
+                           epochs=3).to_json()
+    names = ["row1,short", 'say "hi"', "süß"]
+    for name in names:
+        (config_dir / f"{name}.json").write_text(config)
+    results = tmp_path / "sweep"
+    assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", config_dir, "--seeds", "0,1",
+               "--out-dir", results) == EXIT_OK
+    rows = (results / "runs.csv").read_text().splitlines()[1:]
+    # the csv module's minimal quoting; a name without , " CR or LF is bare
+    for row, field in zip(rows[::2], ['"row1,short"', '"say ""hi"""', "süß"]):
+        assert row.startswith(f"{field},0,")
+    out_dir = tmp_path / "rep"
+    assert run("report", "--results", results, "--out-dir", out_dir) == EXIT_OK
+    assert (out_dir / "comparison.csv").read_text().startswith(
+        "battery,ours,baseline\npsychometric,")
 
 
 # ------------------------------------------------------------------ manifest

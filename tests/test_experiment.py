@@ -5,15 +5,19 @@ import faulthandler
 import hashlib
 import os
 import pickle
+import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fasdnet import experiment
-from fasdnet.data import synthesize_dataset
+from fasdnet.data import BATTERIES, synthesize_dataset
 from fasdnet.errors import (
     ConfigError,
     ContractError,
@@ -32,6 +36,8 @@ from fasdnet.experiment import (
     BaselineTable,
     ConfusionMatrix,
     ExperimentSpec,
+    RunResult,
+    SweepResult,
     accuracy,
     builtin_registry,
     comparison_report,
@@ -587,6 +593,66 @@ def test_sweep_gap_column():
     stats = sweep.per_spec_stats()[0]
     gaps = [r.train_accuracy - r.test_accuracy for r in sweep.results]
     assert stats.median_gap == pytest.approx(float(np.median(gaps)))
+
+
+@pytest.mark.parametrize("cells, test_accuracy, message", [
+    ((-5, 1, 1, 1), 0.5, "confusion cells [-5, 1, 1, 1] must be >= 0, not all 0"),
+    ((0, 0, 0, 0), 0.5, "confusion cells [0, 0, 0, 0] must be >= 0, not all 0"),
+    ((1, 1, 1, 1), 0.5000000000000001,
+     "test_acc is not (tp + tn) / total of [1, 1, 1, 1]"),
+    ((1, 1, 1, 1), 1.5, "test accuracy out of [0, 1]: 1.5"),
+])
+def test_a_run_result_must_be_one_a_run_can_produce(cells, test_accuracy,
+                                                    message):
+    with pytest.raises(DataError) as err:
+        RunResult("s", "psychometric", 0, 0.5, test_accuracy,
+                  ConfusionMatrix(*cells), None)
+    assert str(err.value) == message
+
+
+# commas, quotes, line breaks and non-ASCII text are frequent draws
+_TEXT = st.characters() | st.sampled_from(',"\r\n é')
+
+
+@st.composite
+def _sweeps(draw):
+    """A SweepResult as a sweep makes it: each spec's seeds in order,
+    each a valid run or a failure, and at least one run."""
+    names = draw(st.lists(st.text(_TEXT, min_size=1, max_size=6), min_size=1,
+                          max_size=3, unique=True))
+    seeds = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                          max_size=3, unique=True))
+    results, failures = [], []
+    for name in names:
+        battery = draw(st.sampled_from(BATTERIES))
+        for seed in seeds:
+            cells = draw(st.none() | st.tuples(*[st.integers(0, 40)] * 4))
+            if cells is None or sum(cells) == 0:
+                failures.append((name, seed, draw(st.text(_TEXT, max_size=12))))
+                continue
+            cm = ConfusionMatrix(*cells)
+            results.append(RunResult(name, battery, seed,
+                                     draw(st.floats(0.0, 1.0)), accuracy(cm),
+                                     cm, None))
+    assume(results)
+    return SweepResult(results, failures, names, seeds)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_sweeps())
+def test_sweep_files_read_back_to_the_same_bytes(sweep):
+    texts = (sweep.runs_csv_text(), sweep.summary_json_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = (Path(tmp, "runs.csv"), Path(tmp, "summary.json"))
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8")
+        back = SweepResult.from_files(*paths)
+    assert (back.runs_csv_text(), back.summary_json_text()) == texts
+    assert (back.seeds, back.failures) == (sweep.seeds, sweep.failures)
+    assert [(r.spec_name, r.battery, r.seed, r.train_accuracy, r.confusion)
+            for r in back.results] == [
+        (r.spec_name, r.battery, r.seed, r.train_accuracy, r.confusion)
+        for r in sweep.results]
 
 
 # ---------------------------------------------------------------- comparison

@@ -21,6 +21,8 @@ from fasdnet.errors import (
 )
 from fasdnet.layers import (
     IDENTITY,
+    MAX_EPOCHS,
+    MAX_WIDTH,
     RELU,
     SIGMOID,
     SOFTMAX,
@@ -507,6 +509,14 @@ def test_config_validation():
         _config(((2, SOFTMAX),), loss="hinge")
     with pytest.raises(ConfigError):
         _config(())
+
+
+@pytest.mark.parametrize("epochs, width", [
+    (MAX_EPOCHS + 1, 4), (10**30, 4), (3, MAX_WIDTH + 1), (3, 10**30)])
+def test_config_rejects_epochs_or_a_width_over_its_cap(epochs, width):
+    # rejected by the check alone: no array of either size is made
+    with pytest.raises(ConfigError, match="must be in \\[1, "):
+        _config(((width, RELU), (2, SOFTMAX)), epochs=epochs)
 
 
 def test_config_json_round_trip_is_byte_stable():
