@@ -201,7 +201,7 @@ def cmd_train(args, argv) -> int:
         result.confusion.to_text(), encoding="utf-8"
     )
     result.history.write_csv(out_dir / "history.csv")
-    (out_dir / "model.json").write_text(model.to_json(), encoding="utf-8")
+    model.write_json(out_dir / "model.json")
     _write_manifest(
         out_dir, argv, args.seed, _sha256_text(spec.config.to_json()), data_hash
     )

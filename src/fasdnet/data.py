@@ -366,7 +366,8 @@ def _float_text_rows(a: np.ndarray, cells: int):
 
 def _odd_cells(a: np.ndarray) -> np.ndarray:
     """Where orjson's text of a float64 differs from repr's: below 1e-4
-    or from 1e16 up in magnitude, except +-0.0, and nan and inf."""
+    or from 1e16 up in magnitude, except +-0.0, and nan and inf. Both
+    writers, _float_text_rows and training's model.json writer, use it."""
     magnitude = np.abs(a)
     return ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (a != 0.0)
 

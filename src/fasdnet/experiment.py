@@ -467,7 +467,8 @@ class SweepResult:
     def from_files(cls, runs_path: Path, summary_path: Path) -> "SweepResult":
         """The sweep that wrote runs.csv and summary.json, each run with
         its spec's battery; ReportError, naming the file and line, for
-        a file that is unreadable or that this sweep would not write."""
+        a file that is unreadable or that this sweep would not write, or
+        a spec that does not run or fail each seed once, in order."""
         doc = _json_object(summary_path, ReportError)
         try:
             seeds = [int(seed) for seed in doc["seeds"]]
@@ -477,6 +478,7 @@ class SweepResult:
             raise ReportError(f"{summary_path}: malformed seeds or failures: "
                               f"{exc!r}") from exc
         specs, data, runs = doc.get("specs", {}), runs_path.read_bytes(), {}
+        lines = {}  # runs.csv's line of each run
         try:
             text = data.decode("utf-8")
             reader = csv.DictReader(io.StringIO(text, newline=""))
@@ -491,6 +493,7 @@ class SweepResult:
                                       f"has unknown battery {run.battery!r}")
                 if runs.setdefault((run.spec_name, run.seed), run) is not run:
                     raise DataError(f"{run.spec_name} seed {run.seed} is listed twice")
+                lines[run.spec_name, run.seed] = reader.reader.line_num
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise ReportError(f"{runs_path}:{line}: not UTF-8: {exc}") from exc
@@ -512,6 +515,19 @@ class SweepResult:
                 got, want = got.split("\n")[line], want.split("\n")[line]
                 raise ReportError(f"{path}:{line + 1}: reads {got!r} where a "
                                   f"sweep of these runs writes {want!r}")
+        for name in dict.fromkeys(sweep.spec_order + [f[0] for f in failures]):
+            fails = [seed for spec, seed, _ in failures if spec == name]
+            got = [seed for spec, seed in runs if spec == name]
+            want = [seed for seed in seeds if seed not in fails]
+            if got != want or Counter(got + fails) != Counter(seeds):
+                # the first run out of place, else summary.json's line 2,
+                # which a sweep gives "seeds"
+                path, line = next(((runs_path, lines[name, g]) for g, w
+                                   in zip(got, want) if g != w), (summary_path, 2))
+                raise ReportError(
+                    f"{path}:{line}: spec {name!r} runs seeds {got} and fails "
+                    f"seeds {fails}, where a sweep of seeds {seeds} runs or "
+                    "fails each once, the runs in order")
         return sweep
 
     def summary_text(self) -> str:

@@ -498,10 +498,13 @@ def _z_shapes(layers: list[DenseLayer], rows: int) -> list[tuple]:
 def _forward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
     """Buffers for _Forward on inputs of `rows` rows: per layer,
     (z, output, work, finite), where work is the activation's scratch
-    array and finite is z's finiteness mask."""
+    array and finite is z's finiteness mask, a view of one bool buffer
+    of all the masks, True until a pass writes it."""
+    shapes = _z_shapes(layers, rows)
+    sizes = [math.prod(shape) for shape in shapes]
+    masks = np.split(np.ones(sum(sizes), dtype=bool), np.cumsum(sizes)[:-1])
     return [(np.empty(shape), np.empty(shape), np.empty(shape),
-             np.empty(shape, dtype=bool))
-            for shape in _z_shapes(layers, rows)]
+             mask.reshape(shape)) for shape, mask in zip(shapes, masks)]
 
 
 def _backward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
@@ -568,11 +571,14 @@ class _Forward:
     def failures(self) -> dict[int, int]:
         """{slot: layer} for the last pass (slot 0 for a 2-D pass): the
         first layer whose pre-activation is non-finite in the slot's
-        first block, else in its second."""
+        first block, else in its second. The masks' one buffer (see
+        _forward_buffers) holds every mask, so one reduction over it
+        settles a pass without a failure."""
+        if not self.finite or np.logical_and.reduce(self.finite[0].base,
+                                                    axis=None):
+            return {}
         split, first, later = self.split, {}, {}
         for i, finite in enumerate(self.finite):
-            if np.logical_and.reduce(finite, axis=None):
-                continue
             for found, rows in ((first, finite[..., :split, :]),
                                 (later, finite[..., split:, :])):
                 for slot in np.flatnonzero(~rows.all(axis=(-2, -1))).tolist():

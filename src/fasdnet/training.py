@@ -44,23 +44,23 @@ the end, the loss and accuracy terms and their per-set means are taken
 once over all its epochs. Each mean is the same float64 sum over one
 slot's rows as a per-epoch mean, so the bits are too.
 
-TrainedModel.to_json writes the text of json.dumps(indent=2) but
-formats the weight arrays itself, a block of rows per orjson dump (see
-_json_indented and data._float_text_rows): json's indenting encoder is
-pure Python and cost as much as a short training run, and a block of
-weights is formatted several times faster than by one repr per weight.
+TrainedModel.to_json and write_json write the text of
+json.dumps(indent=2) from one orjson dump of the whole model (see
+_json_slices): json's indenting encoder is pure Python and cost as much
+as a short training run.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import zip_longest
 
 import numpy as np
 
-from .data import _float_text_rows
+from .data import _odd_cells
 from .errors import (
     ConfigError,
     DataError,
@@ -292,9 +292,16 @@ class TrainedModel:
 
     def to_json(self) -> str:
         """Exactly json.dumps(doc, indent=2) + "\\n" of the config, the
-        norm statistics and the layers. _json_indented writes it,
-        because with indent=2 json runs its pure-Python encoder."""
-        doc = {
+        norm statistics and the layers, from _json_slices."""
+        return b"".join(_json_slices(self._json_doc())).decode()
+
+    def write_json(self, path) -> None:
+        """Write to_json()'s text to path as UTF-8, slice by slice."""
+        with open(path, "wb") as fh:
+            fh.writelines(_json_slices(self._json_doc()))
+
+    def _json_doc(self) -> dict:
+        return {
             "config": self.config.to_dict(),
             "norm": None
             if self.norm is None
@@ -308,7 +315,6 @@ class TrainedModel:
                 for layer in self.layers
             ],
         }
-        return _json_indented(doc) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
@@ -349,55 +355,50 @@ class TrainedModel:
         return cls(config, norm, stack)
 
 
-# cells per orjson dump in _json_indented: blocks of 1 << 8 to
-# 1 << 12 cells formatted model.json equally fast, and the smaller the
-# block the less peak RSS rose over one call per row (feature-layer-train
-# at --seconds 0: 2 MB at 1 << 12, the CSV blocks, and 0.3 MB at 1 << 8)
-_JSON_BLOCK_CELLS = 1 << 8
+def _json_slices(doc) -> list:
+    """The bytes of json.dumps(doc, indent=2) + "\\n" in slices, for a
+    document of dicts, lists, plain ASCII strings, ints, floats, None
+    and float64 arrays of one or more dimensions: one orjson dump, in
+    json's indent=2 layout and repr's digits (see
+    data._float_text_rows), where each value that _with_nulls makes NaN
+    comes out as null and is replaced by json's text. A string that
+    holds "null" is a ValueError."""
+    import orjson  # imported here as in data._float_text_rows
+
+    fills = []
+    text = orjson.dumps(_with_nulls(doc, fills),
+                        option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    nulls = [m.start() for m in re.finditer(b"null", text)]
+    if len(nulls) != len(fills):
+        raise ValueError(f"orjson wrote {len(nulls)} nulls for {len(fills)} fills")
+    view, slices, start = memoryview(text), [], 0
+    for at, fill in zip(nulls, fills):
+        slices += (view[start:at], fill)
+        start = at + 4
+    return slices + [view[start:], b"\n"]
 
 
-def _json_indented(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2), each line after the first indented
-    by pad, for a JSON value with string keys that may hold numpy
-    arrays (written as their .tolist()).
-
-    A finite float64 array of one or two dimensions gets its rows (a
-    vector is one row) as comma-joined texts a block of up to
-    _JSON_BLOCK_CELLS cells at a time from _float_text_rows, which
-    gives the text json uses for finite floats (float.__repr__), and
-    each comma becomes a comma and a newline.
-    Dicts, lists and the rows of other arrays recurse. json.dumps writes the
-    rest (scalars, strings, None, empty containers, arrays with NaN or
-    inf), re-indented: a JSON string holds no raw newline, so every
-    newline in json's output starts a line."""
-    inner = pad + "  "
-    finite = (isinstance(value, np.ndarray) and value.ndim in (1, 2)
-              and value.size and value.dtype == np.float64
-              and np.isfinite(value).all())
-    if isinstance(value, np.ndarray) and value.ndim > 1 and not finite:
-        value = list(value)
-    if isinstance(value, dict) and value:
-        brackets = "{}"
-        items = (f"{json.dumps(key)}: {_json_indented(item, inner)}"
-                 for key, item in value.items())
-    elif isinstance(value, list) and value:
-        brackets = "[]"
-        items = (_json_indented(item, inner) for item in value)
-    elif finite:
-        brackets = "[]"
-        rows = _float_text_rows(np.atleast_2d(value), _JSON_BLOCK_CELLS)
-        if value.ndim == 1:
-            items = (row.replace(",", f",\n{inner}") for row in rows)
-        else:
-            row_pad = inner + "  "
-            items = (f"[\n{row_pad}" + row.replace(",", f",\n{row_pad}")
-                     + f"\n{inner}]" for row in rows)
-    else:
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
-            + f"\n{pad}{brackets[1]}")
+def _with_nulls(value, fills: list):
+    """value with each None, each of data._odd_cells' numbers and each
+    int orjson cannot write (outside [-2**63, 2**64)) made NaN, and its
+    arrays C-contiguous; appends json's text of each, in document order,
+    to fills."""
+    if isinstance(value, dict):
+        return {key: _with_nulls(item, fills) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_with_nulls(item, fills) for item in value]
+    if (value is None or isinstance(value, float) and _odd_cells(value)
+            or isinstance(value, int) and not -2**63 <= value < 2**64):
+        fills.append(json.dumps(value).encode())
+        return np.nan
+    if not isinstance(value, np.ndarray):
+        return value
+    value = np.ascontiguousarray(value)
+    odd = _odd_cells(value)
+    if not odd.any():
+        return value
+    fills += [json.dumps(v).encode() for v in value[odd].tolist()]
+    return np.where(odd, np.nan, value)
 
 
 def train(config: NetworkConfig, x_train: np.ndarray, y_train,

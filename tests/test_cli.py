@@ -812,6 +812,24 @@ def test_report_rejects_a_runs_csv_no_sweep_writes(data_csv, tmp_path, capsys,
     assert not (tmp_path / "rep").exists()
 
 
+def test_report_rejects_a_run_of_a_seed_the_sweep_did_not_run(
+        data_csv, tmp_path, capsys):
+    # seed 1 -> 7 in one row: a sweep of these runs writes the same two
+    # files, but the sweep's seeds are 0, 1 and 2
+    results = _sweep_results(data_csv, tmp_path)
+    runs = (results / "runs.csv").read_text().splitlines(keepends=True)
+    assert runs[2].startswith("psychometric-feature-layer,1,")
+    runs[2] = runs[2].replace(",1,", ",7,", 1)
+    (results / "runs.csv").write_text("".join(runs))
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{results / 'runs.csv'}:3: spec 'psychometric-feature-layer' "
+            "runs seeds [0, 7, 2] and fails seeds [], where a sweep of seeds "
+            "[0, 1, 2] runs or fails each once, the runs in order") in err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_report_rejects_a_summary_json_median_that_is_not_the_runs(
         data_csv, tmp_path, capsys):
     results = _sweep_results(data_csv, tmp_path)

@@ -655,6 +655,43 @@ def test_sweep_files_read_back_to_the_same_bytes(sweep):
         for r in sweep.results]
 
 
+def _run(name, seed):
+    return RunResult(name, "psychometric", seed, 0.5, 0.5,
+                     ConfusionMatrix(1, 1, 1, 1), None)
+
+
+@pytest.mark.parametrize("runs, failures, path, line", [
+    # a seed outside the sweep's, in place of seed 1
+    ([("a", 0), ("a", 7), ("a", 2)], [], "runs.csv", 3),
+    ([("a", 0), ("a", 2), ("a", 1)], [], "runs.csv", 3),
+    # seed 1 both ran and failed
+    ([("a", 0), ("a", 1), ("a", 2)], [("a", 1)], "runs.csv", 3),
+    # where no run is out of place, summary.json's "seeds" line is named:
+    # seed 2 neither ran nor failed, a failure's seed is not the sweep's,
+    # a seed failed twice, and spec b failed for seeds 0 and 1 alone
+    ([("a", 0), ("a", 1)], [], "summary.json", 2),
+    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 1), ("b", 5)],
+     "summary.json", 2),
+    ([("a", 0), ("a", 2)], [("a", 1), ("a", 1)], "summary.json", 2),
+    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 1)],
+     "summary.json", 2),
+], ids=["unknown-seed", "out-of-order", "ran-and-failed", "missing-seed",
+        "failure-unknown-seed", "failed-twice", "failures-missing-seed"])
+def test_sweep_files_must_run_or_fail_each_seed_once_in_order(
+        tmp_path, runs, failures, path, line):
+    # the files are the texts a sweep of these runs writes, so only the
+    # seeds give them away
+    sweep = SweepResult([_run(*run) for run in runs],
+                        [(name, seed, "err") for name, seed in failures],
+                        ["a"], [0, 1, 2])
+    paths = (tmp_path / "runs.csv", tmp_path / "summary.json")
+    paths[0].write_text(sweep.runs_csv_text(), encoding="utf-8")
+    paths[1].write_text(sweep.summary_json_text(), encoding="utf-8")
+    with pytest.raises(ReportError, match="where a sweep of seeds") as err:
+        SweepResult.from_files(*paths)
+    assert str(err.value).startswith(f"{tmp_path / path}:{line}: spec ")
+
+
 # ---------------------------------------------------------------- comparison
 
 

@@ -3,9 +3,10 @@
 import json
 import math
 import pickle
+import tempfile
 import warnings
 from dataclasses import replace
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fasdnet import training
 from fasdnet.data import SplitSpec, stratified_split, synthesize_dataset
 from fasdnet.errors import (
     ConfigError,
@@ -41,7 +41,7 @@ from fasdnet.training import (
     AdamState,
     History,
     TrainedModel,
-    _json_indented,
+    _json_slices,
     adam_step,
     loss_forward,
     loss_grad,
@@ -850,33 +850,71 @@ def test_model_json_is_json_dumps_text_and_reads_back_bit_for_bit(model):
         assert back.norm.stds.tobytes() == model.norm.stds.tobytes()
 
 
+def _json_text(doc) -> str:
+    return b"".join(_json_slices(doc)).decode()
+
+
+# float64 arrays of one to three dimensions, NaN and +-inf included (a
+# 0-d array, which no model holds, orjson writes as a list)
+ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3,
+                                                 min_side=0, max_side=5),
+                    elements=ANY_FLOAT)
+
+
 @PROPERTY_SETTINGS
-@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
-                                                min_side=0, max_side=4),
-                  elements=ANY_FLOAT),
-       st.integers(1, 7))
-def test_indented_writer_matches_json_on_any_array(a, block):
+@given(ARRAYS, ANY_FLOAT, st.integers())
+def test_json_writer_matches_json_on_any_array(a, x, n):
     # NaN and +-inf come out as json's NaN/Infinity, empty arrays as [];
-    # block: cells per orjson dump, so blocks end inside a matrix
-    doc = {"a": a, "nested": [a, {"b": a, "empty": {}}, []], "none": None}
-    want = {"a": a.tolist(), "nested": [a.tolist(),
-                                        {"b": a.tolist(), "empty": {}}, []],
-            "none": None}
-    with mock.patch.object(training, "_JSON_BLOCK_CELLS", block):
-        assert _json_indented(doc) == json.dumps(want, indent=2)
-        assert _json_indented(a) == json.dumps(a.tolist(), indent=2)
+    # a.T and a[::-1] are views orjson cannot write as they are, and n
+    # may be outside the 64 bits orjson writes
+    doc = {"a": a, "views": [a.T, a[::-1]],
+           "nested": [a, {"b": a, "empty": {}}, []], "none": None,
+           "float": x, "int": n}
+    want = {"a": a.tolist(), "views": [a.T.tolist(), a[::-1].tolist()],
+            "nested": [a.tolist(), {"b": a.tolist(), "empty": {}}, []],
+            "none": None, "float": x, "int": n}
+    assert _json_text(doc) == json.dumps(want, indent=2) + "\n"
+    assert _json_text(a) == json.dumps(a.tolist(), indent=2) + "\n"
 
 
-def test_indented_writer_on_non_finite_and_empty_arrays():
+@PROPERTY_SETTINGS
+@given(trained_models(), st.data())
+def test_model_json_of_any_numbers_and_views_is_json_dumps_text(model, data):
+    # to_json writes whatever numbers a model holds, and each weight
+    # matrix here is a transposed view; the norm is present or None
+    for layer in model.layers:
+        layer.weights = data.draw(hnp.arrays(
+            np.float64, layer.weights.shape[::-1], elements=ANY_FLOAT)).T
+        layer.bias = data.draw(hnp.arrays(np.float64, layer.bias.shape,
+                                          elements=ANY_FLOAT))
+    if model.norm is not None:
+        model.norm = FeatureNormLayer(*(
+            data.draw(hnp.arrays(np.float64, model.norm.means.shape,
+                                 elements=ANY_FLOAT)) for _ in range(2)))
+    text = model.to_json()
+    assert text == _json_oracle(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "model.json")
+        model.write_json(path)
+        assert path.read_bytes() == text.encode()
+
+
+def test_json_writer_on_non_finite_and_empty_arrays():
     inf, nan = float("inf"), float("nan")
-    assert _json_indented(np.array([1.0, nan, -inf, inf])) == (
-        "[\n  1.0,\n  NaN,\n  -Infinity,\n  Infinity\n]")
-    assert _json_indented({"w": np.array([[0.5, inf], [-0.0, 2.0]])}) == (
+    assert _json_text(np.array([1.0, nan, -inf, inf])) == (
+        "[\n  1.0,\n  NaN,\n  -Infinity,\n  Infinity\n]\n")
+    assert _json_text({"w": np.array([[0.5, inf], [-0.0, 2.0]])}) == (
         '{\n  "w": [\n    [\n      0.5,\n      Infinity\n    ],\n'
-        '    [\n      -0.0,\n      2.0\n    ]\n  ]\n}')
+        '    [\n      -0.0,\n      2.0\n    ]\n  ]\n}\n')
     for shape in ((0,), (0, 3), (2, 0)):
         a = np.empty(shape)
-        assert _json_indented([a]) == json.dumps([a.tolist()], indent=2)
+        assert _json_text([a]) == json.dumps([a.tolist()], indent=2) + "\n"
+
+
+def test_json_writer_refuses_a_string_that_holds_null():
+    # each null in orjson's text must be one of the writer's own
+    with pytest.raises(ValueError, match="orjson wrote 2 nulls for 1 fills"):
+        _json_slices({"name": "null", "norm": None})
 
 
 @settings(deadline=None, max_examples=25)
