@@ -273,7 +273,10 @@ def cmd_report(args, argv) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each parse_args call
+    reads into a new namespace, so one parse leaves nothing for the next."""
     parser = argparse.ArgumentParser(
         prog="fasdnet",
         description="Dense-network FASD-vs-control classification toolkit",

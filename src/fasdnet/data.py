@@ -59,6 +59,12 @@ SCHEMAS = {
 }
 
 
+def _is_binary(a: np.ndarray) -> np.ndarray:
+    """Where a holds 0 or 1: np.isin(a, (0, 1))'s mask on int, float,
+    bool, str and object arrays, from two comparisons."""
+    return (a == 0) | (a == 1)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus binary labels (1 = FASD, 0 = control)."""
@@ -78,7 +84,7 @@ class Dataset:
                 f"labels must be one per row: x has {self.x.shape[0]} rows, "
                 f"y has shape {y.shape}"
             )
-        if not np.all(np.isin(y, (0, 1))):
+        if not _is_binary(y).all():
             raise DataError("labels must be 0 or 1")
         object.__setattr__(self, "y", y.astype(np.int64))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -265,7 +271,7 @@ def _json_rows(rows: list[str], width: int) -> np.ndarray | None:
     0), a label other than 0 or 1, and whatever orjson refuses (leading
     zeros or points, empty cells, doubles beyond range) give None.
     """
-    import orjson  # see _float_text_rows
+    import orjson  # see write_csv
 
     text = ("[[" + "],[".join(rows) + "]]").encode()
     if (text.translate(None, _NUMBER_BYTES)
@@ -277,7 +283,7 @@ def _json_rows(rows: list[str], width: int) -> np.ndarray | None:
     except ValueError:  # orjson's JSONDecodeError, or rows of unequal width
         return None
     if (values.shape != (len(rows), width)
-            or not np.isin(values[:, -1], (0.0, 1.0)).all()):
+            or not _is_binary(values[:, -1]).all()):
         return None
     return values
 
@@ -308,66 +314,60 @@ def write_csv(ds: Dataset, path) -> None:
     """Write the dataset in the load_csv contract; round-trips bit-exactly.
 
     Each float is written as repr writes it: the shortest text that
-    parses back to the same double. _float_text_rows produces each
-    row's comma-joined text from one orjson dump per block of rows, and
-    the rows go to the file with their labels as they come, so no
-    whole-file string is built. A dataset without feature columns, which
-    load_csv cannot read back, is a DataError.
+    parses back to the same double. Each block of rows is one orjson
+    dump of its cells with the label as a last column, "[[a,b,0.0],
+    [c,d,1.0]]", split at ".0],[" and joined by newlines into the
+    block's CSV bytes, "a,b,0\nc,d,1\n": no row is decoded, formatted or
+    encoded in Python, and no whole-file text is built. A dataset
+    without feature columns, which load_csv cannot read back, is a
+    DataError.
+
+    orjson writes each double with Ryu (Adams, PLDI 2018): the shortest
+    digits that parse back to the same double, and of those the nearest
+    to it, which are the digits repr writes. The texts differ only where
+    repr writes an exponent, below 1e-4 and from 1e16 up in magnitude
+    (orjson: 0.00001 and 1e16, repr: 1e-05 and 1e+16); the rows that
+    hold such a cell, _odd_cells, are formatted with repr. About 1 in
+    2,000 Glorot weights is one.
     """
     if not ds.n_features:
         raise DataError(f"{path}: a dataset without features has no CSV form")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(ds.feature_names) + ",label\n")
-        fh.writelines(
-            f"{row},{label}\n"
-            for row, label in zip(_float_text_rows(ds.x, _CSV_BLOCK_CELLS),
-                                  ds.y.tolist())
-        )
-
-
-# cells per block of CSV text, formatted by one orjson dump in
-# _float_text_rows or parsed by one _json_rows call: enough to spread a
-# call's fixed cost (about 10 us) thin, few enough that the block's
-# texts and values stay a few hundred KB (at 1 << 16, data-io's peak
-# RSS rose by 10 MB when writing; loading 10,000 x 48 cells took the
-# same time from 1 << 11 to 1 << 14 cells a block)
-_CSV_BLOCK_CELLS = 1 << 12
-
-
-def _float_text_rows(a: np.ndarray, cells: int):
-    """Each row of a 2-D float array with columns as the comma-joined
-    float.__repr__ texts of its cells, from one orjson call per block
-    of whole rows: up to the given number of cells, or one row where a
-    row is wider.
-
-    orjson writes the block as "[[row],[row],...]", each double with Ryu
-    (Adams, PLDI 2018): the shortest digits that parse back to the same
-    double, and of those the nearest to it, which are the digits repr
-    writes. The texts differ only where repr writes an exponent, below
-    1e-4 and from 1e16 up in magnitude (orjson: 0.00001 and 1e16, repr:
-    1e-05 and 1e+16), and for nan and inf, which orjson writes as null.
-    One vectorized mask, _odd_cells, finds the rows that hold such a
-    cell, and repr formats those rows; about 1 in 2,000 Glorot weights
-    is one.
-    """
     # imported here, as _map_specs imports multiprocessing, so that
     # importing fasdnet does not load it
     import orjson
 
-    block = max(1, cells // a.shape[1])
-    for start in range(0, len(a), block):
-        b = np.ascontiguousarray(a[start:start + block], dtype=np.float64)
-        text = orjson.dumps(b, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        rows = text[2:-2].split("],[")
-        for i in np.flatnonzero(_odd_cells(b).any(axis=1)).tolist():
-            rows[i] = ",".join(map(float.__repr__, b[i].tolist()))
-        yield from rows
+    block = max(1, _CSV_BLOCK_CELLS // (ds.n_features + 1))
+    # C order, as orjson needs, whatever the layout of ds.x
+    cells = np.empty((min(block, ds.n_rows), ds.n_features + 1))
+    with open(path, "wb") as fh:
+        fh.write((",".join(ds.feature_names) + ",label\n").encode())
+        for start in range(0, ds.n_rows, block):
+            x, y = ds.x[start:start + block], ds.y[start:start + block]
+            b = cells[:len(x)]
+            b[:, :-1] = x
+            b[:, -1] = y  # 0.0 and 1.0: each row ends ".0]"
+            text = orjson.dumps(b, option=orjson.OPT_SERIALIZE_NUMPY)
+            rows = text[2:-4].split(b".0],[")
+            for i in np.flatnonzero(_odd_cells(x).any(axis=1)).tolist():
+                rows[i] = (",".join(map(float.__repr__, x[i].tolist()))
+                           + f",{y[i]}").encode()
+            rows.append(b"")
+            fh.write(b"\n".join(rows))
+
+
+# cells per block of CSV text, formatted by one orjson dump in write_csv
+# or parsed by one _json_rows call: enough to spread a call's fixed cost
+# (about 10 us) thin, few enough that the block's texts and values stay
+# a few hundred KB (at 1 << 16, data-io's peak RSS rose by 10 MB when
+# writing; loading 10,000 x 48 cells took the same time from 1 << 11 to
+# 1 << 14 cells a block)
+_CSV_BLOCK_CELLS = 1 << 12
 
 
 def _odd_cells(a: np.ndarray) -> np.ndarray:
     """Where orjson's text of a float64 differs from repr's: below 1e-4
     or from 1e16 up in magnitude, except +-0.0, and nan and inf. Both
-    writers, _float_text_rows and training's model.json writer, use it."""
+    writers, write_csv and training's model.json writer, use it."""
     magnitude = np.abs(a)
     return ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (a != 0.0)
 

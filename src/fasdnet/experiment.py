@@ -46,6 +46,7 @@ from .data import (
     SYNTHETIC,
     Dataset,
     SplitSpec,
+    _is_binary,
     balance_downsample,
     drop_features,
     stratified_split,
@@ -119,7 +120,7 @@ def confusion_matrix(predictions, labels) -> ConfusionMatrix:
             "vectors"
         )
     for name, v in (("predictions", p), ("labels", y)):
-        if not np.all(np.isin(v, (0, 1))):
+        if not _is_binary(v).all():
             raise DataError(f"{name} must contain only 0 and 1")
     return ConfusionMatrix(
         tp=int(np.sum((p == 1) & (y == 1))),
@@ -468,7 +469,8 @@ class SweepResult:
         """The sweep that wrote runs.csv and summary.json, each run with
         its spec's battery; ReportError, naming the file and line, for
         a file that is unreadable or that this sweep would not write, or
-        a spec that does not run or fail each seed once, in order."""
+        a spec that does not run or fail each seed once, its runs and its
+        failures each in seeds' order."""
         doc = _json_object(summary_path, ReportError)
         try:
             seeds = [int(seed) for seed in doc["seeds"]]
@@ -507,27 +509,37 @@ class SweepResult:
             raise ReportError(f"{runs_path} lists no runs")
         sweep = cls(list(runs.values()), failures,
                     list(dict.fromkeys(name for name, _ in runs)), seeds)
+        summary = summary_path.read_bytes().decode()
         for path, got, want in ((runs_path, text, sweep.runs_csv_text()),
-                                (summary_path, summary_path.read_bytes().decode(),
-                                 sweep.summary_json_text())):
+                                (summary_path, summary, sweep.summary_json_text())):
             if got != want:  # name the first line that differs
                 line = got.count("\n", 0, len(os.path.commonprefix((got, want))))
                 got, want = got.split("\n")[line], want.split("\n")[line]
                 raise ReportError(f"{path}:{line + 1}: reads {got!r} where a "
                                   f"sweep of these runs writes {want!r}")
+        # each failure's "seed" line: only a failure has a "seed" key
+        seed_lines = [n for n, line in enumerate(summary.split("\n"), 1)
+                      if line.startswith('      "seed": ')]
         for name in dict.fromkeys(sweep.spec_order + [f[0] for f in failures]):
-            fails = [seed for spec, seed, _ in failures if spec == name]
+            ks = [k for k, failure in enumerate(failures) if failure[0] == name]
+            fails = [failures[k][1] for k in ks]
             got = [seed for spec, seed in runs if spec == name]
             want = [seed for seed in seeds if seed not in fails]
-            if got != want or Counter(got + fails) != Counter(seeds):
-                # the first run out of place, else summary.json's line 2,
-                # which a sweep gives "seeds"
-                path, line = next(((runs_path, lines[name, g]) for g, w
-                                   in zip(got, want) if g != w), (summary_path, 2))
+            # the first run out of place; else summary.json's line 2, which
+            # a sweep gives "seeds", if a seed is missing or doubled; else
+            # the first failure out of place
+            wrong = [(runs_path, lines[name, g]) for g, w in zip(got, want)
+                     if g != w]
+            if Counter(got + fails) != Counter(seeds):
+                wrong.append((summary_path, 2))
+            wrong += [(summary_path, seed_lines[k]) for k, f, w
+                      in zip(ks, fails, [s for s in seeds if s in fails]) if f != w]
+            if wrong:
+                path, line = wrong[0]
                 raise ReportError(
                     f"{path}:{line}: spec {name!r} runs seeds {got} and fails "
                     f"seeds {fails}, where a sweep of seeds {seeds} runs or "
-                    "fails each once, the runs in order")
+                    "fails each once, the runs in order and the failures in order")
         return sweep
 
     def summary_text(self) -> str:

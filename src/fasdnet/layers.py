@@ -624,7 +624,14 @@ def _backward_steps(layers: list[DenseLayer], caches, delta: np.ndarray,
                   partial(np.add.reduce, delta, -2, None, out[2 * i + 1], True)]
         if i > 0:
             below = work[i - 1][0]
-            steps.append(partial(np.matmul, delta,
-                                 layers[i].weights.swapaxes(-1, -2), below))
+            w_t = layers[i].weights.swapaxes(-1, -2)
+            if w_t.shape[-2] == 1:
+                # matmul sends an inner dimension of 1 to its non-BLAS
+                # loop, 0 + a * b; the outer product and + 0.0 (which
+                # makes -0 +0) give its bits
+                steps += [partial(np.multiply, delta, w_t, below),
+                          partial(np.add, below, 0.0, below)]
+            else:
+                steps.append(partial(np.matmul, delta, w_t, below))
             delta = below
     return steps

@@ -76,12 +76,13 @@ def _logs(x: np.ndarray) -> np.ndarray:
         return np.fromiter(map(math.log, x.tolist()), float, len(x))
     wide = np.log(x.astype(np.longdouble))
     out = wide.astype(np.float64)
-    mag = np.abs(out)
-    # wide - out is exact, and fits a double; log may round otherwise only
-    # near a midpoint, or below a power of two, where the ulp is half as wide
-    redo = np.flatnonzero(
-        (np.abs((wide - out).astype(np.float64)) > 0.4375 * np.spacing(mag))
-        | (np.frexp(mag)[0] == 0.5))
+    # the 11 low bits of logl's mantissa, which the double drops (x86
+    # extended precision, little-endian): log may round otherwise only
+    # within 1/16 ulp of a midpoint, 897 to 1151 of 2048, or below a
+    # power of two, where the ulp is half as wide
+    low = wide.view(np.uint16)[::wide.itemsize // 2] - np.uint16(897)
+    low &= np.uint16(0x7FF)
+    redo = np.flatnonzero((low < 255) | (np.abs(np.frexp(out)[0]) == 0.5))
     out[redo] = np.fromiter(map(math.log, x[redo].tolist()), float, len(redo))
     return out
 

@@ -60,7 +60,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .data import _odd_cells
+from .data import _is_binary, _odd_cells
 from .errors import (
     ConfigError,
     DataError,
@@ -103,8 +103,9 @@ def _check_labels(labels, shape: tuple) -> np.ndarray:
         raise ShapeError(
             f"labels must have shape {shape}, one per row, got {y.shape}"
         )
-    if not np.all(np.isin(y, (0, 1))):
-        bad = y[~np.isin(y, (0, 1))][0]
+    binary = _is_binary(y)
+    if not binary.all():
+        bad = y[~binary][0]
         raise DataError(f"labels must be 0 or 1, found {bad!r}")
     return y.astype(np.int64)
 
@@ -360,10 +361,10 @@ def _json_slices(doc) -> list:
     document of dicts, lists, plain ASCII strings, ints, floats, None
     and float64 arrays of one or more dimensions: one orjson dump, in
     json's indent=2 layout and repr's digits (see
-    data._float_text_rows), where each value that _with_nulls makes NaN
+    data.write_csv), where each value that _with_nulls makes NaN
     comes out as null and is replaced by json's text. A string that
     holds "null" is a ValueError."""
-    import orjson  # imported here as in data._float_text_rows
+    import orjson  # imported here as in data.write_csv
 
     fills = []
     text = orjson.dumps(_with_nulls(doc, fills),

@@ -6,11 +6,14 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fasdnet
 from fasdnet.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
@@ -19,6 +22,7 @@ from fasdnet.cli import (
     EXIT_IO,
     EXIT_OK,
     _environment,
+    build_parser,
     main,
 )
 from fasdnet.data import load_csv
@@ -218,6 +222,40 @@ def test_train_and_sweep_build_the_same_spec_from_a_config_file(
     cells = re.findall(r"(\d+) \(", (train_dir / "confusion.txt").read_text())
     assert cells == [tp, fn, fp, tn]
     assert float(test_acc) == (int(tp) + int(tn)) / sum(map(int, cells))
+
+
+def test_in_process_runs_share_one_parser_and_write_what_separate_runs_write(
+        data_csv, tmp_path):
+    # main() parses with one parser per process; a flag given to one
+    # call must not carry over to the next: --balance, then without it,
+    # in process, write what two separate processes write
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input_dim": 20,
+        "layers": [{"width": 4, "activation": "relu"},
+                   {"width": 1, "activation": "sigmoid"}],
+        "loss": "binary", "use_feature_layer": True, "epochs": 8,
+        "learning_rate": 0.01, "seed": 0}))
+    # 20 controls and 15 FASD rows, so that --balance drops rows
+    uneven = tmp_path / "uneven.csv"
+    uneven.write_text("".join(data_csv.read_text().splitlines(True)[:-5]))
+    src = os.path.dirname(os.path.dirname(fasdnet.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for balance in (("--balance",), ()):
+        argv = ["train", "--data", str(uneven), "--battery", "psychometric",
+                "--spec", str(cfg), *balance]
+        name = "balanced" if balance else "plain"
+        assert run(*argv, "--out-dir", tmp_path / "in" / name) == EXIT_OK
+        subprocess.run([sys.executable, "-m", "fasdnet", *argv, "--out-dir",
+                        str(tmp_path / "apart" / name)], env=env, check=True,
+                       capture_output=True)
+    for name in ("balanced", "plain"):
+        for file in ("confusion.txt", "history.csv", "model.json"):
+            assert ((tmp_path / "in" / name / file).read_bytes()
+                    == (tmp_path / "apart" / name / file).read_bytes())
+    assert ((tmp_path / "in" / "balanced" / "model.json").read_bytes()
+            != (tmp_path / "in" / "plain" / "model.json").read_bytes())
 
 
 def test_train_ablate_narrows_the_builtin_input(data_csv, tmp_path):
@@ -827,6 +865,45 @@ def test_report_rejects_a_run_of_a_seed_the_sweep_did_not_run(
     assert (f"{results / 'runs.csv'}:3: spec 'psychometric-feature-layer' "
             "runs seeds [0, 7, 2] and fails seeds [], where a sweep of seeds "
             "[0, 1, 2] runs or fails each once, the runs in order") in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_rejects_failures_listed_out_of_seed_order(data_csv, tmp_path,
+                                                         capsys):
+    # spec boom fails each of seeds 0, 1 and 2; listed as 1, 0, 2 the
+    # files are still the texts a sweep of these runs writes, but a
+    # sweep lists a spec's failures in seed order
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    doc = {"input_dim": 20, "layers": [{"width": 4, "activation": "relu"},
+                                       {"width": 1, "activation": "sigmoid"}],
+           "loss": "binary", "use_feature_layer": True, "epochs": 10,
+           "learning_rate": 1e200, "seed": 0}
+    (cfg_dir / "boom.json").write_text(json.dumps(doc))
+    (cfg_dir / "fine.json").write_text(json.dumps({**doc, "learning_rate": 0.001}))
+    results = tmp_path / "sweep"
+    assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", cfg_dir, "--seeds", "0,1,2",
+               "--out-dir", results) == EXIT_OK
+    assert run("report", "--results", results,
+               "--out-dir", tmp_path / "ok") == EXIT_OK
+
+    def swap(summary):
+        failures = summary["failures"]
+        assert [f["seed"] for f in failures] == [0, 1, 2]
+        failures[0], failures[1] = failures[1], failures[0]
+
+    _edit_summary(results, swap)
+    lines = (results / "summary.json").read_text().splitlines()
+    line = lines.index('      "spec": "boom",') + 2  # the first failure's seed
+    assert lines[line - 1] == '      "seed": 1,'
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{results / 'summary.json'}:{line}: spec 'boom' runs seeds [] "
+            "and fails seeds [1, 0, 2], where a sweep of seeds [0, 1, 2] runs "
+            "or fails each once, the runs in order and the failures in order"
+            ) in err
     assert not (tmp_path / "rep").exists()
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -502,12 +503,25 @@ def _repr_texts(a):
     return ",".join(map(float.__repr__, a.tolist()))
 
 
+def _written_rows(x):
+    """write_csv's data lines for the rows of x, each labelled 0. x may
+    be in any layout and hold nan and inf, which a Dataset refuses: the
+    writer formats what it is given, so a stand-in with the Dataset's
+    fields carries them."""
+    ds = SimpleNamespace(feature_names=tuple(f"f{j}" for j in range(x.shape[1])),
+                         x=x, y=np.zeros(len(x), np.int64), n_rows=len(x),
+                         n_features=x.shape[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(ds, Path(tmp) / "x.csv")
+        return (Path(tmp) / "x.csv").read_bytes().decode().split("\n")[1:-1]
+
+
 def _texts_per_value(a):
-    """_float_text_rows's texts of a 1-D array's values, joined; each
-    value is a row of its own, so repr formats the odd values alone and
-    orjson every other one."""
-    return ",".join(data._float_text_rows(a.reshape(-1, 1),
-                                          data._CSV_BLOCK_CELLS))
+    """write_csv's texts of a 1-D array's values, joined; each value is
+    a row of its own, so repr formats the odd values alone and orjson
+    every other one."""
+    return ",".join(row.removesuffix(",0")
+                    for row in _written_rows(a.reshape(-1, 1)))
 
 
 def test_float_texts_are_repr_on_every_edge_value_and_binade():
@@ -561,11 +575,87 @@ def float_matrices(draw):
 @PROPERTY_SETTINGS
 @given(float_matrices(), st.integers(1, 30))
 # odd cells in the first and the last row of a two-row block
-@example(np.array([[1e-05, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, math.inf]]), 4)
+@example(np.array([[1e-05, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, math.inf]]), 6)
 def test_float_text_rows_are_repr_joined_per_row(a, cells):
-    # cells below a row's width make one-row blocks
-    want = [",".join(map(repr, row)) for row in a.tolist()]
-    assert list(data._float_text_rows(a, cells)) == want
+    # cells below a row's width, label included, make one-row blocks
+    want = [",".join(map(repr, row)) + ",0" for row in a.tolist()]
+    with mock.patch.object(data, "_CSV_BLOCK_CELLS", cells):
+        assert _written_rows(a) == want
+
+
+def _float_text_rows_oracle(a: np.ndarray, cells: int):
+    """write_csv's per-row formatter as it was before it wrote each
+    block as bytes: each row's comma-joined texts from one orjson dump
+    per block, decoded and split at "],[", with repr's text for each
+    row that holds an odd cell."""
+    import orjson
+
+    block = max(1, cells // a.shape[1])
+    for start in range(0, len(a), block):
+        b = np.ascontiguousarray(a[start:start + block], dtype=np.float64)
+        text = orjson.dumps(b, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        rows = text[2:-2].split("],[")
+        for i in np.flatnonzero(data._odd_cells(b).any(axis=1)).tolist():
+            rows[i] = ",".join(map(float.__repr__, b[i].tolist()))
+        yield from rows
+
+
+def _write_csv_oracle(ds, cells: int) -> bytes:
+    """write_csv's bytes from _float_text_rows_oracle, a row and its
+    label at a time."""
+    rows = _float_text_rows_oracle(ds.x, cells)
+    return (",".join(ds.feature_names) + ",label\n" + "".join(
+        f"{row},{label}\n" for row, label in zip(rows, ds.y.tolist()))).encode()
+
+
+# cells whose orjson text is not repr's (see data._odd_cells); the edges
+# add their neighbours across 1e-4 and 1e16, and +-0.0, where they agree
+ODD_CELLS = [1e16, -1e16, 1e-05, -1e-05, 5e-324, -5e-324,
+             9.999999999999999e-05, 1.7976931348623157e308]
+CSV_EDGES = ODD_CELLS + [0.0, -0.0, math.nextafter(1e16, 0.0), 1e-4]
+
+
+@st.composite
+def csv_block_cases(draw):
+    """(dataset, cells per block) with odd cells put in the first row,
+    the last row or the only row of blocks; cells below a row's width,
+    label included, give one-row blocks."""
+    width, rows = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    cells = draw(st.integers(1, 4 * (width + 1)))
+    block = max(1, cells // (width + 1))
+    x = draw(hnp.arrays(np.float64, (rows, width), elements=st.one_of(
+        st.sampled_from(CSV_EDGES), FINITE, st.floats(-1e3, 1e3))))
+    for start in draw(st.lists(st.sampled_from(range(0, rows, block)),
+                               max_size=3)):
+        row = draw(st.sampled_from([start, min(start + block, rows) - 1]))
+        x[row, draw(st.integers(0, width - 1))] = draw(st.sampled_from(ODD_CELLS))
+    y = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=rows,
+                               max_size=rows)), dtype=np.int64)
+    names = tuple(f"f{j}" for j in range(width))
+    return Dataset("synthetic", names, x, y), cells
+
+
+@PROPERTY_SETTINGS
+@given(csv_block_cases())
+# odd cells in the first row, the last row and the only row of a block
+@example((Dataset("synthetic", ("a", "b"), np.array(
+    [[1e-05, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 1e16], [-0.0, 5e-324]]),
+    np.array([0, 1, 1, 0, 1])), 6))
+# one-row blocks: more features than cells per block
+@example((Dataset("synthetic", ("a", "b", "c"), np.array(
+    [[0.0, -0.0, 1e16], [1e-05, 5e-324, 2.5], [0.5, 7.0, 1e300]]),
+    np.array([1, 0, 1])), 2))
+def test_write_csv_bytes_are_the_per_row_formatters_and_read_back(case):
+    ds, cells = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data, "_CSV_BLOCK_CELLS", cells):
+        path = Path(tmp) / "x.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == _write_csv_oracle(ds, cells)
+        back = load_csv(path, "synthetic")
+    assert back.feature_names == ds.feature_names
+    assert back.x.tobytes() == ds.x.tobytes()
+    assert back.y.tobytes() == ds.y.tobytes()
 
 
 def _csv_text_oracle(ds):

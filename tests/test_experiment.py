@@ -675,8 +675,13 @@ def _run(name, seed):
     ([("a", 0), ("a", 2)], [("a", 1), ("a", 1)], "summary.json", 2),
     ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 1)],
      "summary.json", 2),
+    # spec b failed each seed once, but seed 2 is listed before seed 1:
+    # summary.json names that failure's "seed" line
+    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 2), ("b", 1)],
+     "summary.json", 25),
 ], ids=["unknown-seed", "out-of-order", "ran-and-failed", "missing-seed",
-        "failure-unknown-seed", "failed-twice", "failures-missing-seed"])
+        "failure-unknown-seed", "failed-twice", "failures-missing-seed",
+        "failures-out-of-order"])
 def test_sweep_files_must_run_or_fail_each_seed_once_in_order(
         tmp_path, runs, failures, path, line):
     # the files are the texts a sweep of these runs writes, so only the
@@ -690,6 +695,9 @@ def test_sweep_files_must_run_or_fail_each_seed_once_in_order(
     with pytest.raises(ReportError, match="where a sweep of seeds") as err:
         SweepResult.from_files(*paths)
     assert str(err.value).startswith(f"{tmp_path / path}:{line}: spec ")
+    if path == "summary.json" and line > 2:  # the failure out of place
+        text = paths[1].read_text(encoding="utf-8").split("\n")[line - 1]
+        assert text.startswith('      "seed": ')
 
 
 # ---------------------------------------------------------------- comparison

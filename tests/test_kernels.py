@@ -422,6 +422,34 @@ def test_network_backward_into_used_buffers_is_the_unbuffered_pass(net, data):
 
 
 @KERNEL_SETTINGS
+@given(st.sampled_from([0, 1, 2, 5]), st.integers(1, 9), st.integers(1, 9),
+       st.data())
+def test_delta_through_a_one_wide_layer_is_matmuls_bits(slots, rows, width,
+                                                        data):
+    # a layer of out_dim 1 passes delta down by an outer product, which
+    # must give np.matmul's bits; the identity layer below leaves the
+    # product as it is in its buffer. slots 0 is a 2-D pass
+    lead = (slots,) if slots else ()
+    fan_in = data.draw(st.integers(1, 4))
+    layers = [DenseLayer(data.draw(arrays(lead + (fan_in, width))),
+                         data.draw(arrays(lead + (1, width))), IDENTITY),
+              DenseLayer(data.draw(arrays(lead + (width, 1))),
+                         data.draw(arrays(lead + (1, 1))), SIGMOID)]
+    caches = [(data.draw(arrays(lead + (rows, fan_in))),
+               data.draw(arrays(lead + (rows, width)))),
+              (data.draw(arrays(lead + (rows, width))),
+               data.draw(arrays(lead + (rows, 1))))]
+    delta = data.draw(arrays(lead + (rows, 1)))
+    grads = [np.full_like(a, np.nan) for layer in layers
+             for a in (layer.weights, layer.bias)]
+    work = nan_filled(_backward_buffers(layers, rows))
+    with np.errstate(all="ignore"):
+        want = np.matmul(delta, layers[1].weights.swapaxes(-1, -2))
+        _run(_backward_steps(layers, caches, delta, grads, work))
+    assert_same_bits(work[0][0], want)
+
+
+@KERNEL_SETTINGS
 @given(st.sampled_from(ACTIVATIONS + [SOFTMAX]), STACKS, st.data())
 def test_activation_apply_into_used_buffers_is_the_unbuffered_result(
         act, slots, data):
