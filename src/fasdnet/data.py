@@ -18,6 +18,7 @@ mix of feature scales (some columns near single digits, some near 100).
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -133,18 +134,42 @@ def load_csv(path, battery: str) -> Dataset:
     str.splitlines()'s other breaks are cell padding.
 
     A cell's value is the double float() reads from its stripped text.
-    Blocks of up to _CSV_BLOCK_CELLS cells are parsed by one orjson call
-    where _json_rows accepts them, the rest row by row with float(),
-    which alone raises errors: the first error in file order, and its
-    text, do not depend on which blocks orjson parsed.
+    The file is read as a stream, a block of up to _CSV_BLOCK_CELLS
+    cells at a time, so a load holds the dataset plus one block, never
+    the whole file. A block is parsed by one orjson call where
+    _json_rows accepts it, otherwise row by row with float(), which
+    alone raises errors: the first error in file order, and its text,
+    do not depend on which blocks orjson parsed. A byte that is not
+    UTF-8 anywhere in the file wins over any other error, and a
+    non-finite cell is raised only once every row has parsed.
     """
     if battery not in BATTERIES:
         raise DataError(f"unknown battery {battery!r}")
-    text = _read_utf8(path)
-    if not text:
+    schema = SCHEMAS.get(battery)
+    try:
+        # universal newlines end lines at exactly LF, CR LF and CR
+        with open(path, encoding="utf-8", newline=None) as fh:
+            feature_names, x, y = _read_rows(path, battery, schema, fh)
+    except (UnicodeDecodeError, DataError):
+        _read_utf8(path)
+        raise
+    if schema is not None and len(x) != schema.expected_rows:
+        warnings.warn(
+            f"{path}: battery {battery!r} usually has {schema.expected_rows} "
+            f"rows, found {len(x)} (accepted as a subset)",
+            stacklevel=2,
+        )
+    return Dataset(battery, feature_names, x, y)
+
+
+def _read_rows(path, battery: str, schema: BatterySchema | None,
+               fh) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """load_csv's feature names, x and y from the lines of a text
+    handle, read a block at a time."""
+    first = fh.readline()
+    if not first:
         raise ParseError(f"{path}: file is empty")
-    lines = _lines(text)
-    header = lines[0].split(",")
+    header = first.rstrip("\n").split(",")
     if len(header) < 2 or header[-1] != "label":
         raise SchemaError(
             f"{path}: final header column must be 'label', got "
@@ -158,7 +183,6 @@ def load_csv(path, battery: str) -> Dataset:
                 f"{path}: line 1, column {name!r}: duplicate header name"
             )
         seen.add(name)
-    schema = SCHEMAS.get(battery)
     if schema is not None and len(feature_names) != schema.expected_feature_count:
         raise SchemaError(
             f"{path}: battery {battery!r} expects "
@@ -166,74 +190,81 @@ def load_csv(path, battery: str) -> Dataset:
             f"{len(feature_names)}"
         )
 
-    linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-    if not linenos:
-        raise ParseError(f"{path}: no data rows")
-    x = np.empty((len(linenos), len(feature_names)))
-    y = np.empty(len(linenos))
+    # the file iterator never yields "", so a blank line is all space
+    numbered = ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2)
+                if not line.isspace())
     block = max(1, _CSV_BLOCK_CELLS // len(header))
-    for start in range(0, len(linenos), block):
-        block_linenos = linenos[start:start + block]
-        values = _json_rows([lines[n - 1] for n in block_linenos], len(header))
-        if values is not None:
-            x[start:start + block] = values[:, :-1]
-            y[start:start + block] = values[:, -1]
-            continue
-        for row, lineno in enumerate(block_linenos, start):
-            cells = lines[lineno - 1].split(",")
-            if len(cells) != len(header):
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(cells)} cells, expected "
-                    f"{len(header)}"
-                )
-            try:
-                # float() keeps U+001C-U+001F, which str.strip() strips
-                x[row] = list(map(float, cells[:-1]))
-            except ValueError:
-                x[row] = _stripped_cells(path, lineno, header, cells)
-            try:
-                label = float(cells[-1].strip())
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}, column 'label': non-numeric cell "
-                    f"{cells[-1].strip()!r}"
-                ) from None
-            if label not in (0.0, 1.0):
-                raise DataError(
-                    f"{path}: line {lineno}: label must be 0 or 1, got {label}"
-                )
-            y[row] = label
-
-    if not np.isfinite(x).all():
-        # located only on failure, so valid files pay for one scan
-        row, col = np.argwhere(~np.isfinite(x))[0]
-        lineno = linenos[row]
-        cell = lines[lineno - 1].split(",")[col].strip()
-        raise ParseError(
-            f"{path}: line {lineno}, column {feature_names[col]!r}: "
-            f"non-finite cell {cell!r}"
-        )
-    if schema is not None and len(x) != schema.expected_rows:
-        warnings.warn(
-            f"{path}: battery {battery!r} usually has {schema.expected_rows} "
-            f"rows, found {len(x)} (accepted as a subset)",
-            stacklevel=2,
-        )
-    return Dataset(battery, feature_names, x, y)
+    blocks = []
+    non_finite = None  # the first, raised once every row has parsed
+    while chunk := list(itertools.islice(numbered, block)):
+        linenos, rows = zip(*chunk)
+        values = _json_rows(rows, len(header))
+        if values is None:
+            values = _float_rows(path, header, linenos, rows)
+        # labels are 0 or 1, so only a feature cell can be non-finite
+        if non_finite is None and not np.isfinite(values).all():
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            cell = rows[row].split(",")[col].strip()
+            non_finite = ParseError(
+                f"{path}: line {linenos[row]}, column {feature_names[col]!r}: "
+                f"non-finite cell {cell!r}"
+            )
+        blocks.append(values)
+    if not blocks:
+        raise ParseError(f"{path}: no data rows")
+    if non_finite is not None:
+        raise non_finite
+    x = np.concatenate([values[:, :-1] for values in blocks])
+    y = np.concatenate([values[:, -1] for values in blocks])
+    return feature_names, x, y
 
 
-def _read_utf8(path) -> str:
-    """The text of a UTF-8 file, read as bytes and decoded once. A byte
-    that is not UTF-8 is a ParseError naming its line and column, found
-    in the valid text before it: a data cell is named from the header,
-    a header cell by number. The bytes are freed on return."""
+def _float_rows(path, header: list[str], linenos, rows) -> np.ndarray:
+    """The (len(rows), len(header)) values of a block of rows, each cell
+    parsed by float(); the first malformed row is the error."""
+    values = np.empty((len(rows), len(header)))
+    for row, lineno, text in zip(values, linenos, rows):
+        cells = text.split(",")
+        if len(cells) != len(header):
+            raise ParseError(
+                f"{path}: line {lineno} has {len(cells)} cells, expected "
+                f"{len(header)}"
+            )
+        try:
+            # float() keeps U+001C-U+001F, which str.strip() strips
+            row[:-1] = list(map(float, cells[:-1]))
+        except ValueError:
+            row[:-1] = _stripped_cells(path, lineno, header, cells)
+        try:
+            label = float(cells[-1].strip())
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}, column 'label': non-numeric cell "
+                f"{cells[-1].strip()!r}"
+            ) from None
+        if label not in (0.0, 1.0):
+            raise DataError(
+                f"{path}: line {lineno}: label must be 0 or 1, got {label}"
+            )
+        row[-1] = label
+    return values
+
+
+def _read_utf8(path) -> None:
+    """Raise a ParseError if the file holds a byte that is not UTF-8,
+    naming the first one's line and column, found in the valid text
+    before it: a data cell is named from the header, a header cell by
+    number. load_csv reads the whole file here only on its error paths,
+    so that such a byte anywhere wins over any other error."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        raw.decode("utf-8")
+        return
     except UnicodeDecodeError as exc:
         start = exc.start
-    lines = _lines(raw[:start].decode("utf-8"))
+    text = raw[:start].decode("utf-8")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     names = [name.strip() for name in lines[0].split(",")]
     col = lines[-1].count(",")
     column = (repr(names[col]) if len(lines) > 1 and col < len(names)
@@ -241,14 +272,7 @@ def _read_utf8(path) -> str:
     raise ParseError(
         f"{path}: line {len(lines)}, column {column}: byte "
         f"0x{raw[start]:02x} is not UTF-8"
-    )
-
-
-def _lines(text: str) -> list[str]:
-    """The lines of a text, ended at LF, CR LF or CR."""
-    if "\r" in text:  # one scan, where each replace() scans again
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    ) from None
 
 
 # the bytes of a block of rows that hold only JSON numbers: digits,
@@ -259,7 +283,7 @@ _NUMBER_BYTES = b"0123456789eE+-., \t"
 _NEGATIVE_ZERO_INT = re.compile(rb"-0(?![0-9.eE])")
 
 
-def _json_rows(rows: list[str], width: int) -> np.ndarray | None:
+def _json_rows(rows: tuple[str, ...], width: int) -> np.ndarray | None:
     """The (len(rows), width) values of comma-separated rows from one
     orjson parse, or None where they could differ from float()'s.
 
@@ -360,7 +384,9 @@ def write_csv(ds: Dataset, path) -> None:
 # (about 10 us) thin, few enough that the block's texts and values stay
 # a few hundred KB (at 1 << 16, data-io's peak RSS rose by 10 MB when
 # writing; loading 10,000 x 48 cells took the same time from 1 << 11 to
-# 1 << 14 cells a block)
+# 1 << 14 cells a block). load_csv holds one block's lines and text at
+# a time, besides the values parsed so far, so reading a file costs its
+# values twice (as the blocks are joined) plus one block, not its text
 _CSV_BLOCK_CELLS = 1 << 12
 
 

@@ -4,6 +4,7 @@ import decimal
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -179,6 +180,63 @@ def test_load_csv_names_the_line_and_column_of_a_byte_that_is_not_utf8(
         path.write_bytes(text)
         with pytest.raises(ParseError, match=f"{where}: byte 0xfe"):
             load_csv(path, "synthetic")
+
+
+def _big_csv(tmp_path):
+    """The bytes of a CSV file of 6,000 rows, over 100 KiB, so that a
+    streaming reader meets its line ends across its buffers."""
+    path = tmp_path / "big.csv"
+    write_csv(synthesize_dataset(3000, 2, 1.0, SeededRng(4)), path)
+    text = path.read_bytes()
+    assert len(text) > 100 * 1024
+    return text
+
+
+def test_load_csv_names_a_byte_that_is_not_utf8_before_any_other_error(
+        tmp_path):
+    lines = _big_csv(tmp_path).split(b"\n")
+    lines[3] = b"1.0,oops,1"  # line 4: a malformed row
+    lines[5001] = lines[5001].replace(b",", b"\xff,", 1)  # line 5002
+    path = tmp_path / "x.csv"
+    expected = f"{path}: line 5002, column 'f00': byte 0xff is not UTF-8"
+    # the header error, too, comes before the bad byte in the file
+    for header in (lines[0], b"f00,f01,labels", b"f00,f00,label"):
+        path.write_bytes(b"\n".join([header] + lines[1:]))
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "synthetic")
+        assert str(err.value) == expected
+
+
+def test_load_csv_reads_lf_crlf_and_cr_files_alike_across_buffers(tmp_path):
+    text = _big_csv(tmp_path)
+    bad = text.split(b"\n")
+    bad[5001] = b"1.0,oops,0"
+    loaded, errors = [], []
+    for end in (b"\n", b"\r\n", b"\r"):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.replace(b"\n", end))
+        ds = load_csv(path, "synthetic")
+        loaded.append((ds.x.tobytes(), ds.y.tobytes()))
+        path.write_bytes(end.join(bad))
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "synthetic")
+        errors.append(str(err.value))
+    assert loaded[0] == loaded[1] == loaded[2]
+    assert errors[0] == errors[1] == errors[2]
+    assert "line 5002, column 'f01': non-numeric cell 'oops'" in errors[0]
+
+
+def test_load_csv_holds_the_dataset_plus_one_block(tmp_path):
+    path = tmp_path / "big.csv"
+    write_csv(synthesize_dataset(5000, 48, 1.0, SeededRng(1)), path)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, "synthetic")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the blocks and the x joined from them; no whole-file text or lines
+    assert peak - ds.x.nbytes - ds.y.nbytes < ds.x.nbytes + 2 * 2**20
 
 
 def test_load_csv_empty_and_unknown_battery(tmp_path):
