@@ -133,10 +133,14 @@ def load_csv(path, battery: str) -> Dataset:
     performed here. Lines end at LF, CR LF or CR only:
     str.splitlines()'s other breaks are cell padding.
 
+    A UTF-8 byte-order mark, which spreadsheet "CSV UTF-8" exports
+    write, is not part of the first column's name.
+
     A cell's value is the double float() reads from its stripped text.
     The file is read as a stream, a block of up to _CSV_BLOCK_CELLS
     cells at a time, so a load holds the dataset plus one block, never
-    the whole file. A block is parsed by one orjson call where
+    the whole file. A block is the handle's lines as they come, each
+    line end kept as JSON whitespace, parsed by one orjson call where
     _json_rows accepts it, otherwise row by row with float(), which
     alone raises errors: the first error in file order, and its text,
     do not depend on which blocks orjson parsed. A byte that is not
@@ -148,7 +152,7 @@ def load_csv(path, battery: str) -> Dataset:
     schema = SCHEMAS.get(battery)
     try:
         # universal newlines end lines at exactly LF, CR LF and CR
-        with open(path, encoding="utf-8", newline=None) as fh:
+        with open(path, encoding="utf-8-sig", newline=None) as fh:
             feature_names, x, y = _read_rows(path, battery, schema, fh)
     except (UnicodeDecodeError, DataError):
         _read_utf8(path)
@@ -190,16 +194,22 @@ def _read_rows(path, battery: str, schema: BatterySchema | None,
             f"{len(feature_names)}"
         )
 
-    # the file iterator never yields "", so a blank line is all space
-    numbered = ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2)
-                if not line.isspace())
-    block = max(1, _CSV_BLOCK_CELLS // len(header))
+    width = len(header)
+    block = max(1, _CSV_BLOCK_CELLS // width)
     blocks = []
     non_finite = None  # the first, raised once every row has parsed
-    while chunk := list(itertools.islice(numbered, block)):
-        linenos, rows = zip(*chunk)
-        values = _json_rows(rows, len(header))
+    lineno = 2  # of the block's first line
+    while rows := list(itertools.islice(fh, block)):
+        linenos = range(lineno, lineno + len(rows))
+        lineno += len(rows)
+        values = _json_rows(rows, width)
         if values is None:
+            # the handle never yields "", so a blank line is all space
+            numbered = [(n, row.rstrip("\n")) for n, row in zip(linenos, rows)
+                        if not row.isspace()]
+            if not numbered:
+                continue
+            linenos, rows = zip(*numbered)
             values = _float_rows(path, header, linenos, rows)
         # labels are 0 or 1, so only a feature cell can be non-finite
         if non_finite is None and not np.isfinite(values).all():
@@ -253,9 +263,10 @@ def _float_rows(path, header: list[str], linenos, rows) -> np.ndarray:
 def _read_utf8(path) -> None:
     """Raise a ParseError if the file holds a byte that is not UTF-8,
     naming the first one's line and column, found in the valid text
-    before it: a data cell is named from the header, a header cell by
-    number. load_csv reads the whole file here only on its error paths,
-    so that such a byte anywhere wins over any other error."""
+    before it (a byte-order mark dropped): a data cell is named from the
+    header, a header cell by number. load_csv reads the whole file here
+    only on its error paths, so that such a byte anywhere wins over any
+    other error."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -263,7 +274,7 @@ def _read_utf8(path) -> None:
         return
     except UnicodeDecodeError as exc:
         start = exc.start
-    text = raw[:start].decode("utf-8")
+    text = raw[:start].decode("utf-8-sig")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     names = [name.strip() for name in lines[0].split(",")]
     col = lines[-1].count(",")
@@ -275,39 +286,47 @@ def _read_utf8(path) -> None:
     ) from None
 
 
-# the bytes of a block of rows that hold only JSON numbers: digits,
+# the bytes of a block of lines that hold only JSON numbers: digits,
 # exponents, signs, points, commas, and the whitespace both JSON and
-# float() skip
-_NUMBER_BYTES = b"0123456789eE+-., \t"
+# float() skip, the line end included
+_NUMBER_BYTES = b"0123456789eE+-., \t\n"
 # an integer -0: float() reads -0.0, orjson the int 0
 _NEGATIVE_ZERO_INT = re.compile(rb"-0(?![0-9.eE])")
 
 
-def _json_rows(rows: tuple[str, ...], width: int) -> np.ndarray | None:
-    """The (len(rows), width) values of comma-separated rows from one
+def _json_rows(rows: list[str], width: int) -> np.ndarray | None:
+    """The (len(rows), width) values of comma-separated lines from one
     orjson parse, or None where they could differ from float()'s.
 
     orjson reads a JSON number to the correctly rounded double, as
-    float() does (Clinger, PLDI 1990). The rows are parsed as
-    "[[row],[row],...]"; with only _NUMBER_BYTES in them no JSON
-    literal, string or bracket can appear, so (rows, width) numbers
-    mean that every cell held one number. An integer -0 (orjson reads
-    0), a label other than 0 or 1, and whatever orjson refuses (leading
-    zeros or points, empty cells, doubles beyond range) give None.
+    float() does (Clinger, PLDI 1990). The lines are parsed as they
+    come from the file, "[[line\\n],[line\\n],...]", each line end JSON
+    whitespace; with only _NUMBER_BYTES in them no JSON literal, string
+    or bracket can appear, so rows of width numbers each mean that every
+    cell held one number, and a blank line is a row of none. np.fromiter
+    builds the block from the parsed rows. An integer -0 (orjson reads
+    0), searched for only where a feature cell is 0, a label other than
+    0 or 1, and whatever orjson refuses (leading zeros or points, empty
+    cells, doubles beyond range) give None.
     """
     import orjson  # see write_csv
 
     text = ("[[" + "],[".join(rows) + "]]").encode()
     if (text.translate(None, _NUMBER_BYTES)
-            != b"[[" + b"][" * (len(rows) - 1) + b"]]"
-            or _NEGATIVE_ZERO_INT.search(text)):
+            != b"[[" + b"][" * (len(rows) - 1) + b"]]"):
         return None
     try:
-        values = np.array(orjson.loads(text), dtype=np.float64)
-    except ValueError:  # orjson's JSONDecodeError, or rows of unequal width
+        parsed = orjson.loads(text)
+    except orjson.JSONDecodeError:
         return None
-    if (values.shape != (len(rows), width)
-            or not _is_binary(values[:, -1]).all()):
+    if set(map(len, parsed)) != {width}:
+        return None
+    values = np.fromiter(itertools.chain.from_iterable(parsed), np.float64,
+                         len(rows) * width).reshape(len(rows), width)
+    # a label -0 is 0 all the same, as labels become int64
+    if (not _is_binary(values[:, -1]).all()
+            or (not values[:, :-1].all()
+                and _NEGATIVE_ZERO_INT.search(text))):
         return None
     return values
 
@@ -384,9 +403,13 @@ def write_csv(ds: Dataset, path) -> None:
 # (about 10 us) thin, few enough that the block's texts and values stay
 # a few hundred KB (at 1 << 16, data-io's peak RSS rose by 10 MB when
 # writing; loading 10,000 x 48 cells took the same time from 1 << 11 to
-# 1 << 14 cells a block). load_csv holds one block's lines and text at
-# a time, besides the values parsed so far, so reading a file costs its
-# values twice (as the blocks are joined) plus one block, not its text
+# 1 << 14 cells a block). load_csv takes a block's lines straight from
+# the file handle, line ends kept as JSON whitespace, and np.fromiter
+# builds its values from orjson's rows; the integer -0 search runs only
+# on a block with a zero feature cell. It holds one block's lines, text
+# and rows at a time, besides the values parsed so far, so reading a
+# file costs its values twice (as the blocks are joined) plus one
+# block, not its text
 _CSV_BLOCK_CELLS = 1 << 12
 
 

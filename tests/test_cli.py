@@ -270,6 +270,20 @@ def test_train_ablate_narrows_the_builtin_input(data_csv, tmp_path):
     assert input_dims == [20, 19]
 
 
+def test_train_ablates_the_first_column_of_a_file_with_a_byte_order_mark(
+        data_csv, tmp_path):
+    # spreadsheets' "CSV UTF-8" export starts the file with one
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes().replace(
+        b"f00,", b"age,", 1))
+    out_dir = tmp_path / "run"
+    assert run("train", "--data", bom, "--battery", "psychometric",
+               "--spec", "table2-row1", "--ablate", "age",
+               "--out-dir", out_dir) == EXIT_OK
+    model = json.loads((out_dir / "model.json").read_text())
+    assert model["config"]["input_dim"] == 19
+
+
 def test_train_missing_data_exits_3(tmp_path):
     code = run("train", "--data", tmp_path / "nope.csv", "--battery",
                "psychometric", "--spec", "table2-row1",

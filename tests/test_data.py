@@ -1,15 +1,18 @@
 """Dataset ingestion, schema, balancing, splitting, and synthesis tests."""
 
 import decimal
+import itertools
 import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -961,3 +964,186 @@ def test_load_csv_equals_the_per_cell_parse(text, block):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         assert _outcome(load_csv, path) == _outcome(_load_csv_oracle, path)
+
+
+def _read_rows_oracle(path, battery, schema, fh):
+    """load_csv's rows as they were read before each block came straight
+    from the handle's lines: numbered, stripped and blank-free (line,
+    text) pairs, parsed by _json_rows_oracle or by _float_rows; kept as
+    the oracle for the faster read."""
+    first = fh.readline()
+    if not first:
+        raise ParseError(f"{path}: file is empty")
+    header = first.rstrip("\n").split(",")
+    if len(header) < 2 or header[-1] != "label":
+        raise SchemaError(
+            f"{path}: final header column must be 'label', got "
+            f"{header[-1] if header else 'nothing'!r}"
+        )
+    feature_names = tuple(name.strip() for name in header[:-1])
+    seen = set()
+    for name in feature_names + ("label",):
+        if name in seen:
+            raise SchemaError(
+                f"{path}: line 1, column {name!r}: duplicate header name"
+            )
+        seen.add(name)
+    if schema is not None and len(feature_names) != schema.expected_feature_count:
+        raise SchemaError(
+            f"{path}: battery {battery!r} expects "
+            f"{schema.expected_feature_count} feature columns, found "
+            f"{len(feature_names)}"
+        )
+    numbered = ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2)
+                if not line.isspace())
+    block = max(1, data._CSV_BLOCK_CELLS // len(header))
+    blocks = []
+    non_finite = None
+    while chunk := list(itertools.islice(numbered, block)):
+        linenos, rows = zip(*chunk)
+        values = _json_rows_oracle(rows, len(header))
+        if values is None:
+            values = data._float_rows(path, header, linenos, rows)
+        if non_finite is None and not np.isfinite(values).all():
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            cell = rows[row].split(",")[col].strip()
+            non_finite = ParseError(
+                f"{path}: line {linenos[row]}, column {feature_names[col]!r}: "
+                f"non-finite cell {cell!r}"
+            )
+        blocks.append(values)
+    if not blocks:
+        raise ParseError(f"{path}: no data rows")
+    if non_finite is not None:
+        raise non_finite
+    x = np.concatenate([values[:, :-1] for values in blocks])
+    y = np.concatenate([values[:, -1] for values in blocks])
+    return feature_names, x, y
+
+
+def _json_rows_oracle(rows, width):
+    """_json_rows as it parsed stripped rows into np.array over orjson's
+    nested lists, searching every block for an integer -0."""
+    text = ("[[" + "],[".join(rows) + "]]").encode()
+    if (text.translate(None, b"0123456789eE+-., \t")
+            != b"[[" + b"][" * (len(rows) - 1) + b"]]"
+            or data._NEGATIVE_ZERO_INT.search(text)):
+        return None
+    try:
+        values = np.array(orjson.loads(text), dtype=np.float64)
+    except ValueError:
+        return None
+    if (values.shape != (len(rows), width)
+            or not ((values[:, -1] == 0) | (values[:, -1] == 1)).all()):
+        return None
+    return values
+
+
+def _outcome_and_warnings(path, battery):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _outcome(lambda p, _: load_csv(p, battery), path)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+# cells a byte edit can put in place of a cell, and bytes it can insert
+EDIT_CELLS = [b"-0", b"0", b"-0.0", b"0e5", b"1e999", b"nan", b"true", b"[",
+              b'"1"', b"", b" -0\t"]
+EDIT_BYTES = [b"\n", b"\n\n", b"\n \t\n", b" ", b",", b",,", b"\xff",
+              b"\xc2\x85", b"\x0c", b"\r"]
+
+
+@st.composite
+def edited_csvs(draw):
+    """A small write_csv file of 1-3 features (15 under the antisaccade
+    schema, whose row count warns) with up to four byte edits: a cell
+    replaced, bytes inserted or bytes deleted, then its line ends made
+    LF, CR LF or CR, and a byte-order mark in front or not."""
+    width = draw(st.sampled_from([1, 2, 3, 15]))
+    ds = synthesize_dataset(draw(st.integers(1, 6)), width, 1.0,
+                            SeededRng(draw(st.integers(0, 2**32))))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(ds, Path(tmp) / "x.csv")
+        text = (Path(tmp) / "x.csv").read_bytes()
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["cell", "cell", "insert", "delete"]))
+        at = draw(st.integers(0, len(text)))
+        lines = text.split(b"\n")
+        if kind == "cell" and len(lines) > 1:
+            line = 1 + at % (len(lines) - 1)
+            cells = lines[line].split(b",")
+            cells[at % len(cells)] = draw(st.sampled_from(EDIT_CELLS))
+            lines[line] = b",".join(cells)
+            text = b"\n".join(lines)
+        elif kind == "insert":
+            text = text[:at] + draw(st.sampled_from(EDIT_BYTES)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 3)):]
+    text = text.replace(b"\n", draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    battery = "antisaccade" if width == 15 else "synthetic"
+    return bom + text, battery
+
+
+@PROPERTY_SETTINGS
+@given(edited_csvs(), st.sampled_from([7, 13, data._CSV_BLOCK_CELLS]))
+# a blank line, an integer -0 feature and a label -0 in one block
+@example((b"a,b,label\n1.5,-0,0\n\n \t\n-0.0,2,-0\n", "synthetic"), 13)
+# a blank line alone in a block, then a bad byte
+@example((b"a,label\r\n1,0\r\n\r\n2,1\r\n\xff,0\r\n", "synthetic"), 7)
+def test_load_csv_reads_what_the_numbered_rows_read(case, block):
+    text, battery = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data, "_CSV_BLOCK_CELLS", block):
+        path = Path(tmp) / "x.csv"
+        path.write_bytes(text)
+        got = _outcome_and_warnings(path, battery)
+        with mock.patch.object(data, "_read_rows", _read_rows_oracle):
+            assert got == _outcome_and_warnings(path, battery)
+
+
+def test_load_csv_parses_zero_cells_and_zero_labels_by_orjson(tmp_path):
+    # blocks of 5 rows: the first has only 0 labels and no zero feature,
+    # the other three hold 0.0 and -0.0 feature cells
+    x = np.arange(1.0, 61.0).reshape(20, 3)
+    x[5::3, 0] = 0.0
+    x[6::3, 1] = -0.0
+    y = np.array([0] * 5 + [1, 0] * 7 + [1])
+    ds = Dataset("synthetic", ("a", "b", "c"), x, y)
+    path = tmp_path / "zeros.csv"
+    write_csv(ds, path)
+    assert b"\n0.0," in path.read_bytes() and b",-0.0," in path.read_bytes()
+    with mock.patch.object(data, "_CSV_BLOCK_CELLS", 20), \
+            mock.patch.object(data, "_float_rows",
+                              side_effect=AssertionError("slow path")), \
+            mock.patch.object(data, "_NEGATIVE_ZERO_INT",
+                              wraps=data._NEGATIVE_ZERO_INT) as negative_zero:
+        back = load_csv(path, "synthetic")
+    assert back.x.tobytes() == x.tobytes() and back.y.tobytes() == y.tobytes()
+    # the integer -0 is searched for only in the blocks with a zero
+    assert negative_zero.search.call_count == 3
+    # an integer -0, which orjson reads as 0, takes the float() path
+    path.write_bytes(path.read_bytes().replace(b",-0.0,", b",-0,", 1))
+    with mock.patch.object(data, "_CSV_BLOCK_CELLS", 20), \
+            mock.patch.object(data, "_float_rows",
+                              wraps=data._float_rows) as slow:
+        back = load_csv(path, "synthetic")
+    assert slow.call_count == 1
+    assert back.x.tobytes() == x.tobytes()
+    assert np.signbit(back.x[6, 1])
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfage,sex,label\n31,0,1\n42,1,0\n")
+    ds = load_csv(path, "synthetic")
+    assert ds.feature_names == ("age", "sex")
+    assert drop_features(ds, ["age"]).feature_names == ("sex",)
+    # a byte that is not UTF-8 after the mark: the same line and column
+    for text, where in (
+            (b"age,sex,label\n31,0,1\n4\xff2,1,0\n", "line 3, column 'age'"),
+            (b"age,s\xffx,label\n31,0,1\n", "line 1, column 2")):
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "synthetic")
+        assert str(err.value) == f"{path}: {where}: byte 0xff is not UTF-8"
