@@ -1,13 +1,14 @@
 """Command line front end: synth, train, sweep, and report.
 
 Every command is deterministic given its flags, input file bytes, and
-seed. Commands that create an output directory also write a single
-manifest.json recording the command line, input hashes, seed, tool
-version, timestamp, and the Python, numpy, BLAS, its kernel and thread
-count and the worker count of the processes that trained (trained
-weights depend on the BLAS), so a run can be re-executed exactly. A sweep's manifest
-also records each spec's seconds, which sweep prints to stderr as
-well.
+seed, and writes each file as the UTF-8 bytes of its library text, with
+no line end translation. Commands that create an output directory also
+write a single manifest.json recording the command line, input hashes,
+seed, tool version, timestamp, and the Python, numpy, BLAS, its kernel
+and thread count and the worker count of the processes that trained
+(trained weights depend on the BLAS), so a run can be re-executed
+exactly. A sweep's manifest also records each spec's seconds, which
+sweep prints to stderr as well.
 
 Exit codes: 0 success, 2 usage, 3 data error (including missing or
 malformed input files) and every other toolkit error without a code of
@@ -107,11 +108,13 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash,
-                    trainers: dict | None = None, **extra) -> None:
-    """manifest.json; trainers overrides the environment's worker count
-    and BLAS threads when processes other than this one trained."""
-    doc = {
+def _write_outputs(out_dir: Path, files: dict, argv, seed, config_hash,
+                   data_hash, trainers: dict | None = None, **extra) -> None:
+    """Make out_dir, write each {name: text} of files and then
+    manifest.json there as UTF-8 bytes, with no line end translation;
+    trainers overrides the environment's worker count and BLAS threads
+    when processes other than this one trained."""
+    manifest = {
         "command_line": ["fasdnet"] + list(argv),
         "config_hash": config_hash,
         "data_file_hash": data_hash,
@@ -121,9 +124,10 @@ def _write_manifest(out_dir: Path, argv, seed, config_hash, data_hash,
         "environment": {**_environment(), "workers": 1, **(trainers or {})},
         **extra,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = {**files, "manifest.json": json.dumps(manifest, indent=2) + "\n"}
+    for name, text in files.items():
+        (out_dir / name).write_bytes(text.encode("utf-8"))
 
 
 def _load_dataset(args):
@@ -196,14 +200,12 @@ def cmd_train(args, argv) -> int:
     spec = _train_spec(args)
     out_dir = _out_dir(args)
     result, model = run_experiment_with_model(spec, ds, args.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "confusion.txt").write_text(
-        result.confusion.to_text(), encoding="utf-8"
-    )
-    result.history.write_csv(out_dir / "history.csv")
-    model.write_json(out_dir / "model.json")
-    _write_manifest(
-        out_dir, argv, args.seed, _sha256_text(spec.config.to_json()), data_hash
+    _write_outputs(
+        out_dir,
+        {"confusion.txt": result.confusion.to_text(),
+         "history.csv": result.history.to_csv_text(),
+         "model.json": model.to_json()},
+        argv, args.seed, _sha256_text(spec.config.to_json()), data_hash,
     )
     print(
         f"{spec.name}: train accuracy {100 * result.train_accuracy:.2f}%, "
@@ -218,17 +220,17 @@ def cmd_sweep(args, argv) -> int:
     specs = _sweep_specs(args)
     out_dir = _out_dir(args)
     sweep = run_sweep(specs, ds, args.seeds)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "runs.csv").write_text(sweep.runs_csv_text(), encoding="utf-8")
-    (out_dir / "summary.txt").write_text(sweep.summary_text(), encoding="utf-8")
-    (out_dir / "summary.json").write_text(
-        sweep.summary_json_text(), encoding="utf-8"
-    )
     config_digest = _sha256_text("".join(s.config.to_json() for s in specs))
     timings = sweep.timings()
     trainers = {"workers": sweep.workers, "blas_threads": sweep.blas_threads}
-    _write_manifest(out_dir, argv, args.seeds[0], config_digest, data_hash,
-                    trainers, timings=timings)
+    _write_outputs(
+        out_dir,
+        {"runs.csv": sweep.runs_csv_text(),
+         "summary.txt": sweep.summary_text(),
+         "summary.json": sweep.summary_json_text()},
+        argv, args.seeds[0], config_digest, data_hash, trainers,
+        timings=timings,
+    )
     for name, t in timings.items():
         print(f"{name}: {t['seeds']} seeds, {t['failures']} failed, "
               f"{t['seconds']:.2f} s", file=sys.stderr)
@@ -248,27 +250,23 @@ def cmd_report(args, argv) -> int:
     if not runs_path.is_file() or not summary_path.is_file():
         raise ReportError(f"no sweep results in {results_dir} (need runs.csv "
                           "and summary.json)")
-    user = {}
+    baselines = BaselineTable()
     if args.baselines:
         path = Path(args.baselines)
         user = _json_object(path, DataError)
-        for battery, value in user.items():
-            if battery not in BATTERIES:
-                raise DataError(f"baselines file {path} names unknown battery "
-                                f"{battery!r}")
-            # nan, inf and ints beyond a double's range are not percentages
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
-                raise DataError(f"baselines file {path}: the value for "
-                                f"{battery!r} is not a number: {value!r}")
+        try:
+            baselines = BaselineTable(user=user)
+        except DataError as exc:
+            raise DataError(f"baselines file {path}: {exc}") from None
     sweep = SweepResult.from_files(runs_path, summary_path)
-    report = comparison_report(sweep.results, BaselineTable(user=user))
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "comparison.csv").write_text(report.to_csv_text(), encoding="utf-8")
-    (out_dir / "comparison.txt").write_text(report.to_text(), encoding="utf-8")
-    _write_manifest(out_dir, argv, 0, _sha256_text(json.dumps(user)),
-                    _sha256_file(runs_path))
+    report = comparison_report(sweep.results, baselines)
+    _write_outputs(
+        _out_dir(args),
+        {"comparison.csv": report.to_csv_text(),
+         "comparison.txt": report.to_text()},
+        argv, 0, _sha256_text(json.dumps(baselines.user)),
+        _sha256_file(runs_path),
+    )
     sys.stdout.write(report.to_text())
     return EXIT_OK
 

@@ -399,17 +399,11 @@ def write_csv(ds: Dataset, path) -> None:
 
 
 # cells per block of CSV text, formatted by one orjson dump in write_csv
-# or parsed by one _json_rows call: enough to spread a call's fixed cost
-# (about 10 us) thin, few enough that the block's texts and values stay
-# a few hundred KB (at 1 << 16, data-io's peak RSS rose by 10 MB when
-# writing; loading 10,000 x 48 cells took the same time from 1 << 11 to
-# 1 << 14 cells a block). load_csv takes a block's lines straight from
-# the file handle, line ends kept as JSON whitespace, and np.fromiter
-# builds its values from orjson's rows; the integer -0 search runs only
-# on a block with a zero feature cell. It holds one block's lines, text
-# and rows at a time, besides the values parsed so far, so reading a
-# file costs its values twice (as the blocks are joined) plus one
-# block, not its text
+# or parsed by one _json_rows call (see load_csv): enough to spread a
+# call's fixed cost (about 10 us) thin, few enough that the block's
+# texts and values stay a few hundred KB (at 1 << 16, data-io's peak RSS
+# rose by 10 MB when writing; loading 10,000 x 48 cells took the same
+# time from 1 << 11 to 1 << 14 cells a block)
 _CSV_BLOCK_CELLS = 1 << 12
 
 

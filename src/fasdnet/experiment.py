@@ -29,6 +29,7 @@ import ctypes
 import io
 import json
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import astuple, dataclass, field, replace
@@ -317,12 +318,15 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
     seed, in order.
 
     Everything up to and including train_many is one step whose
-    FasdnetError fails every seed with one message: none of its checks
-    (battery, ablated names, classes to balance and split, input width,
-    train_many's shapes, labels and rows) reads the seed. They read the
-    spec, the columns and the class counts, which balancing sets to the
-    minority count for any seed, so the seeds' sizes agree and they
-    stack. A divergence or evaluation error fails its seed alone.
+    FasdnetError fails every seed with one message. Its checks of the
+    battery, ablated names, classes to balance and split, input width,
+    and train_many's shapes, labels and rows read the spec, the columns
+    and the class counts, which balancing sets to the minority count
+    for any seed, so the seeds' sizes agree and they stack. Only the
+    check that each feature's mean and standard deviation are finite
+    reads the seed's training rows, and a column that fails it for one
+    seed fails the spec as a whole. A divergence or evaluation error
+    fails its seed alone.
     """
     try:
         if ds.battery != spec.battery and ds.battery != SYNTHETIC:
@@ -351,6 +355,7 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
             np.stack([t.y for t in train_sets]),
             np.stack([t.x for t in test_sets]),
             np.stack([t.y for t in test_sets]),
+            ablated.feature_names,
         )
     except FasdnetError as exc:
         return [_annotate(spec.name, exc)] * len(seeds)
@@ -735,9 +740,20 @@ REFERENCE_ACCURACY_RAW_PSYCHOMETRIC = 75.55
 class BaselineTable:
     """Optional user-supplied baseline values (e.g. a comparison
     learner) keyed by battery, in percent, shown beside
-    REFERENCE_ACCURACIES."""
+    REFERENCE_ACCURACIES; DataError names an unknown battery or a value
+    that is not a finite number."""
 
     user: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for battery, value in self.user.items():
+            if battery not in BATTERIES:
+                raise DataError(f"unknown battery {battery!r}")
+            # nan, inf and ints beyond a double's range are not percentages
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise DataError(
+                    f"the value for {battery!r} is not a number: {value!r}")
 
 
 @dataclass

@@ -324,13 +324,23 @@ class FeatureNormLayer:
     stds: np.ndarray
 
     @classmethod
-    def fit(cls, train_x: np.ndarray) -> "FeatureNormLayer":
+    def fit(cls, train_x: np.ndarray, names=None) -> "FeatureNormLayer":
+        """DataError names the first column, by names if given, whose
+        mean or std is not finite, as a sum or square of doubles near
+        the float64 limit overflows."""
         if train_x.shape[0] < 2:
             raise DataError(
                 f"feature normalization needs >= 2 rows, got {train_x.shape[0]}"
             )
-        stds = train_x.std(axis=0)  # population convention (ddof=0)
-        return cls(train_x.mean(axis=0), np.where(stds > 0.0, stds, 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = train_x.mean(axis=0)
+            stds = train_x.std(axis=0)  # population convention (ddof=0)
+        bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+        if bad.size:
+            column = f"column {bad[0]}" if names is None else repr(names[bad[0]])
+            raise DataError(f"feature {column}: the mean or standard deviation "
+                            "of its training rows is not finite")
+        return cls(means, np.where(stds > 0.0, stds, 1.0))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.means.shape[0]:

@@ -44,10 +44,9 @@ the end, the loss and accuracy terms and their per-set means are taken
 once over all its epochs. Each mean is the same float64 sum over one
 slot's rows as a per-epoch mean, so the bits are too.
 
-TrainedModel.to_json and write_json write the text of
-json.dumps(indent=2) from one orjson dump of the whole model (see
-_json_slices): json's indenting encoder is pure Python and cost as much
-as a short training run.
+TrainedModel.to_json is the text of json.dumps(indent=2) from one
+orjson dump of the whole model (see _json_bytes): json's indenting
+encoder is pure Python and cost as much as a short training run.
 """
 
 from __future__ import annotations
@@ -263,10 +262,6 @@ class History:
             )
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv_text())
-
 
 def predict_labels(kind: str, probabilities: np.ndarray) -> np.ndarray:
     """Hard 0/1 decisions. Softmax rows use argmax (ties to class 0, a
@@ -293,13 +288,8 @@ class TrainedModel:
 
     def to_json(self) -> str:
         """Exactly json.dumps(doc, indent=2) + "\\n" of the config, the
-        norm statistics and the layers, from _json_slices."""
-        return b"".join(_json_slices(self._json_doc())).decode()
-
-    def write_json(self, path) -> None:
-        """Write to_json()'s text to path as UTF-8, slice by slice."""
-        with open(path, "wb") as fh:
-            fh.writelines(_json_slices(self._json_doc()))
+        norm statistics and the layers, from _json_bytes."""
+        return _json_bytes(self._json_doc()).decode()
 
     def _json_doc(self) -> dict:
         return {
@@ -356,14 +346,13 @@ class TrainedModel:
         return cls(config, norm, stack)
 
 
-def _json_slices(doc) -> list:
-    """The bytes of json.dumps(doc, indent=2) + "\\n" in slices, for a
-    document of dicts, lists, plain ASCII strings, ints, floats, None
-    and float64 arrays of one or more dimensions: one orjson dump, in
-    json's indent=2 layout and repr's digits (see
-    data.write_csv), where each value that _with_nulls makes NaN
-    comes out as null and is replaced by json's text. A string that
-    holds "null" is a ValueError."""
+def _json_bytes(doc) -> bytes:
+    """The bytes of json.dumps(doc, indent=2) + "\\n" for a document
+    of dicts, lists, plain ASCII strings, ints, floats, None and float64
+    arrays of one or more dimensions: one orjson dump, in json's
+    indent=2 layout and repr's digits (see data.write_csv), where each
+    value that _with_nulls makes NaN comes out as null and is replaced
+    by json's text. A string that holds "null" is a ValueError."""
     import orjson  # imported here as in data.write_csv
 
     fills = []
@@ -376,7 +365,7 @@ def _json_slices(doc) -> list:
     for at, fill in zip(nulls, fills):
         slices += (view[start:at], fill)
         start = at + 4
-    return slices + [view[start:], b"\n"]
+    return b"".join(slices + [view[start:], b"\n"])
 
 
 def _with_nulls(value, fills: list):
@@ -421,7 +410,8 @@ def train(config: NetworkConfig, x_train: np.ndarray, y_train,
     return outcome
 
 
-def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
+def train_many(configs, x_train, y_train, x_valid, y_valid,
+               feature_names=None) -> list:
     """Train S configs that differ only in seed as one stacked network.
 
     x_train (S, rows, features) and y_train (S, rows) hold one training
@@ -434,13 +424,14 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
 
     The feature-normalization stage, when configured, is fitted on each
     slot's training rows only and frozen; validation data always goes
-    through the training statistics. Each epoch performs one gradient
-    step and then records train and validation loss/accuracy at the
-    updated parameters. A slot's first non-finite pre-activation gives
-    it DivergenceError("training diverged at epoch {e}: layer {i}
-    pre-activation is non-finite") for its training rows' first
-    non-finite layer, else its validation rows'. The run stops once
-    every slot has failed.
+    through the training statistics. A column whose statistics are not
+    finite is a DataError, named from feature_names if given. Each
+    epoch performs one gradient step and then records train and
+    validation loss/accuracy at the updated parameters. A slot's first
+    non-finite pre-activation gives it DivergenceError("training
+    diverged at epoch {e}: layer {i} pre-activation is non-finite") for
+    its training rows' first non-finite layer, else its validation
+    rows'. The run stops once every slot has failed.
     """
     configs = list(configs)
     if not configs:
@@ -471,7 +462,7 @@ def train_many(configs, x_train, y_train, x_valid, y_valid) -> list:
     y = np.concatenate([y_tr, y_va], axis=1)
     norms = [None] * len(configs)
     if config.use_feature_layer:
-        norms = [FeatureNormLayer.fit(slot) for slot in x_train]
+        norms = [FeatureNormLayer.fit(slot, feature_names) for slot in x_train]
         x = np.stack([norm.apply(slot) for norm, slot in zip(norms, x)])
 
     layers = stack_layers(

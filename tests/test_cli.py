@@ -4,6 +4,7 @@ import ctypes
 import hashlib
 import json
 import os
+import pathlib
 import platform
 import re
 import subprocess
@@ -12,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fasdnet
 from fasdnet.cli import (
@@ -27,12 +30,17 @@ from fasdnet.cli import (
 )
 from fasdnet.data import load_csv
 from fasdnet.experiment import (
+    REGISTRY,
     BaselineTable,
+    SweepResult,
     _blas_threads,
     _openblas,
     comparison_report,
+    run_experiment_with_model,
+    run_sweep,
 )
 from fasdnet.layers import RELU, SIGMOID, NetworkConfig
+from fasdnet.training import TrainedModel
 
 
 # small synthetic files under real battery names trip the row-count notice;
@@ -1085,3 +1093,122 @@ def test_sweep_times_each_spec_on_stderr_and_in_the_manifest(
     # timings vary from run to run and stay out of the other files
     for name in ("runs.csv", "summary.json", "summary.txt"):
         assert "seconds" not in (out_dir / name).read_text()
+
+
+# ------------------------------------------------------------ artifact bytes
+
+
+def test_each_file_is_its_library_texts_utf8_bytes(data_csv, tmp_path):
+    spec, seed = REGISTRY["psychometric-feature-layer"], 4
+    ds = load_csv(data_csv, "psychometric")
+    result, model = run_experiment_with_model(spec, ds, seed)
+    sweep = run_sweep([spec], ds, [0, 1])
+    runs, summary = tmp_path / "s" / "runs.csv", tmp_path / "s" / "summary.json"
+    expected = {
+        "t": {"confusion.txt": result.confusion.to_text(),
+              "history.csv": result.history.to_csv_text(),
+              "model.json": model.to_json()},
+        "s": {"runs.csv": sweep.runs_csv_text(),
+              "summary.txt": sweep.summary_text(),
+              "summary.json": sweep.summary_json_text()},
+    }
+    assert run("train", "--data", data_csv, "--battery", "psychometric",
+               "--spec", spec.name, "--seed", seed,
+               "--out-dir", tmp_path / "t") == EXIT_OK
+    assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", spec.name, "--seeds", "0,1",
+               "--out-dir", tmp_path / "s") == EXIT_OK
+    report = comparison_report(
+        SweepResult.from_files(runs, summary).results, BaselineTable())
+    expected["r"] = {"comparison.csv": report.to_csv_text(),
+                     "comparison.txt": report.to_text()}
+    assert run("report", "--results", tmp_path / "s",
+               "--out-dir", tmp_path / "r") == EXIT_OK
+    for d, files in expected.items():
+        manifest = json.loads((tmp_path / d / "manifest.json").read_text())
+        files = {**files, "manifest.json": json.dumps(manifest, indent=2) + "\n"}
+        assert sorted(p.name for p in (tmp_path / d).iterdir()) == sorted(files)
+        for name, text in files.items():
+            assert (tmp_path / d / name).read_bytes() == text.encode("utf-8")
+
+
+def test_a_crlf_platform_writes_lf_files_that_report_reads_back(
+        data_csv, tmp_path, monkeypatch):
+    # Path.write_text as on Windows: with newline=None each "\n" is
+    # written as "\r\n"; every file a command writes must not depend on it
+    write_text = pathlib.Path.write_text
+
+    def crlf_write_text(self, data, encoding=None, errors=None, newline=None):
+        if newline is None:
+            data, newline = data.replace("\n", "\r\n"), ""
+        return write_text(self, data, encoding, errors, newline)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", crlf_write_text)
+    results, out_dir = tmp_path / "s", tmp_path / "r"
+    assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", "psychometric-feature-layer", "--seeds", "0,1",
+               "--out-dir", results) == EXIT_OK
+    assert run("report", "--results", results, "--out-dir", out_dir) == EXIT_OK
+    assert run("train", "--data", data_csv, "--battery", "psychometric",
+               "--spec", "table2-row1", "--out-dir", tmp_path / "t") == EXIT_OK
+    files = [p for d in ("s", "r", "t") for p in (tmp_path / d).iterdir()]
+    assert len(files) == 11
+    for path in files:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
+# ------------------------------------------------- feature statistics
+
+
+@pytest.mark.parametrize("column_values", [
+    lambda rows: [float(r[0]) * 1e200 for r in rows],  # the std overflows
+    lambda rows: [(1.5e308, 1.6e308)[i % 2] for i in range(len(rows))],  # the mean
+], ids=["1e200", "1.5e308"])
+def test_feature_statistics_that_overflow_exit_3_naming_the_column(
+        data_csv, tmp_path, capsys, column_values):
+    lines = data_csv.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row, value in zip(rows, column_values(rows)):
+        row[0] = repr(value)
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    for command in (["train", "--spec", "psychometric-feature-layer"],
+                    ["sweep", "--specs", "psychometric-feature-layer",
+                     "--seeds", "0,1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(*command, "--data", data, "--battery", "synthetic",
+                       "--out-dir", tmp_path / command[0])
+        out = capsys.readouterr()
+        message = ("psychometric-feature-layer: feature 'f00': the mean or "
+                   "standard deviation of its training rows is not finite")
+        if command[0] == "train":
+            assert code == EXIT_DATA and message in out.err
+            assert not (tmp_path / "train").exists()
+        else:  # every seed fails alike
+            assert code == EXIT_ALL_FAILED
+            assert out.out.count(message) == 2
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(-300, 300), st.integers(0, 2))
+def test_every_model_json_train_writes_reads_back(tmp_path_factory, exponent,
+                                                  column):
+    tmp = tmp_path_factory.mktemp("scale")
+    data = tmp / "data.csv"
+    assert run("synth", "--samples-per-class", 8, "--features", 3,
+               "--separation", 1.0, "--seed", 0, "--out", data) == EXIT_OK
+    cells = [line.split(",") for line in data.read_text().splitlines()]
+    for row in cells[1:]:
+        row[column] = repr(float(row[column]) * 10.0**exponent)
+    data.write_text("".join(",".join(row) + "\n" for row in cells))
+    config = tmp / "net.json"
+    config.write_text(NetworkConfig(3, ((4, RELU), (1, SIGMOID)), "binary",
+                                    True, 3, 0.01, 0).to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("train", "--data", data, "--battery", "synthetic",
+                   "--spec", config, "--out-dir", tmp / "run")
+    assert code in (EXIT_OK, EXIT_DATA)
+    if code == EXIT_OK:
+        TrainedModel.from_json((tmp / "run" / "model.json").read_text())

@@ -5,6 +5,7 @@ import faulthandler
 import hashlib
 import os
 import pickle
+import re
 import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
@@ -771,6 +772,25 @@ def test_comparison_user_baselines_fill_missing_batteries():
     assert report.mean_diff is None  # diffs are against reference only
     text = report.to_text()
     assert "antisaccade" in text and "66.00" in text
+
+
+@pytest.mark.parametrize("user, message", [
+    ({"nonsense": 1.0}, "unknown battery 'nonsense'"),
+    ({"dti": float("nan"), "nonsense": "x"}, "'dti' is not a number: nan"),
+    ({"dti": float("-inf")}, "'dti' is not a number: -inf"),
+    ({"dti": "x"}, "'dti' is not a number: 'x'"),
+    ({"dti": True}, "'dti' is not a number: True"),
+    ({"dti": None}, "'dti' is not a number: None"),
+    ({"dti": 10**309}, "'dti' is not a number: 1000"),
+])
+def test_baseline_table_rejects_an_unknown_battery_or_a_value_that_is_not_finite(
+        user, message):
+    # the library, not only the report command, refuses a baseline that
+    # comparison_report would print as nan% or ignore
+    with pytest.raises(DataError, match=re.escape(message)):
+        comparison_report([_FakeResult("dti", 0.8)], BaselineTable(user=user))
+    table = BaselineTable(user={"dti": 70, "psychometric": -1e308})
+    assert comparison_report([_FakeResult("dti", 0.8)], table).rows[0].user == 70
 
 
 def test_reference_constants_are_the_published_values():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fasdnet.cli import _write_outputs
 from fasdnet.data import SplitSpec, stratified_split, synthesize_dataset
 from fasdnet.errors import (
     ConfigError,
@@ -41,7 +42,7 @@ from fasdnet.training import (
     AdamState,
     History,
     TrainedModel,
-    _json_slices,
+    _json_bytes,
     adam_step,
     loss_forward,
     loss_grad,
@@ -657,9 +658,8 @@ def test_history_csv_round_trips_floats_exactly(tmp_path):
     cfg = NetworkConfig(5, ((3, SIGMOID), (1, SIGMOID)), "binary", False,
                         7, 0.001, 1)
     _, h = train(cfg, ds.x, ds.y, ds.x, ds.y)
-    path = tmp_path / "history.csv"
-    h.write_csv(path)
-    rows = path.read_text().splitlines()[1:]
+    _write_outputs(tmp_path, {"history.csv": h.to_csv_text()}, [], 0, "", "")
+    rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
     for i, row in enumerate(rows):
         cells = row.split(",")
         assert int(cells[0]) == i + 1
@@ -851,7 +851,7 @@ def test_model_json_is_json_dumps_text_and_reads_back_bit_for_bit(model):
 
 
 def _json_text(doc) -> str:
-    return b"".join(_json_slices(doc)).decode()
+    return _json_bytes(doc).decode()
 
 
 # float64 arrays of one to three dimensions, NaN and +-inf included (a
@@ -894,9 +894,8 @@ def test_model_json_of_any_numbers_and_views_is_json_dumps_text(model, data):
     text = model.to_json()
     assert text == _json_oracle(model)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "model.json")
-        model.write_json(path)
-        assert path.read_bytes() == text.encode()
+        _write_outputs(Path(tmp), {"model.json": text}, [], 0, "", "")
+        assert Path(tmp, "model.json").read_bytes() == text.encode()
 
 
 def test_json_writer_on_non_finite_and_empty_arrays():
@@ -914,7 +913,7 @@ def test_json_writer_on_non_finite_and_empty_arrays():
 def test_json_writer_refuses_a_string_that_holds_null():
     # each null in orjson's text must be one of the writer's own
     with pytest.raises(ValueError, match="orjson wrote 2 nulls for 1 fills"):
-        _json_slices({"name": "null", "norm": None})
+        _json_bytes({"name": "null", "norm": None})
 
 
 @settings(deadline=None, max_examples=25)
