@@ -141,9 +141,10 @@ def load_csv(path, battery: str) -> Dataset:
     cells at a time, so a load holds the dataset plus one block, never
     the whole file. A block is the handle's lines as they come, each
     line end kept as JSON whitespace, parsed by one orjson call where
-    _json_rows accepts it, otherwise row by row with float(), which
-    alone raises errors: the first error in file order, and its text,
-    do not depend on which blocks orjson parsed. A byte that is not
+    _json_rows accepts it, otherwise by _float_rows: each cell stripped,
+    then parsed once by float(), which alone raises errors. So the
+    accepted values, the first error in file order and its text do not
+    depend on which blocks orjson parsed. A byte that is not
     UTF-8 anywhere in the file wins over any other error, and a
     non-finite cell is raised only once every row has parsed.
     """
@@ -205,7 +206,7 @@ def _read_rows(path, battery: str, schema: BatterySchema | None,
         values = _json_rows(rows, width)
         if values is None:
             # the handle never yields "", so a blank line is all space
-            numbered = [(n, row.rstrip("\n")) for n, row in zip(linenos, rows)
+            numbered = [(n, row) for n, row in zip(linenos, rows)
                         if not row.isspace()]
             if not numbered:
                 continue
@@ -231,7 +232,8 @@ def _read_rows(path, battery: str, schema: BatterySchema | None,
 
 def _float_rows(path, header: list[str], linenos, rows) -> np.ndarray:
     """The (len(rows), len(header)) values of a block of rows, each cell
-    parsed by float(); the first malformed row is the error."""
+    stripped, then parsed by float(); the first malformed cell or row is
+    the error."""
     values = np.empty((len(rows), len(header)))
     for row, lineno, text in zip(values, linenos, rows):
         cells = text.split(",")
@@ -241,22 +243,21 @@ def _float_rows(path, header: list[str], linenos, rows) -> np.ndarray:
                 f"{len(header)}"
             )
         try:
-            # float() keeps U+001C-U+001F, which str.strip() strips
-            row[:-1] = list(map(float, cells[:-1]))
+            row[:] = list(map(float, map(str.strip, cells)))
         except ValueError:
-            row[:-1] = _stripped_cells(path, lineno, header, cells)
-        try:
-            label = float(cells[-1].strip())
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}, column 'label': non-numeric cell "
-                f"{cells[-1].strip()!r}"
-            ) from None
-        if label not in (0.0, 1.0):
+            for col, cell in zip(header, map(str.strip, cells)):
+                try:
+                    float(cell)
+                except ValueError:
+                    # an empty label is as non-numeric as any other
+                    problem = ("missing value" if not cell and col != "label"
+                               else f"non-numeric cell {cell!r}")
+                    raise ParseError(f"{path}: line {lineno}, column {col!r}: "
+                                     f"{problem}") from None
+        if row[-1] not in (0.0, 1.0):
             raise DataError(
-                f"{path}: line {lineno}: label must be 0 or 1, got {label}"
+                f"{path}: line {lineno}: label must be 0 or 1, got {row[-1]}"
             )
-        row[-1] = label
     return values
 
 
@@ -328,28 +329,6 @@ def _json_rows(rows: list[str], width: int) -> np.ndarray | None:
             or (not values[:, :-1].all()
                 and _NEGATIVE_ZERO_INT.search(text))):
         return None
-    return values
-
-
-def _stripped_cells(path, lineno: int, header: list[str],
-                    cells: list[str]) -> list[float]:
-    """The feature cells of a row, each parsed after str.strip(); the
-    first missing (empty or blank) or non-numeric cell is a ParseError
-    naming it."""
-    values = []
-    for col, cell in zip(header[:-1], cells[:-1]):
-        text = cell.strip()
-        if not text:
-            raise ParseError(
-                f"{path}: line {lineno}, column {col!r}: missing value"
-            )
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}, column {col!r}: "
-                f"non-numeric cell {text!r}"
-            ) from None
     return values
 
 

@@ -323,10 +323,11 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
     and train_many's shapes, labels and rows read the spec, the columns
     and the class counts, which balancing sets to the minority count
     for any seed, so the seeds' sizes agree and they stack. Only the
-    check that each feature's mean and standard deviation are finite
-    reads the seed's training rows, and a column that fails it for one
-    seed fails the spec as a whole. A divergence or evaluation error
-    fails its seed alone.
+    feature layer's checks read the seed's rows: that each feature's
+    training mean and standard deviation, and every value they
+    standardize, are finite. A column that fails either for one seed
+    fails the spec as a whole. A divergence or evaluation error fails
+    its seed alone.
     """
     try:
         if ds.battery != spec.battery and ds.battery != SYNTHETIC:
@@ -475,7 +476,7 @@ class SweepResult:
         its spec's battery; ReportError, naming the file and line, for
         a file that is unreadable or that this sweep would not write, or
         a spec that does not run or fail each seed once, its runs and its
-        failures each in seeds' order."""
+        failures each listed together and in seeds' order."""
         doc = _json_object(summary_path, ReportError)
         try:
             seeds = [int(seed) for seed in doc["seeds"]]
@@ -512,8 +513,12 @@ class SweepResult:
             ) from exc
         if not runs:
             raise ReportError(f"{runs_path} lists no runs")
-        sweep = cls(list(runs.values()), failures,
-                    list(dict.fromkeys(name for name, _ in runs)), seeds)
+        # each spec's runs and failures together, as a sweep writes them
+        names = list(dict.fromkeys(name for name, _ in runs))
+        fail_names = list(dict.fromkeys(name for name, _, _ in failures))
+        sweep = cls(sorted(runs.values(), key=lambda r: names.index(r.spec_name)),
+                    sorted(failures, key=lambda f: fail_names.index(f[0])),
+                    names, seeds)
         summary = summary_path.read_bytes().decode()
         for path, got, want in ((runs_path, text, sweep.runs_csv_text()),
                                 (summary_path, summary, sweep.summary_json_text())):

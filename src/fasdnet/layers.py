@@ -337,9 +337,9 @@ class FeatureNormLayer:
             stds = train_x.std(axis=0)  # population convention (ddof=0)
         bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
         if bad.size:
-            column = f"column {bad[0]}" if names is None else repr(names[bad[0]])
-            raise DataError(f"feature {column}: the mean or standard deviation "
-                            "of its training rows is not finite")
+            raise DataError(f"feature {_column(names, bad[0])}: the mean or "
+                            "standard deviation of its training rows is not "
+                            "finite")
         return cls(means, np.where(stds > 0.0, stds, 1.0))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -349,6 +349,12 @@ class FeatureNormLayer:
                 f"columns, got input {x.shape}"
             )
         return (x - self.means) / self.stds
+
+
+def _column(names, index: int) -> str:
+    """A feature column in an error: its name from names, if given, else
+    its number."""
+    return f"column {index}" if names is None else repr(names[index])
 
 
 SPARSE_CATEGORICAL = "sparse_categorical"

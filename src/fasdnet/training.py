@@ -75,6 +75,7 @@ from .layers import (
     NetworkConfig,
     _backward_buffers,
     _backward_steps,
+    _column,
     _Forward,
     _forward_buffers,
     _json_fields,
@@ -424,8 +425,9 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
 
     The feature-normalization stage, when configured, is fitted on each
     slot's training rows only and frozen; validation data always goes
-    through the training statistics. A column whose statistics are not
-    finite is a DataError, named from feature_names if given. Each
+    through the training statistics. A column whose statistics, or any
+    of whose values standardized by them, are not finite is a
+    DataError, named from feature_names if given. Each
     epoch performs one gradient step and then records train and
     validation loss/accuracy at the updated parameters. A slot's first
     non-finite pre-activation gives it DivergenceError("training
@@ -463,7 +465,14 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
     norms = [None] * len(configs)
     if config.use_feature_layer:
         norms = [FeatureNormLayer.fit(slot, feature_names) for slot in x_train]
-        x = np.stack([norm.apply(slot) for norm, slot in zip(norms, x)])
+        # a row far from the training mean can overflow all the same
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.stack([norm.apply(slot) for norm, slot in zip(norms, x)])
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=(0, 1)))
+        if bad.size:
+            raise DataError(f"feature {_column(feature_names, bad[0])}: a value "
+                            "standardized by its training rows' mean and "
+                            "standard deviation is not finite")
 
     layers = stack_layers(
         [network_init(c, SeededRng(c.seed)) for c in configs]

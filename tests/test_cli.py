@@ -929,6 +929,66 @@ def test_report_rejects_failures_listed_out_of_seed_order(data_csv, tmp_path,
     assert not (tmp_path / "rep").exists()
 
 
+def _config_sweep(tmp_path, rates):
+    """A sweep of seeds 0 and 1 over one config file per name in rates,
+    alike but for its learning rate, on a synth file (1e200 diverges
+    every seed); returns its directory, which report reads back."""
+    data = tmp_path / "s.csv"
+    assert run("synth", "--samples-per-class", 20, "--features", 20,
+               "--separation", 1, "--seed", 1, "--out", data) == EXIT_OK
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    doc = {"input_dim": 20, "layers": [{"width": 4, "activation": "relu"},
+                                       {"width": 1, "activation": "sigmoid"}],
+           "loss": "binary", "use_feature_layer": True, "epochs": 10,
+           "seed": 0}
+    for name, rate in rates.items():
+        (cfg_dir / f"{name}.json").write_text(
+            json.dumps({**doc, "learning_rate": rate}))
+    results = tmp_path / "sweep"
+    assert run("sweep", "--data", data, "--battery", "synthetic",
+               "--specs", cfg_dir, "--seeds", "0,1",
+               "--out-dir", results) == EXIT_OK
+    assert run("report", "--results", results,
+               "--out-dir", tmp_path / "ok") == EXIT_OK
+    return results
+
+
+def test_report_rejects_runs_interleaved_across_specs(tmp_path, capsys):
+    results = _config_sweep(tmp_path, {"a": 0.001, "b": 0.001})
+    runs = (results / "runs.csv").read_text().splitlines(keepends=True)
+    assert [row.split(",")[:2] for row in runs[1:]] == [
+        ["a", "0"], ["a", "1"], ["b", "0"], ["b", "1"]]
+    runs[2], runs[3] = runs[3], runs[2]  # a0, b0, a1, b1
+    (results / "runs.csv").write_text("".join(runs))
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{results / 'runs.csv'}:3: reads {runs[2][:-1]!r} where a sweep "
+            f"of these runs writes {runs[3][:-1]!r}") in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_rejects_failures_interleaved_across_specs(tmp_path, capsys):
+    results = _config_sweep(tmp_path, {"a": 0.001, "b": 1e200, "c": 1e200})
+
+    def interleave(summary):
+        failures = summary["failures"]
+        assert [(f["spec"], f["seed"]) for f in failures] == [
+            ("b", 0), ("b", 1), ("c", 0), ("c", 1)]
+        failures[1], failures[2] = failures[2], failures[1]
+
+    _edit_summary(results, interleave)
+    lines = (results / "summary.json").read_text().splitlines()
+    line = lines.index('      "spec": "c",') + 1  # the second failure's
+    code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{results / 'summary.json'}:{line}: reads '      \"spec\": \"c\",' "
+            "where a sweep of these runs writes '      \"spec\": \"b\",'") in err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_report_rejects_a_summary_json_median_that_is_not_the_runs(
         data_csv, tmp_path, capsys):
     results = _sweep_results(data_csv, tmp_path)
@@ -1186,6 +1246,42 @@ def test_feature_statistics_that_overflow_exit_3_naming_the_column(
             assert code == EXIT_DATA and message in out.err
             assert not (tmp_path / "train").exists()
         else:  # every seed fails alike
+            assert code == EXIT_ALL_FAILED
+            assert out.out.count(message) == 2
+
+
+def test_a_validation_value_that_overflows_standardization_exits_3(
+        tmp_path, capsys):
+    # f00 has finite training statistics for every seed: row 7, at
+    # 1e300, is a training row for seeds 0-2 and 4, where the std
+    # overflows, and a validation row for seeds 3 and 5, where its
+    # standardized value does
+    data = tmp_path / "s.csv"
+    assert run("synth", "--samples-per-class", 20, "--features", 20,
+               "--separation", 1, "--seed", 1, "--out", data) == EXIT_OK
+    lines = data.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for i, row in enumerate(rows):
+        row[0] = repr(1.0 + 1e-12 * i)
+    rows[7][0] = repr(1e300)
+    data.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    message = ("psychometric-feature-layer: feature 'f00': a value "
+               "standardized by its training rows' mean and standard "
+               "deviation is not finite")
+    for command in (["train", "--seed", "3"], ["train", "--seed", "5"],
+                    ["sweep", "--seeds", "3,5"]):
+        out_dir = tmp_path / "-".join(command)
+        spec = "--spec" if command[0] == "train" else "--specs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(*command, spec, "psychometric-feature-layer",
+                       "--data", data, "--battery", "psychometric",
+                       "--out-dir", out_dir)
+        out = capsys.readouterr()
+        if command[0] == "train":
+            assert code == EXIT_DATA and message in out.err
+            assert not out_dir.exists()
+        else:  # the spec fails as a whole
             assert code == EXIT_ALL_FAILED
             assert out.out.count(message) == 2
 

@@ -117,6 +117,22 @@ def test_load_csv_parse_errors_name_position(tmp_path):
         load_csv(path3, "synthetic")
 
 
+@pytest.mark.parametrize("row, message", [
+    # a blank feature cell is missing, a blank label as non-numeric as
+    # any other, and the first bad cell of the row is named
+    ("1.0, \t,0", "line 2, column 'b': missing value"),
+    ("1.0,2.0,  ", "line 2, column 'label': non-numeric cell ''"),
+    ("x,,", "line 2, column 'a': non-numeric cell 'x'"),
+    (",2.0,", "line 2, column 'a': missing value"),
+])
+def test_load_csv_names_the_first_blank_or_non_numeric_cell(tmp_path, row,
+                                                            message):
+    path = _write(tmp_path / "x.csv", f"a,b,label\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path, "synthetic")
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_load_csv_rejects_non_finite_cells(tmp_path):
     # the blank line is skipped, so the bad cell sits on line 4
     for cell in ("nan", "inf", "-inf", "NaN"):

@@ -701,6 +701,29 @@ def test_sweep_files_must_run_or_fail_each_seed_once_in_order(
         assert text.startswith('      "seed": ')
 
 
+@pytest.mark.parametrize("runs, failures, path, line, got, want", [
+    # runs a0, b0, a1, b1: each seed's runs are in order, but not each
+    # spec's runs together
+    ([("a", 0), ("b", 0), ("a", 1), ("b", 1)], [], "runs.csv", 3,
+     "b,0,0.5,0.5,1,1,1,1", "a,1,0.5,0.5,1,1,1,1"),
+    # the failures of b and c, interleaved alike
+    ([("a", 0), ("a", 1)], [("b", 0), ("c", 0), ("b", 1), ("c", 1)],
+     "summary.json", 23, '      "spec": "c",', '      "spec": "b",'),
+], ids=["runs", "failures"])
+def test_sweep_files_list_each_specs_runs_and_failures_together(
+        tmp_path, runs, failures, path, line, got, want):
+    sweep = SweepResult([_run(*run) for run in runs],
+                        [(name, seed, "err") for name, seed in failures],
+                        ["a", "b", "c"], [0, 1])
+    paths = (tmp_path / "runs.csv", tmp_path / "summary.json")
+    paths[0].write_text(sweep.runs_csv_text(), encoding="utf-8")
+    paths[1].write_text(sweep.summary_json_text(), encoding="utf-8")
+    with pytest.raises(ReportError) as err:
+        SweepResult.from_files(*paths)
+    assert str(err.value) == (f"{tmp_path / path}:{line}: reads {got!r} where "
+                              f"a sweep of these runs writes {want!r}")
+
+
 # ---------------------------------------------------------------- comparison
 
 
