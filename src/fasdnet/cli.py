@@ -65,6 +65,9 @@ EXIT_CONFIG = 4
 EXIT_DIVERGENCE = 5
 EXIT_IO = 6
 EXIT_ALL_FAILED = 7
+# the exit code of each kind of error main catches, most specific first
+_EXIT_CODES = ((DivergenceError, EXIT_DIVERGENCE), (ConfigError, EXIT_CONFIG),
+               (FasdnetError, EXIT_DATA), (OSError, EXIT_IO))
 
 
 def _sha256_file(path: Path) -> str:
@@ -144,7 +147,7 @@ def _config_spec(path: Path, args) -> ExperimentSpec:
     return ExperimentSpec(
         name=path.stem,
         battery=args.battery,
-        config=NetworkConfig.from_json(path.read_text(encoding="utf-8")),
+        config=_json_object(path, ConfigError, NetworkConfig.from_dict),
         train_fraction=args.train_fraction,
         balance=args.balance,
     )
@@ -252,12 +255,7 @@ def cmd_report(args, argv) -> int:
                           "and summary.json)")
     baselines = BaselineTable()
     if args.baselines:
-        path = Path(args.baselines)
-        user = _json_object(path, DataError)
-        try:
-            baselines = BaselineTable(user=user)
-        except DataError as exc:
-            raise DataError(f"baselines file {path}: {exc}") from None
+        baselines = _json_object(Path(args.baselines), DataError, BaselineTable)
     sweep = SweepResult.from_files(runs_path, summary_path)
     report = comparison_report(sweep.results, baselines)
     _write_outputs(
@@ -375,18 +373,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args, argv)
-    except DivergenceError as exc:
+    except (FasdnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FasdnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

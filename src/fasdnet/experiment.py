@@ -67,6 +67,7 @@ from .layers import (
     SOFTMAX,
     SPARSE_CATEGORICAL,
     NetworkConfig,
+    _json_fields,
     leaky_relu,
 )
 from .rng import SeededRng, derive_seed
@@ -289,9 +290,9 @@ def resolve_specs(token: str) -> list[ExperimentSpec]:
     return specs
 
 
-def _annotate(spec_name: str, exc: FasdnetError) -> FasdnetError:
-    """exc, its message prefixed with the spec's name."""
-    exc.args = (f"{spec_name}: {exc}",)
+def _annotate(name: str, exc: FasdnetError) -> FasdnetError:
+    """exc, its message prefixed with a spec's or an input file's name."""
+    exc.args = (f"{name}: {exc}",)
     return exc
 
 
@@ -476,15 +477,13 @@ class SweepResult:
         its spec's battery; ReportError, naming the file and line, for
         a file that is unreadable or that this sweep would not write, or
         a spec that does not run or fail each seed once, its runs and its
-        failures each listed together and in seeds' order."""
+        failures each listed together, in seeds' order and in one spec
+        order."""
         doc = _json_object(summary_path, ReportError)
-        try:
+        with _json_fields(summary_path, ReportError):
             seeds = [int(seed) for seed in doc["seeds"]]
             failures = [(str(f["spec"]), int(f["seed"]), str(f["error"]))
                         for f in doc["failures"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ReportError(f"{summary_path}: malformed seeds or failures: "
-                              f"{exc!r}") from exc
         specs, data, runs = doc.get("specs", {}), runs_path.read_bytes(), {}
         lines = {}  # runs.csv's line of each run
         try:
@@ -513,12 +512,17 @@ class SweepResult:
             ) from exc
         if not runs:
             raise ReportError(f"{runs_path} lists no runs")
-        # each spec's runs and failures together, as a sweep writes them
-        names = list(dict.fromkeys(name for name, _ in runs))
-        fail_names = list(dict.fromkeys(name for name, _, _ in failures))
-        sweep = cls(sorted(runs.values(), key=lambda r: names.index(r.spec_name)),
-                    sorted(failures, key=lambda f: fail_names.index(f[0])),
-                    names, seeds)
+        # one spec order for the runs and the failures, as a sweep's: the
+        # runs' order, each spec that only fails after the spec its
+        # failures follow (first if none)
+        order, previous = list(dict.fromkeys(name for name, _ in runs)), None
+        for name, _, _ in failures:
+            if name not in order:
+                order.insert(0 if previous is None else order.index(previous) + 1,
+                             name)
+            previous = name
+        sweep = cls(sorted(runs.values(), key=lambda r: order.index(r.spec_name)),
+                    sorted(failures, key=lambda f: order.index(f[0])), order, seeds)
         summary = summary_path.read_bytes().decode()
         for path, got, want in ((runs_path, text, sweep.runs_csv_text()),
                                 (summary_path, summary, sweep.summary_json_text())):
@@ -530,7 +534,7 @@ class SweepResult:
         # each failure's "seed" line: only a failure has a "seed" key
         seed_lines = [n for n, line in enumerate(summary.split("\n"), 1)
                       if line.startswith('      "seed": ')]
-        for name in dict.fromkeys(sweep.spec_order + [f[0] for f in failures]):
+        for name in order:
             ks = [k for k, failure in enumerate(failures) if failure[0] == name]
             fails = [failures[k][1] for k in ks]
             got = [seed for spec, seed in runs if spec == name]
@@ -580,17 +584,20 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _json_object(path: Path, error: type) -> dict:
-    """The JSON object in a report input file, {} for a blank file;
-    error, naming the file, for invalid JSON or another kind of value."""
-    try:
+def _json_object(path: Path, error: type, read=dict):
+    """read of the JSON object in an input file, {} for a blank file;
+    the one reader of a config, summary.json or baselines file. error
+    names the file for text that is not UTF-8 or not JSON, or another
+    kind of value, and read's own FasdnetError gains the file's name."""
+    with _json_fields(path, error):
         text = path.read_text(encoding="utf-8")
         doc = json.loads(text) if text.strip() else {}
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise error(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path} must hold a JSON object, got {type(doc).__name__}")
-    return doc
+    try:
+        return read(doc)
+    except FasdnetError as exc:
+        raise _annotate(str(path), exc)
 
 
 def _openblas(stem: str):

@@ -367,18 +367,19 @@ MAX_EPOCHS, MAX_WIDTH = 1_000_000, 4_096  # 1,000 epochs and width 200
 
 
 @contextmanager
-def _json_fields(what: str):
-    """The block's errors of parsing what's JSON, or of reading its
-    fields, as ConfigError naming the problem."""
+def _json_fields(what, error: type = ConfigError):
+    """The block's errors of decoding or parsing what's JSON (a byte
+    that is not UTF-8, invalid JSON, nesting too deep for the parser),
+    or of reading its fields, as error naming what and the problem; the
+    one place where a JSON input's failures become toolkit errors."""
     try:
         yield
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
     except KeyError as exc:
-        raise ConfigError(f"{what} JSON is missing field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{what} JSON has a field of the wrong type: {exc}") from exc
+        raise error(f"{what} JSON is missing field: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} JSON has a field of the wrong type: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -989,6 +989,70 @@ def test_report_rejects_failures_interleaved_across_specs(tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
+def test_report_reads_a_sweep_whose_failing_spec_sits_between_specs_with_runs(
+        tmp_path):
+    # runs a, c and failures b: a sweep lists them in spec order a, b, c
+    results = _config_sweep(tmp_path, {"a": 0.001, "b": 1e200, "c": 0.001})
+    summary = json.loads((results / "summary.json").read_text())
+    assert list(summary["specs"]) == ["a", "c"]
+    assert [f["spec"] for f in summary["failures"]] == ["b", "b"]
+
+
+@pytest.fixture(scope="module")
+def one_spec_sweep(tmp_path_factory):
+    """_config_sweep's files for one spec "a", for tests that only read
+    them."""
+    return _config_sweep(tmp_path_factory.mktemp("one-spec"), {"a": 0.001})
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"input_dim": \xff}', " is not valid JSON: 'utf-8' codec can't decode"),
+    (b"[" * 10_000, " is not valid JSON: maximum recursion depth exceeded"),
+    (b"[1]", " must hold a JSON object, got list"),
+    (None, None),  # the input's own field error
+], ids=["not-utf-8", "nested-too-deep", "list", "field-error"])
+@pytest.mark.parametrize("target", [
+    "train-spec", "sweep-specs", "report-summary", "report-baselines"])
+def test_every_json_input_fails_with_its_file_and_exit_code(
+        one_spec_sweep, tmp_path, capsys, target, content, message):
+    # main returns the command's exit code: a config error exits 4, a
+    # report input's 3; no exception escapes
+    results = one_spec_sweep
+    data = results.parent / "s.csv"
+    config = json.loads((results.parent / "configs" / "a.json").read_text())
+    del config["layers"]
+    path = {"train-spec": tmp_path / "bad.json",
+            "sweep-specs": tmp_path / "configs" / "bad.json",
+            "report-summary": tmp_path / "summary.json",
+            "report-baselines": tmp_path / "bad.json"}[target]
+    field_error, field_message = {
+        "report-summary": ({"failures": []}, " JSON is missing field: 'seeds'"),
+        "report-baselines": ({"synthetic": "x"}, ": the value for "
+                             "'synthetic' is not a number: 'x'"),
+    }.get(target, (config, ": config JSON is missing field: 'layers'"))
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(json.dumps(field_error).encode() if content is None
+                     else content)
+    out = ("--out-dir", tmp_path / "o")
+    if target == "train-spec":
+        code = run("train", "--data", data, "--battery", "synthetic",
+                   "--spec", path, *out)
+    elif target == "sweep-specs":
+        code = run("sweep", "--data", data, "--battery", "synthetic",
+                   "--specs", path.parent, "--seeds", "0", *out)
+    elif target == "report-summary":
+        (tmp_path / "runs.csv").write_bytes((results / "runs.csv").read_bytes())
+        code = run("report", "--results", tmp_path, *out)
+    else:
+        code = run("report", "--results", results, "--baselines", path, *out)
+    assert code == (EXIT_CONFIG if target in ("train-spec", "sweep-specs")
+                    else EXIT_DATA)
+    err = capsys.readouterr().err
+    assert f"error: {path}{message or field_message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_rejects_a_summary_json_median_that_is_not_the_runs(
         data_csv, tmp_path, capsys):
     results = _sweep_results(data_csv, tmp_path)

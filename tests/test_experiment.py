@@ -709,7 +709,11 @@ def test_sweep_files_must_run_or_fail_each_seed_once_in_order(
     # the failures of b and c, interleaved alike
     ([("a", 0), ("a", 1)], [("b", 0), ("c", 0), ("b", 1), ("c", 1)],
      "summary.json", 23, '      "spec": "c",', '      "spec": "b",'),
-], ids=["runs", "failures"])
+    # runs a0, b1 and failures b0, a1: each spec's listed together, but
+    # the failures in another spec order than the runs
+    ([("a", 0), ("b", 1)], [("b", 0), ("a", 1)],
+     "summary.json", 26, '      "spec": "b",', '      "spec": "a",'),
+], ids=["runs", "failures", "failures-in-another-spec-order"])
 def test_sweep_files_list_each_specs_runs_and_failures_together(
         tmp_path, runs, failures, path, line, got, want):
     sweep = SweepResult([_run(*run) for run in runs],

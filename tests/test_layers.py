@@ -542,6 +542,12 @@ def test_config_json_names_a_missing_field_and_a_wrong_type():
         NetworkConfig.from_json("[1, 2]")
 
 
+def test_config_json_nested_too_deep_is_not_valid_json():
+    # the parser's RecursionError, not a traceback
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        NetworkConfig.from_json("[" * 10_000)
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", 2.5), ("epochs", True), ("epochs", 3.0), ("input_dim", 20.0),
     ("input_dim", False), ("seed", 1.5), ("seed", True), ("seed", "1"),

@@ -709,6 +709,12 @@ def _edited_model_json(edit) -> str:
     ("not json", "not valid JSON"),
     ("{}", "missing field: 'config'"),
     ("[1]", "field of the wrong type"),
+    pytest.param("[" * 10_000, "model is not valid JSON", id="nested-too-deep"),
+    # an int beyond a double's range, which numpy will not read as one
+    pytest.param(_edited_model_json(
+        lambda doc: doc["layers"][0].update(bias=[10**400] * 4)),
+        "field of the wrong type: int too large to convert to float",
+        id="bias-beyond-the-double-range"),
     pytest.param(_edited_model_json(lambda doc: doc["layers"].pop()),
                  r"model layer 1 has .* None, its config \(\(4, 2\), "
                  r"\(2,\), Activation\(kind='softmax'", id="cut-to-one-layer"),
