@@ -144,6 +144,9 @@ def _config_spec(path: Path, args) -> ExperimentSpec:
     """A network-config JSON file wrapped in an experiment spec named
     after the file, using the command's battery, split and balance
     flags; train --spec and sweep --specs share it."""
+    if path.stem.encode(errors="replace").decode() != path.stem:
+        raise ConfigError(f"{str(path)!r}: the file's name is not UTF-8, so "
+                          "it cannot name the spec in runs.csv")
     return ExperimentSpec(
         name=path.stem,
         battery=args.battery,

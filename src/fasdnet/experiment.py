@@ -417,6 +417,7 @@ class SweepResult:
         }
 
     def per_spec_stats(self) -> list[SpecStats]:
+        from statistics import median  # np.median's first call imports numpy.ma
         stats = []
         by_spec: dict[str, list[RunResult]] = {}
         for r in self.results:
@@ -433,10 +434,10 @@ class SweepResult:
                     name=name,
                     battery=runs[-1].battery,
                     n_runs=len(runs),
-                    median_test_accuracy=float(np.median(test)),
+                    median_test_accuracy=float(median(test)),
                     mean_test_accuracy=float(np.mean(test)),
-                    median_train_accuracy=float(np.median(tr)),
-                    median_gap=float(np.median(gap)),
+                    median_train_accuracy=float(median(tr)),
+                    median_gap=float(median(gap)),
                 )
             )
         return stats
@@ -648,12 +649,13 @@ def _pin_blas() -> None:
 def _run_spec(task):
     """One sweep spec, run in a worker: (RunResult or FasdnetError per
     seed, in seed order; the worker's seconds; its BLAS thread count).
-    The trained models stay behind, because the sweep reports only
-    results."""
+    The trained models and histories stay behind, as the sweep writes
+    neither: each run is what SweepResult.from_files reads back."""
     spec, ds, seeds = task
     start = time.perf_counter()
     outcomes = [
-        outcome if isinstance(outcome, FasdnetError) else outcome[0]
+        outcome if isinstance(outcome, FasdnetError)
+        else replace(outcome[0], history=None)
         for outcome in _run_seeds(spec, ds, seeds)
     ]
     return outcomes, time.perf_counter() - start, _blas_threads()
@@ -691,8 +693,8 @@ def _cost(spec: ExperimentSpec, ds: Dataset) -> int:
 
 
 def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
-    """Run every spec x seed combination; failures are recorded per run
-    without aborting the sweep. Ordering is spec-major, deterministic.
+    """Run every spec x seed combination, in spec-major order, each
+    history None; a failed run is recorded without aborting the sweep.
 
     The seeds of one spec train as one stacked network (see
     training.train_many); every result is bit-identical to running
@@ -821,6 +823,7 @@ class ComparisonReport:
 def battery_medians(results) -> dict[str, float]:
     """Median test accuracy per battery, in percent, over every run of
     that battery (not over per-spec medians), in first-seen order."""
+    from statistics import median  # np.median's first call imports numpy.ma
     results = list(results)
     if not results:
         raise ReportError("no results to report on")
@@ -828,7 +831,7 @@ def battery_medians(results) -> dict[str, float]:
     for r in results:
         by_battery.setdefault(r.battery, []).append(r.test_accuracy)
     return {
-        battery: 100.0 * float(np.median(accs))
+        battery: 100.0 * float(median(accs))
         for battery, accs in by_battery.items()
     }
 

@@ -428,7 +428,11 @@ class NetworkConfig:
             raise ConfigError(f"unknown loss kind {self.loss!r}")
         if not 1 <= self.epochs <= MAX_EPOCHS:
             raise ConfigError(f"epochs must be in [1, {MAX_EPOCHS}], got {self.epochs}")
-        if not 0.0 < self.learning_rate < math.inf:  # NaN fails too
+        try:  # NaN fails too, and an int beyond a double's range
+            finite = 0.0 < float(self.learning_rate) < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ConfigError("learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
         for width, act in self.layers:

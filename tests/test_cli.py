@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fasdnet
+from fasdnet import experiment
 from fasdnet.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
@@ -1049,6 +1050,49 @@ def test_every_json_input_fails_with_its_file_and_exit_code(
                     else EXIT_DATA)
     err = capsys.readouterr().err
     assert f"error: {path}{message or field_message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_learning_rate_beyond_a_doubles_range_exits_4(
+        one_spec_sweep, tmp_path, capsys):
+    # json reads the literal as an int, which every comparison with a
+    # float accepts, and training could not convert
+    config = (one_spec_sweep.parent / "configs" / "a.json").read_text()
+    path = tmp_path / "big.json"
+    path.write_text(re.sub(r'"learning_rate": [^,}]+',
+                           '"learning_rate": 1' + "0" * 400, config))
+    assert json.loads(path.read_text())["learning_rate"] == 10**400
+    code = run("train", "--data", one_spec_sweep.parent / "s.csv",
+               "--battery", "synthetic", "--spec", path,
+               "--out-dir", tmp_path / "o")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {path}: learning_rate must be positive and finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_config_file_name_that_is_not_utf8_exits_4_before_training(
+        one_spec_sweep, tmp_path, capsys, monkeypatch, command):
+    # its stem would be runs.csv's spec name, which cannot be encoded
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    config = (one_spec_sweep.parent / "configs" / "a.json").read_bytes()
+    (cfg_dir / "a.json").write_bytes(config)
+    path = pathlib.Path(os.fsdecode(os.fsencode(cfg_dir) + b"/\xff.json"))
+    path.write_bytes(config)
+    monkeypatch.setattr(experiment, "_run_seeds", None)  # no training
+    data = ("--data", one_spec_sweep.parent / "s.csv", "--battery", "synthetic",
+            "--out-dir", tmp_path / "o")
+    if command == "train":
+        code = run("train", "--spec", path, *data)
+    else:
+        code = run("sweep", "--specs", cfg_dir, "--seeds", "0,1", *data)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {str(path)!r}: the file's name is not UTF-8, so" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

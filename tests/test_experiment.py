@@ -6,6 +6,7 @@ import hashlib
 import os
 import pickle
 import re
+import statistics
 import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
@@ -472,6 +473,46 @@ def test_failures_cross_the_worker_pool_unchanged(monkeypatch):
     assert "table2-row1 seed=2: table2-row1: training diverged" in one[2]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_sweep_holds_what_its_files_read_back(monkeypatch, tmp_path, cpus):
+    # the workers send back one row per run, without the history; seed 2
+    # diverges, so failures cross the boundary too
+    ds = synthesize_dataset(40, 20, 0.7, SeededRng(3))
+    specs = [_short(REGISTRY[name], learning_rate=3e101, epochs=20)
+             for name in ("table2-row1", "table2-row2")]
+    _see_cpus(monkeypatch, cpus)
+    sweep = run_sweep(specs, ds, range(4))
+    assert sweep.workers == cpus
+    assert ("table2-row1", 2) in [(name, seed) for name, seed, _ in sweep.failures]
+    paths = (tmp_path / "runs.csv", tmp_path / "summary.json")
+    paths[0].write_text(sweep.runs_csv_text(), encoding="utf-8")
+    paths[1].write_text(sweep.summary_json_text(), encoding="utf-8")
+    back = SweepResult.from_files(*paths)
+    assert (sweep.results, sweep.failures, sweep.seeds, sweep.spec_order) == (
+        back.results, back.failures, back.seeds, back.spec_order)
+
+
+def test_a_workers_reply_does_not_grow_with_the_epoch_count():
+    ds = synthesize_dataset(20, 20, 1.0, SeededRng(3))
+    sizes = [len(pickle.dumps(experiment._run_spec(
+                (_short(REGISTRY["table2-row1"], epochs=epochs), ds, [0, 1]))))
+             for epochs in (5, 50)]
+    assert sizes[0] == sizes[1]
+
+
+_ACCURACY = st.floats(0.0, 1.0)
+
+
+@settings(deadline=None)
+@given(st.lists(_ACCURACY, min_size=1),
+       st.lists(st.tuples(_ACCURACY, _ACCURACY), min_size=1))
+def test_statistics_median_is_numpys_median_bit_for_bit(accuracies, pairs):
+    # per_spec_stats and battery_medians take medians of accuracies and
+    # of train - test gaps, which are never -0.0
+    for xs in (accuracies, [a - b for a, b in pairs]):
+        assert statistics.median(xs).hex() == float(np.median(xs)).hex()
+
+
 def _pool_sweep(monkeypatch):
     """A two-spec sweep that sees two CPUs."""
     _see_cpus(monkeypatch, 2)
@@ -611,8 +652,10 @@ def test_a_run_result_must_be_one_a_run_can_produce(cells, test_accuracy,
     assert str(err.value) == message
 
 
-# commas, quotes, line breaks and non-ASCII text are frequent draws
-_TEXT = st.characters() | st.sampled_from(',"\r\n é')
+# commas, quotes, line breaks and non-ASCII text are frequent draws; no
+# lone surrogate, which is not UTF-8 text and no sweep can write
+_TEXT = (st.characters(exclude_categories=("Cs",))
+         | st.sampled_from(',"\r\n é'))
 
 
 @st.composite
@@ -650,10 +693,7 @@ def test_sweep_files_read_back_to_the_same_bytes(sweep):
         back = SweepResult.from_files(*paths)
     assert (back.runs_csv_text(), back.summary_json_text()) == texts
     assert (back.seeds, back.failures) == (sweep.seeds, sweep.failures)
-    assert [(r.spec_name, r.battery, r.seed, r.train_accuracy, r.confusion)
-            for r in back.results] == [
-        (r.spec_name, r.battery, r.seed, r.train_accuracy, r.confusion)
-        for r in sweep.results]
+    assert back.results == sweep.results
 
 
 def _run(name, seed):

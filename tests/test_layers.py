@@ -573,10 +573,12 @@ def test_config_rejects_a_field_of_the_wrong_type_by_name(field, value):
         NetworkConfig.from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("rate", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("rate", [
+    0.0, -1e-3, math.nan, math.inf, pytest.param(10**400, id="int-beyond-double")])
 def test_config_rejects_a_learning_rate_not_positive_and_finite(rate):
     # NaN compares false with everything, so "<= 0" alone let it through
-    # to train as a divergence at epoch 1
+    # to train as a divergence at epoch 1; an int compares exactly, so
+    # 10**400 < inf held, and training could not convert it
     with pytest.raises(ConfigError, match="learning_rate must be positive"):
         _config(((2, SOFTMAX),), learning_rate=rate)
 
