@@ -417,7 +417,6 @@ class SweepResult:
         }
 
     def per_spec_stats(self) -> list[SpecStats]:
-        from statistics import median  # np.median's first call imports numpy.ma
         stats = []
         by_spec: dict[str, list[RunResult]] = {}
         for r in self.results:
@@ -434,10 +433,10 @@ class SweepResult:
                     name=name,
                     battery=runs[-1].battery,
                     n_runs=len(runs),
-                    median_test_accuracy=float(median(test)),
+                    median_test_accuracy=float(_median(test)),
                     mean_test_accuracy=float(np.mean(test)),
-                    median_train_accuracy=float(median(tr)),
-                    median_gap=float(median(gap)),
+                    median_train_accuracy=float(_median(tr)),
+                    median_gap=float(_median(gap)),
                 )
             )
         return stats
@@ -820,10 +819,15 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
+def _median(xs) -> float:
+    """statistics.median's result, without its imports or np.median's numpy.ma."""
+    xs, half = sorted(xs), len(xs) // 2
+    return xs[half] if len(xs) % 2 else (xs[half - 1] + xs[half]) / 2
+
+
 def battery_medians(results) -> dict[str, float]:
     """Median test accuracy per battery, in percent, over every run of
     that battery (not over per-spec medians), in first-seen order."""
-    from statistics import median  # np.median's first call imports numpy.ma
     results = list(results)
     if not results:
         raise ReportError("no results to report on")
@@ -831,7 +835,7 @@ def battery_medians(results) -> dict[str, float]:
     for r in results:
         by_battery.setdefault(r.battery, []).append(r.test_accuracy)
     return {
-        battery: 100.0 * float(median(accs))
+        battery: 100.0 * float(_median(accs))
         for battery, accs in by_battery.items()
     }
 

@@ -382,6 +382,16 @@ def _json_fields(what, error: type = ConfigError):
         raise error(f"{what} JSON has a field of the wrong type: {exc}") from exc
 
 
+def _shown(value) -> str:
+    """value in an error: an int of over 20 digits by sign and digit count."""
+    if not isinstance(value, numbers.Integral) or -10**20 < value < 10**20:
+        return str(value)
+    digits = int(abs(value).bit_length() * math.log10(2)) - 1  # at most 2 low
+    while abs(value) >= 10**digits:
+        digits += 1
+    return f"a {'negative' if value < 0 else 'positive'} {digits}-digit integer"
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Ordered layer plan plus the training knobs for one model.
@@ -420,25 +430,26 @@ class NetworkConfig:
             tuple((int(w), a) for w, a in self.layers),
         )
         if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
+            raise ConfigError(f"input_dim must be >= 1, got {_shown(self.input_dim)}")
         if not self.layers:
             raise ConfigError("network needs at least one layer")
         # a tuple compares by equality, so an unhashable loss is rejected too
         if self.loss not in tuple(LOSS_OUTPUT):
             raise ConfigError(f"unknown loss kind {self.loss!r}")
         if not 1 <= self.epochs <= MAX_EPOCHS:
-            raise ConfigError(f"epochs must be in [1, {MAX_EPOCHS}], got {self.epochs}")
+            raise ConfigError(f"epochs must be in [1, {MAX_EPOCHS}], "
+                              f"got {_shown(self.epochs)}")
         try:  # NaN fails too, and an int beyond a double's range
             finite = 0.0 < float(self.learning_rate) < math.inf
         except OverflowError:
             finite = False
         if not finite:
             raise ConfigError("learning_rate must be positive and finite, "
-                              f"got {self.learning_rate}")
+                              f"got {_shown(self.learning_rate)}")
         for width, act in self.layers:
             if not 1 <= width <= MAX_WIDTH:
                 raise ConfigError(f"layer widths must be in [1, {MAX_WIDTH}], "
-                                  f"got {width}")
+                                  f"got {_shown(width)}")
             if not isinstance(act, Activation):
                 raise ConfigError(f"layer activation must be an Activation, got {act!r}")
         for width, act in self.layers[:-1]:
@@ -518,23 +529,27 @@ def _z_shapes(layers: list[DenseLayer], rows: int) -> list[tuple]:
 
 def _forward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
     """Buffers for _Forward on inputs of `rows` rows: per layer,
-    (z, output, work, finite), where work is the activation's scratch
-    array and finite is z's finiteness mask, a view of one bool buffer
-    of all the masks, True until a pass writes it."""
+    (z, output, work, finite), where work is a view of one activation
+    scratch array for every layer and finite is z's finiteness mask, a
+    view of one bool buffer of all the masks, True until a pass writes it."""
     shapes = _z_shapes(layers, rows)
     sizes = [math.prod(shape) for shape in shapes]
     masks = np.split(np.ones(sum(sizes), dtype=bool), np.cumsum(sizes)[:-1])
-    return [(np.empty(shape), np.empty(shape), np.empty(shape),
+    work = np.empty(max(sizes, default=0))
+    return [(np.empty(shape), np.empty(shape), np.ndarray(shape, buffer=work),
              mask.reshape(shape)) for shape, mask in zip(shapes, masks)]
 
 
 def _backward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
-    """Buffers for _backward_steps on `rows` rows: per layer,
-    (delta, work), delta being dLoss/dz and work the scratch array its
-    activation derivative is formed in. The last layer's delta is the
-    caller's: the loss gradient can be written there."""
-    return [(np.empty(shape), np.empty(shape))
-            for shape in _z_shapes(layers, rows)]
+    """Buffers for _backward_steps on `rows` rows: per layer, (delta, work),
+    delta being dLoss/dz and work the derivative scratch, views of one array
+    for all layers' work and of two alternating ones for the deltas (the
+    last layer's is the caller's: the loss gradient can go there)."""
+    shapes = _z_shapes(layers, rows)
+    size = max(map(math.prod, shapes), default=0)
+    *deltas, work = (np.empty(size) for _ in range(3))
+    return [(np.ndarray(s, buffer=deltas[(len(shapes) - 1 - i) % 2]),
+             np.ndarray(s, buffer=work)) for i, s in enumerate(shapes)]
 
 
 def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,

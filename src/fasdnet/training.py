@@ -32,11 +32,13 @@ backward pass, so it covers the training rows alone.
 
 The loop keeps three (S, P) buffers for the life of the run, P being
 the parameter count of one network: the parameters theta (each layer's
-weights and bias are views of their span of it) and Adam's two
-moments. Everything else an epoch touches is made once per run, in a
-_Workspace, with the epoch's calls bound to it (see layers), so that
-an epoch runs only its ufunc and matmul calls and one finiteness check
-per layer. Adam writes theta in place, so the layers' views stay bound.
+weights and bias are views of their span of it) and Adam's moments.
+All else an epoch touches is made once per run, in a _Workspace, with
+its calls bound to it (see layers): an epoch runs only ufunc and matmul
+calls and one finiteness check per layer. One activation scratch and
+two alternating delta buffers serve every layer. Adam writes theta in
+place, so the layers' views stay bound, and the gradient doubles as its
+step, as each backward pass rewrites the gradient in full.
 
 The history is scored per block of up to _BLOCK epochs: each epoch
 copies its probabilities into the block, and when it is full and at
@@ -186,21 +188,21 @@ class AdamState:
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> list[np.ndarray]:
     """One bias-corrected Adam update into new arrays, which it returns;
-    the moments in state are updated in place.
+    the moments in state are updated in place; grads are never written.
 
     m_hat = m / (1 - beta1^t),  v_hat = v / (1 - beta2^t)
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
     """
     new = [p.copy() for p in params]
-    _adam(state, new, grads)()
+    _adam(state, new, [g.copy() for g in grads])()
     return new
 
 
 def _adam(state: AdamState, params: list[np.ndarray],
           grads: list[np.ndarray]):
-    """adam_step bound to its operands, checked once here, and to two
-    scratch arrays per parameter: a function of no arguments that
-    updates params in place (the update is elementwise)."""
+    """adam_step bound to its operands, checked once here, and to one
+    scratch array per parameter: a function of no arguments that updates
+    params in place and writes its step into grads (it is elementwise)."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError(
             f"adam_step: got {len(params)} params, {len(grads)} grads, "
@@ -211,16 +213,15 @@ def _adam(state: AdamState, params: list[np.ndarray],
             raise ShapeError(
                 f"adam_step: param {i} shape {p.shape} vs grad {g.shape}"
             )
-    operands = [(p, g, m, v, np.empty_like(p), np.empty_like(p))
+    operands = [(p, g, m, v, np.empty_like(p))
                 for p, g, m, v in zip(params, grads, state.m, state.v)]
     lr = state.learning_rate
 
     def update() -> None:
         state.t += 1
         c1, c2 = 1.0 - BETA1**state.t, 1.0 - BETA2**state.t
-        for p, g, m, v, tmp, step in operands:
-            # adam_step's formula, one operation at a time and in its
-            # order, in two temporaries
+        for p, g, m, v, tmp in operands:
+            # adam_step's formula, op by op in order; the step reuses g
             np.multiply(g, 1.0 - BETA1, tmp)
             m *= BETA1
             m += tmp
@@ -232,12 +233,12 @@ def _adam(state: AdamState, params: list[np.ndarray],
             np.sqrt(tmp, tmp)
             tmp += EPSILON
             if c1 == 1.0:  # from t of about 350 on; m / 1.0 is m
-                np.multiply(m, lr, step)
+                np.multiply(m, lr, g)
             else:
-                np.divide(m, c1, step)
-                step *= lr
-            step /= tmp
-            p -= step
+                np.divide(m, c1, g)
+                g *= lr
+            g /= tmp
+            p -= g
 
     return update
 
@@ -523,11 +524,11 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
 
 
 class _Workspace:
-    """Every array an epoch of train_many writes, and its calls bound to
-    them; x and y hold each slot's n training rows and then its
-    validation rows (see the module docstring). first is
-    the pass before epoch 1, step the loss gradient and the backward
-    pass, adam the update of theta and forward the pass after it."""
+    """Every array an epoch of train_many writes, only those live at the
+    same time (see the module docstring), and its calls bound to them; x
+    and y hold each slot's n training rows and then its validation rows.
+    first is the pass before epoch 1, step the loss gradient and the
+    backward pass, adam the update of theta and forward the pass after it."""
 
     def __init__(self, kind: str, layers: list[DenseLayer], state: AdamState,
                  theta: np.ndarray, x: np.ndarray, y: np.ndarray, n: int,

@@ -356,7 +356,8 @@ def test_train_config_epochs_or_width_beyond_its_cap_exits_4(data_csv, tmp_path,
                "--spec", cfg_path, "--out-dir", tmp_path / "o")
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"got {10**30}" in err
+    # more than 20 digits: named by its sign and digit count
+    assert err.startswith("error: ") and "got a positive 31-digit integer" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -1071,6 +1072,46 @@ def test_a_learning_rate_beyond_a_doubles_range_exits_4(
     assert f"error: {path}: learning_rate must be positive and finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("learning_rate", 10**400, "a positive 401-digit integer"),
+    ("epochs", 10**500, "a positive 501-digit integer"),
+    ("input_dim", -10**30, "a negative 31-digit integer"),
+    ("width", 10**40, "a positive 41-digit integer"),
+], ids=["learning_rate", "epochs", "input_dim", "width"])
+def test_a_config_int_of_hundreds_of_digits_is_named_by_its_digit_count(
+        one_spec_sweep, tmp_path, capsys, field, value, shown):
+    config = json.loads((one_spec_sweep.parent / "configs" / "a.json").read_text())
+    if field == "width":
+        config["layers"][0]["width"] = value
+    else:
+        config[field] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    code = run("train", "--data", one_spec_sweep.parent / "s.csv",
+               "--battery", "synthetic", "--spec", path,
+               "--out-dir", tmp_path / "o")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert field in err and f"got {shown}" in err
+    assert "Traceback" not in err
+    assert len(err) < 200
+
+
+def test_report_does_not_import_statistics(one_spec_sweep, tmp_path):
+    # statistics imports fractions and decimal; the CLI takes its
+    # medians without it, in a fresh interpreter to see its imports
+    script = ("import sys; from fasdnet.cli import main; "
+              "code = main(['report', '--results', sys.argv[1], "
+              "'--out-dir', sys.argv[2]]); "
+              "sys.exit(code or 'statistics' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(fasdnet.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(one_spec_sweep), str(tmp_path / "rep")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "rep" / "comparison.csv").is_file()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

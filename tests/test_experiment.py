@@ -508,9 +508,11 @@ _ACCURACY = st.floats(0.0, 1.0)
        st.lists(st.tuples(_ACCURACY, _ACCURACY), min_size=1))
 def test_statistics_median_is_numpys_median_bit_for_bit(accuracies, pairs):
     # per_spec_stats and battery_medians take medians of accuracies and
-    # of train - test gaps, which are never -0.0
+    # of train - test gaps, which are never -0.0, by experiment._median
     for xs in (accuracies, [a - b for a, b in pairs]):
-        assert statistics.median(xs).hex() == float(np.median(xs)).hex()
+        want = statistics.median(xs).hex()
+        assert experiment._median(xs).hex() == want
+        assert float(np.median(xs)).hex() == want
 
 
 def _pool_sweep(monkeypatch):

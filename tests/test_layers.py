@@ -360,6 +360,29 @@ def test_network_forward_zero_layers():
     np.testing.assert_allclose(out2, norm.apply(x), atol=1e-15)
 
 
+def _root(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_layers_share_one_activation_scratch_and_two_delta_buffers():
+    cfg = _config(((64, SIGMOID), (128, RELU), (64, SIGMOID), (128, RELU),
+                   (2, SOFTMAX)))
+    layers = stack_layers([network_init(cfg, SeededRng(s)) for s in (0, 1)])
+    forward = _forward_buffers(layers, 7)
+    owners = [[_root(a) for a in group[:3]] for group in forward]
+    assert len({id(work) for _, _, work in owners}) == 1
+    assert len({id(a) for group in owners for a in group}) == 2 * len(layers) + 1
+    backward = [[_root(a) for a in group] for group in _backward_buffers(layers, 7)]
+    deltas = [delta for delta, _ in backward][::-1]  # from the last layer down
+    assert len({id(d) for d in deltas}) == 2
+    assert all(a is b for a, b in zip(deltas, deltas[2:]))
+    assert all(a is not b for a, b in zip(deltas, deltas[1:]))
+    assert len({id(work) for _, work in backward}) == 1
+    assert all(backward[0][1] is not d for d in deltas)
+
+
 def test_network_forward_output_shape():
     cfg = _config(((25, leaky_relu()), (20, leaky_relu()), (2, SOFTMAX)))
     layers = network_init(cfg, SeededRng(1))

@@ -6,6 +6,7 @@ import pickle
 import tempfile
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,20 @@ def test_adam_step_returns_new_arrays_and_leaves_params_unchanged():
         assert not np.array_equal(n, p)
 
 
+def test_adam_step_leaves_the_callers_grads_unchanged():
+    # training's update writes its step into the gradient; the public
+    # step works on copies
+    rng = np.random.default_rng(6)
+    params = [rng.standard_normal((2, 3)), rng.standard_normal((1, 3))]
+    grads = [rng.standard_normal(p.shape) for p in params]
+    before = [g.copy() for g in grads]
+    state = AdamState(params, 0.1)
+    for _ in range(2):
+        adam_step(state, params, grads)
+        for g, b in zip(grads, before, strict=True):
+            assert g.tobytes() == b.tobytes()
+
+
 def test_adam_shape_mismatch():
     p = [np.zeros((2, 2))]
     state = AdamState(p, 0.01)
@@ -395,6 +410,61 @@ def test_train_many_equals_per_seed_train(spec_name, epochs):
     stacked = _train_stacked(configs, splits)
     for config, (tr, te), got in zip(configs, splits, stacked):
         _assert_same_run(got, train(config, tr.x, tr.y, te.x, te.y))
+
+
+def _roots(obj) -> dict:
+    """{id: array} of the arrays owning the memory of every array in
+    obj: bound calls, their operands and closures, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        while obj.base is not None:
+            obj = obj.base
+        return {id(obj): obj}
+    if isinstance(obj, partial):
+        parts = [*obj.args, *obj.keywords.values()]
+    elif isinstance(obj, (list, tuple)):
+        parts = obj
+    elif getattr(obj, "__closure__", None):
+        parts = [cell.cell_contents for cell in obj.__closure__]
+    else:
+        return {}
+    found = {}
+    for part in parts:
+        found |= _roots(part)
+    return found
+
+
+def test_a_workspace_holds_only_arrays_live_at_the_same_time(monkeypatch):
+    # z and output per layer, one activation scratch over all rows; two
+    # delta buffers and one derivative scratch over the training rows;
+    # the gradient and one Adam scratch, as Adam's step goes into the
+    # gradient
+    from fasdnet import training
+    from fasdnet.experiment import REGISTRY
+
+    made = []
+
+    class Recorded(training._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, args))
+
+    monkeypatch.setattr(training, "_Workspace", Recorded)
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(17))
+    configs = [replace(REGISTRY["psychometric-feature-layer"].config,
+                       epochs=2, seed=s) for s in (0, 1)]
+    splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in (0, 1)]
+    _train_stacked(configs, splits)
+    [(ws, (_, _, state, theta, x, _, n, _))] = made
+    calls = ws.first.steps + ws.forward.steps + ws.step + [ws.adam]
+    inputs = _roots([theta, x, state.m, state.v])
+    written = [a for key, a in _roots(calls).items()
+               if key not in inputs and a.dtype == np.float64]
+    slots, rows = x.shape[:2]
+    widths = [width for width, _ in configs[0].layers]
+    want = slots * (2 * rows * sum(widths) + rows * max(widths)
+                    + 3 * n * max(widths) + 2 * theta.shape[1])
+    assert sum(a.size for a in written) == want
+    assert len(written) == 2 * len(widths) + 1 + 3 + 2
 
 
 def test_train_many_drops_diverging_slots_and_carries_on():
