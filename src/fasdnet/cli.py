@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import BATTERIES, load_csv, synthesize_dataset, write_csv
+from .data import BATTERIES, drop_features, load_csv, synthesize_dataset, write_csv
 from .errors import (
     ConfigError,
     DataError,
@@ -55,7 +55,7 @@ from .experiment import (
     run_experiment_with_model,
     run_sweep,
 )
-from .layers import NetworkConfig
+from .layers import NetworkConfig, _shown
 from .rng import SeededRng
 
 EXIT_OK = 0
@@ -140,45 +140,44 @@ def _load_dataset(args):
     return load_csv(path, args.battery), _sha256_file(path)
 
 
-def _config_spec(path: Path, args) -> ExperimentSpec:
+def _config_spec(path: Path, args, ds, ablate=()) -> ExperimentSpec:
     """A network-config JSON file wrapped in an experiment spec named
     after the file, using the command's battery, split and balance
-    flags; train --spec and sweep --specs share it."""
+    flags and ablate; train --spec and sweep --specs share it. Its
+    input_dim must be ds's feature count less the ablated features."""
     if path.stem.encode(errors="replace").decode() != path.stem:
         raise ConfigError(f"{str(path)!r}: the file's name is not UTF-8, so "
                           "it cannot name the spec in runs.csv")
-    return ExperimentSpec(
-        name=path.stem,
-        battery=args.battery,
-        config=_json_object(path, ConfigError, NetworkConfig.from_dict),
-        train_fraction=args.train_fraction,
-        balance=args.balance,
+    config = _json_object(path, ConfigError, NetworkConfig.from_dict)
+    width = drop_features(ds, ablate).n_features if ablate else ds.n_features
+    if config.input_dim != width:
+        raise ConfigError(
+            f"{path}: input_dim is {_shown(config.input_dim)}, but the data "
+            f"has {width} features{' after --ablate' if ablate else ''}")
+    return ExperimentSpec(path.stem, args.battery, config, args.train_fraction,
+                          args.balance, ablate)
+
+
+def _train_spec(args, ds) -> ExperimentSpec:
+    """--spec as a builtin name or a config file, with --ablate applied."""
+    path = Path(args.spec)
+    ablate = tuple(args.ablate.split(",")) if args.ablate else ()
+    if args.spec in REGISTRY:
+        return replace(REGISTRY[args.spec], ablate=ablate)
+    if path.is_file():
+        return _config_spec(path, args, ds, ablate)
+    raise ConfigError(
+        f"{args.spec!r} is neither a builtin experiment name nor a config "
+        f"file; builtin names: {sorted(REGISTRY)}"
     )
 
 
-def _train_spec(args) -> ExperimentSpec:
-    """--spec as a builtin name or a config file, with --ablate applied."""
-    path = Path(args.spec)
-    if args.spec in REGISTRY:
-        spec = REGISTRY[args.spec]
-    elif path.is_file():
-        spec = _config_spec(path, args)
-    else:
-        raise ConfigError(
-            f"{args.spec!r} is neither a builtin experiment name nor a config "
-            f"file; builtin names: {sorted(REGISTRY)}"
-        )
-    if args.ablate:
-        spec = replace(spec, ablate=tuple(args.ablate.split(",")))
-    return spec
-
-
-def _sweep_specs(args) -> list[ExperimentSpec]:
+def _sweep_specs(args, ds) -> list[ExperimentSpec]:
     """--specs as a directory of config files, or builtin names and sets."""
     path = Path(args.specs)
     if not path.is_dir():
         return resolve_specs(args.specs)
-    specs = [_config_spec(file, args) for file in sorted(path.glob("*.json"))]
+    specs = [_config_spec(file, args, ds) for file in sorted(path.glob("*.json"))]
     if not specs:
         raise ConfigError(f"no *.json config files in directory {path}")
     return specs
@@ -203,7 +202,7 @@ def cmd_synth(args, argv) -> int:
 
 def cmd_train(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
-    spec = _train_spec(args)
+    spec = _train_spec(args, ds)
     out_dir = _out_dir(args)
     result, model = run_experiment_with_model(spec, ds, args.seed)
     _write_outputs(
@@ -223,7 +222,7 @@ def cmd_train(args, argv) -> int:
 
 def cmd_sweep(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
-    specs = _sweep_specs(args)
+    specs = _sweep_specs(args, ds)
     out_dir = _out_dir(args)
     sweep = run_sweep(specs, ds, args.seeds)
     config_digest = _sha256_text("".join(s.config.to_json() for s in specs))
@@ -299,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="battery CSV path")
     p.add_argument("--battery", required=True, choices=BATTERIES)
     p.add_argument("--spec", required=True,
-                   help="builtin experiment name or network-config JSON file")
+                   help="builtin experiment name or network-config JSON file, "
+                        "whose input_dim must be the data's width after --ablate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-fraction", type=float, default=0.8,
                    help="used only with a config file, not builtins")

@@ -305,7 +305,8 @@ def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
     streams (balancing, splitting, weight init), so one integer pins
     the whole run. The network's input width is taken from the dataset
     after ablation, which lets battery-shaped specs run on synthetic
-    data of any width.
+    data of any width; train --spec and sweep --specs first require a
+    config file's input_dim to match it.
     """
     (outcome,) = _run_seeds(spec, ds, [seed])
     if isinstance(outcome, FasdnetError):
@@ -474,18 +475,16 @@ class SweepResult:
     @classmethod
     def from_files(cls, runs_path: Path, summary_path: Path) -> "SweepResult":
         """The sweep that wrote runs.csv and summary.json, each run with
-        its spec's battery; ReportError, naming the file and line, for
-        a file that is unreadable or that this sweep would not write, or
-        a spec that does not run or fail each seed once, its runs and its
-        failures each listed together, in seeds' order and in one spec
-        order."""
+        its spec's battery, in a sweep's order: by spec, then by seed in
+        seeds' order (others last, in file order), less runs that also
+        failed. ReportError, naming the file and line, for a file that is
+        unreadable or not that text, or a seed not run or failed once."""
         doc = _json_object(summary_path, ReportError)
         with _json_fields(summary_path, ReportError):
             seeds = [int(seed) for seed in doc["seeds"]]
             failures = [(str(f["spec"]), int(f["seed"]), str(f["error"]))
                         for f in doc["failures"]]
         specs, data, runs = doc.get("specs", {}), runs_path.read_bytes(), {}
-        lines = {}  # runs.csv's line of each run
         try:
             text = data.decode("utf-8")
             reader = csv.DictReader(io.StringIO(text, newline=""))
@@ -500,7 +499,6 @@ class SweepResult:
                                       f"has unknown battery {run.battery!r}")
                 if runs.setdefault((run.spec_name, run.seed), run) is not run:
                     raise DataError(f"{run.spec_name} seed {run.seed} is listed twice")
-                lines[run.spec_name, run.seed] = reader.reader.line_num
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise ReportError(f"{runs_path}:{line}: not UTF-8: {exc}") from exc
@@ -521,8 +519,13 @@ class SweepResult:
                 order.insert(0 if previous is None else order.index(previous) + 1,
                              name)
             previous = name
-        sweep = cls(sorted(runs.values(), key=lambda r: order.index(r.spec_name)),
-                    sorted(failures, key=lambda f: order.index(f[0])), order, seeds)
+        rank = {seed: k for k, seed in enumerate(dict.fromkeys(seeds))}
+
+        def place(key):  # (spec, seed), a seed not in seeds after them
+            return order.index(key[0]), rank.get(key[1], len(rank))
+        failed = {failure[:2] for failure in failures}  # written as failures only
+        kept = sorted((key for key in runs if key not in failed), key=place)
+        sweep = cls([runs[k] for k in kept], sorted(failures, key=place), order, seeds)
         summary = summary_path.read_bytes().decode()
         for path, got, want in ((runs_path, text, sweep.runs_csv_text()),
                                 (summary_path, summary, sweep.summary_json_text())):
@@ -531,29 +534,14 @@ class SweepResult:
                 got, want = got.split("\n")[line], want.split("\n")[line]
                 raise ReportError(f"{path}:{line + 1}: reads {got!r} where a "
                                   f"sweep of these runs writes {want!r}")
-        # each failure's "seed" line: only a failure has a "seed" key
-        seed_lines = [n for n, line in enumerate(summary.split("\n"), 1)
-                      if line.startswith('      "seed": ')]
-        for name in order:
-            ks = [k for k, failure in enumerate(failures) if failure[0] == name]
-            fails = [failures[k][1] for k in ks]
-            got = [seed for spec, seed in runs if spec == name]
-            want = [seed for seed in seeds if seed not in fails]
-            # the first run out of place; else summary.json's line 2, which
-            # a sweep gives "seeds", if a seed is missing or doubled; else
-            # the first failure out of place
-            wrong = [(runs_path, lines[name, g]) for g, w in zip(got, want)
-                     if g != w]
-            if Counter(got + fails) != Counter(seeds):
-                wrong.append((summary_path, 2))
-            wrong += [(summary_path, seed_lines[k]) for k, f, w
-                      in zip(ks, fails, [s for s in seeds if s in fails]) if f != w]
-            if wrong:
-                path, line = wrong[0]
-                raise ReportError(
-                    f"{path}:{line}: spec {name!r} runs seeds {got} and fails "
-                    f"seeds {fails}, where a sweep of seeds {seeds} runs or "
-                    "fails each once, the runs in order and the failures in order")
+        listed = Counter([*runs, *(failure[:2] for failure in failures)])
+        listed.subtract((name, seed) for name in order for seed in seeds)
+        for (name, seed), extra in listed.items():
+            if extra:  # line 2 of a sweep's summary.json is "seeds"
+                raise ReportError(f"{summary_path}:2: spec {name!r} has "
+                                  f"{seeds.count(seed) + extra} runs or failures "
+                                  f"of seed {seed}, where a sweep of seeds "
+                                  f"{seeds} runs or fails each once")
         return sweep
 
     def summary_text(self) -> str:

@@ -293,6 +293,52 @@ def test_train_ablates_the_first_column_of_a_file_with_a_byte_order_mark(
     assert model["config"]["input_dim"] == 19
 
 
+def _tiny_config(input_dim):
+    return json.dumps({
+        "input_dim": input_dim,
+        "layers": [{"width": 4, "activation": "relu"},
+                   {"width": 1, "activation": "sigmoid"}],
+        "loss": "binary", "use_feature_layer": True, "epochs": 5,
+        "learning_rate": 0.001, "seed": 0})
+
+
+@pytest.mark.parametrize("input_dim, shown", [
+    (21, "21"), (10**30, "a positive 31-digit integer")], ids=["21", "10**30"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_config_file_whose_input_dim_is_not_the_data_width_exits_4(
+        data_csv, tmp_path, capsys, command, input_dim, shown):
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    path = cfg_dir / "wide.json"
+    path.write_text(_tiny_config(input_dim))
+    flags = {"train": ("--spec", path),
+             "sweep": ("--specs", cfg_dir, "--seeds", "0,1")}[command]
+    code = run(command, "--data", data_csv, "--battery", "psychometric",
+               *flags, "--out-dir", tmp_path / "out")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}: input_dim is {shown}, but the data has 20 features" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_takes_a_config_file_whose_input_dim_is_the_width_after_ablate(
+        data_csv, tmp_path, capsys):
+    path = tmp_path / "narrow.json"
+    path.write_text(_tiny_config(19))
+    flags = ("train", "--data", data_csv, "--battery", "psychometric",
+             "--spec", path)
+    assert run(*flags, "--ablate", "f00", "--out-dir", tmp_path / "ok") == EXIT_OK
+    model = json.loads((tmp_path / "ok" / "model.json").read_text())
+    assert model["config"]["input_dim"] == 19
+    # without --ablate the data is 20 wide; an unknown name exits 3 first
+    assert run(*flags, "--out-dir", tmp_path / "o1") == EXIT_CONFIG
+    assert (f"{path}: input_dim is 19, but the data has 20 features"
+            in capsys.readouterr().err)
+    assert run(*flags, "--ablate", "f00,zz", "--out-dir", tmp_path / "o2") == EXIT_DATA
+    assert "dataset has no feature(s) ['zz']" in capsys.readouterr().err
+    assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+
 def test_train_missing_data_exits_3(tmp_path):
     code = run("train", "--data", tmp_path / "nope.csv", "--battery",
                "psychometric", "--spec", "table2-row1",
@@ -886,9 +932,9 @@ def test_report_rejects_a_run_of_a_seed_the_sweep_did_not_run(
     code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
     assert code == EXIT_DATA
     err = capsys.readouterr().err
-    assert (f"{results / 'runs.csv'}:3: spec 'psychometric-feature-layer' "
-            "runs seeds [0, 7, 2] and fails seeds [], where a sweep of seeds "
-            "[0, 1, 2] runs or fails each once, the runs in order") in err
+    # a sweep writes seed 7, which it did not run, after seed 2
+    assert (f"{results / 'runs.csv'}:3: reads {runs[2][:-1]!r} where a sweep "
+            f"of these runs writes {runs[3][:-1]!r}") in err
     assert not (tmp_path / "rep").exists()
 
 
@@ -924,10 +970,8 @@ def test_report_rejects_failures_listed_out_of_seed_order(data_csv, tmp_path,
     code = run("report", "--results", results, "--out-dir", tmp_path / "rep")
     assert code == EXIT_DATA
     err = capsys.readouterr().err
-    assert (f"{results / 'summary.json'}:{line}: spec 'boom' runs seeds [] "
-            "and fails seeds [1, 0, 2], where a sweep of seeds [0, 1, 2] runs "
-            "or fails each once, the runs in order and the failures in order"
-            ) in err
+    assert (f"{results / 'summary.json'}:{line}: reads '      \"seed\": 1,' "
+            "where a sweep of these runs writes '      \"seed\": 0,'") in err
     assert not (tmp_path / "rep").exists()
 
 
@@ -991,13 +1035,16 @@ def test_report_rejects_failures_interleaved_across_specs(tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
-def test_report_reads_a_sweep_whose_failing_spec_sits_between_specs_with_runs(
-        tmp_path):
-    # runs a, c and failures b: a sweep lists them in spec order a, b, c
-    results = _config_sweep(tmp_path, {"a": 0.001, "b": 1e200, "c": 0.001})
+@pytest.mark.parametrize("failing", ["a", "b", "c"],
+                         ids=["first", "between", "last"])
+def test_report_reads_a_sweep_wherever_its_failing_spec_sits(tmp_path, failing):
+    # specs a, b and c in spec order, one of which fails every seed:
+    # _config_sweep requires that report reads the sweep back
+    rates = {name: 1e200 if name == failing else 0.001 for name in "abc"}
+    results = _config_sweep(tmp_path, rates)
     summary = json.loads((results / "summary.json").read_text())
-    assert list(summary["specs"]) == ["a", "c"]
-    assert [f["spec"] for f in summary["failures"]] == ["b", "b"]
+    assert list(summary["specs"]) == [name for name in "abc" if name != failing]
+    assert [f["spec"] for f in summary["failures"]] == [failing, failing]
 
 
 @pytest.fixture(scope="module")

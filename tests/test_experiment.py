@@ -703,41 +703,43 @@ def _run(name, seed):
                      ConfusionMatrix(1, 1, 1, 1), None)
 
 
-@pytest.mark.parametrize("runs, failures, path, line", [
+@pytest.mark.parametrize("runs, failures, seeds, path, line", [
     # a seed outside the sweep's, in place of seed 1
-    ([("a", 0), ("a", 7), ("a", 2)], [], "runs.csv", 3),
-    ([("a", 0), ("a", 2), ("a", 1)], [], "runs.csv", 3),
+    ([("a", 0), ("a", 7), ("a", 2)], [], [0, 1, 2], "runs.csv", 3),
+    ([("a", 0), ("a", 2), ("a", 1)], [], [0, 1, 2], "runs.csv", 3),
     # seed 1 both ran and failed
-    ([("a", 0), ("a", 1), ("a", 2)], [("a", 1)], "runs.csv", 3),
+    ([("a", 0), ("a", 1), ("a", 2)], [("a", 1)], [0, 1, 2], "runs.csv", 3),
     # where no run is out of place, summary.json's "seeds" line is named:
     # seed 2 neither ran nor failed, a failure's seed is not the sweep's,
-    # a seed failed twice, and spec b failed for seeds 0 and 1 alone
-    ([("a", 0), ("a", 1)], [], "summary.json", 2),
-    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 1), ("b", 5)],
+    # a seed failed twice, spec b failed for seeds 0 and 1 alone, and
+    # "seeds" lists seed 0 twice
+    ([("a", 0), ("a", 1)], [], [0, 1, 2], "summary.json", 2),
+    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 1), ("b", 5)], [0, 1, 2],
      "summary.json", 2),
-    ([("a", 0), ("a", 2)], [("a", 1), ("a", 1)], "summary.json", 2),
-    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 1)],
+    ([("a", 0), ("a", 2)], [("a", 1), ("a", 1)], [0, 1, 2], "summary.json", 2),
+    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 1)], [0, 1, 2],
      "summary.json", 2),
+    ([("a", 0), ("a", 1)], [], [0, 0, 1], "summary.json", 2),
     # spec b failed each seed once, but seed 2 is listed before seed 1:
     # summary.json names that failure's "seed" line
-    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 2), ("b", 1)],
+    ([("a", 0), ("a", 1), ("a", 2)], [("b", 0), ("b", 2), ("b", 1)], [0, 1, 2],
      "summary.json", 25),
 ], ids=["unknown-seed", "out-of-order", "ran-and-failed", "missing-seed",
         "failure-unknown-seed", "failed-twice", "failures-missing-seed",
-        "failures-out-of-order"])
+        "seed-listed-twice", "failures-out-of-order"])
 def test_sweep_files_must_run_or_fail_each_seed_once_in_order(
-        tmp_path, runs, failures, path, line):
+        tmp_path, runs, failures, seeds, path, line):
     # the files are the texts a sweep of these runs writes, so only the
     # seeds give them away
     sweep = SweepResult([_run(*run) for run in runs],
                         [(name, seed, "err") for name, seed in failures],
-                        ["a"], [0, 1, 2])
+                        ["a"], seeds)
     paths = (tmp_path / "runs.csv", tmp_path / "summary.json")
     paths[0].write_text(sweep.runs_csv_text(), encoding="utf-8")
     paths[1].write_text(sweep.summary_json_text(), encoding="utf-8")
-    with pytest.raises(ReportError, match="where a sweep of seeds") as err:
+    with pytest.raises(ReportError, match="where a sweep of") as err:
         SweepResult.from_files(*paths)
-    assert str(err.value).startswith(f"{tmp_path / path}:{line}: spec ")
+    assert str(err.value).startswith(f"{tmp_path / path}:{line}: ")
     if path == "summary.json" and line > 2:  # the failure out of place
         text = paths[1].read_text(encoding="utf-8").split("\n")[line - 1]
         assert text.startswith('      "seed": ')
