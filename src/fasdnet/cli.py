@@ -114,9 +114,10 @@ def _environment() -> dict:
 def _write_outputs(out_dir: Path, files: dict, argv, seed, config_hash,
                    data_hash, trainers: dict | None = None, **extra) -> None:
     """Make out_dir, write each {name: text} of files and then
-    manifest.json there as UTF-8 bytes, with no line end translation;
-    trainers overrides the environment's worker count and BLAS threads
-    when processes other than this one trained."""
+    manifest.json there as UTF-8 bytes, with no line end translation (a
+    callable in place of text writes them to the binary file it is
+    given); trainers overrides the environment's worker count and BLAS
+    threads when processes other than this one trained."""
     manifest = {
         "command_line": ["fasdnet"] + list(argv),
         "config_hash": config_hash,
@@ -130,7 +131,11 @@ def _write_outputs(out_dir: Path, files: dict, argv, seed, config_hash,
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {**files, "manifest.json": json.dumps(manifest, indent=2) + "\n"}
     for name, text in files.items():
-        (out_dir / name).write_bytes(text.encode("utf-8"))
+        with open(out_dir / name, "wb") as fh:
+            if callable(text):
+                text(fh)
+            else:
+                fh.write(text.encode("utf-8"))
 
 
 def _load_dataset(args):
@@ -188,8 +193,7 @@ def cmd_synth(args, argv) -> int:
     ds = synthesize_dataset(args.samples_per_class, args.features,
                             args.separation, rng)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(ds, out)
     controls, fasd = ds.class_counts()
     print(
@@ -209,7 +213,7 @@ def cmd_train(args, argv) -> int:
         out_dir,
         {"confusion.txt": result.confusion.to_text(),
          "history.csv": result.history.to_csv_text(),
-         "model.json": model.to_json()},
+         "model.json": model.to_json},
         argv, args.seed, _sha256_text(spec.config.to_json()), data_hash,
     )
     print(

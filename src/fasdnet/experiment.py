@@ -207,13 +207,7 @@ def _first_model_spec(row_number: int, widths) -> ExperimentSpec:
         learning_rate=0.001,
         seed=0,
     )
-    return ExperimentSpec(
-        name=f"table2-row{row_number}",
-        battery=PSYCHOMETRIC,
-        config=config,
-        train_fraction=0.75,
-        balance=False,
-    )
+    return ExperimentSpec(f"table2-row{row_number}", PSYCHOMETRIC, config, 0.75)
 
 
 def _second_model_spec(name, battery, input_dim, hidden, epochs) -> ExperimentSpec:
@@ -226,13 +220,7 @@ def _second_model_spec(name, battery, input_dim, hidden, epochs) -> ExperimentSp
         learning_rate=0.001,
         seed=0,
     )
-    return ExperimentSpec(
-        name=name,
-        battery=battery,
-        config=config,
-        train_fraction=0.80,
-        balance=True,
-    )
+    return ExperimentSpec(name, battery, config, 0.80, balance=True)
 
 
 def builtin_registry() -> list[ExperimentSpec]:

@@ -46,9 +46,10 @@ the end, the loss and accuracy terms and their per-set means are taken
 once over all its epochs. Each mean is the same float64 sum over one
 slot's rows as a per-epoch mean, so the bits are too.
 
-TrainedModel.to_json is the text of json.dumps(indent=2) from one
-orjson dump of the whole model (see _json_bytes): json's indenting
-encoder is pure Python and cost as much as a short training run.
+TrainedModel.to_json is json.dumps(indent=2)'s text from one orjson
+dump of the whole model (see _json_bytes), or writes it to a file from
+the dump's slices, uncopied: json's indenting encoder is pure Python
+and cost as much as a short training run.
 """
 
 from __future__ import annotations
@@ -288,10 +289,14 @@ class TrainedModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return predict_labels(self.config.loss, self.predict_proba(x))
 
-    def to_json(self) -> str:
+    def to_json(self, fh=None) -> str | None:
         """Exactly json.dumps(doc, indent=2) + "\\n" of the config, the
-        norm statistics and the layers, from _json_bytes."""
-        return _json_bytes(self._json_doc()).decode()
+        norm statistics and the layers, from _json_bytes; given a binary
+        file, its UTF-8 bytes are written there instead."""
+        slices = _json_bytes(self._json_doc())
+        if fh is None:
+            return b"".join(slices).decode()
+        fh.writelines(slices)
 
     def _json_doc(self) -> dict:
         return {
@@ -348,13 +353,13 @@ class TrainedModel:
         return cls(config, norm, stack)
 
 
-def _json_bytes(doc) -> bytes:
-    """The bytes of json.dumps(doc, indent=2) + "\\n" for a document
-    of dicts, lists, plain ASCII strings, ints, floats, None and float64
-    arrays of one or more dimensions: one orjson dump, in json's
-    indent=2 layout and repr's digits (see data.write_csv), where each
-    value that _with_nulls makes NaN comes out as null and is replaced
-    by json's text. A string that holds "null" is a ValueError."""
+def _json_bytes(doc) -> list:
+    """The bytes of json.dumps(doc, indent=2) + "\\n", in slices, for a
+    document of dicts, lists, plain ASCII strings, ints, floats, None and
+    float64 arrays of one or more dimensions: views of one orjson dump,
+    in json's indent=2 layout and repr's digits (see data.write_csv),
+    between json's text of each value that _with_nulls made NaN, which
+    orjson wrote as null. A string that holds "null" is a ValueError."""
     import orjson  # imported here as in data.write_csv
 
     fills = []
@@ -367,7 +372,7 @@ def _json_bytes(doc) -> bytes:
     for at, fill in zip(nulls, fills):
         slices += (view[start:at], fill)
         start = at + 4
-    return b"".join(slices + [view[start:], b"\n"])
+    return slices + [view[start:], b"\n"]
 
 
 def _with_nulls(value, fills: list):

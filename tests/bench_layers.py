@@ -13,7 +13,8 @@ lower layer's.
 It also times whole training runs, train_many on S = 2 slots of
 ROWS training and VALID_ROWS validation rows for EPOCHS epochs, for a
 small and a large table2 spec and a feature-layer spec; and
-TrainedModel.to_json on the registry's largest model, and write_csv
+TrainedModel.to_json on the registry's largest model, as text and
+written to a file as train writes model.json, and write_csv
 and load_csv at every battery's shape and at 10,000 x 48; load_csv also
 at 10,000 x 48 with every cell padded by \\x0b, which float() skips and
 JSON does not, so that every block takes the per-row parse.
@@ -132,15 +133,26 @@ def _parameter_count(config):
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
 
 
-def test_model_to_json(benchmark):
+@pytest.mark.parametrize("to_file", [False, True], ids=["text", "file"])
+def test_model_to_json(benchmark, tmp_path, to_file):
     config = max((spec.config for spec in REGISTRY.values()), key=_parameter_count)
     norm = None
     if config.use_feature_layer:
         norm = FeatureNormLayer.fit(
             SeededRng(2).normals(ROWS * config.input_dim).reshape(ROWS, -1))
     model = TrainedModel(config, norm, network_init(config, SeededRng(1)))
-    text = benchmark(model.to_json)
-    assert text.count("\n") > _parameter_count(config)
+    if not to_file:
+        text = benchmark(model.to_json)
+        assert text.count("\n") > _parameter_count(config)
+        return
+    path = tmp_path / "model.json"
+
+    def write():
+        with open(path, "wb") as fh:
+            model.to_json(fh)
+
+    benchmark(write)
+    assert path.read_bytes() == model.to_json().encode()
 
 
 CSV_SHAPES = [

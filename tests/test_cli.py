@@ -9,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -172,6 +173,34 @@ def test_train_rerun_reproduces_metrics_files(data_csv, tmp_path):
                    "--out-dir", d) == EXIT_OK
     for name in ("model.json", "history.csv", "confusion.txt"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_train_writes_model_json_without_a_second_copy(tmp_path, monkeypatch):
+    # from the trained model to the last file, train holds one orjson
+    # dump of model.json (its buffer a little larger than the file) and
+    # the arrays it was dumped from, not a joined, decoded or encoded copy
+    data = tmp_path / "dti.csv"
+    assert run("synth", "--samples-per-class", 20, "--features", 48,
+               "--separation", 3.0, "--seed", 5, "--out", data) == EXIT_OK
+    before = []
+
+    def trained(*args):
+        result = run_experiment_with_model(*args)
+        before.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr("fasdnet.cli.run_experiment_with_model", trained)
+    tracemalloc.start()
+    try:
+        code = run("train", "--data", data, "--battery", "dti", "--spec",
+                   "dti-leaky-100ep", "--out-dir", tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    size = (tmp_path / "run" / "model.json").stat().st_size
+    assert peak - before[0] < 1.5 * size
 
 
 def test_train_from_config_file(data_csv, tmp_path):

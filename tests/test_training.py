@@ -927,7 +927,7 @@ def test_model_json_is_json_dumps_text_and_reads_back_bit_for_bit(model):
 
 
 def _json_text(doc) -> str:
-    return _json_bytes(doc).decode()
+    return b"".join(_json_bytes(doc)).decode()
 
 
 # float64 arrays of one to three dimensions, NaN and +-inf included (a
@@ -969,8 +969,10 @@ def test_model_json_of_any_numbers_and_views_is_json_dumps_text(model, data):
                                  elements=ANY_FLOAT)) for _ in range(2)))
     text = model.to_json()
     assert text == _json_oracle(model)
+    # train hands _write_outputs the writer, which streams the dump's
+    # slices and fills to the file: the same bytes as the text's
     with tempfile.TemporaryDirectory() as tmp:
-        _write_outputs(Path(tmp), {"model.json": text}, [], 0, "", "")
+        _write_outputs(Path(tmp), {"model.json": model.to_json}, [], 0, "", "")
         assert Path(tmp, "model.json").read_bytes() == text.encode()
 
 
@@ -986,10 +988,19 @@ def test_json_writer_on_non_finite_and_empty_arrays():
         assert _json_text([a]) == json.dumps([a.tolist()], indent=2) + "\n"
 
 
-def test_json_writer_refuses_a_string_that_holds_null():
-    # each null in orjson's text must be one of the writer's own
+def test_json_writer_refuses_a_string_that_holds_null(tmp_path, monkeypatch):
+    # each null in orjson's text must be one of the writer's own, and a
+    # model whose dump is refused writes no byte of model.json
+    doc = {"name": "null", "norm": None}
     with pytest.raises(ValueError, match="orjson wrote 2 nulls for 1 fills"):
-        _json_bytes({"name": "null", "norm": None})
+        _json_bytes(doc)
+    config = NetworkConfig(3, ((2, SOFTMAX),), SPARSE_CATEGORICAL, False, 1,
+                           0.001, 0)
+    model = TrainedModel(config, None, network_init(config, SeededRng(0)))
+    monkeypatch.setattr(model, "_json_doc", lambda: doc)
+    with pytest.raises(ValueError, match="orjson wrote 2 nulls for 1 fills"):
+        _write_outputs(tmp_path, {"model.json": model.to_json}, [], 0, "", "")
+    assert (tmp_path / "model.json").read_bytes() == b""
 
 
 @settings(deadline=None, max_examples=25)
