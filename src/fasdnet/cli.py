@@ -10,12 +10,9 @@ and thread count and the worker count of the processes that trained
 exactly. A sweep's manifest also records each spec's seconds, which
 sweep prints to stderr as well.
 
-Exit codes: 0 success, 2 usage, 3 data error (including missing or
-malformed input files) and every other toolkit error without a code of
-its own (ReportError included), 4 configuration error, 5 training
-divergence, 6 filesystem error, 7 a sweep in which every run failed.
-The default output directory can be set with the FASDNET_OUT_DIR
-environment variable.
+Exit codes are listed in README and build_parser's epilog, and errors
+map to them in _EXIT_CODES. FASDNET_OUT_DIR sets the default output
+directory.
 """
 
 from __future__ import annotations
@@ -146,10 +143,10 @@ def _load_dataset(args):
 
 
 def _config_spec(path: Path, args, ds, ablate=()) -> ExperimentSpec:
-    """A network-config JSON file wrapped in an experiment spec named
-    after the file, using the command's battery, split and balance
-    flags and ablate; train --spec and sweep --specs share it. Its
-    input_dim must be ds's feature count less the ablated features."""
+    """A network-config JSON file as an experiment spec named after the
+    file, with the command's battery, split (default 0.8), balance and
+    ablate; train --spec and sweep --specs share it. Its input_dim must
+    be ds's feature count less the ablated features."""
     if path.stem.encode(errors="replace").decode() != path.stem:
         raise ConfigError(f"{str(path)!r}: the file's name is not UTF-8, so "
                           "it cannot name the spec in runs.csv")
@@ -159,8 +156,20 @@ def _config_spec(path: Path, args, ds, ablate=()) -> ExperimentSpec:
         raise ConfigError(
             f"{path}: input_dim is {_shown(config.input_dim)}, but the data "
             f"has {width} features{' after --ablate' if ablate else ''}")
-    return ExperimentSpec(path.stem, args.battery, config, args.train_fraction,
+    fraction = 0.8 if args.train_fraction is None else args.train_fraction
+    return ExperimentSpec(path.stem, args.battery, config, fraction,
                           args.balance, ablate)
+
+
+def _builtin_specs(args, token: str) -> list[ExperimentSpec]:
+    """resolve_specs(token); ConfigError for --train-fraction or --balance,
+    as builtin specs keep their own split: the flags are for config files."""
+    specs = resolve_specs(token)
+    if args.balance or args.train_fraction is not None:
+        flag = "--balance" if args.balance else "--train-fraction"
+        raise ConfigError(f"{flag} applies only to config files, not to "
+                          f"builtin {token!r}: a builtin spec keeps its split")
+    return specs
 
 
 def _train_spec(args, ds) -> ExperimentSpec:
@@ -168,7 +177,7 @@ def _train_spec(args, ds) -> ExperimentSpec:
     path = Path(args.spec)
     ablate = tuple(args.ablate.split(",")) if args.ablate else ()
     if args.spec in REGISTRY:
-        return replace(REGISTRY[args.spec], ablate=ablate)
+        return replace(_builtin_specs(args, args.spec)[0], ablate=ablate)
     if path.is_file():
         return _config_spec(path, args, ds, ablate)
     raise ConfigError(
@@ -181,7 +190,7 @@ def _sweep_specs(args, ds) -> list[ExperimentSpec]:
     """--specs as a directory of config files, or builtin names and sets."""
     path = Path(args.specs)
     if not path.is_dir():
-        return resolve_specs(args.specs)
+        return _builtin_specs(args, args.specs)
     specs = [_config_spec(file, args, ds) for file in sorted(path.glob("*.json"))]
     if not specs:
         raise ConfigError(f"no *.json config files in directory {path}")
@@ -275,6 +284,9 @@ def cmd_report(args, argv) -> int:
     return EXIT_OK
 
 
+_SPLIT_HELP = "config files only: with a builtin spec it exits 4"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: each parse_args call
@@ -305,10 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="builtin experiment name or network-config JSON file, "
                         "whose input_dim must be the data's width after --ablate")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float, default=0.8,
-                   help="used only with a config file, not builtins")
-    p.add_argument("--balance", action="store_true",
-                   help="used only with a config file, not builtins")
+    p.add_argument("--train-fraction", type=float,
+                   help=_SPLIT_HELP + "; default 0.8")
+    p.add_argument("--balance", action="store_true", help=_SPLIT_HELP)
     p.add_argument("--ablate", default="",
                    help="comma list of feature names to drop before training")
     p.add_argument("--out-dir", default=None)
@@ -322,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "builtin names, or a directory of config JSON files")
     p.add_argument("--seeds", required=True, type=_seed_list,
                    help="comma list of integers")
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--balance", action="store_true")
+    p.add_argument("--train-fraction", type=float,
+                   help=_SPLIT_HELP + "; default 0.8")
+    p.add_argument("--balance", action="store_true", help=_SPLIT_HELP)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_sweep)
 

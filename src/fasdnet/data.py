@@ -1,15 +1,9 @@
 """Dataset ingestion, validation, balancing, splitting, and synthesis.
 
-Five real test batteries are supported, each a fixed-width numeric CSV.
-The file contract: UTF-8, comma separated, decimal point, one header
-row, every feature cell numeric, and the final column named "label"
-holding 0 (control) or 1 (FASD). Columns named exactly "sex" (0/1) and
-"age" (years) are ordinary features but can be targeted by name for
-ablation runs.
-
-The battery schemas pin the expected feature count per battery; a file
-with the wrong width is rejected. Row counts are advisory (a warning,
-not an error) so subsets of a battery can still be loaded.
+Five real test batteries are supported, each a fixed-width numeric CSV
+under README's data contract, whose widths the battery schemas pin.
+Columns named "sex" and "age" are ordinary features that ablation runs
+can name.
 
 Real battery files are external inputs; the repository ships only this
 loader plus a synthetic generator that mimics the batteries' awkward

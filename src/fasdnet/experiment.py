@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import io
 import json
 import os
@@ -87,15 +88,17 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
+    def _divisor(self) -> int:
+        """total, percents' and accuracy's divisor; ContractError if 0."""
+        if self.total == 0:
+            raise ContractError("empty confusion matrix has no accuracy or percents")
+        return self.total
+
     def percents(self) -> dict[str, float]:
         """Each cell as percent of all evaluated samples."""
-        t = self.total
-        return {
-            "tp": 100.0 * self.tp / t,
-            "fp": 100.0 * self.fp / t,
-            "tn": 100.0 * self.tn / t,
-            "fn": 100.0 * self.fn / t,
-        }
+        t = self._divisor()
+        return {key: 100.0 * getattr(self, key) / t
+                for key in ("tp", "fp", "tn", "fn")}
 
     def to_text(self) -> str:
         """Aligned table in the percent-of-total display convention."""
@@ -133,9 +136,7 @@ def confusion_matrix(predictions, labels) -> ConfusionMatrix:
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
-    if cm.total == 0:
-        raise ContractError("accuracy of an empty confusion matrix")
-    return (cm.tp + cm.tn) / cm.total
+    return (cm.tp + cm.tn) / cm._divisor()
 
 
 @dataclass(frozen=True)
@@ -576,9 +577,11 @@ def _json_object(path: Path, error: type, read=dict):
         raise _annotate(str(path), exc)
 
 
-def _openblas(stem: str):
+@functools.cache
+def _openblas(stem: str, restype, *argtypes):
     """The loaded OpenBLAS's `openblas_<stem>` function through ctypes,
-    or None if none is found (another BLAS, or no /proc/self/maps)."""
+    typed, or None if none is found (another BLAS, or no /proc/self/maps);
+    looked up once per process."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
@@ -587,7 +590,9 @@ def _openblas(stem: str):
             for symbol in (f"scipy_openblas_{stem}64_", f"openblas_{stem}64_",
                            f"openblas_{stem}"):
                 if hasattr(handle, symbol):
-                    return getattr(handle, symbol)
+                    function = getattr(handle, symbol)
+                    function.restype, function.argtypes = restype, argtypes
+                    return function
     except OSError:
         pass
     return None
@@ -596,28 +601,21 @@ def _openblas(stem: str):
 def _blas_threads() -> int | None:
     """Thread count reported by the loaded OpenBLAS, or None if none is
     found."""
-    get_threads = _openblas("get_num_threads")
-    if get_threads is None:
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return get_threads()
+    get_threads = _openblas("get_num_threads", ctypes.c_int)
+    return None if get_threads is None else get_threads()
 
 
 def _blas_core() -> str | None:
     """The OpenBLAS kernel picked for this CPU (SkylakeX, ...), or None."""
-    get_core = _openblas("get_corename")
-    if get_core is not None:
-        get_core.argtypes, get_core.restype = [], ctypes.c_char_p
-        return get_core().decode()
-    return None
+    get_core = _openblas("get_corename", ctypes.c_char_p)
+    return None if get_core is None else get_core().decode()
 
 
 def _pin_blas() -> None:
     """Pool initializer: one BLAS thread per worker, so that the workers
     do not contend for the cores they already fill."""
-    set_threads = _openblas("set_num_threads")
+    set_threads = _openblas("set_num_threads", None, ctypes.c_int)
     if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)
 
 
@@ -675,13 +673,9 @@ def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
     training.train_many); every result is bit-identical to running
     that seed alone, and memory grows linearly with the seed count.
 
-    The specs run on one forked worker process per available CPU (at
-    most one per spec), the most expensive first; each worker's BLAS
-    runs one thread. A spec's results do not depend on which worker
-    ran it, so the results, and every file written from them, are the
-    same bytes for any worker count. With one worker, where fork is
-    unavailable, or while another thread runs, the specs run in this
-    process."""
+    The specs run through _map_specs, the most expensive first, and the
+    results are the same bytes for any worker count (see README,
+    Determinism)."""
     specs = list(specs)
     seeds = [int(s) for s in seeds]
     if not seeds or len(set(seeds)) != len(seeds):

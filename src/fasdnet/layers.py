@@ -98,7 +98,8 @@ class Activation:
         if self.kind == "leaky_relu":
             s = 0.01 if self.slope is None else self.slope
             if not 0.0 < s < 1.0:
-                raise ConfigError(f"leaky_relu slope must be in (0, 1), got {s}")
+                raise ConfigError(
+                    f"leaky_relu slope must be in (0, 1), got {_shown(s)}")
             object.__setattr__(self, "slope", s)
         elif self.slope is not None:
             raise ConfigError(f"{self.kind} takes no slope parameter")
@@ -237,28 +238,6 @@ class DenseLayer:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[-1]
-
-
-def stack_layers(networks) -> list[DenseLayer]:
-    """One stacked network from S networks of the same architecture;
-    slot s holds networks[s]."""
-    return [
-        DenseLayer(
-            np.stack([layer.weights for layer in column]),
-            np.stack([layer.bias for layer in column]),
-            column[0].activation,
-        )
-        for column in zip(*networks)
-    ]
-
-
-def unstack_layers(layers: list[DenseLayer], slot: int) -> list[DenseLayer]:
-    """Copy of slot `slot` of a stacked network as a 2-D network."""
-    return [
-        DenseLayer(layer.weights[slot].copy(), layer.bias[slot].copy(),
-                   layer.activation)
-        for layer in layers
-    ]
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
@@ -520,6 +499,20 @@ def network_init(config: NetworkConfig, rng: SeededRng) -> list[DenseLayer]:
 def _parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
     """Every layer's weights and bias, in parameter order."""
     return [a for layer in layers for a in (layer.weights, layer.bias)]
+
+
+def _layer_views(flat: np.ndarray, layers: list[DenseLayer]) -> list[DenseLayer]:
+    """layers' network with its parameters as views of flat, an (S, P)
+    or (P,) buffer holding each layer's weights and then its bias, laid
+    end to end: a stack of S networks, or one."""
+    lead, views, start = flat.shape[:-1], [], 0
+    for layer in layers:
+        m, n = layer.in_dim, layer.out_dim
+        weights = flat[..., start:start + m * n].reshape(lead + (m, n))
+        bias = flat[..., start + m * n:start + (m + 1) * n].reshape(lead + (1, n))
+        views.append(DenseLayer(weights, bias, layer.activation))
+        start += (m + 1) * n
+    return views
 
 
 def _z_shapes(layers: list[DenseLayer], rows: int) -> list[tuple]:

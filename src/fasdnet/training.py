@@ -31,8 +31,10 @@ layers._Forward). The pass before epoch 1 feeds only the first
 backward pass, so it covers the training rows alone.
 
 The loop keeps three (S, P) buffers for the life of the run, P being
-the parameter count of one network: the parameters theta (each layer's
-weights and bias are views of their span of it) and Adam's moments.
+the parameter count of one network: Adam's moments and theta, the
+stack. Row s of theta is slot s's network_init, weights and biases
+laid end to end; the stack's layers are views of theta, and each
+trained model's of a copy of its row (layers._layer_views).
 All else an epoch touches is made once per run, in a _Workspace, with
 its calls bound to it (see layers): an epoch runs only ufunc and matmul
 calls and one finiteness check per layer. One activation scratch and
@@ -82,13 +84,12 @@ from .layers import (
     _Forward,
     _forward_buffers,
     _json_fields,
+    _layer_views,
     _parameters,
     _run,
     activation_apply,
     network_forward,
     network_init,
-    stack_layers,
-    unstack_layers,
 )
 from .rng import SeededRng
 
@@ -480,15 +481,11 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
                             "standardized by its training rows' mean and "
                             "standard deviation is not finite")
 
-    layers = stack_layers(
-        [network_init(c, SeededRng(c.seed)) for c in configs]
-    )
-    # one (S, P) buffer each for parameters and Adam's moments; see the
-    # module docstring
-    theta = np.concatenate(
-        [a.reshape(len(configs), -1) for a in _parameters(layers)], axis=1
-    )
-    _set_parameters(layers, theta)
+    # theta, a row of parameters per slot; see the module docstring
+    nets = [network_init(c, SeededRng(c.seed)) for c in configs]
+    theta = np.stack([np.concatenate(_parameters(net), axis=None) for net in nets])
+    layers = _layer_views(theta, nets[0])
+    del nets  # theta holds their parameters now
     state = AdamState([theta], config.learning_rate)
     outcomes = [None] * len(configs)
     # history row e of every slot: train loss, train accuracy,
@@ -522,7 +519,7 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
     for slot, outcome in enumerate(outcomes):
         if outcome is None:
             model = TrainedModel(configs[slot], norms[slot],
-                                 unstack_layers(layers, slot))
+                                 _layer_views(theta[slot].copy(), layers))
             history = History(*(rows[:, k, slot].tolist() for k in range(4)))
             outcomes[slot] = (model, history)
     return outcomes
@@ -546,10 +543,10 @@ class _Workspace:
         backward = _backward_buffers(layers, n)
         delta = backward[-1][0]
         grad = np.empty_like(theta)
+        grads = _parameters(_layer_views(grad, layers))
         self.step = (
             _loss_delta_steps(self.first.output, _target(kind, y[:, :n]), delta)
-            + _backward_steps(layers, self.first.caches, delta,
-                              _views(grad, layers), backward))
+            + _backward_steps(layers, self.first.caches, delta, grads, backward))
         self.adam = _adam(state, [theta], [grad])
         self.kind, self.n, self.y, self.is_one = kind, n, y, y == 1
         self.block = np.empty((min(epochs, _BLOCK),) + self.forward.output.shape)
@@ -575,20 +572,3 @@ class _Workspace:
         out[:, 3] = np.mean(hit[..., n:], axis=-1)
         self.kept = 0
 
-
-def _views(flat: np.ndarray, layers: list[DenseLayer]) -> list[np.ndarray]:
-    """Views of an (S, P) buffer shaped like the layers' parameters, in
-    parameter order: the spans the parameters occupy in theta."""
-    views, start = [], 0
-    for a in _parameters(layers):
-        stop = start + a.shape[-2] * a.shape[-1]
-        views.append(flat[:, start:stop].reshape((len(flat),) + a.shape[-2:]))
-        start = stop
-    return views
-
-
-def _set_parameters(layers: list[DenseLayer], theta: np.ndarray) -> None:
-    """Point each layer's weights and bias at its span of theta."""
-    params = _views(theta, layers)
-    for i, layer in enumerate(layers):
-        layer.weights, layer.bias = params[2 * i], params[2 * i + 1]

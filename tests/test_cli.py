@@ -444,6 +444,8 @@ def test_train_config_field_of_the_wrong_type_exits_4(data_csv, tmp_path,
         20, ((8, SIGMOID), (1, SIGMOID)), "binary", epochs=3).to_json())
     if field == "width":
         config["layers"][0]["width"] = value
+    elif field == "slope":
+        config["layers"][0].update(activation="leaky_relu", slope=value)
     else:
         config[field] = value
     cfg_path = tmp_path / "c.json"
@@ -553,6 +555,42 @@ def test_a_command_that_fails_before_writing_leaves_no_out_dir(
     assert run(command, "--data", data_csv, "--battery", "psychometric",
                *argv, "--out-dir", tmp_path / "o" / "run") == code
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("split", [("--train-fraction", "0.5"), ("--balance",)],
+                         ids=["train-fraction", "balance"])
+@pytest.mark.parametrize("command, flag, spec", [
+    ("train", "--spec", "table2-row1"),
+    ("sweep", "--specs", "table2-row1,table2-row2"),
+    ("sweep", "--specs", "table2"),
+], ids=["train", "sweep-names", "sweep-set"])
+def test_a_split_flag_with_builtin_specs_exits_4_before_training(
+        data_csv, tmp_path, capsys, monkeypatch, command, flag, spec, split):
+    # a builtin spec keeps its own train fraction and balancing, so a
+    # flag that would change them is refused rather than ignored
+    for name in ("run_experiment_with_model", "run_sweep"):
+        monkeypatch.setattr(f"fasdnet.cli.{name}",
+                            lambda *_, name=name: pytest.fail(f"{name} ran"))
+    assert run(command, "--data", data_csv, "--battery", "psychometric",
+               flag, spec, "--seeds" if command == "sweep" else "--seed", 0,
+               *split, "--out-dir", tmp_path / "o") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"error: {split[0]} applies only to config files, not to "
+            f"builtin {spec!r}: a builtin spec keeps its split") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_file_trains_on_an_unbalanced_0_8_split_by_default(
+        data_csv, tmp_path):
+    config = tmp_path / "net.json"
+    config.write_text(NetworkConfig(
+        20, ((4, RELU), (1, SIGMOID)), "binary", True, 5, 0.01).to_json())
+    for name, split in (("default", ()), ("given", ("--train-fraction", 0.8))):
+        assert run("train", "--data", data_csv, "--battery", "psychometric",
+                   "--spec", config, *split, "--out-dir", tmp_path / name) == EXIT_OK
+    for file in ("confusion.txt", "history.csv", "model.json"):
+        assert ((tmp_path / "default" / file).read_bytes()
+                == (tmp_path / "given" / file).read_bytes())
 
 
 @pytest.mark.parametrize("command, flag, fraction",
@@ -1155,12 +1193,15 @@ def test_a_learning_rate_beyond_a_doubles_range_exits_4(
     ("epochs", 10**500, "a positive 501-digit integer"),
     ("input_dim", -10**30, "a negative 31-digit integer"),
     ("width", 10**40, "a positive 41-digit integer"),
-], ids=["learning_rate", "epochs", "input_dim", "width"])
+    ("slope", 10**400, "a positive 401-digit integer"),
+], ids=["learning_rate", "epochs", "input_dim", "width", "slope"])
 def test_a_config_int_of_hundreds_of_digits_is_named_by_its_digit_count(
         one_spec_sweep, tmp_path, capsys, field, value, shown):
     config = json.loads((one_spec_sweep.parent / "configs" / "a.json").read_text())
     if field == "width":
         config["layers"][0]["width"] = value
+    elif field == "slope":
+        config["layers"][0].update(activation="leaky_relu", slope=value)
     else:
         config[field] = value
     path = tmp_path / "big.json"
@@ -1316,11 +1357,10 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
         blas.get("name"), blas.get("version"))
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     # the kernel is one of the words of OpenBLAS's build string
-    get_config = _openblas("get_config")
+    get_config = _openblas("get_config", ctypes.c_char_p)
     if get_config is None:
         assert env["blas_core"] is None
     else:
-        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
         assert env["blas_core"] in get_config().decode().split()
     # found once per process, not once per manifest
     assert _environment() is _environment()
@@ -1332,10 +1372,9 @@ def test_sweep_manifest_records_the_blas_threads_that_trained(
         data_csv, tmp_path, monkeypatch, cpus, workers, threads):
     # this process runs two BLAS threads; a pooled sweep's workers run
     # one each, and the manifest must say what the trainers ran
-    set_threads = _openblas("set_num_threads")
+    set_threads = _openblas("set_num_threads", None, ctypes.c_int)
     if set_threads is None:
         pytest.skip("no OpenBLAS whose thread count can be set")
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
     cfg_dir = tmp_path / "configs"

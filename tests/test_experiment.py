@@ -213,6 +213,23 @@ def test_accuracy():
         accuracy(ConfusionMatrix(0, 0, 0, 0))
 
 
+def test_an_empty_confusion_matrix_has_no_percents_text_or_accuracy():
+    cm = confusion_matrix(np.array([], int), np.array([], int))
+    assert cm == ConfusionMatrix(0, 0, 0, 0)
+    for call in (cm.percents, cm.to_text, lambda: accuracy(cm)):
+        with pytest.raises(ContractError,
+                           match="empty confusion matrix has no accuracy"):
+            call()
+
+
+def test_openblas_functions_are_looked_up_once_and_typed():
+    get_threads = experiment._openblas("get_num_threads", ctypes.c_int)
+    if get_threads is None:
+        pytest.skip("no OpenBLAS loaded")
+    assert experiment._openblas("get_num_threads", ctypes.c_int) is get_threads
+    assert (get_threads.restype, get_threads.argtypes) == (ctypes.c_int, ())
+
+
 def test_accuracy_equals_indicator_mean():
     rng = np.random.default_rng(1)
     p = rng.integers(0, 2, size=40)
@@ -439,10 +456,9 @@ def test_sweep_files_do_not_depend_on_the_worker_count(monkeypatch):
 def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
     # a wide spec on 300 training rows, whose products are big enough
     # that OpenBLAS splits them between its threads
-    set_threads = experiment._openblas("set_num_threads")
+    set_threads = experiment._openblas("set_num_threads", None, ctypes.c_int)
     if set_threads is None:
         pytest.skip("no OpenBLAS whose thread count can be set")
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     ds = synthesize_dataset(200, 48, 0.7, SeededRng(3))
     spec = _short(REGISTRY["table2-row9"], epochs=60)
     before = experiment._blas_threads()

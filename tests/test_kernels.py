@@ -42,7 +42,6 @@ from fasdnet.layers import (
     leaky_relu,
     network_backward,
     network_forward,
-    unstack_layers,
 )
 from fasdnet.matrix import add_row_broadcast, matmul
 from fasdnet.training import BETA1, BETA2, EPSILON, AdamState, _adam, adam_step
@@ -323,7 +322,8 @@ def _forward(layers, x):
     failures = {}
     for s in range(len(x)):
         try:
-            network_forward(unstack_layers(layers, s), None, x[s])
+            network_forward([DenseLayer(l.weights[s], l.bias[s], l.activation)
+                             for l in layers], None, x[s])
         except NonFiniteError as exc:
             failures[s] = exc.layer
     return failures

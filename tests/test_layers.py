@@ -34,6 +34,8 @@ from fasdnet.layers import (
     _backward_steps,
     _Forward,
     _forward_buffers,
+    _layer_views,
+    _parameters,
     activation_apply,
     activation_grad,
     dense_backward_from_delta,
@@ -42,8 +44,6 @@ from fasdnet.layers import (
     network_backward,
     network_forward,
     network_init,
-    stack_layers,
-    unstack_layers,
 )
 from fasdnet.rng import SeededRng
 
@@ -369,7 +369,7 @@ def _root(a):
 def test_layers_share_one_activation_scratch_and_two_delta_buffers():
     cfg = _config(((64, SIGMOID), (128, RELU), (64, SIGMOID), (128, RELU),
                    (2, SOFTMAX)))
-    layers = stack_layers([network_init(cfg, SeededRng(s)) for s in (0, 1)])
+    _, layers = _stack([network_init(cfg, SeededRng(s)) for s in (0, 1)])
     forward = _forward_buffers(layers, 7)
     owners = [[_root(a) for a in group[:3]] for group in forward]
     assert len({id(work) for _, _, work in owners}) == 1
@@ -448,14 +448,11 @@ def test_stacked_network_equals_each_slot_bit_for_bit():
     nets = [network_init(cfg, SeededRng(s)) for s in (1, 2, 3)]
     x = rng.standard_normal((3, 7, 5))
     top = rng.standard_normal((3, 7, 2))
-    stacked = stack_layers(nets)
+    _, stacked = _stack(nets)
     assert [(l.in_dim, l.out_dim) for l in stacked] == [(5, 8), (8, 6), (6, 2)]
     caches, out = network_forward(stacked, None, x)
     grads = network_backward(stacked, caches, top)
     for s, net in enumerate(nets):
-        for got, want in zip(unstack_layers(stacked, s), net):
-            assert np.array_equal(got.weights, want.weights)
-            assert np.array_equal(got.bias, want.bias)
         slot_caches, slot_out = network_forward(net, None, x[s])
         assert np.array_equal(out[s], slot_out)
         for (h, z), (slot_h, slot_z) in zip(caches, slot_caches):
@@ -463,6 +460,33 @@ def test_stacked_network_equals_each_slot_bit_for_bit():
         slot_grads = network_backward(net, slot_caches, top[s])
         for got, want in zip(grads, slot_grads):
             assert np.array_equal(got[s], want)
+
+
+def _stack(nets):
+    """(theta, stack) as train_many builds them: a row of theta per
+    network, its parameters laid end to end, and the stack's layers as
+    views of theta."""
+    theta = np.stack([np.concatenate(_parameters(net), axis=None) for net in nets])
+    return theta, _layer_views(theta, nets[0])
+
+
+def test_layer_views_of_theta_are_the_stack_and_a_row_is_its_network():
+    cfg = _config(((8, SIGMOID), (6, leaky_relu()), (2, SOFTMAX)),
+                  input_dim=5)
+    nets = [network_init(cfg, SeededRng(s)) for s in (1, 2, 3)]
+    theta, stacked = _stack(nets)
+    assert theta.shape == (3, 5 * 8 + 8 + 8 * 6 + 6 + 6 * 2 + 2)
+    for layer in stacked:
+        for a in (layer.weights, layer.bias):
+            assert np.shares_memory(a, theta)
+    for s, net in enumerate(nets):
+        row = theta[s].copy()
+        for got, slot, want in zip(_layer_views(row, stacked), stacked, net):
+            assert got.activation == want.activation
+            for a, b, c in ((got.weights, slot.weights[s], want.weights),
+                            (got.bias, slot.bias[s], want.bias)):
+                assert a.shape == c.shape and np.shares_memory(a, row)
+                assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 def test_network_forward_guard_names_failing_stack_slots():
@@ -473,7 +497,7 @@ def test_network_forward_guard_names_failing_stack_slots():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match=r"layer 0 pre-activation "
                            r"is non-finite in stack slots \[1\]") as err:
-            network_forward(stack_layers(nets), None, x)
+            network_forward(_stack(nets)[1], None, x)
     assert (err.value.layer, err.value.slots) == (0, (1,))
 
 

@@ -467,6 +467,32 @@ def test_a_workspace_holds_only_arrays_live_at_the_same_time(monkeypatch):
     assert len(written) == 2 * len(widths) + 1 + 3 + 2
 
 
+def test_a_stack_and_its_models_are_views_of_theta_and_of_its_rows(monkeypatch):
+    # the stack's layers are views of theta; each trained model's, of a
+    # copy of its slot's row, which holds the model's parameters
+    from fasdnet import training
+    from fasdnet.experiment import REGISTRY
+
+    made = []
+
+    class Recorded(training._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(args)
+
+    monkeypatch.setattr(training, "_Workspace", Recorded)
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(17))
+    configs = [replace(REGISTRY["table2-row7"].config, epochs=3, seed=s)
+               for s in (0, 1)]
+    splits = [stratified_split(ds, SplitSpec(0.75, seed=s)) for s in (0, 1)]
+    outcomes = _train_stacked(configs, splits)
+    [(_, layers, _, theta, *_)] = made
+    assert _roots([(l.weights, l.bias) for l in layers]).keys() == {id(theta)}
+    for s, (model, _) in enumerate(outcomes):
+        (row,) = _roots([(l.weights, l.bias) for l in model.layers]).values()
+        assert row.shape == theta.shape[1:] and row.tobytes() == theta[s].tobytes()
+
+
 def test_train_many_drops_diverging_slots_and_carries_on():
     # at this learning rate four seeds overflow at epochs 12-18 and two
     # finish; each slot must match training it alone
