@@ -175,7 +175,7 @@ def _builtin_specs(args, token: str) -> list[ExperimentSpec]:
 def _train_spec(args, ds) -> ExperimentSpec:
     """--spec as a builtin name or a config file, with --ablate applied."""
     path = Path(args.spec)
-    ablate = tuple(args.ablate.split(",")) if args.ablate else ()
+    ablate = tuple(map(str.strip, args.ablate.split(","))) if args.ablate else ()
     if args.spec in REGISTRY:
         return replace(_builtin_specs(args, args.spec)[0], ablate=ablate)
     if path.is_file():
@@ -217,11 +217,11 @@ def cmd_train(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
     spec = _train_spec(args, ds)
     out_dir = _out_dir(args)
-    result, model = run_experiment_with_model(spec, ds, args.seed)
+    result, model, history = run_experiment_with_model(spec, ds, args.seed)
     _write_outputs(
         out_dir,
         {"confusion.txt": result.confusion.to_text(),
-         "history.csv": result.history.to_csv_text(),
+         "history.csv": history.to_csv_text(),
          "model.json": model.to_json},
         argv, args.seed, _sha256_text(spec.config.to_json()), data_hash,
     )

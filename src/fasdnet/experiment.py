@@ -163,7 +163,6 @@ class RunResult:
     train_accuracy: float
     test_accuracy: float
     confusion: ConfusionMatrix
-    history: object
 
     def __post_init__(self):
         for label, acc in (("train", self.train_accuracy),
@@ -287,7 +286,7 @@ def _annotate(name: str, exc: FasdnetError) -> FasdnetError:
 
 def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
     """Ablate, balance, split, train, evaluate; deterministic per seed.
-    Returns (RunResult, TrainedModel).
+    Returns (RunResult, TrainedModel, History).
 
     Synthetic datasets stand in for any battery; a real battery must
     match the spec's battery. The run seed feeds three independent derived
@@ -305,8 +304,8 @@ def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
 
 def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
     """run_experiment_with_model for every seed, trained as one stacked
-    network; returns (RunResult, TrainedModel) or the FasdnetError per
-    seed, in order.
+    network; returns (RunResult, TrainedModel, History) or the
+    FasdnetError per seed, in order.
 
     Everything up to and including train_many is one step whose
     FasdnetError fails every seed with one message. Its checks of the
@@ -366,9 +365,8 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
                 train_accuracy=history.train_acc[-1],
                 test_accuracy=accuracy(cm),
                 confusion=cm,
-                history=history,
             )
-            outcomes.append((result, model))
+            outcomes.append((result, model, history))
         except FasdnetError as exc:
             outcomes.append(_annotate(spec.name, exc))
     return outcomes
@@ -481,8 +479,7 @@ class SweepResult:
                 cells = [int(row[k]) for k in ("tp", "fp", "tn", "fn")]
                 run = RunResult(row["spec"], specs[row["spec"]]["battery"],
                                 int(row["seed"]), float(row["train_acc"]),
-                                float(row["test_acc"]), ConfusionMatrix(*cells),
-                                None)
+                                float(row["test_acc"]), ConfusionMatrix(*cells))
                 if run.battery not in BATTERIES:
                     raise ReportError(f"{summary_path}: spec {run.spec_name!r} "
                                       f"has unknown battery {run.battery!r}")
@@ -626,11 +623,8 @@ def _run_spec(task):
     neither: each run is what SweepResult.from_files reads back."""
     spec, ds, seeds = task
     start = time.perf_counter()
-    outcomes = [
-        outcome if isinstance(outcome, FasdnetError)
-        else replace(outcome[0], history=None)
-        for outcome in _run_seeds(spec, ds, seeds)
-    ]
+    outcomes = [outcome if isinstance(outcome, FasdnetError) else outcome[0]
+                for outcome in _run_seeds(spec, ds, seeds)]
     return outcomes, time.perf_counter() - start, _blas_threads()
 
 
@@ -666,8 +660,8 @@ def _cost(spec: ExperimentSpec, ds: Dataset) -> int:
 
 
 def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
-    """Run every spec x seed combination, in spec-major order, each
-    history None; a failed run is recorded without aborting the sweep.
+    """Run every spec x seed combination, in spec-major order; a failed
+    run is recorded without aborting the sweep.
 
     The seeds of one spec train as one stacked network (see
     training.train_many); every result is bit-identical to running

@@ -380,7 +380,8 @@ def _with_nulls(value, fills: list):
     """value with each None, each of data._odd_cells' numbers and each
     int orjson cannot write (outside [-2**63, 2**64)) made NaN, and its
     arrays C-contiguous; appends json's text of each, in document order,
-    to fills."""
+    to fills. A 2+-D array holding one becomes the list of its rows (the
+    same text to orjson), so that only the rows holding one are copied."""
     if isinstance(value, dict):
         return {key: _with_nulls(item, fills) for key, item in value.items()}
     if isinstance(value, list):
@@ -395,6 +396,10 @@ def _with_nulls(value, fills: list):
     odd = _odd_cells(value)
     if not odd.any():
         return value
+    if value.ndim > 1:
+        hits = odd.any(axis=tuple(range(1, value.ndim)))
+        return [_with_nulls(row, fills) if hit else row
+                for row, hit in zip(value, hits)]
     fills += [json.dumps(v).encode() for v in value[odd].tolist()]
     return np.where(odd, np.nan, value)
 

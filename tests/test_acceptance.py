@@ -349,7 +349,7 @@ def test_criterion_10_conforming_battery_csv_runs_end_to_end(tmp_path):
     write_csv(ds, path)
 
     loaded = load_csv(path, PSYCHOMETRIC)  # exact schema: no warning
-    result, _ = run_experiment_with_model(
+    result, _, _ = run_experiment_with_model(
         REGISTRY["psychometric-feature-layer"], loaded, 3)
 
     # balance to 58 per class, then an 80/20 stratified split keeps

@@ -10,7 +10,7 @@ import statistics
 import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,7 @@ from fasdnet.experiment import (
 )
 from fasdnet.layers import NetworkConfig
 from fasdnet.rng import SeededRng
+from fasdnet.training import History, TrainedModel
 
 # ------------------------------------------------------------------ registry
 
@@ -256,16 +257,31 @@ def _short(spec, **overrides) -> ExperimentSpec:
 def test_run_experiment_deterministic():
     ds = synthesize_dataset(20, 10, 2.0, SeededRng(5))
     spec = _short(REGISTRY["psychometric-feature-layer"], epochs=20)
-    r1 = run_experiment_with_model(spec, ds, seed=4)[0]
-    r2 = run_experiment_with_model(spec, ds, seed=4)[0]
+    r1, _, h1 = run_experiment_with_model(spec, ds, seed=4)
+    r2, _, h2 = run_experiment_with_model(spec, ds, seed=4)
     assert r1.test_accuracy == r2.test_accuracy
     assert r1.train_accuracy == r2.train_accuracy
     assert (r1.confusion.tp, r1.confusion.fp, r1.confusion.tn,
             r1.confusion.fn) == (
         r2.confusion.tp, r2.confusion.fp, r2.confusion.tn, r2.confusion.fn)
-    assert r1.history.train_loss == r2.history.train_loss
-    r3 = run_experiment_with_model(spec, ds, seed=5)[0]
-    assert r3.history.train_loss != r1.history.train_loss
+    assert h1.train_loss == h2.train_loss
+    h3 = run_experiment_with_model(spec, ds, seed=5)[2]
+    assert h3.train_loss != h1.train_loss
+
+
+def test_a_run_is_its_runs_csv_row_and_its_model_and_history_come_beside_it():
+    ds = synthesize_dataset(20, 10, 2.0, SeededRng(5))
+    spec = _short(REGISTRY["psychometric-feature-layer"], epochs=20)
+    result, model, history = run_experiment_with_model(spec, ds, seed=4)
+    assert isinstance(model, TrainedModel) and isinstance(history, History)
+    # every field but the battery is a runs.csv column
+    assert [f.name for f in fields(RunResult)] == [
+        "spec_name", "battery", "seed", "train_accuracy", "test_accuracy",
+        "confusion"]
+    assert result.train_accuracy == history.train_acc[-1]
+    assert len(history.train_loss) == 20
+    sweep = run_sweep([spec], ds, [4])
+    assert sweep.results == [result]
 
 
 def test_run_experiment_confusion_sums_to_test_partition():
@@ -467,8 +483,8 @@ def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
         for threads in (1, 2):
             set_threads(threads)
             assert experiment._blas_threads() == threads
-            result, model = run_experiment_with_model(spec, ds, 4)
-            texts.append((model.to_json(), result.history.to_csv_text()))
+            _, model, history = run_experiment_with_model(spec, ds, 4)
+            texts.append((model.to_json(), history.to_csv_text()))
     finally:
         set_threads(before)
     assert texts[0] == texts[1]
@@ -666,7 +682,7 @@ def test_a_run_result_must_be_one_a_run_can_produce(cells, test_accuracy,
                                                     message):
     with pytest.raises(DataError) as err:
         RunResult("s", "psychometric", 0, 0.5, test_accuracy,
-                  ConfusionMatrix(*cells), None)
+                  ConfusionMatrix(*cells))
     assert str(err.value) == message
 
 
@@ -695,7 +711,7 @@ def _sweeps(draw):
             cm = ConfusionMatrix(*cells)
             results.append(RunResult(name, battery, seed,
                                      draw(st.floats(0.0, 1.0)), accuracy(cm),
-                                     cm, None))
+                                     cm))
     assume(results)
     return SweepResult(results, failures, names, seeds)
 
@@ -716,7 +732,7 @@ def test_sweep_files_read_back_to_the_same_bytes(sweep):
 
 def _run(name, seed):
     return RunResult(name, "psychometric", seed, 0.5, 0.5,
-                     ConfusionMatrix(1, 1, 1, 1), None)
+                     ConfusionMatrix(1, 1, 1, 1))
 
 
 @pytest.mark.parametrize("runs, failures, seeds, path, line", [
