@@ -41,12 +41,14 @@ from .errors import (
 )
 from .experiment import (
     REGISTRY,
+    SPEC_SETS,
     BaselineTable,
     ExperimentSpec,
     SweepResult,
     _blas_core,
     _blas_threads,
     _json_object,
+    comma_list,
     comparison_report,
     resolve_specs,
     run_experiment_with_model,
@@ -142,7 +144,7 @@ def _load_dataset(args):
     return load_csv(path, args.battery), _sha256_file(path)
 
 
-def _config_spec(path: Path, args, ds, ablate=()) -> ExperimentSpec:
+def _config_spec(path: Path, args, ds, ablate) -> ExperimentSpec:
     """A network-config JSON file as an experiment spec named after the
     file, with the command's battery, split (default 0.8), balance and
     ablate; train --spec and sweep --specs share it. Its input_dim must
@@ -161,40 +163,25 @@ def _config_spec(path: Path, args, ds, ablate=()) -> ExperimentSpec:
                           args.balance, ablate)
 
 
-def _builtin_specs(args, token: str) -> list[ExperimentSpec]:
-    """resolve_specs(token); ConfigError for --train-fraction or --balance,
-    as builtin specs keep their own split: the flags are for config files."""
-    specs = resolve_specs(token)
-    if args.balance or args.train_fraction is not None:
-        flag = "--balance" if args.balance else "--train-fraction"
-        raise ConfigError(f"{flag} applies only to config files, not to "
-                          f"builtin {token!r}: a builtin spec keeps its split")
-    return specs
-
-
-def _train_spec(args, ds) -> ExperimentSpec:
-    """--spec as a builtin name or a config file, with --ablate applied."""
-    path = Path(args.spec)
-    ablate = tuple(map(str.strip, args.ablate.split(","))) if args.ablate else ()
-    if args.spec in REGISTRY:
-        return replace(_builtin_specs(args, args.spec)[0], ablate=ablate)
-    if path.is_file():
-        return _config_spec(path, args, ds, ablate)
-    raise ConfigError(
-        f"{args.spec!r} is neither a builtin experiment name nor a config "
-        f"file; builtin names: {sorted(REGISTRY)}"
-    )
-
-
-def _sweep_specs(args, ds) -> list[ExperimentSpec]:
-    """--specs as a directory of config files, or builtin names and sets."""
-    path = Path(args.specs)
-    if not path.is_dir():
-        return _builtin_specs(args, args.specs)
-    specs = [_config_spec(file, args, ds) for file in sorted(path.glob("*.json"))]
-    if not specs:
+def _specs(args, token: str, ds, ablate=()) -> list[ExperimentSpec]:
+    """The specs a --spec or --specs token names, with ablate applied.
+    A token that names no item, a builtin name or set, or no existing
+    path goes to resolve_specs, and --train-fraction and --balance, which
+    are for config files, are refused there: a builtin spec keeps its
+    split. Any other token is a config file or a directory of them."""
+    path = Path(token)
+    if (not comma_list(token) or token in SPEC_SETS or token in REGISTRY
+            or not path.exists()):
+        specs = resolve_specs(token)
+        if args.balance or args.train_fraction is not None:
+            flag = "--balance" if args.balance else "--train-fraction"
+            raise ConfigError(f"{flag} applies only to config files, not to "
+                              f"builtin {token!r}: a builtin spec keeps its split")
+        return [replace(spec, ablate=ablate) for spec in specs]
+    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    if not files:
         raise ConfigError(f"no *.json config files in directory {path}")
-    return specs
+    return [_config_spec(file, args, ds, ablate) for file in files]
 
 
 def cmd_synth(args, argv) -> int:
@@ -215,7 +202,11 @@ def cmd_synth(args, argv) -> int:
 
 def cmd_train(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
-    spec = _train_spec(args, ds)
+    specs = _specs(args, args.spec, ds, comma_list(args.ablate))
+    if len(specs) != 1:
+        raise ConfigError(f"train runs one spec, and --spec {args.spec!r} "
+                          f"names {len(specs)}")
+    (spec,) = specs
     out_dir = _out_dir(args)
     result, model, history = run_experiment_with_model(spec, ds, args.seed)
     _write_outputs(
@@ -235,7 +226,7 @@ def cmd_train(args, argv) -> int:
 
 def cmd_sweep(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
-    specs = _sweep_specs(args, ds)
+    specs = _specs(args, args.specs, ds)
     out_dir = _out_dir(args)
     sweep = run_sweep(specs, ds, args.seeds)
     config_digest = _sha256_text("".join(s.config.to_json() for s in specs))
@@ -285,6 +276,10 @@ def cmd_report(args, argv) -> int:
 
 
 _SPLIT_HELP = "config files only: with a builtin spec it exits 4"
+_SPEC_HELP = ("builtin set (table2, feature-layer, all) or comma list of "
+              "builtin names, else a network-config JSON file or a directory "
+              "of them, whose input_dim must be the data's width (after "
+              "train's --ablate); train takes exactly one spec")
 
 
 @functools.cache
@@ -310,33 +305,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one configuration and evaluate")
-    p.add_argument("--data", required=True, help="battery CSV path")
-    p.add_argument("--battery", required=True, choices=BATTERIES)
-    p.add_argument("--spec", required=True,
-                   help="builtin experiment name or network-config JSON file, "
-                        "whose input_dim must be the data's width after --ablate")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--data", required=True, help="battery CSV path")
+    shared.add_argument("--battery", required=True, choices=BATTERIES)
+    shared.add_argument("--train-fraction", type=float,
+                        help=_SPLIT_HELP + "; default 0.8")
+    shared.add_argument("--balance", action="store_true", help=_SPLIT_HELP)
+    shared.add_argument("--out-dir", default=None)
+
+    p = sub.add_parser("train", parents=[shared],
+                       help="train one configuration and evaluate")
+    p.add_argument("--spec", required=True, help=_SPEC_HELP)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float,
-                   help=_SPLIT_HELP + "; default 0.8")
-    p.add_argument("--balance", action="store_true", help=_SPLIT_HELP)
     p.add_argument("--ablate", default="",
                    help="comma list of feature names to drop before training")
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", help="run a set of specs over several seeds")
-    p.add_argument("--data", required=True)
-    p.add_argument("--battery", required=True, choices=BATTERIES)
-    p.add_argument("--specs", required=True,
-                   help="set name (table2, feature-layer, all), comma list of "
-                        "builtin names, or a directory of config JSON files")
+    p = sub.add_parser("sweep", parents=[shared],
+                       help="run a set of specs over several seeds")
+    p.add_argument("--specs", required=True, help=_SPEC_HELP)
     p.add_argument("--seeds", required=True, type=_seed_list,
                    help="comma list of integers")
-    p.add_argument("--train-fraction", type=float,
-                   help=_SPLIT_HELP + "; default 0.8")
-    p.add_argument("--balance", action="store_true", help=_SPLIT_HELP)
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="compare sweep results with baselines")
@@ -353,7 +342,7 @@ def _seed_list(text: str) -> list[int]:
     """--seeds: a comma list of integers, empty items skipped; a bad
     item is a usage error that names it."""
     try:
-        return [int(token) for token in text.split(",") if token.strip()]
+        return [int(token) for token in comma_list(text)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -258,13 +258,15 @@ SPEC_SETS = {
 }
 
 
+def comma_list(text: str) -> list[str]:
+    """The items of a comma list, each stripped; empty items are skipped."""
+    return [item for item in map(str.strip, text.split(",")) if item]
+
+
 def resolve_specs(token: str) -> list[ExperimentSpec]:
     """Turn a set name ("table2", "feature-layer", "all") or a comma
     list of builtin names into specs."""
-    if token in SPEC_SETS:
-        names = SPEC_SETS[token]
-    else:
-        names = [t.strip() for t in token.split(",") if t.strip()]
+    names = SPEC_SETS[token] if token in SPEC_SETS else comma_list(token)
     if not names:
         raise ConfigError(f"no experiment specs in {token!r}")
     specs = []

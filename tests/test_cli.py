@@ -311,16 +311,20 @@ def test_train_ablate_narrows_the_builtin_input(data_csv, tmp_path):
 
 def test_train_ablate_strips_each_name_as_load_csv_strips_the_header(
         data_csv, tmp_path):
-    # "f00, f01" names f00 and f01, as a header "f00, f01" would
-    runs = [tmp_path / str(k) for k in range(3)]
-    for out_dir, ablate in zip(runs, ("f00,f01", "f00, f01", " f00 ,\tf01 ")):
-        assert run("train", "--data", data_csv, "--battery", "psychometric",
-                   "--spec", "table2-row1", "--ablate", ablate,
-                   "--out-dir", out_dir) == EXIT_OK
-    for name in ("model.json", "history.csv", "confusion.txt"):
-        assert len({(out_dir / name).read_bytes() for out_dir in runs}) == 1
-    model = json.loads((runs[1] / "model.json").read_text())
-    assert model["config"]["input_dim"] == 18
+    # "f00, f01" names f00 and f01, as a header "f00, f01" would, and an
+    # empty item names nothing, as in --seeds and --specs
+    for width, ablates in ((19, ("f00", "f00,", ",f00")),
+                           (18, ("f00,f01", "f00, f01", " f00 ,\tf01 ",
+                                 "f00,,f01"))):
+        runs = [tmp_path / f"{width}-{k}" for k in range(len(ablates))]
+        for out_dir, ablate in zip(runs, ablates):
+            assert run("train", "--data", data_csv, "--battery",
+                       "psychometric", "--spec", "table2-row1", "--ablate",
+                       ablate, "--out-dir", out_dir) == EXIT_OK
+        for name in ("model.json", "history.csv", "confusion.txt"):
+            assert len({(out_dir / name).read_bytes() for out_dir in runs}) == 1
+        model = json.loads((runs[1] / "model.json").read_text())
+        assert model["config"]["input_dim"] == width
 
 
 def test_train_ablates_the_first_column_of_a_file_with_a_byte_order_mark(
@@ -406,6 +410,24 @@ def test_train_unknown_spec_exits_4(data_csv, tmp_path):
     code = run("train", "--data", data_csv, "--battery", "psychometric",
                "--spec", "not-a-spec", "--out-dir", tmp_path / "o")
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("spec", ["table2", "configs"])
+def test_train_of_more_than_one_spec_exits_4_naming_the_count(
+        data_csv, tmp_path, capsys, monkeypatch, spec):
+    # --spec reads the grammar --specs does, and train runs one of its specs
+    monkeypatch.setattr("fasdnet.cli.run_experiment_with_model",
+                        lambda *_: pytest.fail("trained"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "configs").mkdir()
+    for name in ("a", "b"):
+        (tmp_path / "configs" / f"{name}.json").write_text(_tiny_config(20))
+    assert run("train", "--data", data_csv, "--battery", "psychometric",
+               "--spec", spec, "--out-dir", tmp_path / "o") == EXIT_CONFIG
+    count = {"table2": 9, "configs": 2}[spec]
+    assert (f"error: train runs one spec, and --spec {spec!r} names {count}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_divergence_exits_5(data_csv, tmp_path):
@@ -704,6 +726,51 @@ def test_sweep_repeated_seed_exits_4(data_csv, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "distinct seeds, got [1, 1, 2]" in capsys.readouterr().err
     assert not (tmp_path / "o" / "runs.csv").exists()
+
+
+def test_sweep_of_one_config_file_writes_what_a_directory_of_it_writes(
+        data_csv, tmp_path):
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    (cfg_dir / "net.json").write_text(_tiny_config(20))
+    for name, specs in (("file", cfg_dir / "net.json"), ("dir", cfg_dir)):
+        assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+                   "--specs", specs, "--seeds", "0,1",
+                   "--out-dir", tmp_path / name) == EXIT_OK
+    for file in ("runs.csv", "summary.json", "summary.txt"):
+        assert ((tmp_path / "file" / file).read_bytes()
+                == (tmp_path / "dir" / file).read_bytes())
+
+
+def test_sweep_of_no_spec_exits_4_and_reads_no_working_directory(
+        data_csv, tmp_path, capsys, monkeypatch):
+    # Path("") is ".", whose config files the token must not name
+    monkeypatch.setattr("fasdnet.cli.run_sweep",
+                        lambda *_: pytest.fail("swept"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "row1.json").write_text(_tiny_config(20))
+    for token in ("", " , "):
+        assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+                   "--specs", token, "--seeds", "0",
+                   "--out-dir", tmp_path / "o") == EXIT_CONFIG
+        assert (f"error: no experiment specs in {token!r}"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_reads_a_builtin_name_before_a_directory_of_that_name(
+        data_csv, tmp_path, capsys, monkeypatch):
+    # as train does: --balance, which a builtin spec refuses, exits 4
+    monkeypatch.setattr("fasdnet.cli.run_sweep",
+                        lambda *_: pytest.fail("swept"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table2-row1").mkdir()
+    (tmp_path / "table2-row1" / "net.json").write_text(_tiny_config(20))
+    assert run("sweep", "--data", data_csv, "--battery", "psychometric",
+               "--specs", "table2-row1", "--seeds", "0", "--balance",
+               "--out-dir", tmp_path / "o") == EXIT_CONFIG
+    assert ("--balance applies only to config files, not to builtin "
+            "'table2-row1'" in capsys.readouterr().err)
 
 
 def test_sweep_empty_config_directory_exits_4(data_csv, tmp_path):
