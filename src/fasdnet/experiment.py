@@ -318,8 +318,10 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
     feature layer's checks read the seed's rows: that each feature's
     training mean and standard deviation, and every value they
     standardize, are finite. A column that fails either for one seed
-    fails the spec as a whole. A divergence or evaluation error fails
-    its seed alone.
+    fails the spec as a whole. A divergence fails its seed alone. Each
+    surviving seed's confusion matrix counts the test labels train_many
+    took from its last epoch's pass, so its test accuracy is its
+    history's last val_acc.
     """
     try:
         if ds.battery != spec.battery and ds.battery != SYNTHETIC:
@@ -328,7 +330,7 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
                 f"spec battery {spec.battery!r}"
             )
         ablated = drop_features(ds, spec.ablate) if spec.ablate else ds
-        configs, train_sets, test_sets = [], [], []
+        configs, splits = [], []
         for seed in seeds:
             working = ablated
             if spec.balance:
@@ -336,41 +338,34 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
                     working, SeededRng(derive_seed(seed, 1))
                 )
             split = SplitSpec(spec.train_fraction, seed=derive_seed(seed, 2))
-            train_set, test_set = stratified_split(working, split)
+            splits.append(stratified_split(working, split))
             configs.append(replace(
                 spec.config, input_dim=working.n_features, seed=derive_seed(seed, 3)
             ))
-            train_sets.append(train_set)
-            test_sets.append(test_set)
-        trained = train_many(
-            configs,
-            np.stack([t.x for t in train_sets]),
-            np.stack([t.y for t in train_sets]),
-            np.stack([t.x for t in test_sets]),
-            np.stack([t.y for t in test_sets]),
-            ablated.feature_names,
-        )
+        # every seed's training x and y, then its test x and y, stacked
+        x_train, y_train, x_test, y_test = (
+            np.stack([getattr(part, k) for part in parts])
+            for parts in zip(*splits) for k in ("x", "y"))
+        trained = train_many(configs, x_train, y_train, x_test, y_test,
+                             ablated.feature_names)
     except FasdnetError as exc:
         return [_annotate(spec.name, exc)] * len(seeds)
     outcomes = []
-    for seed, test_set, outcome in zip(seeds, test_sets, trained):
+    for seed, y, outcome in zip(seeds, y_test, trained):
         if isinstance(outcome, FasdnetError):
             outcomes.append(_annotate(spec.name, outcome))
             continue
-        model, history = outcome
-        try:
-            cm = confusion_matrix(model.predict(test_set.x), test_set.y)
-            result = RunResult(
-                spec_name=spec.name,
-                battery=spec.battery,
-                seed=seed,
-                train_accuracy=history.train_acc[-1],
-                test_accuracy=accuracy(cm),
-                confusion=cm,
-            )
-            outcomes.append((result, model, history))
-        except FasdnetError as exc:
-            outcomes.append(_annotate(spec.name, exc))
+        model, history, labels = outcome
+        cm = confusion_matrix(labels, y)
+        result = RunResult(
+            spec_name=spec.name,
+            battery=spec.battery,
+            seed=seed,
+            train_accuracy=history.train_acc[-1],
+            test_accuracy=accuracy(cm),
+            confusion=cm,
+        )
+        outcomes.append((result, model, history))
     return outcomes
 
 

@@ -242,7 +242,7 @@ class DenseLayer:
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
     """Forward pass; returns (pre_activation, output) for backprop caching."""
-    z, a, work, _ = _forward_buffers([layer], x.shape[-2])[0]
+    z, a, work, _ = _forward_buffers([layer], _rows(x))[0]
     _run(_dense_steps(layer, x, z, a, work))
     return z, a
 
@@ -280,7 +280,7 @@ def dense_backward_from_delta(layer: DenseLayer, x: np.ndarray,
     grad_b = column sums of delta
     grad_x = delta @ W^T
     """
-    if x.shape[-2] != delta.shape[-2] or delta.shape[-1] != layer.out_dim:
+    if _rows(x) != _rows(delta) or delta.shape[-1] != layer.out_dim:
         raise ShapeError(
             f"dense_backward_from_delta: delta {delta.shape} inconsistent "
             f"with input {x.shape} and weights {layer.weights.shape}"
@@ -322,7 +322,7 @@ class FeatureNormLayer:
         return cls(means, np.where(stds > 0.0, stds, 1.0))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != self.means.shape[0]:
+        if x.ndim < 2 or x.shape[1] != self.means.shape[0]:
             raise ShapeError(
                 f"feature normalization fitted on {self.means.shape[0]} "
                 f"columns, got input {x.shape}"
@@ -520,6 +520,14 @@ def _z_shapes(layers: list[DenseLayer], rows: int) -> list[tuple]:
             for layer in layers]
 
 
+def _rows(x: np.ndarray) -> int:
+    """The row count of a pass's input x; ShapeError if x has no row
+    axis (a row or a scalar)."""
+    if x.ndim < 2:
+        raise ShapeError(f"input must be rows of features, got shape {x.shape}")
+    return x.shape[-2]
+
+
 def _forward_buffers(layers: list[DenseLayer], rows: int) -> list[tuple]:
     """Buffers for _Forward on inputs of `rows` rows: per layer,
     (z, output, work, finite), where work is a view of one activation
@@ -561,7 +569,7 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h = norm.apply(x) if norm is not None else x
-        forward = _Forward(layers, h, _forward_buffers(layers, x.shape[-2]))
+        forward = _Forward(layers, h, _forward_buffers(layers, _rows(h)))
         caches, output = forward()
     failures = forward.failures()
     if failures:
@@ -627,7 +635,7 @@ def network_backward(layers: list[DenseLayer], caches, delta: np.ndarray):
     """
     out = [np.empty_like(a) for a in _parameters(layers)]
     # sized by the caches: delta is checked in _backward_steps
-    work = _backward_buffers(layers, caches[-1][1].shape[-2])
+    work = _backward_buffers(layers, _rows(caches[-1][1]))
     _run(_backward_steps(layers, caches, delta, out, work))
     return out
 

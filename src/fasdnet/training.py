@@ -28,7 +28,10 @@ that cannot reach another slot. train is the S = 1 call.
 An epoch makes one forward pass over each slot's training and
 validation rows, laid end to end and split between them (see
 layers._Forward). The pass before epoch 1 feeds only the first
-backward pass, so it covers the training rows alone.
+backward pass, so it covers the training rows alone. The last epoch's
+pass is the evaluation too: train_many returns each surviving slot's
+validation labels from it, so a run's test accuracy and confusion
+matrix (see experiment) need no pass of their own.
 
 The loop keeps three (S, P) buffers for the life of the run, P being
 the parameter count of one network: Adam's moments and theta, the
@@ -420,7 +423,7 @@ def train(config: NetworkConfig, x_train: np.ndarray, y_train,
     )
     if isinstance(outcome, DivergenceError):
         raise outcome
-    return outcome
+    return outcome[:2]
 
 
 def train_many(configs, x_train, y_train, x_valid, y_valid,
@@ -430,10 +433,12 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
     x_train (S, rows, features) and y_train (S, rows) hold one training
     set per config, x_valid and y_valid one validation set; the shapes
     are shared, the contents need not be. Returns, per config and in
-    order, (TrainedModel, History) or the DivergenceError that stopped
-    it. Every slot computes exactly what a run of its own would, bit
-    for bit: each product, sum and elementwise operation acts on one
-    slot at a time.
+    order, (TrainedModel, History, labels) or the DivergenceError that
+    stopped it; labels are predict_labels of the last epoch's pass over
+    the validation rows, at the returned parameters: what the model's
+    predict gives on them, and what the last val_acc scored. Every slot
+    computes exactly what a run of its own would, bit for bit: each
+    product, sum and elementwise operation acts on one slot at a time.
 
     The feature-normalization stage, when configured, is fitted on each
     slot's training rows only and frozen; validation data always goes
@@ -526,7 +531,8 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
             model = TrainedModel(configs[slot], norms[slot],
                                  _layer_views(theta[slot].copy(), layers))
             history = History(*(rows[:, k, slot].tolist() for k in range(4)))
-            outcomes[slot] = (model, history)
+            labels = predict_labels(config.loss, ws.forward.output[slot, n:])
+            outcomes[slot] = (model, history, labels)
     return outcomes
 
 

@@ -125,7 +125,7 @@ def test_train_many_epochs(benchmark, spec_name):
     configs = [replace(config, epochs=EPOCHS, seed=s) for s in (0, 1)]
     outcomes = benchmark(train_many, configs, x[:, :ROWS], y[:, :ROWS],
                          x[:, ROWS:], y[:, ROWS:])
-    assert [len(history) for _, history in outcomes] == [EPOCHS] * 2
+    assert [len(history) for _, history, _ in outcomes] == [EPOCHS] * 2
 
 
 def _parameter_count(config):

@@ -284,6 +284,24 @@ def test_a_run_is_its_runs_csv_row_and_its_model_and_history_come_beside_it():
     assert sweep.results == [result]
 
 
+def test_a_runs_accuracies_are_its_last_history_row_with_no_second_pass(
+        monkeypatch):
+    # a run's test evaluation is its last epoch's validation pass, so no
+    # trained model predicts again, and both accuracies are the last
+    # history row's, bit for bit
+    def refuse(self, x):
+        raise AssertionError("a run evaluated its model a second time")
+
+    monkeypatch.setattr(TrainedModel, "predict_proba", refuse)
+    ds = synthesize_dataset(20, 20, 0.7, SeededRng(3))
+    for spec in (_short(REGISTRY["table2-row5"], epochs=40),
+                 _short(REGISTRY["psychometric-feature-layer"], epochs=20)):
+        outcomes = experiment._run_seeds(spec, ds, range(5))
+        for result, _, history in outcomes:
+            assert result.test_accuracy.hex() == history.val_acc[-1].hex()
+            assert result.train_accuracy.hex() == history.train_acc[-1].hex()
+
+
 def test_run_experiment_confusion_sums_to_test_partition():
     ds = synthesize_dataset(25, 8, 2.0, SeededRng(6))
     spec = _short(REGISTRY["antisaccade-128x2"], epochs=10)

@@ -6,8 +6,10 @@ forward ops against per-neuron loop oracles.
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -320,6 +322,35 @@ def _config(layers, loss="sparse_categorical", **kw):
                     learning_rate=0.001, seed=0)
     defaults.update(kw)
     return NetworkConfig(layers=layers, loss=loss, **defaults)
+
+
+@pytest.mark.parametrize("shape", [(3,), ()], ids=["row", "scalar"])
+@pytest.mark.parametrize("call", [
+    "network_forward", "dense_forward", "FeatureNormLayer.apply",
+    "TrainedModel.predict", "TrainedModel.predict, feature layer",
+    "dense_backward_from_delta", "network_backward"])
+def test_an_input_with_no_row_axis_is_a_shape_error_naming_its_shape(
+        call, shape):
+    # a row of 3 features, or a scalar, used to index the missing row
+    # axis and fail with IndexError
+    from fasdnet.training import TrainedModel
+
+    config = _config(((4, RELU), (2, SOFTMAX)), input_dim=3)
+    layers = network_init(config, SeededRng(0))
+    norm = FeatureNormLayer.fit(np.arange(6.0).reshape(2, 3))
+    calls = {
+        "network_forward": partial(network_forward, layers, None),
+        "dense_forward": partial(dense_forward, layers[0]),
+        "FeatureNormLayer.apply": norm.apply,
+        "TrainedModel.predict": TrainedModel(config, None, layers).predict,
+        "TrainedModel.predict, feature layer": TrainedModel(
+            replace(config, use_feature_layer=True), norm, layers).predict,
+        "dense_backward_from_delta": lambda x: dense_backward_from_delta(
+            layers[0], x, np.zeros((1, 4))),
+        "network_backward": lambda x: network_backward(layers[:1], [(x, x)], x),
+    }
+    with pytest.raises(ShapeError, match=re.escape(f"{shape}")):
+        calls[call](np.zeros(shape))
 
 
 def test_network_init_shapes():

@@ -379,7 +379,7 @@ def _train_stacked(configs, splits):
 
 
 def _assert_same_run(got, want):
-    (model, history), (ref_model, ref_history) = got, want
+    (model, history, _), (ref_model, ref_history) = got, want
     for name in ("train_loss", "train_acc", "val_loss", "val_acc"):
         assert getattr(history, name) == getattr(ref_history, name)
     assert model.config == ref_model.config
@@ -488,7 +488,7 @@ def test_a_stack_and_its_models_are_views_of_theta_and_of_its_rows(monkeypatch):
     outcomes = _train_stacked(configs, splits)
     [(_, layers, _, theta, *_)] = made
     assert _roots([(l.weights, l.bias) for l in layers]).keys() == {id(theta)}
-    for s, (model, _) in enumerate(outcomes):
+    for s, (model, *_) in enumerate(outcomes):
         (row,) = _roots([(l.weights, l.bias) for l in model.layers]).values()
         assert row.shape == theta.shape[1:] and row.tobytes() == theta[s].tobytes()
 
@@ -649,6 +649,32 @@ def test_train_many_names_the_training_rows_layer_before_the_validation_rows():
         assert _divergence(err.value) == _divergence(got)
 
 
+@pytest.mark.parametrize("spec_name, learning_rate, scales", [
+    # slots 1 and 3 overflow in their validation rows alone
+    ("table2-row5", 0.001, [1.0, 1e307, 1.0, 1.44e306]),
+    # a sigmoid output behind the feature layer; at this rate some slots
+    # overflow at layer 2 mid-run (slots 0 and 3, in epochs 17 and 18, on
+    # OpenBLAS's SkylakeX kernel) and compute on inf and NaN to the end
+    ("psychometric-feature-layer", 7e151, [1.0] * 4),
+])
+def test_train_many_labels_are_the_models_predictions_on_the_validation_rows(
+        spec_name, learning_rate, scales):
+    # a surviving slot's labels come from the last epoch's pass over its
+    # validation rows; they are its model's own prediction, bit for bit
+    configs, runs, stacked = _stack_with_scaled_validation_rows(
+        spec_name, learning_rate, 20, scales)
+    failed = [isinstance(got, DivergenceError) for got in stacked]
+    assert any(failed) and not all(failed)
+    for run, got in zip(runs, stacked):
+        if isinstance(got, DivergenceError):
+            continue
+        model, history, labels = got
+        want = model.predict(run[2])
+        assert labels.dtype == want.dtype and labels.shape == want.shape
+        assert labels.tobytes() == want.tobytes()
+        assert history.val_acc[-1] == float(np.mean(labels == run[3]))
+
+
 def test_train_many_names_validation_only_overflows_and_trains_the_rest():
     # slots 1 and 3 have their validation rows scaled to about 1e307, so
     # layer 0 overflows there while their training rows stay finite:
@@ -684,7 +710,7 @@ def test_history_is_whole_across_block_boundaries(spec_name):
          for s in seeds], splits) for epochs in counts}
     names = ("train_loss", "train_acc", "val_loss", "val_acc")
     for epochs, outcomes in runs.items():
-        for (model, history), (_, full), (tr, te) in zip(
+        for (model, history, _), (_, full, _), (tr, te) in zip(
                 outcomes, runs[counts[-1]], splits):
             for name in names:
                 assert getattr(history, name) == getattr(full, name)[:epochs]
@@ -1114,7 +1140,8 @@ def test_train_many_equals_a_replay_with_no_buffers(spec_name):
     splits = [stratified_split(ds, SplitSpec(0.5, seed=s)) for s in seeds]
     assert splits[0][0].n_rows == splits[0][1].n_rows
     stacked = _train_stacked(configs, splits)
-    for config, (tr, te), (model, history) in zip(configs, splits, stacked):
+    for config, (tr, te), (model, history, _) in zip(configs, splits,
+                                                     stacked):
         layers, want = _replay(config, tr.x, tr.y, te.x, te.y)
         assert history.to_csv_text() == want.to_csv_text()
         assert history.train_loss != history.val_loss
