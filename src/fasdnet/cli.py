@@ -92,8 +92,8 @@ def _out_dir(args) -> Path:
 
 @functools.cache
 def _environment() -> dict:
-    """The Python, numpy and BLAS of this process, and the SIMD
-    extensions numpy dispatches to, found once."""
+    """This process's Python, numpy and BLAS and the SIMD extensions numpy
+    dispatches to, found once; a run sets the BLAS thread count."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # a numpy without show_config's mode
@@ -106,17 +106,15 @@ def _environment() -> dict:
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "blas_core": _blas_core(),
-        "blas_threads": _blas_threads(),
     }
 
 
 def _write_outputs(out_dir: Path, files: dict, argv, seed, config_hash,
-                   data_hash, trainers: dict | None = None, **extra) -> None:
+                   data_hash, workers: int = 1, **extra) -> None:
     """Make out_dir, write each {name: text} of files and then
     manifest.json there as UTF-8 bytes, with no line end translation (a
     callable in place of text writes them to the binary file it is
-    given); trainers overrides the environment's worker count and BLAS
-    threads when processes other than this one trained."""
+    given); workers is the count of processes that trained."""
     manifest = {
         "command_line": ["fasdnet"] + list(argv),
         "config_hash": config_hash,
@@ -124,7 +122,8 @@ def _write_outputs(out_dir: Path, files: dict, argv, seed, config_hash,
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "environment": {**_environment(), "workers": 1, **(trainers or {})},
+        "environment": {**_environment(), "blas_threads": _blas_threads(),
+                        "workers": workers},
         **extra,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,13 +230,12 @@ def cmd_sweep(args, argv) -> int:
     sweep = run_sweep(specs, ds, args.seeds)
     config_digest = _sha256_text("".join(s.config.to_json() for s in specs))
     timings = sweep.timings()
-    trainers = {"workers": sweep.workers, "blas_threads": sweep.blas_threads}
     _write_outputs(
         out_dir,
         {"runs.csv": sweep.runs_csv_text(),
          "summary.txt": sweep.summary_text(),
          "summary.json": sweep.summary_json_text()},
-        argv, args.seeds[0], config_digest, data_hash, trainers,
+        argv, args.seeds[0], config_digest, data_hash, sweep.workers,
         timings=timings,
     )
     for name, t in timings.items():

@@ -296,8 +296,10 @@ def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
     the whole run. The network's input width is taken from the dataset
     after ablation, which lets battery-shaped specs run on synthetic
     data of any width; train --spec and sweep --specs first require a
-    config file's input_dim to match it.
+    config file's input_dim to match it. It leaves this process on one
+    BLAS thread (see _pin_blas).
     """
+    _pin_blas()
     (outcome,) = _run_seeds(spec, ds, [seed])
     if isinstance(outcome, FasdnetError):
         raise outcome
@@ -388,7 +390,6 @@ class SweepResult:
     seeds: list[int]
     seconds: list[float] = field(default_factory=list)  # per spec, in spec_order
     workers: int = 1
-    blas_threads: int | None = None  # of the processes that trained
 
     def timings(self) -> dict[str, dict]:
         """Seeds, failed runs and seconds per spec, in spec order. They
@@ -606,8 +607,9 @@ def _blas_core() -> str | None:
 
 
 def _pin_blas() -> None:
-    """Pool initializer: one BLAS thread per worker, so that the workers
-    do not contend for the cores they already fill."""
+    """One BLAS thread for this process and every worker it forks: at
+    fasdnet's widths and row counts a second thread never shortened a
+    run, and pooled workers would contend for the cores they fill."""
     set_threads = _openblas("set_num_threads", None, ctypes.c_int)
     if set_threads is not None:
         set_threads(1)
@@ -615,14 +617,14 @@ def _pin_blas() -> None:
 
 def _run_spec(task):
     """One sweep spec, run in a worker: (RunResult or FasdnetError per
-    seed, in seed order; the worker's seconds; its BLAS thread count).
+    seed, in seed order; the worker's seconds).
     The trained models and histories stay behind, as the sweep writes
     neither: each run is what SweepResult.from_files reads back."""
     spec, ds, seeds = task
     start = time.perf_counter()
     outcomes = [outcome if isinstance(outcome, FasdnetError) else outcome[0]
                 for outcome in _run_seeds(spec, ds, seeds)]
-    return outcomes, time.perf_counter() - start, _blas_threads()
+    return outcomes, time.perf_counter() - start
 
 
 def _map_specs(tasks, workers: int):
@@ -641,7 +643,7 @@ def _map_specs(tasks, workers: int):
     if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
             and threading.active_count() == 1):
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, context, _pin_blas) as pool:
+        with ProcessPoolExecutor(workers, context) as pool:
             return list(pool.map(_run_spec, tasks)), workers
     return list(map(_run_spec, tasks)), 1
 
@@ -666,7 +668,8 @@ def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
 
     The specs run through _map_specs, the most expensive first, and the
     results are the same bytes for any worker count (see README,
-    Determinism)."""
+    Determinism). This process, and so each worker it forks, trains on
+    one BLAS thread (see _pin_blas)."""
     specs = list(specs)
     seeds = [int(s) for s in seeds]
     if not seeds or len(set(seeds)) != len(seeds):
@@ -676,24 +679,21 @@ def run_sweep(specs, ds: Dataset, seeds) -> SweepResult:
         raise ConfigError(f"duplicate spec names in sweep: {names}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     order = sorted(range(len(specs)), key=lambda i: -_cost(specs[i], ds))
+    _pin_blas()
     outputs, workers = _map_specs(
         [(specs[i], ds, seeds) for i in order], min(len(specs), cpus)
     )
     by_spec = dict(zip(order, outputs))
     results, failures, seconds = [], [], []
     for i, spec in enumerate(specs):
-        outcomes, spec_seconds, _ = by_spec[i]
+        outcomes, spec_seconds = by_spec[i]
         seconds.append(spec_seconds)
         for seed, outcome in zip(seeds, outcomes):
             if isinstance(outcome, FasdnetError):
                 failures.append((spec.name, seed, str(outcome)))
             else:
                 results.append(outcome)
-    # every spec ran in the same kind of process: a pinned worker, or
-    # this one
-    blas_threads = outputs[0][2] if outputs else None
-    return SweepResult(results, failures, names, seeds, seconds, workers,
-                       blas_threads)
+    return SweepResult(results, failures, names, seeds, seconds, workers)
 
 
 # Published test accuracies for the feature-layer models, in percent.

@@ -1448,12 +1448,14 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
     assert _environment() is _environment()
 
 
-@pytest.mark.parametrize("cpus, workers, threads",
-                         [({0}, 1, 2), ({0, 1}, 2, 1)])
-def test_sweep_manifest_records_the_blas_threads_that_trained(
-        data_csv, tmp_path, monkeypatch, cpus, workers, threads):
-    # this process runs two BLAS threads; a pooled sweep's workers run
-    # one each, and the manifest must say what the trainers ran
+@pytest.mark.parametrize("command, cpus, workers", [
+    ("train", {0, 1}, 1), ("sweep", {0}, 1), ("sweep", {0, 1}, 2),
+], ids=["train", "sweep-in-process", "sweep-pooled"])
+def test_a_manifest_records_the_one_blas_thread_that_trained(
+        data_csv, tmp_path, monkeypatch, command, cpus, workers):
+    # this process runs two BLAS threads, and its environment was first
+    # read then; train, a sweep in this process and a pooled sweep's
+    # workers all train on one thread, and the manifest must say so
     set_threads = _openblas("set_num_threads", None, ctypes.c_int)
     if set_threads is None:
         pytest.skip("no OpenBLAS whose thread count can be set")
@@ -1464,17 +1466,21 @@ def test_sweep_manifest_records_the_blas_threads_that_trained(
     config = NetworkConfig(20, ((1, SIGMOID),), "binary", epochs=1)
     for name in ("a", "b"):  # two specs, so that two workers run
         (cfg_dir / f"{name}.json").write_text(config.to_json())
+    spec = (["--spec", cfg_dir / "a.json", "--seed", "0"] if command == "train"
+            else ["--specs", cfg_dir, "--seeds", "0"])
     before = _blas_threads()
     set_threads(2)
     try:
-        assert run("sweep", "--data", data_csv, "--battery", "psychometric",
-                   "--specs", cfg_dir, "--seeds", "0",
-                   "--out-dir", tmp_path / "s") == EXIT_OK
+        _environment.cache_clear()
+        _environment()
+        assert run(command, "--data", data_csv, "--battery", "psychometric",
+                   *spec, "--out-dir", tmp_path / "out") == EXIT_OK
+        assert _blas_threads() == 1  # the run leaves this process pinned
     finally:
         set_threads(before)
-    env = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    env = json.loads((tmp_path / "out" / "manifest.json").read_text())
     env = env["environment"]
-    assert (env["workers"], env["blas_threads"]) == (workers, threads)
+    assert (env["workers"], env["blas_threads"]) == (workers, 1)
 
 
 def test_sweep_times_each_spec_on_stderr_and_in_the_manifest(

@@ -50,7 +50,7 @@ from fasdnet.experiment import (
 )
 from fasdnet.layers import NetworkConfig
 from fasdnet.rng import SeededRng
-from fasdnet.training import History, TrainedModel
+from fasdnet.training import History, TrainedModel, train
 
 # ------------------------------------------------------------------ registry
 
@@ -489,23 +489,52 @@ def test_sweep_files_do_not_depend_on_the_worker_count(monkeypatch):
 
 def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
     # a wide spec on 300 training rows, whose products are big enough
-    # that OpenBLAS splits them between its threads
+    # that OpenBLAS splits them between its threads; train, unlike the
+    # runners that call it, keeps the thread count it is given
     set_threads = experiment._openblas("set_num_threads", None, ctypes.c_int)
     if set_threads is None:
         pytest.skip("no OpenBLAS whose thread count can be set")
     ds = synthesize_dataset(200, 48, 0.7, SeededRng(3))
-    spec = _short(REGISTRY["table2-row9"], epochs=60)
+    config = replace(REGISTRY["table2-row9"].config, input_dim=48, epochs=60)
+    valid = np.arange(ds.n_rows) % 4 == 0
     before = experiment._blas_threads()
     texts = []
     try:
         for threads in (1, 2):
             set_threads(threads)
+            model, history = train(config, ds.x[~valid], ds.y[~valid],
+                                   ds.x[valid], ds.y[valid])
             assert experiment._blas_threads() == threads
-            _, model, history = run_experiment_with_model(spec, ds, 4)
             texts.append((model.to_json(), history.to_csv_text()))
     finally:
         set_threads(before)
     assert texts[0] == texts[1]
+
+
+def _blas_threads_of_worker(task):
+    """Stands in for experiment._run_spec: no runs, and the BLAS thread
+    count of the worker it ran in where the spec's seconds go."""
+    return [], experiment._blas_threads()
+
+
+def test_every_pooled_worker_trains_on_one_blas_thread(monkeypatch):
+    # the sweep starts from a process running two threads; each worker
+    # it forks must inherit the one thread that run_sweep set
+    set_threads = experiment._openblas("set_num_threads", None, ctypes.c_int)
+    if set_threads is None:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    _see_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "_run_spec", _blas_threads_of_worker)
+    ds = synthesize_dataset(12, 20, 1.0, SeededRng(18))
+    specs = [REGISTRY[name] for name in ("table2-row1", "table2-row2")]
+    before = experiment._blas_threads()
+    set_threads(2)
+    try:
+        sweep = run_sweep(specs, ds, [0])
+    finally:
+        set_threads(before)
+    assert sweep.workers == 2
+    assert sweep.seconds == [1, 1]
 
 
 def test_failures_cross_the_worker_pool_unchanged(monkeypatch):
