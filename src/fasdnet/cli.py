@@ -4,11 +4,11 @@ Every command is deterministic given its flags, input file bytes, and
 seed, and writes each file as the UTF-8 bytes of its library text, with
 no line end translation. Commands that create an output directory also
 write a single manifest.json recording the command line, input hashes,
-seed, tool version, timestamp, and the Python, numpy, BLAS, its kernel
-and thread count and the worker count of the processes that trained
-(trained weights depend on the BLAS), so a run can be re-executed
-exactly. A sweep's manifest also records each spec's seconds, which
-sweep prints to stderr as well.
+seed, tool version, timestamp, and the Python, numpy, BLAS and its
+kernel (trained weights depend on the BLAS), and for train and sweep
+the BLAS thread count and the worker count of the processes that
+trained, so a run can be re-executed exactly. A sweep's manifest also
+records each spec's seconds, which sweep prints to stderr as well.
 
 Exit codes are listed in README and build_parser's epilog, and errors
 map to them in _EXIT_CODES. FASDNET_OUT_DIR sets the default output
@@ -24,7 +24,6 @@ import json
 import os
 import platform
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -110,11 +109,14 @@ def _environment() -> dict:
 
 
 def _write_outputs(out_dir: Path, files: dict, argv, seed, config_hash,
-                   data_hash, workers: int = 1, **extra) -> None:
+                   data_hash, workers: int | None = None, **extra) -> None:
     """Make out_dir, write each {name: text} of files and then
     manifest.json there as UTF-8 bytes, with no line end translation (a
     callable in place of text writes them to the binary file it is
-    given); workers is the count of processes that trained."""
+    given); only a command that trained passes workers, its process
+    count, which the manifest records with the BLAS thread count."""
+    trained = {} if workers is None else {"blas_threads": _blas_threads(),
+                                          "workers": workers}
     manifest = {
         "command_line": ["fasdnet"] + list(argv),
         "config_hash": config_hash,
@@ -122,8 +124,7 @@ def _write_outputs(out_dir: Path, files: dict, argv, seed, config_hash,
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "environment": {**_environment(), "blas_threads": _blas_threads(),
-                        "workers": workers},
+        "environment": {**_environment(), **trained},
         **extra,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -143,27 +144,26 @@ def _load_dataset(args):
     return load_csv(path, args.battery), _sha256_file(path)
 
 
-def _config_spec(path: Path, args, ds, ablate) -> ExperimentSpec:
+def _config_spec(path: Path, args, ds) -> ExperimentSpec:
     """A network-config JSON file as an experiment spec named after the
-    file, with the command's battery, split (default 0.8), balance and
-    ablate; train --spec and sweep --specs share it. Its input_dim must
-    be ds's feature count less the ablated features."""
+    file, with the command's battery, split (default 0.8) and balance;
+    train --spec and sweep --specs share it. Its input_dim must be ds's
+    feature count."""
     if path.stem.encode(errors="replace").decode() != path.stem:
         raise ConfigError(f"{str(path)!r}: the file's name is not UTF-8, so "
                           "it cannot name the spec in runs.csv")
     config = _json_object(path, ConfigError, NetworkConfig.from_dict)
-    width = drop_features(ds, ablate).n_features if ablate else ds.n_features
-    if config.input_dim != width:
+    if config.input_dim != ds.n_features:
         raise ConfigError(
             f"{path}: input_dim is {_shown(config.input_dim)}, but the data "
-            f"has {width} features{' after --ablate' if ablate else ''}")
+            f"has {ds.n_features} features")
     fraction = 0.8 if args.train_fraction is None else args.train_fraction
     return ExperimentSpec(path.stem, args.battery, config, fraction,
-                          args.balance, ablate)
+                          args.balance)
 
 
-def _specs(args, token: str, ds, ablate=()) -> list[ExperimentSpec]:
-    """The specs a --spec or --specs token names, with ablate applied.
+def _specs(args, token: str, ds) -> list[ExperimentSpec]:
+    """The specs a --spec or --specs token names, to run on ds.
     A token that names no item, a builtin name or set, or no existing
     path goes to resolve_specs, and --train-fraction and --balance, which
     are for config files, are refused there: a builtin spec keeps its
@@ -176,11 +176,11 @@ def _specs(args, token: str, ds, ablate=()) -> list[ExperimentSpec]:
             flag = "--balance" if args.balance else "--train-fraction"
             raise ConfigError(f"{flag} applies only to config files, not to "
                               f"builtin {token!r}: a builtin spec keeps its split")
-        return [replace(spec, ablate=ablate) for spec in specs]
+        return specs
     files = sorted(path.glob("*.json")) if path.is_dir() else [path]
     if not files:
         raise ConfigError(f"no *.json config files in directory {path}")
-    return [_config_spec(file, args, ds, ablate) for file in files]
+    return [_config_spec(file, args, ds) for file in files]
 
 
 def cmd_synth(args, argv) -> int:
@@ -201,7 +201,8 @@ def cmd_synth(args, argv) -> int:
 
 def cmd_train(args, argv) -> int:
     ds, data_hash = _load_dataset(args)
-    specs = _specs(args, args.spec, ds, comma_list(args.ablate))
+    ds = drop_features(ds, comma_list(args.ablate))
+    specs = _specs(args, args.spec, ds)
     if len(specs) != 1:
         raise ConfigError(f"train runs one spec, and --spec {args.spec!r} "
                           f"names {len(specs)}")
@@ -214,6 +215,7 @@ def cmd_train(args, argv) -> int:
          "history.csv": history.to_csv_text(),
          "model.json": model.to_json},
         argv, args.seed, _sha256_text(spec.config.to_json()), data_hash,
+        workers=1,
     )
     print(
         f"{spec.name}: train accuracy {100 * result.train_accuracy:.2f}%, "

@@ -40,17 +40,16 @@ BATTERIES = (PSYCHOMETRIC, ANTISACCADE, PROSACCADE, MEMORY_GUIDED, DTI, SYNTHETI
 
 @dataclass(frozen=True)
 class BatterySchema:
-    battery: str
     expected_feature_count: int
     expected_rows: int
 
 
 SCHEMAS = {
-    PSYCHOMETRIC: BatterySchema(PSYCHOMETRIC, 20, 129),
-    ANTISACCADE: BatterySchema(ANTISACCADE, 15, 174),
-    PROSACCADE: BatterySchema(PROSACCADE, 18, 186),
-    MEMORY_GUIDED: BatterySchema(MEMORY_GUIDED, 26, 154),
-    DTI: BatterySchema(DTI, 48, 76),
+    PSYCHOMETRIC: BatterySchema(20, 129),
+    ANTISACCADE: BatterySchema(15, 174),
+    PROSACCADE: BatterySchema(18, 186),
+    MEMORY_GUIDED: BatterySchema(26, 154),
+    DTI: BatterySchema(48, 76),
 }
 
 

@@ -50,7 +50,6 @@ from .data import (
     SplitSpec,
     _is_binary,
     balance_downsample,
-    drop_features,
     stratified_split,
 )
 from .errors import (
@@ -148,11 +147,9 @@ class ExperimentSpec:
     config: NetworkConfig
     train_fraction: float
     balance: bool = False
-    ablate: tuple[str, ...] = ()
 
     def __post_init__(self):
         SplitSpec(self.train_fraction)  # its (0, 1) check
-        object.__setattr__(self, "ablate", tuple(self.ablate))
 
 
 @dataclass
@@ -287,17 +284,17 @@ def _annotate(name: str, exc: FasdnetError) -> FasdnetError:
 
 
 def run_experiment_with_model(spec: ExperimentSpec, ds: Dataset, seed: int):
-    """Ablate, balance, split, train, evaluate; deterministic per seed.
+    """Balance, split, train, evaluate; deterministic per seed.
     Returns (RunResult, TrainedModel, History).
 
     Synthetic datasets stand in for any battery; a real battery must
     match the spec's battery. The run seed feeds three independent derived
     streams (balancing, splitting, weight init), so one integer pins
-    the whole run. The network's input width is taken from the dataset
-    after ablation, which lets battery-shaped specs run on synthetic
-    data of any width; train --spec and sweep --specs first require a
-    config file's input_dim to match it. It leaves this process on one
-    BLAS thread (see _pin_blas).
+    the whole run. The network's input width is the dataset's, which
+    lets battery-shaped specs run on synthetic data of any width (a
+    caller drops columns first, with data.drop_features); train --spec
+    and sweep --specs first require a config file's input_dim to match
+    it. It leaves this process on one BLAS thread (see _pin_blas).
     """
     _pin_blas()
     (outcome,) = _run_seeds(spec, ds, [seed])
@@ -313,10 +310,10 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
 
     Everything up to and including train_many is one step whose
     FasdnetError fails every seed with one message. Its checks of the
-    battery, ablated names, classes to balance and split, input width,
-    and train_many's shapes, labels and rows read the spec, the columns
-    and the class counts, which balancing sets to the minority count
-    for any seed, so the seeds' sizes agree and they stack. Only the
+    battery, classes to balance and split, input width, and
+    train_many's shapes, labels and rows read the spec, the columns and
+    the class counts, which balancing sets to the minority count for
+    any seed, so the seeds' sizes agree and they stack. Only the
     feature layer's checks read the seed's rows: that each feature's
     training mean and standard deviation, and every value they
     standardize, are finite. A column that fails either for one seed
@@ -331,10 +328,9 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
                 f"dataset battery {ds.battery!r} does not match "
                 f"spec battery {spec.battery!r}"
             )
-        ablated = drop_features(ds, spec.ablate) if spec.ablate else ds
         configs, splits = [], []
         for seed in seeds:
-            working = ablated
+            working = ds
             if spec.balance:
                 working = balance_downsample(
                     working, SeededRng(derive_seed(seed, 1))
@@ -349,7 +345,7 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
             np.stack([getattr(part, k) for part in parts])
             for parts in zip(*splits) for k in ("x", "y"))
         trained = train_many(configs, x_train, y_train, x_test, y_test,
-                             ablated.feature_names)
+                             ds.feature_names)
     except FasdnetError as exc:
         return [_annotate(spec.name, exc)] * len(seeds)
     outcomes = []
@@ -652,8 +648,7 @@ def _cost(spec: ExperimentSpec, ds: Dataset) -> int:
     """epochs x rows x the weight count: proportional to a spec's
     training time on ds."""
     rows = 2 * min(ds.class_counts()) if spec.balance else ds.n_rows
-    widths = [ds.n_features - len(spec.ablate)]
-    widths += [width for width, _ in spec.config.layers]
+    widths = [ds.n_features] + [width for width, _ in spec.config.layers]
     weights = sum(a * b for a, b in zip(widths, widths[1:]))
     return spec.config.epochs * rows * weights
 

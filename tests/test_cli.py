@@ -311,9 +311,10 @@ def test_train_ablate_narrows_the_builtin_input(data_csv, tmp_path):
 
 def test_train_ablate_strips_each_name_as_load_csv_strips_the_header(
         data_csv, tmp_path):
-    # "f00, f01" names f00 and f01, as a header "f00, f01" would, and an
-    # empty item names nothing, as in --seeds and --specs
-    for width, ablates in ((19, ("f00", "f00,", ",f00")),
+    # "f00, f01" names f00 and f01, as a header "f00, f01" would, an
+    # empty item names nothing, as in --seeds and --specs, and a repeated
+    # name drops its column once
+    for width, ablates in ((19, ("f00", "f00,", ",f00", "f00,f00")),
                            (18, ("f00,f01", "f00, f01", " f00 ,\tf01 ",
                                  "f00,,f01"))):
         runs = [tmp_path / f"{width}-{k}" for k in range(len(ablates))]
@@ -385,6 +386,48 @@ def test_train_takes_a_config_file_whose_input_dim_is_the_width_after_ablate(
     assert run(*flags, "--ablate", "f00,zz", "--out-dir", tmp_path / "o2") == EXIT_DATA
     assert "dataset has no feature(s) ['zz']" in capsys.readouterr().err
     assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+
+def test_an_unknown_ablate_name_exits_3_alike_for_a_builtin_and_a_config_file(
+        data_csv, tmp_path, capsys):
+    path = tmp_path / "narrow.json"
+    path.write_text(_tiny_config(19))
+    errors = []
+    for spec in ("table2-row1", path):
+        assert run("train", "--data", data_csv, "--battery", "psychometric",
+                   "--spec", spec, "--ablate", "f00,zz",
+                   "--out-dir", tmp_path / "out") == EXIT_DATA
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: dataset has no feature(s) ['zz']")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--spec", "nosuch"),
+    ("--spec", "table2-row1", "--train-fraction", "0.5"),
+], ids=["unknown-spec", "builtin-with-split"])
+def test_train_checks_the_ablate_names_before_the_spec(
+        data_csv, tmp_path, capsys, flags):
+    # the data is narrowed before any spec is resolved, so its error wins
+    assert run("train", "--data", data_csv, "--battery", "psychometric",
+               *flags, "--ablate", "zz", "--out-dir", tmp_path / "o") == EXIT_DATA
+    assert "dataset has no feature(s) ['zz']" in capsys.readouterr().err
+
+
+def test_train_ablate_gives_a_builtin_and_its_config_file_the_same_bytes(
+        data_csv, tmp_path):
+    path = tmp_path / "row1.json"
+    path.write_text(json.dumps(
+        {**REGISTRY["table2-row1"].config.to_dict(), "input_dim": 19}))
+    runs = [tmp_path / "builtin", tmp_path / "file"]
+    for out_dir, flags in zip(runs, (
+            ("--spec", "table2-row1"),
+            ("--spec", path, "--train-fraction", "0.75"))):
+        assert run("train", "--data", data_csv, "--battery", "psychometric",
+                   *flags, "--ablate", "f00", "--out-dir", out_dir) == EXIT_OK
+    for name in ("model.json", "history.csv", "confusion.txt"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 def test_train_missing_data_exits_3(tmp_path):
@@ -1481,6 +1524,21 @@ def test_a_manifest_records_the_one_blas_thread_that_trained(
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())
     env = env["environment"]
     assert (env["workers"], env["blas_threads"]) == (workers, 1)
+
+
+def test_a_report_manifest_records_no_thread_or_worker_count(
+        data_csv, tmp_path):
+    # report trains nothing, so it records only the build environment;
+    # the sweep it reads records the processes that trained
+    results = _sweep_results(data_csv, tmp_path)
+    out_dir = tmp_path / "rep"
+    assert run("report", "--results", results, "--out-dir", out_dir) == EXIT_OK
+    build = {"python", "numpy", "numpy_simd", "blas", "blas_version",
+             "blas_core"}
+    for path, keys in ((results, build | {"blas_threads", "workers"}),
+                       (out_dir, build)):
+        env = json.loads((path / "manifest.json").read_text())["environment"]
+        assert set(env) == keys
 
 
 def test_sweep_times_each_spec_on_stderr_and_in_the_manifest(

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fasdnet import experiment
-from fasdnet.data import BATTERIES, synthesize_dataset
+from fasdnet.data import BATTERIES, drop_features, synthesize_dataset
 from fasdnet.errors import (
     ConfigError,
     ContractError,
@@ -30,6 +30,7 @@ from fasdnet.errors import (
     ParseError,
     ReportError,
     ShapeError,
+    UnknownFeatureError,
 )
 from fasdnet.experiment import (
     REFERENCE_ACCURACIES,
@@ -250,7 +251,6 @@ def _short(spec, **overrides) -> ExperimentSpec:
         replace(spec.config, **overrides),
         spec.train_fraction,
         spec.balance,
-        spec.ablate,
     )
 
 
@@ -340,21 +340,17 @@ def Dataset_with_battery(ds, battery, rows=slice(None)):
 
 
 def test_run_experiment_ablation_narrows_input():
+    # a library caller ablates the dataset, and the run takes its width
     ds = synthesize_dataset(15, 6, 2.0, SeededRng(10))
-    base = REGISTRY["psychometric-feature-layer"]
-    spec = ExperimentSpec(
-        "ablated", base.battery, replace(base.config, epochs=5),
-        base.train_fraction, base.balance, ("f00", "f03"),
-    )
-    result = run_experiment_with_model(spec, ds, seed=1)[0]
-    assert result.spec_name == "ablated"
-    # error path: unknown ablation name is annotated with the spec name
-    bad = ExperimentSpec(
-        "bad-ablate", base.battery, base.config, base.train_fraction,
-        base.balance, ("not-a-feature",),
-    )
-    with pytest.raises(DataError, match="bad-ablate"):
-        run_experiment_with_model(bad, ds, seed=1)
+    spec = _short(REGISTRY["psychometric-feature-layer"], epochs=5)
+    ablated = drop_features(ds, ("f00", "f03"))
+    result, model, _ = run_experiment_with_model(spec, ablated, seed=1)
+    assert result.spec_name == spec.name
+    assert model.config.input_dim == 4
+    assert model.layers[0].weights.shape[0] == 4
+    # an unknown name fails in drop_features, before any spec is read
+    with pytest.raises(UnknownFeatureError, match="not-a-feature"):
+        drop_features(ds, ("not-a-feature",))
 
 
 # -------------------------------------------------------------------- sweeps
@@ -390,7 +386,7 @@ def test_sweep_records_failures_without_aborting():
         "diverges", "psychometric",
         replace(REGISTRY["table2-row1"].config, epochs=5,
                 learning_rate=1e200),
-        0.75, False, (),
+        0.75, False,
     )
     sweep = run_sweep([good, diverging], ds, [0, 1])
     assert len(sweep.results) == 2
