@@ -154,24 +154,24 @@ class ExperimentSpec:
 
 @dataclass
 class RunResult:
+    """A runs.csv row and its battery; test_acc is test_accuracy, from the cells."""
+
     spec_name: str
     battery: str
     seed: int
     train_accuracy: float
-    test_accuracy: float
     confusion: ConfusionMatrix
 
     def __post_init__(self):
-        for label, acc in (("train", self.train_accuracy),
-                           ("test", self.test_accuracy)):
-            if not 0.0 <= acc <= 1.0:
-                raise DataError(f"{label} accuracy out of [0, 1]: {acc}")
+        if not 0.0 <= self.train_accuracy <= 1.0:
+            raise DataError(f"train accuracy out of [0, 1]: {self.train_accuracy}")
         cells = list(astuple(self.confusion))
         if min(cells) < 0 or sum(cells) == 0:
             raise DataError(f"confusion cells {cells} must be >= 0, not all 0")
-        # runs.csv holds the repr of this same division
-        if self.test_accuracy != accuracy(self.confusion):
-            raise DataError(f"test_acc is not (tp + tn) / total of {cells}")
+
+    @property
+    def test_accuracy(self) -> float:
+        return accuracy(self.confusion)
 
 
 _TABLE2_ROWS = (
@@ -360,7 +360,6 @@ def _run_seeds(spec: ExperimentSpec, ds: Dataset, seeds) -> list:
             battery=spec.battery,
             seed=seed,
             train_accuracy=history.train_acc[-1],
-            test_accuracy=accuracy(cm),
             confusion=cm,
         )
         outcomes.append((result, model, history))
@@ -455,11 +454,12 @@ class SweepResult:
 
     @classmethod
     def from_files(cls, runs_path: Path, summary_path: Path) -> "SweepResult":
-        """The sweep that wrote runs.csv and summary.json, each run with
-        its spec's battery, in a sweep's order: by spec, then by seed in
-        seeds' order (others last, in file order), less runs that also
-        failed. ReportError, naming the file and line, for a file that is
-        unreadable or not that text, or a seed not run or failed once."""
+        """The sweep that wrote runs.csv and summary.json, with no runs if
+        every run failed, each run with its spec's battery, in a sweep's
+        order: by spec, then by seed in seeds' order (others last, in file
+        order), less runs that also failed. ReportError, naming the file
+        and line, for a file that is unreadable or not that text (test_acc
+        is not parsed), or a seed not run or failed once."""
         doc = _json_object(summary_path, ReportError)
         with _json_fields(summary_path, ReportError):
             seeds = [int(seed) for seed in doc["seeds"]]
@@ -473,7 +473,7 @@ class SweepResult:
                 cells = [int(row[k]) for k in ("tp", "fp", "tn", "fn")]
                 run = RunResult(row["spec"], specs[row["spec"]]["battery"],
                                 int(row["seed"]), float(row["train_acc"]),
-                                float(row["test_acc"]), ConfusionMatrix(*cells))
+                                ConfusionMatrix(*cells))
                 if run.battery not in BATTERIES:
                     raise ReportError(f"{summary_path}: spec {run.spec_name!r} "
                                       f"has unknown battery {run.battery!r}")
@@ -488,8 +488,6 @@ class SweepResult:
                 f"{runs_path}:{reader.reader.line_num}: malformed run row or "
                 f"spec missing from summary.json: {exc!r}"
             ) from exc
-        if not runs:
-            raise ReportError(f"{runs_path} lists no runs")
         # one spec order for the runs and the failures, as a sweep's: the
         # runs' order, each spec that only fails after the spec its
         # failures follow (first if none)

@@ -162,7 +162,7 @@ def _activation_steps(a: Activation, z: np.ndarray, out: np.ndarray,
                 partial(np.true_divide, out, e, out)]
     # exp(z - max) / sum, column by column, the row maximum and then
     # the sum kept in one column of work; see the module docstring
-    if z.shape[-1] < 2:
+    if z.ndim == 0 or z.shape[-1] < 2:
         raise ConfigError(
             f"softmax needs at least 2 columns, got shape {z.shape}"
         )
@@ -307,7 +307,7 @@ class FeatureNormLayer:
         """DataError names the first column, by names if given, whose
         mean or std is not finite, as a sum or square of doubles near
         the float64 limit overflows."""
-        if train_x.shape[0] < 2:
+        if _rows(train_x) < 2:
             raise DataError(
                 f"feature normalization needs >= 2 rows, got {train_x.shape[0]}"
             )

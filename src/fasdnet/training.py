@@ -89,6 +89,7 @@ from .layers import (
     _json_fields,
     _layer_views,
     _parameters,
+    _rows,
     _run,
     activation_apply,
     network_forward,
@@ -120,7 +121,7 @@ def _check_labels(labels, shape: tuple) -> np.ndarray:
 def _loss_labels(kind: str, output: np.ndarray, labels) -> np.ndarray:
     """loss_forward's and loss_grad's checks: labels, one per row of
     output, then the loss kind and output's width; returns the labels."""
-    y = _check_labels(labels, (output.shape[0],))
+    y = _check_labels(labels, (_rows(output),))
     if kind not in LOSS_OUTPUT:
         raise ConfigError(f"unknown loss kind {kind!r}")
     width = LOSS_OUTPUT[kind][0]

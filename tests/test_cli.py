@@ -824,7 +824,8 @@ def test_sweep_empty_config_directory_exits_4(data_csv, tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_sweep_exit_code_reflects_whether_any_run_succeeded(data_csv, tmp_path):
+def test_sweep_exit_code_reflects_whether_any_run_succeeded(data_csv, tmp_path,
+                                                           capsys):
     cfg_dir = tmp_path / "configs"
     cfg_dir.mkdir()
     doc = {
@@ -847,6 +848,16 @@ def test_sweep_exit_code_reflects_whether_any_run_succeeded(data_csv, tmp_path):
     assert code == EXIT_ALL_FAILED == 7
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["specs"] == {} and len(summary["failures"]) == 2
+    # a sweep with no runs reads back, failures and all; report has no
+    # run to take a median of
+    back = SweepResult.from_files(out_dir / "runs.csv", out_dir / "summary.json")
+    assert back.results == [] and back.seeds == [0, 1]
+    assert [(f["spec"], f["seed"], f["error"]) for f in summary["failures"]] == (
+        back.failures)
+    capsys.readouterr()
+    code = run("report", "--results", out_dir, "--out-dir", tmp_path / "rep")
+    assert code == EXIT_DATA
+    assert "no results to report on" in capsys.readouterr().err
 
     # one finished run is enough for success
     doc["learning_rate"] = 0.001
@@ -1049,7 +1060,10 @@ def test_report_rejects_an_unknown_battery_in_summary_json(data_csv, tmp_path,
 
 
 @pytest.mark.parametrize("row, message", [
-    (b"psychometric-feature-layer,3,1.0,x,1,1,1,1\n", "malformed run row"),
+    # test_acc is not parsed: its x is a line no sweep writes
+    (b"psychometric-feature-layer,3,1.0,x,1,1,1,1\n",
+     "reads 'psychometric-feature-layer,3,1.0,x,1,1,1,1' where a sweep of "
+     "these runs writes 'psychometric-feature-layer,3,1.0,0.5,1,1,1,1'"),
     (b"psychometric-feature-layer,3,1.5,0.5,1,1,1,1\n",
      "train accuracy out of [0, 1]: 1.5"),
     (b"psychometric-feature-layer,3,1.0,0.5,1,1,1,\xff\n", "not UTF-8"),
@@ -1063,7 +1077,9 @@ def test_report_rejects_an_unknown_battery_in_summary_json(data_csv, tmp_path,
     (b"psychometric-feature-layer,3,0.5,0.9,0,0,0,0\n",
      "confusion cells [0, 0, 0, 0] must be >= 0, not all 0"),
     (b"psychometric-feature-layer,3,0.5,0.5000000000000001,1,1,1,1\n",
-     "test_acc is not (tp + tn) / total of [1, 1, 1, 1]"),
+     "reads 'psychometric-feature-layer,3,0.5,0.5000000000000001,1,1,1,1' "
+     "where a sweep of these runs writes "
+     "'psychometric-feature-layer,3,0.5,0.5,1,1,1,1'"),
     (b"psychometric-feature-layer,0,1.0,0.5,1,1,1,1\n",
      "psychometric-feature-layer seed 0 is listed twice"),
 ], ids=["malformed-row", "accuracy-out-of-range", "not-utf-8",

@@ -113,8 +113,11 @@ def test_softmax_of_logits_2e308_apart_does_not_warn():
 
 
 def test_softmax_needs_two_columns():
-    with pytest.raises(ConfigError):
-        activation_apply(SOFTMAX, np.array([[1.0]]))
+    # a scalar has no column axis either
+    for z in (np.array([[1.0]]), np.array(5.0)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"softmax needs at least 2 columns, got shape {z.shape}")):
+            activation_apply(SOFTMAX, z)
 
 
 def test_relu_and_identity():
@@ -324,16 +327,19 @@ def _config(layers, loss="sparse_categorical", **kw):
     return NetworkConfig(layers=layers, loss=loss, **defaults)
 
 
-@pytest.mark.parametrize("shape", [(3,), ()], ids=["row", "scalar"])
+@pytest.mark.parametrize("shape", [(2,), (3,), ()],
+                         ids=["row of 2", "row", "scalar"])
 @pytest.mark.parametrize("call", [
-    "network_forward", "dense_forward", "FeatureNormLayer.apply",
-    "TrainedModel.predict", "TrainedModel.predict, feature layer",
-    "dense_backward_from_delta", "network_backward"])
+    "network_forward", "dense_forward", "FeatureNormLayer.fit",
+    "FeatureNormLayer.apply", "TrainedModel.predict",
+    "TrainedModel.predict, feature layer", "dense_backward_from_delta",
+    "network_backward", "loss_forward", "loss_grad"])
 def test_an_input_with_no_row_axis_is_a_shape_error_naming_its_shape(
         call, shape):
     # a row of 3 features, or a scalar, used to index the missing row
-    # axis and fail with IndexError
-    from fasdnet.training import TrainedModel
+    # axis and fail with IndexError; a row of 2 has one cell per label,
+    # so the softmax loss scored it as two rows
+    from fasdnet.training import TrainedModel, loss_forward, loss_grad
 
     config = _config(((4, RELU), (2, SOFTMAX)), input_dim=3)
     layers = network_init(config, SeededRng(0))
@@ -348,6 +354,9 @@ def test_an_input_with_no_row_axis_is_a_shape_error_naming_its_shape(
         "dense_backward_from_delta": lambda x: dense_backward_from_delta(
             layers[0], x, np.zeros((1, 4))),
         "network_backward": lambda x: network_backward(layers[:1], [(x, x)], x),
+        "FeatureNormLayer.fit": FeatureNormLayer.fit,
+        "loss_forward": lambda x: loss_forward("sparse_categorical", x, [1, 0]),
+        "loss_grad": lambda x: loss_grad("sparse_categorical", x, [1, 0]),
     }
     with pytest.raises(ShapeError, match=re.escape(f"{shape}")):
         calls[call](np.zeros(shape))
