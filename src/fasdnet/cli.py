@@ -91,8 +91,11 @@ def _out_dir(args) -> Path:
 
 @functools.cache
 def _environment() -> dict:
-    """This process's Python, numpy and BLAS and the SIMD extensions numpy
-    dispatches to, found once; a run sets the BLAS thread count."""
+    """This process's Python, numpy, orjson and BLAS and the SIMD
+    extensions numpy dispatches to, found once; a run sets the BLAS
+    thread count."""
+    import orjson  # see data.write_csv
+
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # a numpy without show_config's mode
@@ -101,6 +104,7 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "orjson": orjson.__version__,
         "numpy_simd": config.get("SIMD Extensions", {}).get("found"),
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),

@@ -58,7 +58,9 @@ means and standard deviations from the training rows only, as a frozen
 value whose apply maps every later input through (x - mean) / std. It
 exists because the raw batteries mix features on wildly different
 scales (single digits next to values near 100), which cripples an
-unnormalized first layer.
+unnormalized first layer. It takes a stack like every pass here: fit
+on (S, rows, features) gives each slot the statistics of its own rows,
+(S, features) in all, and apply standardizes each slot by its own.
 """
 
 from __future__ import annotations
@@ -296,7 +298,8 @@ class FeatureNormLayer:
     fit() learns per-column mean and population standard deviation from
     the training rows only. Columns with zero variance get std = 1 so
     apply() never divides by zero. Test data must be transformed with
-    the training statistics.
+    the training statistics. On a stack of rows, each slot's statistics
+    are its own rows' (see the module docstring).
     """
 
     means: np.ndarray
@@ -304,30 +307,33 @@ class FeatureNormLayer:
 
     @classmethod
     def fit(cls, train_x: np.ndarray, names=None) -> "FeatureNormLayer":
-        """DataError names the first column, by names if given, whose
-        mean or std is not finite, as a sum or square of doubles near
-        the float64 limit overflows."""
+        """DataError names the first column, by names if given and in
+        slot order on a stack, whose mean or std is not finite, as a sum
+        or square of doubles near the float64 limit overflows."""
         if _rows(train_x) < 2:
             raise DataError(
-                f"feature normalization needs >= 2 rows, got {train_x.shape[0]}"
+                f"feature normalization needs >= 2 rows, got {_rows(train_x)}"
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            means = train_x.mean(axis=0)
-            stds = train_x.std(axis=0)  # population convention (ddof=0)
+            means = train_x.mean(axis=-2)
+            stds = train_x.std(axis=-2)  # population convention (ddof=0)
         bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
         if bad.size:
-            raise DataError(f"feature {_column(names, bad[0])}: the mean or "
-                            "standard deviation of its training rows is not "
-                            "finite")
+            raise DataError(f"feature {_column(names, bad[0] % means.shape[-1])}: "
+                            "the mean or standard deviation of its training "
+                            "rows is not finite")
         return cls(means, np.where(stds > 0.0, stds, 1.0))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim < 2 or x.shape[1] != self.means.shape[0]:
+        """x's rows standardized: x is (rows, features) for one model's
+        statistics, (S, rows, features) for a stack's."""
+        if x.ndim < 2 or x.shape[:-2] + x.shape[-1:] != self.means.shape:
+            fitted = (f"{self.means.shape[0]} columns" if self.means.ndim == 1
+                      else f"statistics of shape {self.means.shape}")
             raise ShapeError(
-                f"feature normalization fitted on {self.means.shape[0]} "
-                f"columns, got input {x.shape}"
+                f"feature normalization fitted on {fitted}, got input {x.shape}"
             )
-        return (x - self.means) / self.stds
+        return (x - self.means[..., None, :]) / self.stds[..., None, :]
 
 
 def _column(names, index: int) -> str:
@@ -458,11 +464,6 @@ class NetworkConfig:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "NetworkConfig":
-        with _json_fields("config"):
-            return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_dict(cls, doc) -> "NetworkConfig":
         with _json_fields("config"):
             return cls(
@@ -559,8 +560,7 @@ def network_forward(layers: list[DenseLayer], norm: FeatureNormLayer | None,
 
     caches holds one (layer_input, pre_activation) pair per dense layer,
     exactly what network_backward needs. The normalization stage, when
-    present, is applied first and has no trainable parameters (pass
-    None for a stacked network; its input is normalized per slot).
+    present, is applied first and has no trainable parameters.
 
     A NaN or infinity in any layer's pre-activation raises
     NonFiniteError naming the first such layer and, on a stack, the

@@ -441,8 +441,9 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
     computes exactly what a run of its own would, bit for bit: each
     product, sum and elementwise operation acts on one slot at a time.
 
-    The feature-normalization stage, when configured, is fitted on each
-    slot's training rows only and frozen; validation data always goes
+    The feature-normalization stage, when configured, is fitted on the
+    stack, each slot on its own training rows only, and frozen; each
+    model keeps its slot's statistics. Validation data always goes
     through the training statistics. A column whose statistics, or any
     of whose values standardized by them, are not finite is a
     DataError, named from feature_names if given. Each
@@ -480,12 +481,12 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
     n = x_train.shape[1]
     x = np.concatenate([x_train, x_valid], axis=1)
     y = np.concatenate([y_tr, y_va], axis=1)
-    norms = [None] * len(configs)
+    norm = None
     if config.use_feature_layer:
-        norms = [FeatureNormLayer.fit(slot, feature_names) for slot in x_train]
+        norm = FeatureNormLayer.fit(x_train, feature_names)
         # a row far from the training mean can overflow all the same
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.stack([norm.apply(slot) for norm, slot in zip(norms, x)])
+            x = norm.apply(x)
         bad = np.flatnonzero(~np.isfinite(x).all(axis=(0, 1)))
         if bad.size:
             raise DataError(f"feature {_column(feature_names, bad[0])}: a value "
@@ -529,7 +530,9 @@ def train_many(configs, x_train, y_train, x_valid, y_valid,
 
     for slot, outcome in enumerate(outcomes):
         if outcome is None:
-            model = TrainedModel(configs[slot], norms[slot],
+            kept = None if norm is None else FeatureNormLayer(
+                norm.means[slot], norm.stds[slot])
+            model = TrainedModel(configs[slot], kept,
                                  _layer_views(theta[slot].copy(), layers))
             history = History(*(rows[:, k, slot].tolist() for k in range(4)))
             labels = predict_labels(config.loss, ws.forward.output[slot, n:])

@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1484,12 +1485,13 @@ def test_manifest_records_the_numeric_environment(data_csv, tmp_path):
         "--spec", "psychometric-feature-layer", "--out-dir", out_dir)
     env = json.loads((out_dir / "manifest.json").read_text())["environment"]
     assert set(env) == {
-        "python", "numpy", "numpy_simd", "blas", "blas_version",
+        "python", "numpy", "orjson", "numpy_simd", "blas", "blas_version",
         "blas_core", "blas_threads", "workers",
     }
     assert env["workers"] == 1  # train runs in one process
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
+    assert env["orjson"] == orjson.__version__
     config = np.show_config(mode="dicts")
     # the SIMD targets numpy dispatches to, after NPY_DISABLE_CPU_FEATURES
     assert env["numpy_simd"] == config["SIMD Extensions"]["found"]
@@ -1549,8 +1551,8 @@ def test_a_report_manifest_records_no_thread_or_worker_count(
     results = _sweep_results(data_csv, tmp_path)
     out_dir = tmp_path / "rep"
     assert run("report", "--results", results, "--out-dir", out_dir) == EXIT_OK
-    build = {"python", "numpy", "numpy_simd", "blas", "blas_version",
-             "blas_core"}
+    build = {"python", "numpy", "orjson", "numpy_simd", "blas",
+             "blas_version", "blas_core"}
     for path, keys in ((results, build | {"blas_threads", "workers"}),
                        (out_dir, build)):
         env = json.loads((path / "manifest.json").read_text())["environment"]

@@ -3,10 +3,13 @@
 import ctypes
 import faulthandler
 import hashlib
+import json
 import os
 import pickle
 import re
 import statistics
+import subprocess
+import sys
 import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
@@ -138,7 +141,7 @@ def test_registry_expected_input_widths():
 def test_builtin_configs_round_trip_through_json():
     for spec in builtin_registry():
         text = spec.config.to_json()
-        back = NetworkConfig.from_json(text)
+        back = NetworkConfig.from_dict(json.loads(text))
         assert back == spec.config
         assert back.to_json() == text
 
@@ -506,6 +509,30 @@ def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
     finally:
         set_threads(before)
     assert texts[0] == texts[1]
+
+
+def test_importing_fasdnet_before_numpy_leaves_blas_on_one_thread():
+    # OpenBLAS reads its thread variables when numpy loads it; a fresh
+    # interpreter without them, as from a shell that never set them, is
+    # on one thread right after the import, before anything trains.
+    # Imported after numpy, fasdnet leaves the variables alone.
+    script = ("import os, sys\n"
+              "if sys.argv[1] == 'after': import numpy\n"
+              "import fasdnet\n"
+              "from fasdnet.experiment import _blas_threads\n"
+              "print(_blas_threads(), os.environ.get('OPENBLAS_NUM_THREADS'),"
+              " os.environ.get('OMP_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(experiment.__file__).parents[1])
+    seen = {}
+    for when in ("before", "after"):
+        done = subprocess.run([sys.executable, "-c", script, when], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        seen[when] = done.stdout.split()
+    assert seen["before"] in (["1", "1", "1"], ["None", "1", "1"])
+    assert seen["after"][1:] == ["None", "None"]
 
 
 def _blas_threads_of_worker(task):

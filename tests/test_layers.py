@@ -36,6 +36,7 @@ from fasdnet.layers import (
     _backward_steps,
     _Forward,
     _forward_buffers,
+    _json_fields,
     _layer_views,
     _parameters,
     activation_apply,
@@ -310,11 +311,71 @@ def test_feature_norm_standardizes_training_data():
 
 
 def test_feature_norm_errors():
-    with pytest.raises(DataError):
-        FeatureNormLayer.fit(np.zeros((1, 3)))
+    # a stack's row count is its second axis, not its slot count
+    for x in (np.zeros((1, 3)), np.zeros((3, 1, 4))):
+        with pytest.raises(DataError, match="needs >= 2 rows, got 1$"):
+            FeatureNormLayer.fit(x)
     layer = FeatureNormLayer.fit(np.zeros((3, 3)))
     with pytest.raises(ShapeError):
         layer.apply(np.zeros((2, 4)))
+
+
+# the input widths of the feature-layer specs' batteries
+FEATURE_LAYER_WIDTHS = (15, 18, 20, 26, 48)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 5])
+@pytest.mark.parametrize("width", FEATURE_LAYER_WIDTHS)
+def test_feature_norm_fits_and_applies_a_stack_as_each_slot_alone(slots, width):
+    rng = np.random.default_rng(slots * 100 + width)
+    scales = 10.0 ** rng.integers(-2, 3, size=width)
+    x = rng.normal(size=(slots, 37, width)) * scales + 50.0
+    x[:, :, width // 2] = 3.0  # a constant column: std 1.0 in every slot
+    stack = FeatureNormLayer.fit(x)
+    assert stack.means.shape == stack.stds.shape == (slots, width)
+    assert np.all(stack.stds[:, width // 2] == 1.0)
+    later = rng.normal(size=(slots, 9, width)) * scales + 50.0
+    out = stack.apply(later)
+    for s in range(slots):
+        alone = FeatureNormLayer.fit(x[s])
+        assert stack.means[s].tobytes() == alone.means.tobytes()
+        assert stack.stds[s].tobytes() == alone.stds.tobytes()
+        assert out[s].tobytes() == alone.apply(later[s]).tobytes()
+
+
+def test_feature_norm_standardizes_each_slot_by_its_own_rows():
+    layer = FeatureNormLayer.fit(np.arange(30.0).reshape(2, 5, 3))
+    assert layer.means.tolist() == [[6.0, 7.0, 8.0], [21.0, 22.0, 23.0]]
+    np.testing.assert_array_equal(layer.stds, np.sqrt(18.0))
+    x = np.arange(24.0).reshape(2, 4, 3)
+    want = (x - [[[6.0, 7.0, 8.0]], [[21.0, 22.0, 23.0]]]) / np.sqrt(18.0)
+    assert layer.apply(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fitted, given, message", [
+    ((2, 5, 3), (3, 4, 3), "statistics of shape (2, 3), got input (3, 4, 3)"),
+    ((2, 5, 3), (4, 3), "statistics of shape (2, 3), got input (4, 3)"),
+    ((2, 5, 3), (2, 4, 4), "statistics of shape (2, 3), got input (2, 4, 4)"),
+    ((5, 3), (2, 4, 3), "3 columns, got input (2, 4, 3)"),
+])
+def test_feature_norm_refuses_an_input_unlike_its_statistics(fitted, given,
+                                                             message):
+    layer = FeatureNormLayer.fit(np.arange(math.prod(fitted), dtype=float)
+                                 .reshape(fitted))
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        layer.apply(np.zeros(given))
+
+
+def test_feature_norm_names_a_stacks_first_bad_column_in_slot_order():
+    # slot 1's column 3 fails before slot 2's column 1, as a fit of one
+    # slot after another would find them
+    x = np.ones((3, 4, 4))
+    x[1, :, 3] = [1e200, -1e200, 1e200, -1e200]  # squares overflow
+    x[2, :, 1] = 1.5e308  # the sum overflows
+    with pytest.raises(DataError, match="^feature column 3: the mean"):
+        FeatureNormLayer.fit(x)
+    with pytest.raises(DataError, match="^feature 'd': the mean"):
+        FeatureNormLayer.fit(x, ["a", "b", "c", "d"])
 
 
 # -------------------------------------------------------------- init/forward
@@ -610,7 +671,7 @@ def test_config_json_round_trip_is_byte_stable():
     cfg = _config(((64, SIGMOID), (128, RELU), (1, SIGMOID)), loss="binary",
                   use_feature_layer=True, epochs=50, seed=77)
     text = cfg.to_json()
-    back = NetworkConfig.from_json(text)
+    back = NetworkConfig.from_dict(json.loads(text))
     assert back == cfg
     assert back.to_json() == text
 
@@ -626,13 +687,14 @@ def test_config_json_names_a_missing_field_and_a_wrong_type():
         with pytest.raises(ConfigError, match="field of the wrong type"):
             NetworkConfig.from_dict({**good, field: value})
     with pytest.raises(ConfigError, match="field of the wrong type"):
-        NetworkConfig.from_json("[1, 2]")
+        NetworkConfig.from_dict([1, 2])
 
 
 def test_config_json_nested_too_deep_is_not_valid_json():
     # the parser's RecursionError, not a traceback
     with pytest.raises(ConfigError, match="config is not valid JSON"):
-        NetworkConfig.from_json("[" * 10_000)
+        with _json_fields("config"):
+            json.loads("[" * 10_000)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -656,8 +718,9 @@ def test_config_rejects_a_field_of_the_wrong_type_by_name(field, value):
         name = field
     with pytest.raises(ConfigError, match=f"{name} must be .*, got"):
         NetworkConfig.from_dict(doc)
+    layers = ((value if field == "width" else 2, SOFTMAX),)
     with pytest.raises(ConfigError, match=f"{name} must be"):
-        NetworkConfig.from_json(json.dumps(doc))
+        _config(layers, **({} if field == "width" else {field: value}))
 
 
 @pytest.mark.parametrize("rate", [
